@@ -31,11 +31,9 @@ from .cascade import (
     ExogenousShock,
     ImpactMatrices,
     build_impact_matrices,
-    initial_state,
     replaceability,
     rescale_for_coverage,
     run_cascade,
-    step,
 )
 from .esri import EsriVector, esri_all, esri_single, scenario_suite
 from .analysis import (

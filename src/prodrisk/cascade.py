@@ -21,43 +21,31 @@ from .prodfun import ScenarioSpec, ESS_ALL, ESS_PHYSICAL
 
 @dataclass(frozen=True)
 class ImpactMatrices:
-    """Sparse per-edge impact coefficients in iteration-ready layout.
+    """Per-edge impact coefficients, compiled into three CSR operators.
 
-    Downstream entries live in arrays sorted by (buyer, supplier); each entry
-    carries the supplier's sector, an essential/non-essential tag, and a
-    constraint-group id. Essential edges of one buyer form one group per
-    supplier sector, all non-essential edges of a buyer share a single pooled
-    group. Upstream entries are sorted by (supplier, buyer); u_resid is the
-    demand share of each supplier not covered by observed buyers, held at
-    full level during the iteration.
+    down_op has one row per constraint group and one column per supplier.
+    Essential inputs of one buyer form one group per supplier sector; all
+    non-essential inputs of a buyer share a single pooled group. Groups are
+    sorted by buyer, so the groups of each present buyer form one contiguous
+    segment starting at seg_starts. up_op maps (supplier, buyer) to the
+    buyer's share of the supplier's sales; u_resid is the demand share of
+    each supplier not covered by observed buyers, held at full level during
+    the iteration. sector_op sums out-strength-weighted levels per sector.
+    Every row accumulates over ascending column indices.
     """
 
     n: int
-    n_sectors: int
     s_out: np.ndarray
     s_in: np.ndarray
     sector_of: np.ndarray
-    # downstream (supplier -> buyer) entries
-    d_sup: np.ndarray
-    d_buy: np.ndarray
-    lam_d: np.ndarray
-    d_ess: np.ndarray
-    d_sector: np.ndarray
-    d_group: np.ndarray
     n_groups: int
     group_buyer: np.ndarray
     group_sector: np.ndarray     # sector id per group, -1 for the pooled group
     present_buyers: np.ndarray   # buyers that have at least one in-edge
     seg_starts: np.ndarray       # first group index per present buyer
-    # upstream (buyer -> supplier) entries
-    u_sup: np.ndarray
-    u_buy: np.ndarray
-    lam_u: np.ndarray
     u_resid: np.ndarray
-    # compiled sparse operators driving the iteration; entries mirror the
-    # arrays above and sum in the same element order
-    down_op: sparse.csr_array    # (group, supplier) -> lam_d
-    up_op: sparse.csr_array      # (supplier, buyer) -> lam_u
+    down_op: sparse.csr_array    # (group, supplier) -> downstream share
+    up_op: sparse.csr_array      # (supplier, buyer) -> upstream share
     sector_op: sparse.csr_array  # (sector, firm) -> s_out
 
 
@@ -72,7 +60,7 @@ class ExogenousShock:
         psi = np.array(self.psi, dtype=np.float64)
         if psi.ndim != 1:
             raise ValueError("psi must be a 1-d vector")
-        if np.any(psi < 0) or np.any(psi > 1):
+        if not np.all((psi >= 0) & (psi <= 1)):  # also rejects NaN
             raise ValueError("psi values must lie in [0, 1]")
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
@@ -80,7 +68,7 @@ class ExogenousShock:
 
 @dataclass(frozen=True)
 class CascadeState:
-    """Snapshot of one iteration.
+    """Snapshot of one iteration; its arrays are frozen.
 
     sigma and pi_tilde are the replaceability factors and per-group input
     availabilities applied in the step that produced these levels; for the
@@ -93,6 +81,10 @@ class CascadeState:
     h_u: np.ndarray
     sigma: np.ndarray
     pi_tilde: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.h_d, self.h_u, self.sigma, self.pi_tilde):
+            a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -145,42 +137,39 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     group_sector = guniq % (n_sectors + 1) - 1
     present_buyers, seg_starts = np.unique(group_buyer, return_index=True)
 
+    down_op = sparse.csr_array((lam_d, (d_group, d_sup)), shape=(len(guniq), n))
     # upstream entries use the canonical (supplier, buyer) order directly
-    lam_u = w / s_out[sup]
-    u_resid = 1.0 - np.bincount(sup, weights=lam_u, minlength=n)
-    np.clip(u_resid, 0.0, 1.0, out=u_resid)
-
-    arrays = (d_sup, d_buy, lam_d, d_ess, d_sector, d_group, group_buyer,
-              group_sector, present_buyers, seg_starts, lam_u, u_resid)
-    for a in arrays:
+    up_op = sparse.csr_array((w / s_out[sup], (sup, buy)), shape=(n, n))
+    sector_op = sparse.csr_array((s_out, (net.sector_of, np.arange(n))), shape=(n_sectors, n))
+    for op in (down_op, up_op, sector_op):
+        op.sort_indices()
+    u_resid = _residual_demand(up_op)
+    for a in (group_buyer, group_sector, present_buyers, seg_starts):
         a.flags.writeable = False
-    down_op, up_op, sector_op = _operators(
-        n, n_sectors, len(guniq), d_group, d_sup, lam_d, sup, buy, lam_u,
-        net.sector_of, s_out)
     return ImpactMatrices(
-        n=n, n_sectors=n_sectors, s_out=s_out, s_in=s_in, sector_of=net.sector_of,
-        d_sup=d_sup, d_buy=d_buy, lam_d=lam_d, d_ess=d_ess, d_sector=d_sector,
-        d_group=d_group, n_groups=len(guniq), group_buyer=group_buyer,
-        group_sector=group_sector, present_buyers=present_buyers, seg_starts=seg_starts,
-        u_sup=sup, u_buy=buy, lam_u=lam_u, u_resid=u_resid,
+        n=n, s_out=s_out, s_in=s_in, sector_of=net.sector_of, n_groups=len(guniq),
+        group_buyer=group_buyer, group_sector=group_sector,
+        present_buyers=present_buyers, seg_starts=seg_starts, u_resid=u_resid,
         down_op=down_op, up_op=up_op, sector_op=sector_op,
     )
 
 
-def _operators(n, n_sectors, n_groups, d_group, d_sup, lam_d, u_sup, u_buy, lam_u,
-               sector_of, s_out):
-    """Compile the edge arrays into CSR operators.
+def _residual_demand(up_op: sparse.csr_array) -> np.ndarray:
+    """Per-supplier demand share outside the network, in [0, 1].
 
-    One matrix-vector product replaces a gather-multiply-scatter chain; rows
-    accumulate left to right over ascending column indices, the same order
-    the plain bincount formulation uses, so results are bit-identical.
+    Formed with the kernel's own matvec, so it complements the observed share
+    summed in the same order as the upstream update sums it.
     """
-    down = sparse.csr_array((lam_d, (d_group, d_sup)), shape=(n_groups, n))
-    up = sparse.csr_array((lam_u, (u_sup, u_buy)), shape=(n, n))
-    sec = sparse.csr_array((s_out, (sector_of, np.arange(n))), shape=(n_sectors, n))
-    for op in (down, up, sec):
-        op.sort_indices()
-    return down, up, sec
+    resid = 1.0 - (up_op @ np.ones(up_op.shape[1]))
+    np.clip(resid, 0.0, 1.0, out=resid)
+    resid.flags.writeable = False
+    return resid
+
+
+def _scale_rows(op: sparse.csr_array, fac: np.ndarray) -> sparse.csr_array:
+    """op with row r multiplied by fac[r]; shares the index arrays of op."""
+    data = op.data * np.repeat(fac, np.diff(op.indptr))
+    return sparse.csr_array((data, op.indices, op.indptr), shape=op.shape)
 
 
 def rescale_for_coverage(matrices: ImpactMatrices, firms: "tuple[FirmRecord, ...]") -> ImpactMatrices:
@@ -202,23 +191,14 @@ def rescale_for_coverage(matrices: ImpactMatrices, firms: "tuple[FirmRecord, ...
         if f.material_cost is not None and f.material_cost > 0:
             fac_d[i] = min(1.0, matrices.s_in[i] / f.material_cost)
 
-    lam_u = matrices.lam_u * fac_u[matrices.u_sup]
-    lam_d = matrices.lam_d * fac_d[matrices.d_buy]
-    u_resid = 1.0 - np.bincount(matrices.u_sup, weights=lam_u, minlength=n)
-    np.clip(u_resid, 0.0, 1.0, out=u_resid)
-    for a in (lam_u, lam_d, u_resid):
-        a.flags.writeable = False
-    down_op, up_op, sector_op = _operators(
-        n, matrices.n_sectors, matrices.n_groups, matrices.d_group, matrices.d_sup,
-        lam_d, matrices.u_sup, matrices.u_buy, lam_u, matrices.sector_of, matrices.s_out)
-    return dataclasses.replace(matrices, lam_d=lam_d, lam_u=lam_u, u_resid=u_resid,
-                               down_op=down_op, up_op=up_op, sector_op=sector_op)
+    up_op = _scale_rows(matrices.up_op, fac_u)
+    down_op = _scale_rows(matrices.down_op, fac_d[matrices.group_buyer])
+    return dataclasses.replace(matrices, up_op=up_op, down_op=down_op,
+                               u_resid=_residual_demand(up_op))
 
 
-def _sigma_from(s_out: np.ndarray, sector_of: np.ndarray, n_sectors: int,
-                h_d: np.ndarray) -> np.ndarray:
-    """Replaceability factors: own out-strength over surviving sector output."""
-    sector_live = np.bincount(sector_of, weights=s_out * h_d, minlength=n_sectors)
+def _sigma(s_out: np.ndarray, sector_of: np.ndarray, sector_live: np.ndarray) -> np.ndarray:
+    """Replaceability factors: own out-strength over surviving sector output, capped at 1."""
     denom = sector_live[sector_of]
     sigma = np.ones(len(s_out))
     np.divide(s_out, denom, out=sigma, where=denom > 0)
@@ -226,18 +206,17 @@ def _sigma_from(s_out: np.ndarray, sector_of: np.ndarray, n_sectors: int,
     return sigma
 
 
-def replaceability(state: CascadeState | np.ndarray, net: ProductionNetwork,
-                   t: int | None = None) -> np.ndarray:
-    """Replaceability factor of every firm given downstream levels.
+def replaceability(h_d: np.ndarray, net: ProductionNetwork) -> np.ndarray:
+    """Replaceability factor of every firm given downstream levels h_d.
 
     A firm's factor is its baseline out-strength divided by the surviving
     output of its whole sector (itself included), capped at 1. A sector with
     no surviving output gives factor 1: nothing is left to substitute with.
-    Upstream levels play no role. Accepts a state or a raw h_d vector; t is
-    informational only.
+    Upstream levels play no role.
     """
-    h_d = state.h_d if isinstance(state, CascadeState) else np.asarray(state, dtype=np.float64)
-    return _sigma_from(net.s_out, net.sector_of, len(net.sectors), h_d)
+    h_d = np.asarray(h_d, dtype=np.float64)
+    live = np.bincount(net.sector_of, weights=net.s_out * h_d, minlength=len(net.sectors))
+    return _sigma(net.s_out, net.sector_of, live)
 
 
 def _advance(m: ImpactMatrices, h_d: np.ndarray, h_u: np.ndarray, psi: np.ndarray,
@@ -246,11 +225,7 @@ def _advance(m: ImpactMatrices, h_d: np.ndarray, h_u: np.ndarray, psi: np.ndarra
     if sigma_fixed is not None:
         sigma = sigma_fixed
     else:
-        sector_live = m.sector_op @ h_d
-        denom = sector_live[m.sector_of]
-        sigma = np.ones(m.n)
-        np.divide(m.s_out, denom, out=sigma, where=denom > 0)
-        np.minimum(sigma, 1.0, out=sigma)
+        sigma = _sigma(m.s_out, m.sector_of, m.sector_op @ h_d)
 
     # relative input availability per constraint group; the per-firm weighted
     # drop is folded before the matvec so every edge costs one multiply-add
@@ -269,35 +244,6 @@ def _advance(m: ImpactMatrices, h_d: np.ndarray, h_u: np.ndarray, psi: np.ndarra
     return hd_new, hu_new, sigma, pi_tilde
 
 
-def step(state: CascadeState, matrices: ImpactMatrices, params, psi: np.ndarray,
-         sigma_fixed: np.ndarray | None = None) -> CascadeState:
-    """One synchronous iteration from the given state.
-
-    All firms read levels of iteration t and write t + 1. The exogenous cap
-    psi re-enters both updates every iteration, so no firm recovers above it.
-    params carries no extra coefficients here (updates are in relative terms)
-    and is accepted for signature symmetry with the batch entry points.
-    """
-    psi = np.asarray(psi, dtype=np.float64)
-    hd, hu, sigma, pit = _advance(matrices, state.h_d, state.h_u, psi, sigma_fixed)
-    for a in (hd, hu, sigma, pit):
-        a.flags.writeable = False
-    return CascadeState(t=state.t + 1, h_d=hd, h_u=hu, sigma=sigma, pi_tilde=pit)
-
-
-def initial_state(matrices: ImpactMatrices, sigma_fixed: np.ndarray | None = None) -> CascadeState:
-    """All-ones state at t = 0 with its consistent diagnostics."""
-    ones = np.ones(matrices.n)
-    if sigma_fixed is not None:
-        sigma = np.asarray(sigma_fixed, dtype=np.float64)
-    else:
-        sigma = _sigma_from(matrices.s_out, matrices.sector_of, matrices.n_sectors, ones)
-    pit = np.ones(matrices.n_groups)
-    for a in (ones, sigma, pit):
-        a.flags.writeable = False
-    return CascadeState(t=0, h_d=ones, h_u=ones, sigma=sigma, pi_tilde=pit)
-
-
 def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
                 psi: np.ndarray, epsilon: float = 1e-2, max_iter: int = 1000,
                 record_trace: bool = False,
@@ -305,14 +251,17 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
     """Iterate the shock recursion to its fixed point.
 
     Starts from all-ones levels; the exogenous cap takes effect in the first
-    iteration. Stops at the first iteration whose largest level decrement
+    iteration and re-enters both updates every iteration, so no firm recovers
+    above it. Stops at the first iteration whose largest level decrement
     (downstream or upstream) is at most epsilon, or after max_iter iterations
     with converged = False. The final per-firm level is the minimum of the
-    downstream and upstream levels.
+    downstream and upstream levels. record_trace keeps every state, the
+    all-ones state at t = 0 included.
 
     sigma_fixed freezes the replaceability factors (for example at all-ones
     to switch substitution off entirely); by default they are recomputed from
-    the downstream levels every iteration.
+    the downstream levels every iteration. net and params are not read: they
+    are passed through so every scoring entry point has the same signature.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
@@ -324,13 +273,17 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
     if len(psi) != matrices.n:
         raise ValueError(f"psi has length {len(psi)}, expected {matrices.n}")
     if sigma_fixed is not None:
-        sigma_fixed = np.asarray(sigma_fixed, dtype=np.float64)
+        # a copy: a recorded trace freezes it, never the caller's array
+        sigma_fixed = np.array(sigma_fixed, dtype=np.float64)
 
     h_d = np.ones(matrices.n)
-    h_u = np.ones(matrices.n)
+    h_u = h_d
     trace: list[CascadeState] | None = None
     if record_trace:
-        trace = [initial_state(matrices, sigma_fixed)]
+        sigma = sigma_fixed if sigma_fixed is not None else _sigma(
+            matrices.s_out, matrices.sector_of, matrices.sector_op @ h_d)
+        trace = [CascadeState(t=0, h_d=h_d, h_u=h_u, sigma=sigma,
+                              pi_tilde=np.ones(matrices.n_groups))]
 
     converged = False
     T = max_iter
@@ -339,9 +292,7 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
         dec = max(np.max(h_d - hd_new), np.max(h_u - hu_new))
         h_d, h_u = hd_new, hu_new
         if trace is not None:
-            for a in (hd_new, hu_new, sigma, pit):
-                a.flags.writeable = False
-            trace.append(CascadeState(t=t, h_d=hd_new, h_u=hu_new, sigma=sigma, pi_tilde=pit))
+            trace.append(CascadeState(t=t, h_d=h_d, h_u=h_u, sigma=sigma, pi_tilde=pit))
         if dec <= epsilon:
             T = t
             converged = True

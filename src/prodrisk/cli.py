@@ -24,7 +24,7 @@ from .netcore import (DataError, FirmRecord, NetworkError, SyntheticConfig,
                       generate_synthetic)
 from .prodfun import Scenario, assign_scenario, calibrate
 from .cascade import build_impact_matrices, rescale_for_coverage, run_cascade
-from .esri import esri_all, scenario_suite
+from .esri import _loss_weighted, _total_out, esri_all, scenario_suite
 from .analysis import (DEFAULT_THRESHOLDS, count_above_thresholds, detect_plateau,
                        fit_powerlaw_mle, rank_profile, sector_shock_experiment,
                        year_over_year)
@@ -133,13 +133,20 @@ def _parse_float(path, lineno: int, label: str, text: str) -> float:
         raise DataError(f"{path} line {lineno}: bad {label} {text!r}") from None
 
 
+def _parse_income(path, lineno: int, label: str, text: str) -> float | None:
+    """An optional income-statement figure: empty, or finite and >= 0."""
+    if text == "":
+        return None
+    value = _parse_float(path, lineno, label, text)
+    if not (math.isfinite(value) and value >= 0):
+        raise DataError(f"{path} line {lineno}: {label} must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _read_firms(path) -> list[FirmRecord]:
-    firms = []
-    for lineno, (fid, nace, rev, cost) in ((ln, r) for ln, r in _read_table(path, FIRMS_HEADER)):
-        revenue = _parse_float(path, lineno, "revenue", rev) if rev != "" else None
-        material = _parse_float(path, lineno, "material_cost", cost) if cost != "" else None
-        firms.append(FirmRecord(fid, nace, revenue, material))
-    return firms
+    return [FirmRecord(fid, nace, _parse_income(path, lineno, "revenue", rev),
+                       _parse_income(path, lineno, "material_cost", cost))
+            for lineno, (fid, nace, rev, cost) in _read_table(path, FIRMS_HEADER)]
 
 
 def _read_edges(path) -> list[tuple[str, str, float]]:
@@ -201,11 +208,11 @@ def _load_network(args):
 
 
 def _prepare(net, scenario: Scenario):
-    """Scenario assignment, calibration, and impact matrices for one network."""
+    """Calibrated parameters and impact matrices of one scenario."""
     spec = assign_scenario(net, scenario)
     params = calibrate(net, spec)
     matrices = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
-    return spec, params, matrices
+    return params, matrices
 
 
 def cmd_generate(args) -> int:
@@ -269,10 +276,8 @@ def cmd_esri(args) -> int:
     if args.psi_file is not None:
         if args.scenario == "all":
             raise ValueError("--psi-file needs a single scenario, not 'all'")
-        total_out = float(np.sum(net.s_out))
-        if total_out == 0:
-            raise DataError("total out-strength is zero, losses are undefined")
-        spec, params, matrices = _prepare(net, Scenario(args.scenario))
+        total_out = _total_out(net.s_out)
+        params, matrices = _prepare(net, Scenario(args.scenario))
         psi = np.ones(net.n)
         for fid, value in _read_psi(args.psi_file).items():
             idx = net.index_of.get(fid)
@@ -285,7 +290,7 @@ def cmd_esri(args) -> int:
                    ([net.firms[i].firm_id, _fmt(result.h_d_final[i]),
                      _fmt(result.h_u_final[i]), _fmt(result.h_final[i])]
                     for i in range(net.n)))
-        loss = float(np.sum(net.s_out * (1.0 - result.h_final)) / total_out)
+        loss = _loss_weighted(net.s_out, total_out, result.h_final)
         _write_json(out / "summary.json", {
             "caveat": CAVEAT,
             "mode": "custom_shock",
@@ -312,7 +317,7 @@ def cmd_esri(args) -> int:
             _write_csv(out / f"esri_{name}.csv", ESRI_HEADER, _esri_rows(vec))
     else:
         scen = Scenario(args.scenario)
-        spec, params, matrices = _prepare(net, scen)
+        params, matrices = _prepare(net, scen)
         vec = esri_all(net, matrices, params, epsilon=args.epsilon,
                        max_iter=args.max_iter, worker_count=args.workers)
         vectors = {scen.value: vec}
@@ -380,7 +385,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sector_experiment(args) -> int:
     net = _load_network(args)
-    spec, params, matrices = _prepare(net, Scenario(args.scenario))
+    params, matrices = _prepare(net, Scenario(args.scenario))
 
     scenarios: list[dict[str, float]] = []
     labels: list[str] = []

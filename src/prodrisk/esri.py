@@ -8,6 +8,7 @@ for any worker count because each cascade uses a fixed accumulation order.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,14 @@ class EsriVector:
     network_fingerprint: str
 
 
+def _total_out(s_out: np.ndarray) -> float:
+    """Total out-strength, the denominator of every loss; zero is a data error."""
+    total = float(np.sum(s_out))
+    if total == 0:
+        raise DataError("total out-strength is zero, losses are undefined")
+    return total
+
+
 def _loss_weighted(s_out: np.ndarray, total_out: float, h_final: np.ndarray) -> float:
     """Out-strength-weighted production loss, fixed summation order."""
     return float(np.sum(s_out * (1.0 - h_final)) / total_out)
@@ -44,9 +53,7 @@ def esri_single(net: ProductionNetwork, matrices: ImpactMatrices, params: Produc
     """Index of a single firm: fail it completely, run the cascade, weigh losses."""
     if not 0 <= firm < net.n:
         raise ValueError(f"firm index {firm} out of range")
-    total_out = float(np.sum(net.s_out))
-    if total_out == 0:
-        raise DataError("total out-strength is zero, the index is undefined")
+    total_out = _total_out(net.s_out)
     psi = np.ones(net.n)
     psi[firm] = 0.0
     result = run_cascade(net, matrices, params, psi, epsilon=epsilon, max_iter=max_iter)
@@ -93,15 +100,11 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     global _BATCH
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
-    total_out = float(np.sum(net.s_out))
-    if total_out == 0:
-        raise DataError("total out-strength is zero, the index is undefined")
-
     n = net.n
     chunk = 64
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     ctx = {"net": net, "matrices": matrices, "params": params,
-           "total_out": total_out, "epsilon": epsilon, "max_iter": max_iter}
+           "total_out": _total_out(net.s_out), "epsilon": epsilon, "max_iter": max_iter}
 
     values = np.empty(n)
     T = np.empty(n, dtype=np.int64)
@@ -110,21 +113,14 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     use_pool = worker_count > 1 and "fork" in multiprocessing.get_all_start_methods()
     _BATCH = ctx
     try:
-        if use_pool:
-            mp_ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=worker_count, mp_context=mp_ctx) as pool:
-                done = 0
-                for lo, v, t, c in pool.map(_run_range, bounds):
-                    values[lo:lo + len(v)] = v
-                    T[lo:lo + len(v)] = t
-                    conv[lo:lo + len(v)] = c
-                    done += len(v)
-                    if progress is not None:
-                        progress(done, n)
-        else:
+        with contextlib.ExitStack() as stack:
+            run = map
+            if use_pool:
+                mp_ctx = multiprocessing.get_context("fork")
+                run = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=worker_count, mp_context=mp_ctx)).map
             done = 0
-            for b in bounds:
-                lo, v, t, c = _run_range(b)
+            for lo, v, t, c in run(_run_range, bounds):
                 values[lo:lo + len(v)] = v
                 T[lo:lo + len(v)] = t
                 conv[lo:lo + len(v)] = c

@@ -15,13 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .netcore import (
-    SENTINEL_SECTOR,
-    PHYSICAL_PREFIX_MAX,
-    ProductionNetwork,
-    input_matrix,
-    sector_is_physical,
-)
+from .netcore import ProductionNetwork, input_matrix, sector_is_physical
 
 
 class Scenario(enum.Enum):
@@ -38,33 +32,16 @@ ESS_NONE = 0       # no essential inputs
 ESS_PHYSICAL = 1   # input categories with prefixes 01-45 are essential
 ESS_ALL = 2        # every input category is essential
 
-PHYSICAL_PREFIXES = frozenset(f"{p:02d}" for p in range(1, PHYSICAL_PREFIX_MAX + 1))
-SERVICE_PREFIXES = frozenset(f"{p:02d}" for p in range(PHYSICAL_PREFIX_MAX + 1, 100))
-PREFIX_UNIVERSE = PHYSICAL_PREFIXES | SERVICE_PREFIXES | {SENTINEL_SECTOR}
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Per-firm essential/non-essential partition of input categories.
 
-    essential_class holds one of ESS_NONE, ESS_PHYSICAL, ESS_ALL per firm;
-    the explicit prefix sets are exposed through essential_set and
-    non_essential_set.
+    essential_class holds one of ESS_NONE, ESS_PHYSICAL, ESS_ALL per firm.
     """
 
     scenario: Scenario
     essential_class: np.ndarray
-
-    def essential_set(self, firm: int) -> frozenset[str]:
-        c = int(self.essential_class[firm])
-        if c == ESS_ALL:
-            return PREFIX_UNIVERSE
-        if c == ESS_PHYSICAL:
-            return PHYSICAL_PREFIXES
-        return frozenset()
-
-    def non_essential_set(self, firm: int) -> frozenset[str]:
-        return PREFIX_UNIVERSE - self.essential_set(firm)
 
     def input_is_essential(self, firm: int, sector_code: str) -> bool:
         """Does firm treat inputs from the given sector as essential?"""

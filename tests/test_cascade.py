@@ -8,11 +8,9 @@ from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk.cascade import (
     ExogenousShock,
     build_impact_matrices,
-    initial_state,
     replaceability,
     rescale_for_coverage,
     run_cascade,
-    step,
 )
 
 
@@ -34,9 +32,11 @@ def prepared(net, scenario):
 
 
 def entry(matrices, sup, buy):
-    for k in range(len(matrices.d_sup)):
-        if matrices.d_sup[k] == sup and matrices.d_buy[k] == buy:
-            return matrices.lam_d[k], bool(matrices.d_ess[k])
+    """Downstream coefficient of one edge and whether it is essential."""
+    for g in np.flatnonzero(matrices.group_buyer == buy):
+        row = matrices.down_op[[g]]
+        if sup in row.indices:
+            return row[0, sup], bool(matrices.group_sector[g] >= 0)
     raise AssertionError("edge not found")
 
 
@@ -59,7 +59,7 @@ class TestImpactMatrices:
         net = mill_net()
         m = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
         mill = net.index_of["mill"]
-        mill_groups = {int(g) for g, b in zip(m.d_group, m.d_buy) if b == mill}
+        mill_groups = {int(g) for g in np.flatnonzero(m.group_buyer == mill)}
         assert len(mill_groups) == 2    # one essential sector plus the pool
         sectors = {int(m.group_sector[g]) for g in mill_groups}
         assert -1 in sectors            # pooled group marker
@@ -68,7 +68,7 @@ class TestImpactMatrices:
     def test_upstream_shares_and_residual(self):
         net = mill_net()
         m = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
-        assert np.all(m.lam_u == 1.0)   # every supplier has a single buyer
+        assert np.all(m.up_op.data == 1.0)   # every supplier has a single buyer
         resid = {net.firms[i].firm_id: m.u_resid[i] for i in range(net.n)}
         assert resid == {"wheat": 0.0, "consult": 0.0, "mill": 0.0, "shop": 1.0}
 
@@ -77,12 +77,11 @@ class TestImpactMatrices:
         net = build_network(firms, edges)
         for scenario in Scenario:
             m = build_impact_matrices(net, assign_scenario(net, scenario))
-            for g in range(m.n_groups):
-                total = float(np.sum(m.lam_d[m.d_group == g]))
+            for g, total in enumerate(m.down_op.sum(axis=1)):
                 assert total <= 1.0 + 1e-9
                 if m.group_sector[g] >= 0:
                     assert total == pytest.approx(1.0)
-            per_sup = np.bincount(m.u_sup, weights=m.lam_u, minlength=net.n)
+            per_sup = m.up_op @ np.ones(net.n)
             assert np.all(per_sup + m.u_resid <= 1.0 + 1e-9)
 
     def test_rescale_shrinks_receiver_side(self):
@@ -93,9 +92,7 @@ class TestImpactMatrices:
         wheat = net.index_of["wheat"]
 
         # mill reports twice the observed sales: upstream impact halves
-        k = next(i for i in range(len(scaled.u_sup))
-                 if scaled.u_sup[i] == mill and scaled.u_buy[i] == shop)
-        assert plain.lam_u[k] == 1.0 and scaled.lam_u[k] == 0.5
+        assert plain.up_op[mill, shop] == 1.0 and scaled.up_op[mill, shop] == 0.5
         assert scaled.u_resid[mill] == 0.5
         # mill reports twice the observed inputs: downstream impact halves
         lam, _ = entry(scaled, wheat, mill)
@@ -105,14 +102,14 @@ class TestImpactMatrices:
         net = mill_net(revenue=80.0, material_cost=20.0)  # below observed figures
         plain = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
         scaled = rescale_for_coverage(plain, net.firms)
-        assert np.all(scaled.lam_d == plain.lam_d)
-        assert np.all(scaled.lam_u == plain.lam_u)
+        assert np.all(scaled.down_op.data == plain.down_op.data)
+        assert np.all(scaled.up_op.data == plain.up_op.data)
 
     def test_rescale_ignores_missing_figures(self):
         net = mill_net()
         plain = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
         scaled = rescale_for_coverage(plain, net.firms)
-        assert np.all(scaled.lam_d == plain.lam_d)
+        assert np.all(scaled.down_op.data == plain.down_op.data)
         assert np.all(scaled.u_resid == plain.u_resid)
 
 
@@ -122,6 +119,8 @@ class TestExogenousShock:
             ExogenousShock(np.array([0.5, 1.2]))
         with pytest.raises(ValueError):
             ExogenousShock(np.array([-0.1]))
+        with pytest.raises(ValueError):
+            ExogenousShock(np.array([np.nan, 1.0, 1.0]))
         with pytest.raises(ValueError):
             ExogenousShock(np.ones((2, 2)))
 
@@ -138,9 +137,12 @@ class TestExogenousShock:
         params, m = prepared(net, Scenario.GL)
         psi = np.ones(net.n)
         psi[0] = 0.0
-        run_cascade(net, m, params, psi)
+        sigma = np.ones(net.n)
+        run_cascade(net, m, params, psi, record_trace=True, sigma_fixed=sigma)
         assert psi[0] == 0.0 and psi.flags.writeable
+        assert sigma.flags.writeable
         psi[0] = 1.0  # stays writable for reuse
+        sigma[0] = 0.5
 
 
 class TestReplaceability:
@@ -196,21 +198,6 @@ class TestEngine:
         res = run_cascade(net, m, params, psi, epsilon=1e-10, max_iter=200)
         assert res.h_final[net.index_of["mill"]] <= 0.3
         assert res.converged
-
-    def test_trace_matches_manual_stepping(self):
-        net = mill_net()
-        params, m = prepared(net, Scenario.LEO)
-        psi = np.ones(net.n)
-        psi[net.index_of["wheat"]] = 0.0
-        res = run_cascade(net, m, params, psi, epsilon=1e-6, max_iter=50,
-                          record_trace=True)
-        state = initial_state(m)
-        for recorded in res.trace[1:]:
-            state = step(state, m, params, psi)
-            assert np.array_equal(state.h_d, recorded.h_d)
-            assert np.array_equal(state.h_u, recorded.h_u)
-            assert np.array_equal(state.sigma, recorded.sigma)
-        assert np.array_equal(np.minimum(state.h_d, state.h_u), res.h_final)
 
     def test_trace_sigma_consistent_with_replaceability(self):
         net = mill_net()

@@ -210,6 +210,17 @@ class TestEsri:
                    "--edges", str(data / "edges.csv"),
                    "--psi-file", str(psi), "--out-dir", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("revenue,cost", [("nan", ""), ("inf", ""), ("", "-5")])
+    def test_bad_income_figures_are_data_errors(self, tmp_path, capsys, revenue, cost):
+        data = chain_dir(tmp_path)
+        # zero figures on line 2 are valid, so the error names line 3
+        write_csv(data / "firms.csv", cli.FIRMS_HEADER,
+                  [["a", "0111", "0.0", "0.0"], ["b", "4711", revenue, cost]])
+        assert run("esri", "--firms", str(data / "firms.csv"),
+                   "--edges", str(data / "edges.csv"),
+                   "--out-dir", str(tmp_path / "o")) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_empty_network_is_a_data_error(self, tmp_path):
         write_csv(tmp_path / "firms.csv", cli.FIRMS_HEADER, [])
         write_csv(tmp_path / "edges.csv", cli.EDGES_HEADER, [])

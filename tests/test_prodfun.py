@@ -68,13 +68,6 @@ class TestAssignment:
             spec = assign_scenario(net, scenario)
             assert spec.essential_class[net.index_of["u"]] == expected
 
-    def test_essential_sets_are_complementary(self):
-        net = mill_net()
-        spec = assign_scenario(net, Scenario.GL)
-        mill = net.index_of["mill"]
-        assert spec.essential_set(mill) & spec.non_essential_set(mill) == frozenset()
-        assert SENTINEL_SECTOR in spec.non_essential_set(mill)
-
 
 class TestCalibration:
     def test_gl_coefficients(self):
