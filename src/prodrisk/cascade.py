@@ -14,9 +14,34 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .netcore import ProductionNetwork, FirmRecord, sector_is_physical
 from .prodfun import ScenarioSpec, ESS_ALL, ESS_PHYSICAL
+
+
+# rank slots of at most this many buyers are padded and reduced in one call,
+# which costs about as much as one elementwise call per slot at a block of 16
+TAIL_ROWS = 64
+
+
+@dataclass(frozen=True)
+class GroupSlots:
+    """Constraint groups in rank-slot order, for each buyer's group minimum.
+
+    With the present buyers sorted by group count, descending (buyers), the
+    k-th groups of the buyers with more than k groups (slot k) belong to a
+    prefix of that order. groups lists the head slots one after another,
+    sizes[k] groups each, then tail_slots slots padded to tail_rows groups
+    each, where a buyer short of groups repeats its own last one. The head
+    is slot 0 and every further slot of more than TAIL_ROWS buyers.
+    """
+
+    buyers: np.ndarray
+    groups: np.ndarray
+    sizes: tuple[int, ...]
+    tail_slots: int
+    tail_rows: int
 
 
 @dataclass(frozen=True)
@@ -27,11 +52,12 @@ class ImpactMatrices:
     Essential inputs of one buyer form one group per supplier sector; all
     non-essential inputs of a buyer share a single pooled group. Groups are
     sorted by buyer, so the groups of each present buyer form one contiguous
-    segment starting at seg_starts. up_op maps (supplier, buyer) to the
-    buyer's share of the supplier's sales; u_resid is the demand share of
-    each supplier not covered by observed buyers, held at full level during
-    the iteration. sector_op sums out-strength-weighted levels per sector.
-    Every row accumulates over ascending column indices.
+    segment starting at seg_starts; slots holds the same groups in the
+    rank-slot order the kernel reduces them in. up_op maps (supplier, buyer)
+    to the buyer's share of the supplier's sales; u_resid is the demand
+    share of each supplier not covered by observed buyers, held at full
+    level during the iteration. sector_op sums out-strength-weighted levels
+    per sector. Every row accumulates over ascending column indices.
     """
 
     n: int
@@ -41,8 +67,8 @@ class ImpactMatrices:
     n_groups: int
     group_buyer: np.ndarray
     group_sector: np.ndarray     # sector id per group, -1 for the pooled group
-    present_buyers: np.ndarray   # buyers that have at least one in-edge
     seg_starts: np.ndarray       # first group index per present buyer
+    slots: GroupSlots
     u_resid: np.ndarray
     down_op: sparse.csr_array    # (group, supplier) -> downstream share
     up_op: sparse.csr_array      # (supplier, buyer) -> upstream share
@@ -144,14 +170,32 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     for op in (down_op, up_op, sector_op):
         op.sort_indices()
     u_resid = _residual_demand(up_op)
-    for a in (group_buyer, group_sector, present_buyers, seg_starts):
+    slots = _group_slots(present_buyers, seg_starts, len(guniq))
+    for a in (group_buyer, group_sector, seg_starts, slots.buyers, slots.groups):
         a.flags.writeable = False
     return ImpactMatrices(
         n=n, s_out=s_out, s_in=s_in, sector_of=net.sector_of, n_groups=len(guniq),
         group_buyer=group_buyer, group_sector=group_sector,
-        present_buyers=present_buyers, seg_starts=seg_starts, u_resid=u_resid,
+        seg_starts=seg_starts, slots=slots, u_resid=u_resid,
         down_op=down_op, up_op=up_op, sector_op=sector_op,
     )
+
+
+def _group_slots(present_buyers: np.ndarray, seg_starts: np.ndarray, n_groups: int) -> GroupSlots:
+    """Rank-slot layout of the constraint groups (see GroupSlots)."""
+    counts = np.diff(seg_starts, append=n_groups)
+    k_max = int(counts.max()) if len(counts) else 0
+    # in the smallest integer type that holds them, numpy radix-sorts the keys
+    order = np.argsort((-counts).astype(np.min_scalar_type(-k_max)), kind="stable")
+    counts, starts = counts[order], seg_starts[order]
+    sizes = np.searchsorted(-counts, -np.arange(k_max), side="left").tolist()
+    head = next((k for k in range(1, k_max) if sizes[k] <= TAIL_ROWS), k_max)
+    tail_rows = sizes[head] if head < k_max else 0
+    rows = sizes[:head] + [tail_rows] * (k_max - head)
+    groups = np.concatenate([starts[:r] + np.minimum(k, counts[:r] - 1)
+                             for k, r in enumerate(rows)] or [starts])
+    return GroupSlots(buyers=present_buyers[order], groups=groups, sizes=tuple(sizes[:head]),
+                      tail_slots=k_max - head, tail_rows=tail_rows)
 
 
 def _residual_demand(up_op: sparse.csr_array) -> np.ndarray:
@@ -197,13 +241,15 @@ def rescale_for_coverage(matrices: ImpactMatrices, firms: "tuple[FirmRecord, ...
                                u_resid=_residual_demand(up_op))
 
 
-def _sigma(s_out: np.ndarray, sector_of: np.ndarray, sector_live: np.ndarray) -> np.ndarray:
-    """Replaceability factors: own out-strength over surviving sector output, capped at 1."""
-    denom = sector_live[sector_of]
-    sigma = np.ones(len(s_out))
-    np.divide(s_out, denom, out=sigma, where=denom > 0)
-    np.minimum(sigma, 1.0, out=sigma)
-    return sigma
+def _sigma(s_out: np.ndarray, denom: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Replaceability factors: own out-strength over surviving sector output, capped at 1.
+
+    denom is the surviving output of each firm's sector. Where none survives,
+    x / 0 gives inf or nan, and fmin maps both to 1; callers silence the
+    division warnings.
+    """
+    np.divide(s_out, denom, out=out)
+    return np.fmin(out, 1.0, out=out)
 
 
 def replaceability(h_d: np.ndarray, net: ProductionNetwork) -> np.ndarray:
@@ -216,32 +262,229 @@ def replaceability(h_d: np.ndarray, net: ProductionNetwork) -> np.ndarray:
     """
     h_d = np.asarray(h_d, dtype=np.float64)
     live = np.bincount(net.sector_of, weights=net.s_out * h_d, minlength=len(net.sectors))
-    return _sigma(net.s_out, net.sector_of, live)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _sigma(net.s_out, live[net.sector_of], np.empty(net.n))
 
 
-def _advance(m: ImpactMatrices, h_d: np.ndarray, h_u: np.ndarray, psi: np.ndarray,
-             sigma_fixed: np.ndarray | None):
-    """One synchronous update; returns (h_d', h_u', sigma used, pi_tilde used)."""
-    if sigma_fixed is not None:
-        sigma = sigma_fixed
+def _column_max(a: np.ndarray) -> np.ndarray:
+    """Largest entry of every column of a (overwritten).
+
+    A reduction along axis 0 loops over rows only as wide as the block, so
+    for a block of several columns the bottom half of the rows is first
+    folded onto the top half, each fold one long elementwise maximum.
+    """
+    rows = a.shape[0]
+    while rows > 64 and a.shape[1] > 1:
+        half = rows // 2
+        np.maximum(a[:half], a[rows - half:rows], out=a[:half])
+        rows -= half
+    return np.maximum.reduce(a[:rows], axis=0)
+
+
+class _GroupMax:
+    """Largest y over the constraint groups of each present buyer, for a block.
+
+    Result rows follow slots.buyers. Slot 0 is gathered into the result;
+    each further head slot, and then the padded tail, is gathered into
+    scratch rows and folded onto the first rows of the result. The buffers
+    are allocated once, for the widest block.
+    """
+
+    def __init__(self, slots: GroupSlots, width: int):
+        self.slots = slots
+        ends = np.cumsum(slots.sizes).tolist()
+        self.first = slots.groups[:len(slots.buyers)]
+        self.gathers = [slots.groups[start:start + size]
+                        for start, size in zip(ends, slots.sizes[1:])]
+        self.tail = slots.groups[ends[-1]:] if slots.tail_slots else None
+        self.heights = (len(slots.buyers),
+                        max(slots.sizes[1:2] + (slots.tail_slots * slots.tail_rows,)))
+        self.flats = [np.empty(r * width) for r in self.heights]
+        self.narrow(width)
+
+    def narrow(self, w: int) -> None:
+        """View the buffers at width w."""
+        self.top, part = (f[:r * w].reshape(r, w) for f, r in zip(self.flats, self.heights))
+        self.folds = [(groups, part[:len(groups)], self.top[:len(groups)])
+                      for groups in self.gathers]
+        if self.tail is not None:
+            self.tail_part = part[:len(self.tail)]
+            self.tail_stack = self.tail_part.reshape(self.slots.tail_slots, self.slots.tail_rows, w)
+            self.tail_head = self.top[:self.slots.tail_rows]
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        # the indices are in range; mode="clip" lets take write straight into out
+        y.take(self.first, axis=0, out=self.top, mode="clip")
+        for groups, part, head in self.folds:
+            y.take(groups, axis=0, out=part, mode="clip")
+            np.maximum(head, part, out=head)
+        if self.tail is not None:
+            y.take(self.tail, axis=0, out=self.tail_part, mode="clip")
+            np.maximum(self.tail_stack[0], self.tail_head, out=self.tail_stack[0])
+            np.maximum.reduce(self.tail_stack, axis=0, out=self.tail_head)
+        return self.top
+
+
+class _Workspace:
+    """Every buffer of a block of up to `width` columns, for blocks run one after another.
+
+    A run takes no memory of its own beyond small per-column vectors, so a
+    worker that scores many blocks touches the same pages throughout instead
+    of faulting in fresh ones every iteration. The result rows out_d and
+    out_u are overwritten by the next block.
+    """
+
+    def __init__(self, m: ImpactMatrices, width: int):
+        # h_d, its successor, scratch, h_u, its successor
+        self.levels = [np.empty(m.n * width) for _ in range(5)]
+        self.down = np.empty(m.n_groups * width)
+        self.sector = np.empty(m.sector_op.shape[0] * width)
+        self.group_max = _GroupMax(m.slots, width)
+        self.out_d, self.out_u = np.empty((width, m.n)), np.empty((width, m.n))
+
+
+def _spmm(op: sparse.csr_array, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """op @ x written into out; x and out are C-contiguous (rows, width) arrays.
+
+    These are the kernels scipy's own product runs (a matvec for one column),
+    on a zeroed output, so every entry sums in the same order; only the
+    allocation of a new result per call is saved.
+    """
+    out.fill(0.0)
+    if x.shape[1] == 1:
+        _sparsetools.csr_matvec(op.shape[0], op.shape[1], op.indptr, op.indices, op.data,
+                                x.reshape(-1), out.reshape(-1))
     else:
-        sigma = _sigma(m.s_out, m.sector_of, m.sector_op @ h_d)
+        _sparsetools.csr_matvecs(op.shape[0], op.shape[1], x.shape[1], op.indptr, op.indices,
+                                 op.data, x.reshape(-1), out.reshape(-1))
+    return out
 
-    # relative input availability per constraint group; the per-firm weighted
-    # drop is folded before the matvec so every edge costs one multiply-add
-    q = sigma * (1.0 - h_d)
-    pi_tilde = 1.0 - (m.down_op @ q)
-    np.clip(pi_tilde, 0.0, 1.0, out=pi_tilde)
 
-    hd_new = np.ones(m.n)
-    if m.n_groups:
-        hd_new[m.present_buyers] = np.minimum.reduceat(pi_tilde, m.seg_starts)
-    np.clip(hd_new, 0.0, psi, out=hd_new)
+def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int,
+             epsilon: float, max_iter: int, sigma_fixed: np.ndarray | None = None,
+             trace: list | None = None, ws: _Workspace | None = None):
+    """Run `width` cascades side by side as the columns of one (n, width) state.
 
-    # upstream: demand-weighted buyer levels plus the unobserved remainder
-    hu_new = (m.up_op @ h_u) + m.u_resid
-    np.clip(hu_new, 0.0, psi, out=hu_new)
-    return hd_new, hu_new, sigma, pi_tilde
+    caps = (rows, cols, values) lists every production cap below 1: firm
+    rows[k] of column cols[k] is held at or below values[k]. Each column
+    stops at its first iteration whose largest level decrement is at most
+    epsilon, or at max_iter unconverged, and its levels, T and converged flag
+    are taken there. Finished columns ride along until at least half of the
+    live ones are done; then the live columns are compacted. Every operator
+    is applied once per iteration as a sparse x dense product, whose rows
+    accumulate in the same order as a matvec, so a column's result is
+    bit-identical whatever block it runs in. All state lives in ws (a new
+    workspace if none is given), which must be at least `width` wide.
+
+    Returns (h_d, h_u, T, converged), with one row of h_d and h_u per column.
+    A list passed as trace receives the CascadeState of every iteration of a
+    one-column run, t = 0 included.
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if ws is None:
+        ws = _Workspace(m, width)
+    n, n_sectors = m.n, m.sector_op.shape[0]
+    rows, cols, vals = caps
+    capped = rows * width + cols  # flat positions in the (n, width) state
+    s_out, u_resid = m.s_out[:, None], m.u_resid[:, None]
+    sigma = None if sigma_fixed is None else sigma_fixed[:, None]
+    flats = list(ws.levels)
+    group_max = ws.group_max
+
+    def views(w):
+        """The state at width w; after a compaction the same memory is viewed narrower."""
+        group_max.narrow(w)
+        return ([f[:n * w].reshape(n, w) for f in flats]
+                + [ws.down[:m.n_groups * w].reshape(-1, w), ws.sector[:n_sectors * w].reshape(-1, w)])
+
+    w = width
+    h_d, hd_new, work, h_u, hu_new, y, sector = views(w)
+    h_d.fill(1.0)
+    h_u.fill(1.0)
+    out_d, out_u = ws.out_d[:width], ws.out_u[:width]
+    T = np.full(width, max_iter, dtype=np.int64)
+    converged = np.zeros(width, dtype=bool)
+    col_of = np.arange(width)
+    done = np.zeros(width, dtype=bool)
+
+    # _sigma divides by zero where a whole sector has stopped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if trace is not None:
+            ones = np.ones(n)
+            sigma0 = sigma_fixed if sigma_fixed is not None else _sigma(
+                m.s_out, (m.sector_op @ ones)[m.sector_of], np.empty(n))
+            trace.append(CascadeState(t=0, h_d=ones, h_u=ones, sigma=sigma0,
+                                      pi_tilde=np.ones(m.n_groups)))
+
+        for t in range(1, max_iter + 1):
+            if sigma_fixed is None:
+                _spmm(m.sector_op, h_d, sector).take(m.sector_of, axis=0, out=work, mode="clip")
+                sigma = _sigma(s_out, work, work)
+            # the per-firm weighted drop is folded before the product, so
+            # every edge costs one multiply-add per column; hd_new is free
+            # until the group maximum fills it
+            np.subtract(1.0, h_d, out=hd_new)
+            np.multiply(sigma, hd_new, out=hd_new)
+            _spmm(m.down_op, hd_new, y)
+            if trace is not None:
+                pi_tilde = np.subtract(1.0, y[:, 0])
+                np.minimum(np.maximum(pi_tilde, 0.0, out=pi_tilde), 1.0, out=pi_tilde)
+
+            # min over a buyer's groups of clip(1 - y, 0, 1) is clip(1 - max y, 0, 1)
+            # bit for bit, as both maps are monotone
+            top = group_max(y)
+            np.subtract(1.0, top, out=top)
+            np.minimum(np.maximum(top, 0.0, out=top), 1.0, out=top)
+            hd_new.fill(1.0)
+            hd_new[m.slots.buyers] = top
+
+            # upstream: demand-weighted buyer levels plus the unobserved remainder
+            _spmm(m.up_op, h_u, hu_new)
+            np.add(hu_new, u_resid, out=hu_new)
+            np.minimum(np.maximum(hu_new, 0.0, out=hu_new), 1.0, out=hu_new)
+            for h in (hd_new.reshape(-1), hu_new.reshape(-1)):
+                h[capped] = np.minimum(h[capped], vals)
+
+            if trace is not None:
+                trace.append(CascadeState(t=t, h_d=hd_new[:, 0].copy(), h_u=hu_new[:, 0].copy(),
+                                          sigma=sigma[:, 0].copy(), pi_tilde=pi_tilde))
+            np.subtract(h_d, hd_new, out=work)
+            np.subtract(h_u, hu_new, out=h_u)  # the old upstream levels are done with
+            np.maximum(work, h_u, out=work)
+            ok = _column_max(work) <= epsilon
+
+            h_d, hd_new, h_u, hu_new = hd_new, h_d, hu_new, h_u
+            flats[0], flats[1], flats[3], flats[4] = flats[1], flats[0], flats[4], flats[3]
+            if t < max_iter and not ok.any():
+                continue
+            finished = ~done if t == max_iter else ~done & ok
+            for j in np.flatnonzero(finished):
+                c = col_of[j]
+                out_d[c], out_u[c] = h_d[:, j], h_u[:, j]
+                if ok[j]:
+                    T[c], converged[c] = t, True
+            done |= finished
+            n_done = np.count_nonzero(done)
+            if n_done == w:
+                break
+            if 2 * n_done >= w:
+                keep = np.flatnonzero(~done)
+                pos = np.full(w, -1)
+                pos[keep] = np.arange(len(keep))
+                w = len(keep)
+                # the successor buffers are free: the live columns move there
+                for src, dst in ((h_d, 1), (h_u, 4)):
+                    np.take(src, keep, axis=1, out=flats[dst][:n * w].reshape(n, w), mode="clip")
+                flats[0], flats[1], flats[3], flats[4] = flats[1], flats[0], flats[4], flats[3]
+                h_d, hd_new, work, h_u, hu_new, y, sector = views(w)
+                live = pos[cols] >= 0
+                rows, cols, vals = rows[live], pos[cols[live]], vals[live]
+                capped = rows * w + cols
+                col_of, done = col_of[keep], done[keep]
+    return out_d, out_u, T, converged
 
 
 def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
@@ -262,11 +505,8 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
     to switch substitution off entirely); by default they are recomputed from
     the downstream levels every iteration. net and params are not read: they
     are passed through so every scoring entry point has the same signature.
+    This is the one-column case of the batch kernel.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     if matrices.n == 0:
         raise ValueError("cannot run a cascade on an empty network")
     psi = ExogenousShock(psi).psi
@@ -276,32 +516,16 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
         # a copy: a recorded trace freezes it, never the caller's array
         sigma_fixed = np.array(sigma_fixed, dtype=np.float64)
 
-    h_d = np.ones(matrices.n)
-    h_u = h_d
-    trace: list[CascadeState] | None = None
-    if record_trace:
-        sigma = sigma_fixed if sigma_fixed is not None else _sigma(
-            matrices.s_out, matrices.sector_of, matrices.sector_op @ h_d)
-        trace = [CascadeState(t=0, h_d=h_d, h_u=h_u, sigma=sigma,
-                              pi_tilde=np.ones(matrices.n_groups))]
-
-    converged = False
-    T = max_iter
-    for t in range(1, max_iter + 1):
-        hd_new, hu_new, sigma, pit = _advance(matrices, h_d, h_u, psi, sigma_fixed)
-        dec = max(np.max(h_d - hd_new), np.max(h_u - hu_new))
-        h_d, h_u = hd_new, hu_new
-        if trace is not None:
-            trace.append(CascadeState(t=t, h_d=h_d, h_u=h_u, sigma=sigma, pi_tilde=pit))
-        if dec <= epsilon:
-            T = t
-            converged = True
-            break
-
+    capped = np.flatnonzero(psi < 1.0)
+    trace: list[CascadeState] | None = [] if record_trace else None
+    h_d, h_u, T, converged = _iterate(
+        matrices, (capped, np.zeros_like(capped), psi[capped]), 1, epsilon, max_iter,
+        sigma_fixed=sigma_fixed, trace=trace)
+    h_d, h_u = h_d[0], h_u[0]
     h_final = np.minimum(h_d, h_u)
     for a in (h_final, h_d, h_u):
         a.flags.writeable = False
     return CascadeResult(
-        h_final=h_final, h_d_final=h_d, h_u_final=h_u, T=T, converged=converged,
-        trace=tuple(trace) if trace is not None else None,
+        h_final=h_final, h_d_final=h_d, h_u_final=h_u, T=int(T[0]),
+        converged=bool(converged[0]), trace=tuple(trace) if trace is not None else None,
     )

@@ -13,6 +13,7 @@ import datetime
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -269,6 +270,17 @@ def _scenario_summary(vec) -> dict:
     }
 
 
+def _progress_printer():
+    """Progress callback for a batch: firms done of the total, rate and ETA, on stderr."""
+    start = time.monotonic()
+
+    def report(done: int, total: int) -> None:
+        rate = done / max(time.monotonic() - start, 1e-9)
+        print(f"progress: {done}/{total} firms, {rate:.1f} firms/s, "
+              f"ETA {(total - done) / rate:.1f} s", file=sys.stderr, flush=True)
+    return report
+
+
 def cmd_esri(args) -> int:
     net = _load_network(args)
     out = _out_dir(args)
@@ -309,9 +321,10 @@ def cmd_esri(args) -> int:
             return 3
         return 0
 
+    progress = _progress_printer() if args.progress else None
     if args.scenario == "all":
         suite = scenario_suite(net, epsilon=args.epsilon, max_iter=args.max_iter,
-                               worker_count=args.workers)
+                               worker_count=args.workers, progress=progress)
         vectors = {scen.value: vec for scen, vec in suite.items()}
         for name, vec in vectors.items():
             _write_csv(out / f"esri_{name}.csv", ESRI_HEADER, _esri_rows(vec))
@@ -319,7 +332,7 @@ def cmd_esri(args) -> int:
         scen = Scenario(args.scenario)
         params, matrices = _prepare(net, scen)
         vec = esri_all(net, matrices, params, epsilon=args.epsilon,
-                       max_iter=args.max_iter, worker_count=args.workers)
+                       max_iter=args.max_iter, worker_count=args.workers, progress=progress)
         vectors = {scen.value: vec}
         _write_csv(out / "esri.csv", ESRI_HEADER, _esri_rows(vec))
 
@@ -490,6 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--edges", required=True, help="edges.csv path")
     e.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for the batch (default 1)")
+    e.add_argument("--progress", action="store_true",
+                   help="report firms done, rate and ETA on stderr after every chunk")
     e.add_argument("--psi-file", default=None,
                    help="CSV firm_id,psi: run one custom shock instead of the batch")
     _add_cascade_args(e, ("lin", "gl", "mix", "leo", "all"))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .netcore import DataError, ProductionNetwork, fingerprint
 from .prodfun import Scenario, ProductionParams, assign_scenario, calibrate
-from .cascade import ImpactMatrices, CascadeResult, build_impact_matrices, rescale_for_coverage, run_cascade
+from .cascade import (ImpactMatrices, CascadeResult, _Workspace, _iterate,
+                      build_impact_matrices, rescale_for_coverage, run_cascade)
 
 
 @dataclass(frozen=True)
@@ -60,30 +61,36 @@ def esri_single(net: ProductionNetwork, matrices: ImpactMatrices, params: Produc
     return _loss_weighted(net.s_out, total_out, result.h_final), result
 
 
+# single-firm shocks per kernel call: the columns of one (n, BLOCK) state
+BLOCK = 16
+
 # batch context inherited by forked workers, set just before the pool starts
 _BATCH: dict | None = None
 
 
 def _run_range(bounds: tuple[int, int]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Run the cascades of one firm-index range against the shared context."""
+    """Run the cascades of one firm-index range against the shared context, BLOCK at a time."""
     lo, hi = bounds
     ctx = _BATCH
     m: ImpactMatrices = ctx["matrices"]
     total_out: float = ctx["total_out"]
-    s_out = m.s_out
-    epsilon, max_iter = ctx["epsilon"], ctx["max_iter"]
+    # one workspace per process, made by its first range, serves all its blocks
+    ws = ctx.get("workspace")
+    if ws is None:
+        ws = ctx["workspace"] = _Workspace(m, BLOCK)
 
     values = np.empty(hi - lo)
     T = np.empty(hi - lo, dtype=np.int64)
     conv = np.empty(hi - lo, dtype=bool)
-    psi = np.ones(m.n)
-    for k, i in enumerate(range(lo, hi)):
-        psi[i] = 0.0
-        res = run_cascade(ctx["net"], m, ctx["params"], psi, epsilon=epsilon, max_iter=max_iter)
-        psi[i] = 1.0
-        values[k] = _loss_weighted(s_out, total_out, res.h_final)
-        T[k] = res.T
-        conv[k] = res.converged
+    for start in range(lo, hi, BLOCK):
+        stop = min(start + BLOCK, hi)
+        firms = np.arange(start, stop)
+        h_d, h_u, t, c = _iterate(m, (firms, firms - start, np.zeros(len(firms))), len(firms),
+                                  ctx["epsilon"], ctx["max_iter"], ws=ws)
+        block = slice(start - lo, stop - lo)
+        T[block], conv[block] = t, c
+        values[block] = [_loss_weighted(m.s_out, total_out, np.minimum(hd, hu))
+                         for hd, hu in zip(h_d, h_u)]
     return lo, values, T, conv
 
 
@@ -103,8 +110,8 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     n = net.n
     chunk = 64
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    ctx = {"net": net, "matrices": matrices, "params": params,
-           "total_out": _total_out(net.s_out), "epsilon": epsilon, "max_iter": max_iter}
+    ctx = {"matrices": matrices, "total_out": _total_out(net.s_out),
+           "epsilon": epsilon, "max_iter": max_iter}
 
     values = np.empty(n)
     T = np.empty(n, dtype=np.int64)
@@ -141,13 +148,22 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
 
 
 def scenario_suite(net: ProductionNetwork, epsilon: float = 1e-2, max_iter: int = 1000,
-                   worker_count: int = 1) -> dict[Scenario, EsriVector]:
-    """Batch indices under all four input-partition scenarios, shared firm order."""
+                   worker_count: int = 1, progress=None) -> dict[Scenario, EsriVector]:
+    """Batch indices under all four input-partition scenarios, shared firm order.
+
+    progress, if given, is called as in esri_all with counts over the whole
+    suite: every firm is scored once per scenario.
+    """
+    scenarios = (Scenario.LIN, Scenario.GL, Scenario.MIX, Scenario.LEO)
     out: dict[Scenario, EsriVector] = {}
-    for scenario in (Scenario.LIN, Scenario.GL, Scenario.MIX, Scenario.LEO):
+    for k, scenario in enumerate(scenarios):
         spec = assign_scenario(net, scenario)
         params = calibrate(net, spec)
         matrices = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
-        out[scenario] = esri_all(net, matrices, params, epsilon=epsilon,
-                                 max_iter=max_iter, worker_count=worker_count)
+        report = None
+        if progress is not None:
+            def report(done, n, offset=k * net.n):
+                progress(offset + done, len(scenarios) * n)
+        out[scenario] = esri_all(net, matrices, params, epsilon=epsilon, max_iter=max_iter,
+                                 worker_count=worker_count, progress=report)
     return out

@@ -106,6 +106,7 @@ class ProductionNetwork:
 
         for a in (self.sup, self.buy, self.w, self.sector_of, self.s_in, self.s_out):
             a.flags.writeable = False
+        self._fingerprint: str | None = None  # filled in by fingerprint()
 
     @property
     def n_edges(self) -> int:
@@ -127,8 +128,9 @@ def build_network(firms: Sequence[FirmRecord],
     with a count kept on the result. Firms with a missing industry code are
     assigned the sentinel category.
 
-    Raises NetworkError on duplicate firm ids, unknown edge endpoints,
-    negative weights, or malformed industry codes.
+    Raises NetworkError on duplicate firm ids, revenue or material cost that
+    is NaN, infinite or negative, unknown edge endpoints, negative weights,
+    or malformed industry codes.
     """
     seen: set[str] = set()
     cleaned: list[FirmRecord] = []
@@ -136,6 +138,10 @@ def build_network(firms: Sequence[FirmRecord],
         if f.firm_id in seen:
             raise NetworkError(f"duplicate firm_id {f.firm_id!r}")
         seen.add(f.firm_id)
+        for label, value in (("revenue", f.revenue), ("material_cost", f.material_cost)):
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise NetworkError(
+                    f"firm {f.firm_id!r} has {label} {value!r}: expected None or finite and >= 0")
         code = normalize_nace4(f.nace4)
         if code != f.nace4:
             f = FirmRecord(f.firm_id, code, f.revenue, f.material_cost)
@@ -359,7 +365,16 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[list[FirmRec
 
 
 def fingerprint(net: ProductionNetwork) -> str:
-    """Content hash of firms and edges, stable across runs and platforms."""
+    """Content hash of firms and edges, stable across runs and platforms.
+
+    Computed once per network and kept on it; the network is immutable.
+    """
+    if net._fingerprint is None:
+        net._fingerprint = _content_hash(net)
+    return net._fingerprint
+
+
+def _content_hash(net: ProductionNetwork) -> str:
     h = hashlib.sha256()
     for f in net.firms:
         h.update(f"{f.firm_id},{f.nace4},{f.revenue!r},{f.material_cost!r}\n".encode())

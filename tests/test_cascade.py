@@ -1,5 +1,7 @@
 """Impact matrices, shock validation and the propagation engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generat
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk.cascade import (
     ExogenousShock,
+    _iterate,
+    _Workspace,
     build_impact_matrices,
     replaceability,
     rescale_for_coverage,
@@ -64,6 +68,23 @@ class TestImpactMatrices:
         sectors = {int(m.group_sector[g]) for g in mill_groups}
         assert -1 in sectors            # pooled group marker
         assert len(m.group_buyer) == m.n_groups
+
+    def test_group_slots_hold_each_buyers_own_groups(self):
+        firms, edges = generate_synthetic(
+            SyntheticConfig(n_firms=150, n_sectors=8, mean_out_degree=6.0), seed=5)
+        net = build_network(firms, edges)
+        m = build_impact_matrices(net, assign_scenario(net, Scenario.LEO))
+        slots = m.slots
+        assert len(slots.sizes) > 1 and slots.tail_slots > 0  # head folds and a padded tail
+        start = 0
+        for size in list(slots.sizes) + [slots.tail_rows] * slots.tail_slots:
+            part = slots.groups[start:start + size]
+            # row p of every slot is a group of buyer p, so maxima stay per buyer
+            assert np.array_equal(m.group_buyer[part], slots.buyers[:size])
+            start += size
+        assert start == len(slots.groups)
+        assert set(slots.groups.tolist()) == set(range(m.n_groups))
+        assert np.array_equal(np.sort(slots.buyers), m.group_buyer[m.seg_starts])
 
     def test_upstream_shares_and_residual(self):
         net = mill_net()
@@ -208,6 +229,45 @@ class TestEngine:
                           record_trace=True)
         for prev, nxt in zip(res.trace, res.trace[1:]):
             assert np.array_equal(replaceability(prev.h_d, net), nxt.sigma)
+
+    def test_trace_pi_tilde_is_the_clipped_downstream_product(self):
+        firms, edges = generate_synthetic(SyntheticConfig(n_firms=80, n_sectors=6), seed=7)
+        net = build_network(firms, edges)
+        params, m = prepared(net, Scenario.LEO)
+        psi = np.ones(net.n)
+        psi[int(np.argmax(net.s_out))] = 0.0
+        res = run_cascade(net, m, params, psi, epsilon=1e-6, max_iter=50, record_trace=True)
+        assert len(res.trace) > 2
+        for prev, nxt in zip(res.trace, res.trace[1:]):
+            q = nxt.sigma * (1.0 - prev.h_d)
+            assert np.array_equal(nxt.pi_tilde, np.clip(1.0 - m.down_op @ q, 0.0, 1.0))
+            # each buyer's level is the smallest availability over its groups
+            buyers = m.group_buyer[m.seg_starts]
+            hd = np.minimum.reduceat(nxt.pi_tilde, m.seg_starts)
+            assert np.array_equal(nxt.h_d[buyers], np.minimum(hd, psi[buyers]))
+
+    def test_reused_workspace_allocates_no_state_sized_array(self):
+        """Blocks run in one workspace; no iteration makes a new (rows, width) array."""
+        firms, edges = generate_synthetic(SyntheticConfig(n_firms=2000, n_sectors=8), seed=11)
+        net = build_network(firms, edges)
+        _, m = prepared(net, Scenario.LEO)
+        width = 16
+        cols = np.arange(width)
+        caps = (cols, cols, np.zeros(width))
+        fresh_d, fresh_u, fresh_T, _ = _iterate(m, caps, width, 1e-2, 1000)
+        ws = _Workspace(m, width)
+        _iterate(m, (cols[:5], cols[:5], np.zeros(5)), 5, 1e-2, 1000, ws=ws)
+        tracemalloc.start()
+        try:
+            h_d, h_u, T, _ = _iterate(m, caps, width, 1e-2, 1000, ws=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert T.max() > 3
+        assert peak < net.n * width * 8
+        # nothing of the earlier, narrower block leaks into this one
+        assert np.array_equal(T, fresh_T)
+        assert np.array_equal(h_d, fresh_d) and np.array_equal(h_u, fresh_u)
 
     def test_downstream_collapse_needs_essentiality(self):
         net = mill_net()

@@ -161,6 +161,28 @@ class TestEsri:
         assert not (out / "esri.csv").exists()
         assert set(read_json(out / "summary.json")["scenarios"]) == {"lin", "leo", "mix", "gl"}
 
+    @pytest.mark.parametrize("scenario,batches", [("gl", 1), ("all", 4)])
+    def test_progress_leaves_outputs_unchanged(self, data_dir, tmp_path, capsys,
+                                               scenario, batches):
+        runs = {}
+        for flag in ((), ("--progress",)):
+            out = tmp_path / f"out{len(flag)}"
+            assert run("esri", "--firms", str(data_dir / "firms.csv"),
+                       "--edges", str(data_dir / "edges.csv"), "--scenario", scenario,
+                       "--out-dir", str(out), *flag) == 0
+            runs[bool(flag)] = out, capsys.readouterr().err
+        (plain, plain_err), (shown, shown_err) = runs[False], runs[True]
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in shown.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (shown / name).read_bytes()
+        assert "progress" not in plain_err
+        lines = [line for line in shown_err.splitlines() if line.startswith("progress: ")]
+        total = batches * 60  # one chunk per batch on this 60-firm network
+        assert len(lines) == batches
+        assert lines[-1].startswith(f"progress: {total}/{total} firms, ")
+        assert "firms/s, ETA " in lines[-1]
+
     def test_strict_flags_non_convergence(self, tmp_path, capsys):
         data = chain_dir(tmp_path)
         args = ("esri", "--firms", str(data / "firms.csv"),

@@ -13,7 +13,8 @@ from prodrisk.netcore import (
 )
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk.cascade import build_impact_matrices, rescale_for_coverage
-from prodrisk.esri import esri_all, esri_single, scenario_suite
+from prodrisk import netcore
+from prodrisk.esri import BLOCK, esri_all, esri_single, scenario_suite
 
 
 def prepared(net, scenario):
@@ -119,7 +120,63 @@ class TestBatch:
             esri_all(net, m, params, worker_count=0)
 
 
+class TestBlocks:
+    """Firms run BLOCK at a time as the columns of one state; no score may notice."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        firms, edges = generate_synthetic(
+            SyntheticConfig(n_firms=150, n_sectors=8, mean_out_degree=6.0, coverage=0.7), seed=5)
+        net = build_network(firms, edges)
+        assert net.n % BLOCK != 0
+        return net
+
+    def test_leo_has_buyers_with_three_groups(self, net):
+        _, m = prepared(net, Scenario.LEO)
+        assert np.max(np.diff(m.seg_starts, append=m.n_groups)) >= 3
+
+    @pytest.mark.parametrize("max_iter", [1000, 2])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_batch_matches_single_runs_bit_for_bit(self, net, scenario, max_iter):
+        params, m = prepared(net, scenario)
+        vec = esri_all(net, m, params, max_iter=max_iter)
+        for firm in range(net.n):
+            value, res = esri_single(net, m, params, firm, max_iter=max_iter)
+            assert value == vec.values[firm]
+            assert res.T == vec.T[firm]
+            assert res.converged == vec.converged[firm]
+        if max_iter == 2:
+            assert not np.all(vec.converged)  # some columns retire at the cap
+
+    def test_columns_of_one_block_converge_at_different_T(self, net):
+        params, m = prepared(net, Scenario.GL)
+        vec = esri_all(net, m, params, epsilon=1e-4)
+        assert len(set(vec.T[:BLOCK].tolist())) >= 3
+        for firm in range(BLOCK):
+            value, res = esri_single(net, m, params, firm, epsilon=1e-4)
+            assert (value, res.T) == (vec.values[firm], vec.T[firm])
+
+
 class TestSuite:
+    def test_fingerprints_the_network_once(self, monkeypatch):
+        firms, edges = generate_synthetic(SyntheticConfig(n_firms=40), seed=3)
+        net = build_network(firms, edges)
+        calls = []
+        real = netcore._content_hash
+        monkeypatch.setattr(netcore, "_content_hash", lambda n: calls.append(n) or real(n))
+        out = scenario_suite(net)
+        assert len(calls) == 1
+        assert {v.network_fingerprint for v in out.values()} == {real(net)}
+
+    def test_progress_counts_every_scenario(self):
+        firms, edges = generate_synthetic(SyntheticConfig(n_firms=70), seed=3)
+        net = build_network(firms, edges)
+        calls = []
+        scenario_suite(net, progress=lambda done, total: calls.append((done, total)))
+        assert [c[0] for c in calls] == sorted(c[0] for c in calls)
+        assert calls[-1] == (4 * net.n, 4 * net.n)
+        assert {total for _, total in calls} == {4 * net.n}
+
     def test_runs_all_four_scenarios(self):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=40, coverage=0.5), seed=1)
         net = build_network(firms, edges)

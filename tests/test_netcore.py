@@ -105,6 +105,19 @@ class TestBuildNetwork:
         with pytest.raises(NetworkError, match="invalid weight"):
             build_network([FirmRecord("a"), FirmRecord("b")], [("a", "b", w)])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -5.0])
+    @pytest.mark.parametrize("field", ["revenue", "material_cost"])
+    def test_bad_income_figure_rejected(self, field, value):
+        firms = [FirmRecord("a"), FirmRecord("b", **{field: value})]
+        with pytest.raises(NetworkError, match=f"'b' has {field}"):
+            build_network(firms, [("a", "b", 1.0)])
+
+    def test_missing_and_zero_income_figures_accepted(self):
+        firms = [FirmRecord("a", revenue=None, material_cost=0.0),
+                 FirmRecord("b", revenue=0.0, material_cost=None)]
+        net = build_network(firms, [("a", "b", 1.0)])
+        assert net.firms[0].material_cost == 0.0 and net.firms[1].revenue == 0.0
+
     def test_arrays_frozen(self):
         net = square_net()
         with pytest.raises(ValueError):
