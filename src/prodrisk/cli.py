@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -103,28 +103,31 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_table(path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
+def _read_table(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """Rows of a CSV file with the given header, as (line number, fields).
 
     The header row is optional so hand-made fixtures stay minimal; when the
     first row is not the header it must already be data. An empty file is an
-    empty table. Wrong field counts are rejected with their line number.
+    empty table. A missing file is rejected at once; rows are then read
+    lazily, and wrong field counts are rejected with their line number.
     """
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"{path}: no such file")
-    rows: list[tuple[int, list[str]]] = []
+    return _table_rows(path, p, list(header))
+
+
+def _table_rows(path, p: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     with open(p, encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            if lineno == 1 and row == list(header):
+            if lineno == 1 and row == header:
                 continue
             if len(row) != len(header):
                 raise DataError(
                     f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append((lineno, row))
-    return rows
+            yield lineno, row
 
 
 def _parse_float(path, lineno: int, label: str, text: str) -> float:
@@ -134,14 +137,17 @@ def _parse_float(path, lineno: int, label: str, text: str) -> float:
         raise DataError(f"{path} line {lineno}: bad {label} {text!r}") from None
 
 
-def _parse_income(path, lineno: int, label: str, text: str) -> float | None:
-    """An optional income-statement figure: empty, or finite and >= 0."""
-    if text == "":
-        return None
+def _parse_amount(path, lineno: int, label: str, text: str) -> float:
+    """A figure that must be finite and >= 0."""
     value = _parse_float(path, lineno, label, text)
     if not (math.isfinite(value) and value >= 0):
         raise DataError(f"{path} line {lineno}: {label} must be finite and >= 0, got {text!r}")
     return value
+
+
+def _parse_income(path, lineno: int, label: str, text: str) -> float | None:
+    """An optional income-statement figure: empty, or finite and >= 0."""
+    return None if text == "" else _parse_amount(path, lineno, label, text)
 
 
 def _read_firms(path) -> list[FirmRecord]:
@@ -150,9 +156,10 @@ def _read_firms(path) -> list[FirmRecord]:
             for lineno, (fid, nace, rev, cost) in _read_table(path, FIRMS_HEADER)]
 
 
-def _read_edges(path) -> list[tuple[str, str, float]]:
-    return [(sid, bid, _parse_float(path, lineno, "weight", w))
-            for lineno, (sid, bid, w) in _read_table(path, EDGES_HEADER)]
+def _read_edges(path) -> Iterator[tuple[str, str, float]]:
+    """Edge triples streamed from the file; weights must be finite and >= 0."""
+    return ((sid, bid, _parse_amount(path, lineno, "weight", w))
+            for lineno, (sid, bid, w) in _read_table(path, EDGES_HEADER))
 
 
 def _read_transactions(path) -> list[TransactionEvent]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date as _date
 from typing import Iterable, Mapping, Sequence
@@ -120,18 +121,39 @@ class ProductionNetwork:
         return self.firms[firm].nace4
 
 
+class _FirmIndex(dict):
+    """Firm id -> index; a missing id maps to -1 and the first one is kept."""
+
+    first_unknown: str | None = None
+
+    def __missing__(self, firm_id):
+        if self.first_unknown is None:
+            self.first_unknown = firm_id
+        return -1
+
+
 def build_network(firms: Sequence[FirmRecord],
                   raw_edges: Iterable[tuple[str, str, float]]) -> ProductionNetwork:
     """Validate firm and edge lists and assemble a ProductionNetwork.
 
-    Parallel edges are summed, zero-weight edges dropped, self-loops dropped
-    with a count kept on the result. Firms with a missing industry code are
-    assigned the sentinel category.
+    Parallel edges are summed in input order, zero-weight edges dropped,
+    self-loops dropped with a count kept on the result. Firms with a missing
+    industry code are assigned the sentinel category. raw_edges is read once,
+    in full, before anything is checked, so it may be a stream.
 
     Raises NetworkError on duplicate firm ids, revenue or material cost that
-    is NaN, infinite or negative, unknown edge endpoints, negative weights,
-    or malformed industry codes.
+    is NaN, infinite or negative, malformed industry codes, and then on the
+    first edge in input order with an unknown endpoint or a weight that is
+    negative, NaN or infinite.
     """
+    firms = list(firms)
+    index = _FirmIndex((f.firm_id, i) for i, f in enumerate(firms))
+    sup_col, buy_col, w_col = array("q"), array("q"), array("d")
+    for sid, bid, weight in raw_edges:
+        sup_col.append(index[sid])
+        buy_col.append(index[bid])
+        w_col.append(float(weight))
+
     seen: set[str] = set()
     cleaned: list[FirmRecord] = []
     for f in firms:
@@ -146,31 +168,28 @@ def build_network(firms: Sequence[FirmRecord],
         if code != f.nace4:
             f = FirmRecord(f.firm_id, code, f.revenue, f.material_cost)
         cleaned.append(f)
-    index = {f.firm_id: i for i, f in enumerate(cleaned)}
 
-    acc: dict[tuple[int, int], float] = {}
-    self_loops = 0
-    for sid, bid, weight in raw_edges:
-        if sid not in index:
-            raise NetworkError(f"edge references unknown firm_id {sid!r}")
-        if bid not in index:
-            raise NetworkError(f"edge references unknown firm_id {bid!r}")
-        weight = float(weight)
-        if weight < 0 or not math.isfinite(weight):
-            raise NetworkError(f"edge ({sid!r}, {bid!r}) has invalid weight {weight}")
-        if weight == 0:
-            continue
-        i, j = index[sid], index[bid]
-        if i == j:
-            self_loops += 1
-            continue
-        acc[(i, j)] = acc.get((i, j), 0.0) + weight
+    sup = np.frombuffer(sup_col, dtype=np.int64)
+    buy = np.frombuffer(buy_col, dtype=np.int64)
+    w = np.frombuffer(w_col, dtype=np.float64)
+    bad = (sup < 0) | (buy < 0) | (w < 0) | ~np.isfinite(w)
+    if bad.any():
+        e = int(np.argmax(bad))
+        if sup[e] < 0 or buy[e] < 0:
+            raise NetworkError(f"edge references unknown firm_id {index.first_unknown!r}")
+        raise NetworkError(f"edge ({firms[sup[e]].firm_id!r}, {firms[buy[e]].firm_id!r}) "
+                           f"has invalid weight {float(w[e])}")
 
-    pairs = sorted(acc)
-    sup = np.array([p[0] for p in pairs], dtype=np.int64)
-    buy = np.array([p[1] for p in pairs], dtype=np.int64)
-    w = np.array([acc[p] for p in pairs], dtype=np.float64)
-    return ProductionNetwork(cleaned, sup, buy, w, self_loops_dropped=self_loops)
+    nonzero = w != 0
+    loop = sup == buy
+    keep = nonzero & ~loop
+    # sorting the (supplier, buyer) keys gives the canonical order; bincount
+    # adds the weights of each pair in input order
+    n = len(cleaned)
+    keys, pair = np.unique(sup[keep] * n + buy[keep], return_inverse=True)
+    merged = np.bincount(pair, weights=w[keep], minlength=len(keys))
+    return ProductionNetwork(cleaned, keys // n, keys % n, merged,
+                             self_loops_dropped=int(np.count_nonzero(nonzero & loop)))
 
 
 def filter_long_term_links(events: Iterable[TransactionEvent]) -> list[tuple[str, str, float]]:
@@ -214,20 +233,39 @@ def strengths(net: ProductionNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return net.s_in, net.s_out, net.s_in + net.s_out
 
 
+def input_columns(net: ProductionNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Input volume of every (buyer, supplier sector) pair that trades.
+
+    Returns the columns (buyer, sector index, volume), buyers ascending.
+    Within a buyer, pairs come in the order of their first edge in the
+    canonical edge order, and each volume adds its edges' weights in that
+    order.
+    """
+    s = len(net.sectors)
+    keys, first, pair = np.unique(net.buy * s + net.sector_of[net.sup],
+                                  return_index=True, return_inverse=True)
+    volume = np.bincount(pair, weights=net.w, minlength=len(keys))
+    order = np.lexsort((first, keys // s))
+    keys = keys[order]
+    return keys // s, keys % s, volume[order]
+
+
+def split_rows(n: int, row: np.ndarray, keys: list, values: np.ndarray) -> list[dict]:
+    """One dict per row 0..n-1 from columns sorted by row, keys in column order."""
+    bounds = np.searchsorted(row, np.arange(n + 1)).tolist()
+    values = values.tolist()
+    return [dict(zip(keys[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 def input_matrix(net: ProductionNetwork) -> list[dict[str, float]]:
     """Per-firm input totals grouped by the supplier's industry code.
 
     Row j maps each sector code to the total weight flowing into firm j from
     suppliers of that sector; row sums equal in-strengths.
     """
-    rows: list[dict[str, float]] = [dict() for _ in range(net.n)]
-    codes = net.sectors
-    sec = net.sector_of
-    for e in range(net.n_edges):
-        row = rows[net.buy[e]]
-        code = codes[sec[net.sup[e]]]
-        row[code] = row.get(code, 0.0) + net.w[e]
-    return rows
+    buyer, sector, volume = input_columns(net)
+    codes = np.array(net.sectors, dtype=object)[sector].tolist()
+    return split_rows(net.n, buyer, codes, volume)
 
 
 def market_shares(net: ProductionNetwork) -> np.ndarray:
@@ -367,19 +405,31 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[list[FirmRec
 def fingerprint(net: ProductionNetwork) -> str:
     """Content hash of firms and edges, stable across runs and platforms.
 
-    Computed once per network and kept on it; the network is immutable.
+    The first 16 hex digits of the sha256 of one text line per firm,
+    ``firm_id,nace4,revenue,material_cost`` with the figures as Python
+    ``repr`` (``None`` when missing), then one line per edge in canonical
+    order, ``supplier_id,buyer_id,np.float64(weight)`` with the weight as
+    Python ``repr``. The digest depends on these records alone, not on the
+    installed numpy. Computed once per network and kept on it; the network
+    is immutable.
     """
     if net._fingerprint is None:
         net._fingerprint = _content_hash(net)
     return net._fingerprint
 
 
+_HASH_CHUNK = 1 << 16  # edges per hashed text block
+
+
 def _content_hash(net: ProductionNetwork) -> str:
     h = hashlib.sha256()
     for f in net.firms:
         h.update(f"{f.firm_id},{f.nace4},{f.revenue!r},{f.material_cost!r}\n".encode())
-    for e in range(net.n_edges):
-        sid = net.firms[net.sup[e]].firm_id
-        bid = net.firms[net.buy[e]].firm_id
-        h.update(f"{sid},{bid},{net.w[e]!r}\n".encode())
+    ids = np.array([f.firm_id for f in net.firms], dtype=object)
+    line = "{},{},np.float64({!r})\n".format
+    for a in range(0, net.n_edges, _HASH_CHUNK):
+        b = a + _HASH_CHUNK
+        text = "".join(map(line, ids[net.sup[a:b]].tolist(), ids[net.buy[a:b]].tolist(),
+                           net.w[a:b].tolist()))
+        h.update(text.encode())
     return h.hexdigest()[:16]

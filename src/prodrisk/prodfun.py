@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .netcore import ProductionNetwork, input_matrix, sector_is_physical
+from .netcore import ProductionNetwork, input_columns, sector_is_physical, split_rows
 
 
 class Scenario(enum.Enum):
@@ -100,36 +100,28 @@ def calibrate(net: ProductionNetwork, spec: ScenarioSpec) -> ProductionParams:
     Baseline output x0 is the firm's out-strength. For each essential sector
     with observed input volume, alpha is that volume divided by x0. beta_tilde
     is the essential share of total input value, with the convention 1 for
-    firms that buy nothing.
+    firms that buy nothing. Per-firm totals add the sector volumes in the
+    order of input_matrix's rows.
     """
-    rows = input_matrix(net)
     n = net.n
-    x0 = np.array(net.s_out, dtype=np.float64)
-    beta = np.ones(n)
-    alphas: list[dict[str, float]] = []
-    ess_rows: list[dict[str, float]] = []
-    ne_total = np.zeros(n)
-    in_total = np.zeros(n)
+    buyer, sector, volume = input_columns(net)
+    cls = spec.essential_class[buyer]
+    physical = np.array([sector_is_physical(c) for c in net.sectors], dtype=bool)
+    ess = (cls == ESS_ALL) | ((cls == ESS_PHYSICAL) & physical[sector])
 
-    for i in range(n):
-        row = rows[i]
-        ess: dict[str, float] = {}
-        ess_sum = 0.0
-        total = 0.0
-        for code, val in row.items():
-            total += val
-            if spec.input_is_essential(i, code):
-                ess[code] = val
-                ess_sum += val
-        in_total[i] = total
-        ne_total[i] = total - ess_sum
-        if total > 0:
-            beta[i] = ess_sum / total
-        if x0[i] > 0:
-            alphas.append({code: val / x0[i] for code, val in ess.items()})
-        else:
-            alphas.append({})
-        ess_rows.append(ess)
+    x0 = np.array(net.s_out, dtype=np.float64)
+    in_total, ess_total = np.zeros(n), np.zeros(n)
+    np.add.at(in_total, buyer, volume)
+    np.add.at(ess_total, buyer[ess], volume[ess])
+    ne_total = in_total - ess_total
+    beta = np.ones(n)
+    np.divide(ess_total, in_total, out=beta, where=in_total > 0)
+
+    codes = np.array(net.sectors, dtype=object)[sector]
+    ess_rows = split_rows(n, buyer[ess], codes[ess].tolist(), volume[ess])
+    has_alpha = ess & (x0[buyer] > 0)
+    alphas = split_rows(n, buyer[has_alpha], codes[has_alpha].tolist(),
+                        volume[has_alpha] / x0[buyer[has_alpha]])
 
     for a in (x0, beta, ne_total, in_total):
         a.flags.writeable = False

@@ -4,11 +4,21 @@ Everything here is written from the model rules directly: plain loops,
 dense matrices, dictionaries keyed by firm id. No code is shared with the
 package beyond the input dataclasses, so agreement between the two is
 meaningful evidence rather than a tautology.
+
+The network builder and the calibration at the end are the package's
+earlier per-edge dictionary loops, kept as references for the columnar
+versions that replaced them. They fill the package's own result classes,
+so the two can be compared field by field.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from prodrisk.netcore import FirmRecord, NetworkError, ProductionNetwork, normalize_nace4
+from prodrisk.prodfun import ProductionParams
 
 PHYS = {f"{p:02d}" for p in range(1, 46)}
 SENTINEL = "unclassified"
@@ -221,3 +231,86 @@ def reference_filter(events):
         if cnt >= 2 and (hi - lo).days >= 90:
             out.append((sid, bid, total))
     return out
+
+
+def reference_build_network(firms, raw_edges) -> ProductionNetwork:
+    """Per-edge dictionary build: sum parallel edges into a dict keyed by
+    (supplier, buyer) in input order, then sort the keys."""
+    seen: set[str] = set()
+    cleaned = []
+    for f in firms:
+        if f.firm_id in seen:
+            raise NetworkError(f"duplicate firm_id {f.firm_id!r}")
+        seen.add(f.firm_id)
+        for label, value in (("revenue", f.revenue), ("material_cost", f.material_cost)):
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise NetworkError(
+                    f"firm {f.firm_id!r} has {label} {value!r}: expected None or finite and >= 0")
+        code = normalize_nace4(f.nace4)
+        if code != f.nace4:
+            f = FirmRecord(f.firm_id, code, f.revenue, f.material_cost)
+        cleaned.append(f)
+    index = {f.firm_id: i for i, f in enumerate(cleaned)}
+
+    acc: dict[tuple[int, int], float] = {}
+    self_loops = 0
+    for sid, bid, weight in raw_edges:
+        if sid not in index:
+            raise NetworkError(f"edge references unknown firm_id {sid!r}")
+        if bid not in index:
+            raise NetworkError(f"edge references unknown firm_id {bid!r}")
+        weight = float(weight)
+        if weight < 0 or not math.isfinite(weight):
+            raise NetworkError(f"edge ({sid!r}, {bid!r}) has invalid weight {weight}")
+        if weight == 0:
+            continue
+        i, j = index[sid], index[bid]
+        if i == j:
+            self_loops += 1
+            continue
+        acc[(i, j)] = acc.get((i, j), 0.0) + weight
+
+    pairs = sorted(acc)
+    sup = np.array([p[0] for p in pairs], dtype=np.int64)
+    buy = np.array([p[1] for p in pairs], dtype=np.int64)
+    w = np.array([acc[p] for p in pairs], dtype=np.float64)
+    return ProductionNetwork(cleaned, sup, buy, w, self_loops_dropped=self_loops)
+
+
+def reference_input_matrix(net) -> list[dict[str, float]]:
+    """Per-edge loop: row j adds each edge into j under its supplier's sector."""
+    rows: list[dict[str, float]] = [dict() for _ in range(net.n)]
+    for e in range(net.n_edges):
+        row = rows[net.buy[e]]
+        code = net.sectors[net.sector_of[net.sup[e]]]
+        row[code] = row.get(code, 0.0) + net.w[e]
+    return rows
+
+
+def reference_calibrate(net, spec) -> ProductionParams:
+    """Per-firm loop over reference_input_matrix rows."""
+    rows = reference_input_matrix(net)
+    n = net.n
+    x0 = np.array(net.s_out, dtype=np.float64)
+    beta = np.ones(n)
+    alphas, ess_rows = [], []
+    ne_total = np.zeros(n)
+    in_total = np.zeros(n)
+    for i in range(n):
+        ess: dict[str, float] = {}
+        ess_sum = 0.0
+        total = 0.0
+        for code, val in rows[i].items():
+            total += val
+            if spec.input_is_essential(i, code):
+                ess[code] = val
+                ess_sum += val
+        in_total[i] = total
+        ne_total[i] = total - ess_sum
+        if total > 0:
+            beta[i] = ess_sum / total
+        alphas.append({code: val / x0[i] for code, val in ess.items()} if x0[i] > 0 else {})
+        ess_rows.append(ess)
+    return ProductionParams(spec=spec, x0=x0, beta_tilde=beta, alpha=tuple(alphas),
+                            essential_inputs=tuple(ess_rows), non_essential_input=ne_total,
+                            input_total=in_total)

@@ -4,8 +4,10 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from reference import reference_build_network, reference_input_matrix
 
 from prodrisk.netcore import (
     SENTINEL_SECTOR,
@@ -250,6 +252,16 @@ class TestFingerprint:
         edges = [("a", "c", 3.0), ("b", "c", 1.0), ("c", "d", 2.0), ("d", "a", 5.5)]
         assert fingerprint(build_network(firms, edges)) != fingerprint(net1)
 
+    def test_pinned_digest(self):
+        """The text hashed is fixed: this digest must not change."""
+        firms = [FirmRecord("a", "0111", revenue=12.5, material_cost=None),
+                 FirmRecord("b", "0111", revenue=None, material_cost=0.0),
+                 FirmRecord("c", "4711", revenue=1e16, material_cost=3.25),
+                 FirmRecord("d", "")]
+        edges = [("a", "c", 0.1), ("b", "c", 1.0), ("c", "d", 2e-7), ("d", "a", 5.0),
+                 ("a", "c", 0.2)]
+        assert fingerprint(build_network(firms, edges)) == "568c1f14b886d638"
+
     def test_metadata_included(self):
         firms1 = [FirmRecord("a", "0111"), FirmRecord("b", "0111", revenue=7.0)]
         firms2 = [FirmRecord("a", "0111"), FirmRecord("b", "0111", revenue=8.0)]
@@ -274,3 +286,83 @@ def test_strength_conservation_property(data):
     assert float(np.sum(net.s_out)) == pytest.approx(net.total_weight)
     agg = aggregate_to_sectors(net)
     assert agg.total_weight == pytest.approx(net.total_weight)
+
+
+CODES = ["0111", "2611", "4711", "9609", "", SENTINEL_SECTOR]
+# repeated values and magnitudes far apart make sums depend on their order
+WEIGHTS = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 1e16, 5e-324]),
+                    st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False))
+BAD_WEIGHTS = st.one_of(WEIGHTS, st.sampled_from([-1.0, float("nan"), float("inf")]))
+
+
+@st.composite
+def raw_network(draw, weights=WEIGHTS, extra_ids=(), codes=CODES, duplicates=False):
+    """Firms and an edge list with parallel edges, self-loops and zero weights.
+
+    extra_ids are edge endpoints without a firm; with duplicates, the first
+    firm may appear twice.
+    """
+    n = draw(st.integers(1, 5))
+    ids = [f"f{k}" for k in range(n)]
+    firms = [FirmRecord(fid, draw(st.sampled_from(codes)),
+                        draw(st.one_of(st.none(), st.floats(0.0, 1e6))), None)
+             for fid in ids]
+    if duplicates and draw(st.booleans()):
+        firms.append(firms[0])
+    ends = st.sampled_from(ids + list(extra_ids))
+    edges = draw(st.lists(st.tuples(ends, ends, weights), max_size=40))
+    return firms, edges
+
+
+def assert_bits_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def float_items(row):
+    """A dict's items in order, values as exact hex."""
+    return [(key, float(v).hex()) for key, v in row.items()]
+
+
+def outcome(build, firms, edges):
+    try:
+        return build(firms, edges)
+    except NetworkError as exc:
+        return str(exc)
+
+
+class TestColumnarBuild:
+    """build_network against the per-edge dictionary build it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_network())
+    @example(([FirmRecord("a")], []))
+    @example(([FirmRecord("a"), FirmRecord("b")],  # the sum depends on the order
+              [("a", "b", 0.1), ("a", "b", 0.2), ("a", "b", 0.3), ("b", "b", 1.0)]))
+    def test_bit_equal_to_dict_build(self, raw):
+        firms, edges = raw
+        ref = reference_build_network(firms, edges)
+        net = build_network(firms, iter(edges))
+        assert net.firms == ref.firms
+        for name in ("sup", "buy", "w", "s_in", "s_out", "sector_of"):
+            assert_bits_equal(getattr(net, name), getattr(ref, name))
+        assert net.self_loops_dropped == ref.self_loops_dropped
+        rows, ref_rows = input_matrix(net), reference_input_matrix(ref)
+        assert [float_items(r) for r in rows] == [float_items(r) for r in ref_rows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_network(weights=BAD_WEIGHTS, extra_ids=("ghost", "spook"),
+                       codes=CODES + ["12a4"], duplicates=True))
+    @example(([FirmRecord("a"), FirmRecord("b")],
+              [("a", "b", 1.0), ("b", "a", float("nan")), ("a", "ghost", 1.0)]))
+    @example(([FirmRecord("a"), FirmRecord("b")],
+              [("a", "b", 1.0), ("spook", "ghost", 1.0), ("b", "a", -1.0)]))
+    def test_first_bad_input_wins(self, raw):
+        """The same NetworkError as the per-edge build, for the first bad edge."""
+        firms, edges = raw
+        ref = outcome(reference_build_network, firms, edges)
+        got = outcome(build_network, firms, edges)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert not isinstance(got, str)
+            assert_bits_equal(got.w, ref.w)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from reference import reference_calibrate
+from test_netcore import assert_bits_equal, float_items, raw_network
 
 from prodrisk.netcore import FirmRecord, SENTINEL_SECTOR, build_network
 from prodrisk.prodfun import (
@@ -147,3 +150,25 @@ class TestEvaluation:
         lo = evaluate_gl(params, mill, {"0111": w, "7022": c})
         hi = evaluate_gl(params, mill, {"0111": w + dw, "7022": c + dc})
         assert hi >= lo - 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # tiny x0 makes alpha inf
+@settings(max_examples=150, deadline=None)
+@given(raw_network())
+@example(([FirmRecord("s1", "4711"), FirmRecord("s2", "2611"), FirmRecord("s3", "0111"),
+           FirmRecord("s4", "2611"), FirmRecord("s5", "2611"), FirmRecord("buyer", "1061")],
+          # sectors met out of code order, and sums that depend on their order
+          [("s1", "buyer", 0.1), ("s2", "buyer", 0.1), ("s3", "buyer", 0.3),
+           ("s4", "buyer", 0.2), ("s5", "buyer", 0.3)]))
+def test_calibrate_bit_equal_to_dict_loop(raw):
+    """calibrate against the input_matrix-based loop it replaced, all scenarios."""
+    net = build_network(*raw)
+    for scenario in Scenario:
+        spec = assign_scenario(net, scenario)
+        params, ref = calibrate(net, spec), reference_calibrate(net, spec)
+        for name in ("x0", "beta_tilde", "non_essential_input", "input_total"):
+            assert_bits_equal(getattr(params, name), getattr(ref, name))
+        for name in ("alpha", "essential_inputs"):
+            got, want = getattr(params, name), getattr(ref, name)
+            assert [float_items(r) for r in got] == [float_items(r) for r in want]
+
