@@ -108,16 +108,13 @@ def _read_table(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
 
     The header row is optional so hand-made fixtures stay minimal; when the
     first row is not the header it must already be data. An empty file is an
-    empty table. A missing file is rejected at once; rows are then read
-    lazily, and wrong field counts are rejected with their line number.
+    empty table. Rows are yielded as they are read; wrong field counts are
+    rejected with their line number.
     """
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"{path}: no such file")
-    return _table_rows(path, p, list(header))
-
-
-def _table_rows(path, p: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    header = list(header)
     with open(p, encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
