@@ -171,4 +171,3 @@ def test_calibrate_bit_equal_to_dict_loop(raw):
         for name in ("alpha", "essential_inputs"):
             got, want = getattr(params, name), getattr(ref, name)
             assert [float_items(r) for r in got] == [float_items(r) for r in want]
-
