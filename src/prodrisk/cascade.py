@@ -27,18 +27,20 @@ TAIL_ROWS = 64
 
 @dataclass(frozen=True)
 class GroupSlots:
-    """Constraint groups in rank-slot order, for each buyer's group minimum.
+    """Rank-slot row layout of down_op, for each buyer's group maximum.
 
     With the present buyers sorted by group count, descending (buyers), the
     k-th groups of the buyers with more than k groups (slot k) belong to a
-    prefix of that order. groups lists the head slots one after another,
-    sizes[k] groups each, then tail_slots slots padded to tail_rows groups
-    each, where a buyer short of groups repeats its own last one. The head
-    is slot 0 and every further slot of more than TAIL_ROWS buyers.
+    prefix of that order. down_op holds the head slots one after another,
+    sizes[k] rows each, then tail_slots slots of tail_rows rows each, so row
+    p of every slot belongs to buyers[p]; in the tail, a buyer with no group
+    in a slot has an empty row there. The head is slot 0 and every further
+    slot of more than TAIL_ROWS buyers. rows[g] is the down_op row of group
+    g; rows and everything else indexed by group are in group order.
     """
 
     buyers: np.ndarray
-    groups: np.ndarray
+    rows: np.ndarray
     sizes: tuple[int, ...]
     tail_slots: int
     tail_rows: int
@@ -48,16 +50,19 @@ class GroupSlots:
 class ImpactMatrices:
     """Per-edge impact coefficients, compiled into three CSR operators.
 
-    down_op has one row per constraint group and one column per supplier.
-    Essential inputs of one buyer form one group per supplier sector; all
-    non-essential inputs of a buyer share a single pooled group. Groups are
-    sorted by buyer, so the groups of each present buyer form one contiguous
-    segment starting at seg_starts; slots holds the same groups in the
-    rank-slot order the kernel reduces them in. up_op maps (supplier, buyer)
-    to the buyer's share of the supplier's sales; u_resid is the demand
-    share of each supplier not covered by observed buyers, held at full
-    level during the iteration. sector_op sums out-strength-weighted levels
-    per sector. Every row accumulates over ascending column indices.
+    Essential inputs of one buyer form one constraint group per supplier
+    sector; all non-essential inputs of a buyer share a single pooled group.
+    Groups are numbered in buyer order, so the groups of each present buyer
+    form one contiguous segment starting at seg_starts; group_buyer,
+    group_sector and seg_starts are in this group order. down_op has one
+    column per supplier and one row per group, but its rows are in the
+    rank-slot order the kernel reduces them in, with empty pad rows in the
+    tail (see GroupSlots); slots.rows maps each group to its row. up_op maps
+    (supplier, buyer) to the buyer's share of the supplier's sales; u_resid
+    is the demand share of each supplier not covered by observed buyers,
+    held at full level during the iteration. sector_op sums
+    out-strength-weighted levels per sector. Every row accumulates over
+    ascending column indices.
     """
 
     n: int
@@ -70,7 +75,7 @@ class ImpactMatrices:
     seg_starts: np.ndarray       # first group index per present buyer
     slots: GroupSlots
     u_resid: np.ndarray
-    down_op: sparse.csr_array    # (group, supplier) -> downstream share
+    down_op: sparse.csr_array    # (slots.rows[group], supplier) -> downstream share
     up_op: sparse.csr_array      # (supplier, buyer) -> upstream share
     sector_op: sparse.csr_array  # (sector, firm) -> s_out
 
@@ -98,8 +103,8 @@ class CascadeState:
 
     sigma and pi_tilde are the replaceability factors and per-group input
     availabilities applied in the step that produced these levels; for the
-    initial state they are the no-shock values. pi_tilde is aligned with the
-    constraint groups of the matrices that produced the state.
+    initial state they are the no-shock values. pi_tilde is in the group
+    order of the matrices that produced the state (not down_op's row order).
     """
 
     t: int
@@ -133,16 +138,46 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     it is j's share of all of i's inputs. The upstream entry is always buyer
     i's share of j's sales.
     """
-    n = net.n
+    n, n_sectors = net.n, len(net.sectors)
+    d_sup, lam_d, d_group, guniq = _downstream_entries(net, spec)
+    group_buyer = guniq // (n_sectors + 1)
+    group_sector = guniq % (n_sectors + 1) - 1
+    present_buyers, seg_starts = np.unique(group_buyer, return_index=True)
+    slots = _group_slots(present_buyers, seg_starts, len(guniq))
+
+    n_rows = sum(slots.sizes) + slots.tail_slots * slots.tail_rows
+    down_op = sparse.csr_array((lam_d, (slots.rows[d_group], d_sup)), shape=(n_rows, n))
+    # upstream entries use the canonical (supplier, buyer) order directly
+    up_op = sparse.csr_array((net.w / net.s_out[net.sup], (net.sup, net.buy)), shape=(n, n))
+    sector_op = sparse.csr_array((net.s_out, (net.sector_of, np.arange(n))), shape=(n_sectors, n))
+    for op in (down_op, up_op, sector_op):
+        op.sort_indices()
+    u_resid = _residual_demand(up_op)
+    for a in (group_buyer, group_sector, seg_starts, slots.buyers, slots.rows):
+        a.flags.writeable = False
+    return ImpactMatrices(
+        n=n, s_out=net.s_out, s_in=net.s_in, sector_of=net.sector_of, n_groups=len(guniq),
+        group_buyer=group_buyer, group_sector=group_sector,
+        seg_starts=seg_starts, slots=slots, u_resid=u_resid,
+        down_op=down_op, up_op=up_op, sector_op=sector_op,
+    )
+
+
+def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Downstream share and constraint group of every edge, by (buyer, supplier).
+
+    Returns the supplier, share and group index of each edge, and the sorted
+    group keys buyer * (n_sectors + 1) + (1 + sector, or 0 for the pooled
+    group). The edge-length temporaries are freed on return, before the
+    operators are compiled.
+    """
     n_sectors = len(net.sectors)
     sup, buy, w = net.sup, net.buy, net.w
-    s_in, s_out = net.s_in, net.s_out
-
     phys_sector = np.array([sector_is_physical(c) for c in net.sectors], dtype=bool)
     cls = spec.essential_class
     ess = (cls[buy] == ESS_ALL) | ((cls[buy] == ESS_PHYSICAL) & phys_sector[net.sector_of[sup]])
 
-    # downstream order: sorted by (buyer, supplier)
     d_ord = np.lexsort((sup, buy))
     d_sup = sup[d_ord]
     d_buy = buy[d_ord]
@@ -154,31 +189,12 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     pair_key = d_buy * n_sectors + d_sector
     pair_uniq, pair_inv = np.unique(pair_key, return_inverse=True)
     pair_sum = np.bincount(pair_inv, weights=d_w)
-    lam_d = np.where(d_ess, d_w / pair_sum[pair_inv], d_w / s_in[d_buy])
+    lam_d = np.where(d_ess, d_w / pair_sum[pair_inv], d_w / net.s_in[d_buy])
 
     # constraint groups: one per (buyer, essential sector), one pooled per buyer
     gkey = d_buy * np.int64(n_sectors + 1) + np.where(d_ess, 1 + d_sector, 0)
     guniq, d_group = np.unique(gkey, return_inverse=True)
-    group_buyer = guniq // (n_sectors + 1)
-    group_sector = guniq % (n_sectors + 1) - 1
-    present_buyers, seg_starts = np.unique(group_buyer, return_index=True)
-
-    down_op = sparse.csr_array((lam_d, (d_group, d_sup)), shape=(len(guniq), n))
-    # upstream entries use the canonical (supplier, buyer) order directly
-    up_op = sparse.csr_array((w / s_out[sup], (sup, buy)), shape=(n, n))
-    sector_op = sparse.csr_array((s_out, (net.sector_of, np.arange(n))), shape=(n_sectors, n))
-    for op in (down_op, up_op, sector_op):
-        op.sort_indices()
-    u_resid = _residual_demand(up_op)
-    slots = _group_slots(present_buyers, seg_starts, len(guniq))
-    for a in (group_buyer, group_sector, seg_starts, slots.buyers, slots.groups):
-        a.flags.writeable = False
-    return ImpactMatrices(
-        n=n, s_out=s_out, s_in=s_in, sector_of=net.sector_of, n_groups=len(guniq),
-        group_buyer=group_buyer, group_sector=group_sector,
-        seg_starts=seg_starts, slots=slots, u_resid=u_resid,
-        down_op=down_op, up_op=up_op, sector_op=sector_op,
-    )
+    return d_sup, lam_d, d_group, guniq
 
 
 def _group_slots(present_buyers: np.ndarray, seg_starts: np.ndarray, n_groups: int) -> GroupSlots:
@@ -187,14 +203,15 @@ def _group_slots(present_buyers: np.ndarray, seg_starts: np.ndarray, n_groups: i
     k_max = int(counts.max()) if len(counts) else 0
     # in the smallest integer type that holds them, numpy radix-sorts the keys
     order = np.argsort((-counts).astype(np.min_scalar_type(-k_max)), kind="stable")
-    counts, starts = counts[order], seg_starts[order]
-    sizes = np.searchsorted(-counts, -np.arange(k_max), side="left").tolist()
+    rank = np.argsort(order)  # position of each present buyer in that order
+    sizes = np.searchsorted(-counts[order], -np.arange(k_max), side="left").tolist()
     head = next((k for k in range(1, k_max) if sizes[k] <= TAIL_ROWS), k_max)
     tail_rows = sizes[head] if head < k_max else 0
-    rows = sizes[:head] + [tail_rows] * (k_max - head)
-    groups = np.concatenate([starts[:r] + np.minimum(k, counts[:r] - 1)
-                             for k, r in enumerate(rows)] or [starts])
-    return GroupSlots(buyers=present_buyers[order], groups=groups, sizes=tuple(sizes[:head]),
+    slot_start = np.cumsum([0] + sizes[:head] + [tail_rows] * (k_max - head - 1))
+    # group g is the k-th group of the buyer at rank p: row p of slot k
+    buyer = np.repeat(np.arange(len(counts)), counts)
+    rows = slot_start[np.arange(n_groups) - seg_starts[buyer]] + rank[buyer]
+    return GroupSlots(buyers=present_buyers[order], rows=rows, sizes=tuple(sizes[:head]),
                       tail_slots=k_max - head, tail_rows=tail_rows)
 
 
@@ -236,7 +253,9 @@ def rescale_for_coverage(matrices: ImpactMatrices, firms: "tuple[FirmRecord, ...
             fac_d[i] = min(1.0, matrices.s_in[i] / f.material_cost)
 
     up_op = _scale_rows(matrices.up_op, fac_u)
-    down_op = _scale_rows(matrices.down_op, fac_d[matrices.group_buyer])
+    row_fac = np.ones(matrices.down_op.shape[0])  # pad rows are empty
+    row_fac[matrices.slots.rows] = fac_d[matrices.group_buyer]
+    down_op = _scale_rows(matrices.down_op, row_fac)
     return dataclasses.replace(matrices, up_op=up_op, down_op=down_op,
                                u_resid=_residual_demand(up_op))
 
@@ -281,48 +300,27 @@ def _column_max(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(a[:rows], axis=0)
 
 
-class _GroupMax:
-    """Largest y over the constraint groups of each present buyer, for a block.
+def _group_max(y: np.ndarray, slots: GroupSlots) -> np.ndarray:
+    """Largest y over the constraint groups of each present buyer, in place.
 
-    Result rows follow slots.buyers. Slot 0 is gathered into the result;
-    each further head slot, and then the padded tail, is gathered into
-    scratch rows and folded onto the first rows of the result. The buffers
-    are allocated once, for the widest block.
+    y holds the downstream product in down_op's rank-slot row order. Each
+    further head slot is folded onto the first rows of slot 0, then the tail
+    is reduced as one (tail_slots, tail_rows, width) block onto its first
+    rows; the result is slot 0, in slots.buyers order. Every entry of y is
+    >= +0.0 (sigma * (1 - h_d) >= 0 times positive shares, summed into a
+    zeroed output), so the 0.0 of an empty pad row changes no maximum.
     """
-
-    def __init__(self, slots: GroupSlots, width: int):
-        self.slots = slots
-        ends = np.cumsum(slots.sizes).tolist()
-        self.first = slots.groups[:len(slots.buyers)]
-        self.gathers = [slots.groups[start:start + size]
-                        for start, size in zip(ends, slots.sizes[1:])]
-        self.tail = slots.groups[ends[-1]:] if slots.tail_slots else None
-        self.heights = (len(slots.buyers),
-                        max(slots.sizes[1:2] + (slots.tail_slots * slots.tail_rows,)))
-        self.flats = [np.empty(r * width) for r in self.heights]
-        self.narrow(width)
-
-    def narrow(self, w: int) -> None:
-        """View the buffers at width w."""
-        self.top, part = (f[:r * w].reshape(r, w) for f, r in zip(self.flats, self.heights))
-        self.folds = [(groups, part[:len(groups)], self.top[:len(groups)])
-                      for groups in self.gathers]
-        if self.tail is not None:
-            self.tail_part = part[:len(self.tail)]
-            self.tail_stack = self.tail_part.reshape(self.slots.tail_slots, self.slots.tail_rows, w)
-            self.tail_head = self.top[:self.slots.tail_rows]
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        # the indices are in range; mode="clip" lets take write straight into out
-        y.take(self.first, axis=0, out=self.top, mode="clip")
-        for groups, part, head in self.folds:
-            y.take(groups, axis=0, out=part, mode="clip")
-            np.maximum(head, part, out=head)
-        if self.tail is not None:
-            y.take(self.tail, axis=0, out=self.tail_part, mode="clip")
-            np.maximum(self.tail_stack[0], self.tail_head, out=self.tail_stack[0])
-            np.maximum.reduce(self.tail_stack, axis=0, out=self.tail_head)
-        return self.top
+    top = y[:len(slots.buyers)]
+    start = len(top)
+    for size in slots.sizes[1:]:
+        np.maximum(top[:size], y[start:start + size], out=top[:size])
+        start += size
+    if slots.tail_slots:
+        tail = y[start:].reshape(slots.tail_slots, slots.tail_rows, -1)
+        head = top[:slots.tail_rows]
+        np.maximum(tail[0], head, out=tail[0])
+        np.maximum.reduce(tail, axis=0, out=head)
+    return top
 
 
 class _Workspace:
@@ -337,9 +335,8 @@ class _Workspace:
     def __init__(self, m: ImpactMatrices, width: int):
         # h_d, its successor, scratch, h_u, its successor
         self.levels = [np.empty(m.n * width) for _ in range(5)]
-        self.down = np.empty(m.n_groups * width)
+        self.down = np.empty(m.down_op.shape[0] * width)  # in down_op's row order
         self.sector = np.empty(m.sector_op.shape[0] * width)
-        self.group_max = _GroupMax(m.slots, width)
         self.out_d, self.out_u = np.empty((width, m.n)), np.empty((width, m.n))
 
 
@@ -392,13 +389,12 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     s_out, u_resid = m.s_out[:, None], m.u_resid[:, None]
     sigma = None if sigma_fixed is None else sigma_fixed[:, None]
     flats = list(ws.levels)
-    group_max = ws.group_max
+    n_rows = m.down_op.shape[0]
 
     def views(w):
         """The state at width w; after a compaction the same memory is viewed narrower."""
-        group_max.narrow(w)
         return ([f[:n * w].reshape(n, w) for f in flats]
-                + [ws.down[:m.n_groups * w].reshape(-1, w), ws.sector[:n_sectors * w].reshape(-1, w)])
+                + [ws.down[:n_rows * w].reshape(-1, w), ws.sector[:n_sectors * w].reshape(-1, w)])
 
     w = width
     h_d, hd_new, work, h_u, hu_new, y, sector = views(w)
@@ -430,12 +426,12 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
             np.multiply(sigma, hd_new, out=hd_new)
             _spmm(m.down_op, hd_new, y)
             if trace is not None:
-                pi_tilde = np.subtract(1.0, y[:, 0])
+                pi_tilde = np.subtract(1.0, y[m.slots.rows, 0])
                 np.minimum(np.maximum(pi_tilde, 0.0, out=pi_tilde), 1.0, out=pi_tilde)
 
             # min over a buyer's groups of clip(1 - y, 0, 1) is clip(1 - max y, 0, 1)
             # bit for bit, as both maps are monotone
-            top = group_max(y)
+            top = _group_max(y, m.slots)
             np.subtract(1.0, top, out=top)
             np.minimum(np.maximum(top, 0.0, out=top), 1.0, out=top)
             hd_new.fill(1.0)

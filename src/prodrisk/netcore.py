@@ -101,9 +101,12 @@ class ProductionNetwork:
             members[f.nace4].append(i)
         self.sector_index: dict[str, tuple[int, ...]] = {c: tuple(v) for c, v in members.items()}
 
-        # strengths, fixed accumulation order over the canonical edge arrays
-        self.s_in = np.bincount(self.buy, weights=self.w, minlength=self.n)
-        self.s_out = np.bincount(self.sup, weights=self.w, minlength=self.n)
+        # strengths, fixed accumulation order over the canonical edge arrays;
+        # without edges bincount returns int64, hence the cast
+        self.s_in = np.bincount(self.buy, weights=self.w,
+                                minlength=self.n).astype(np.float64, copy=False)
+        self.s_out = np.bincount(self.sup, weights=self.w,
+                                 minlength=self.n).astype(np.float64, copy=False)
 
         for a in (self.sup, self.buy, self.w, self.sector_of, self.s_in, self.s_out):
             a.flags.writeable = False
@@ -116,9 +119,6 @@ class ProductionNetwork:
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.w))
-
-    def sector_code(self, firm: int) -> str:
-        return self.firms[firm].nace4
 
 
 class _FirmIndex(dict):

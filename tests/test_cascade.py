@@ -9,6 +9,7 @@ from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generat
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk.cascade import (
     ExogenousShock,
+    _group_max,
     _iterate,
     _Workspace,
     build_impact_matrices,
@@ -35,10 +36,18 @@ def prepared(net, scenario):
     return params, rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
 
 
+def leo_matrices(scenario=Scenario.LEO):
+    """150 firms in 8 sectors: under leo, head folds and a padded tail."""
+    firms, edges = generate_synthetic(
+        SyntheticConfig(n_firms=150, n_sectors=8, mean_out_degree=6.0), seed=5)
+    net = build_network(firms, edges)
+    return build_impact_matrices(net, assign_scenario(net, scenario))
+
+
 def entry(matrices, sup, buy):
     """Downstream coefficient of one edge and whether it is essential."""
     for g in np.flatnonzero(matrices.group_buyer == buy):
-        row = matrices.down_op[[g]]
+        row = matrices.down_op[[matrices.slots.rows[g]]]
         if sup in row.indices:
             return row[0, sup], bool(matrices.group_sector[g] >= 0)
     raise AssertionError("edge not found")
@@ -70,21 +79,41 @@ class TestImpactMatrices:
         assert len(m.group_buyer) == m.n_groups
 
     def test_group_slots_hold_each_buyers_own_groups(self):
-        firms, edges = generate_synthetic(
-            SyntheticConfig(n_firms=150, n_sectors=8, mean_out_degree=6.0), seed=5)
-        net = build_network(firms, edges)
-        m = build_impact_matrices(net, assign_scenario(net, Scenario.LEO))
+        m = leo_matrices()
         slots = m.slots
         assert len(slots.sizes) > 1 and slots.tail_slots > 0  # head folds and a padded tail
+        # one row per group, each row used by at most one group
+        assert len(slots.rows) == m.n_groups
+        assert len(np.unique(slots.rows)) == m.n_groups
+        row_buyer = np.full(m.down_op.shape[0], -1)
+        row_buyer[slots.rows] = m.group_buyer
         start = 0
         for size in list(slots.sizes) + [slots.tail_rows] * slots.tail_slots:
-            part = slots.groups[start:start + size]
-            # row p of every slot is a group of buyer p, so maxima stay per buyer
-            assert np.array_equal(m.group_buyer[part], slots.buyers[:size])
+            part = row_buyer[start:start + size]
+            # row p of every slot belongs to buyer p, so maxima stay per buyer
+            filled = part >= 0
+            assert np.array_equal(part[filled], slots.buyers[:size][filled])
             start += size
-        assert start == len(slots.groups)
-        assert set(slots.groups.tolist()) == set(range(m.n_groups))
+        assert start == m.down_op.shape[0]
+        # pad rows (no group) store nothing
+        pads = np.flatnonzero(row_buyer < 0)
+        assert len(pads) > 0
+        assert np.all(np.diff(m.down_op.indptr)[pads] == 0)
         assert np.array_equal(np.sort(slots.buyers), m.group_buyer[m.seg_starts])
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_group_max_matches_reduceat(self, scenario, width):
+        m = leo_matrices(scenario)
+        slots = m.slots
+        rng = np.random.default_rng(width)
+        y = rng.random((m.down_op.shape[0], width))
+        # what down_op leaves in its empty pad rows
+        y[np.diff(m.down_op.indptr) == 0] = 0.0
+        # one row per present buyer, in ascending buyer order
+        expect = np.maximum.reduceat(y[slots.rows], m.seg_starts)
+        got = _group_max(y, slots)
+        assert np.array_equal(got, expect[np.searchsorted(m.group_buyer[m.seg_starts], slots.buyers)])
 
     def test_upstream_shares_and_residual(self):
         net = mill_net()
@@ -98,7 +127,7 @@ class TestImpactMatrices:
         net = build_network(firms, edges)
         for scenario in Scenario:
             m = build_impact_matrices(net, assign_scenario(net, scenario))
-            for g, total in enumerate(m.down_op.sum(axis=1)):
+            for g, total in enumerate(m.down_op.sum(axis=1)[m.slots.rows]):
                 assert total <= 1.0 + 1e-9
                 if m.group_sector[g] >= 0:
                     assert total == pytest.approx(1.0)
@@ -240,7 +269,8 @@ class TestEngine:
         assert len(res.trace) > 2
         for prev, nxt in zip(res.trace, res.trace[1:]):
             q = nxt.sigma * (1.0 - prev.h_d)
-            assert np.array_equal(nxt.pi_tilde, np.clip(1.0 - m.down_op @ q, 0.0, 1.0))
+            assert np.array_equal(nxt.pi_tilde,
+                                  np.clip(1.0 - (m.down_op @ q)[m.slots.rows], 0.0, 1.0))
             # each buyer's level is the smallest availability over its groups
             buyers = m.group_buyer[m.seg_starts]
             hd = np.minimum.reduceat(nxt.pi_tilde, m.seg_starts)

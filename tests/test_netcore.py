@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from reference import reference_build_network, reference_input_matrix
 
+from prodrisk.cascade import build_impact_matrices, run_cascade
 from prodrisk.netcore import (
     SENTINEL_SECTOR,
     FirmRecord,
@@ -26,6 +27,7 @@ from prodrisk.netcore import (
     sector_is_physical,
     strengths,
 )
+from prodrisk.prodfun import Scenario, assign_scenario
 
 
 def square_net():
@@ -119,6 +121,16 @@ class TestBuildNetwork:
                  FirmRecord("b", revenue=0.0, material_cost=None)]
         net = build_network(firms, [("a", "b", 1.0)])
         assert net.firms[0].material_cost == 0.0 and net.firms[1].revenue == 0.0
+
+    def test_edgeless_network_has_float_strengths_and_no_cascade(self):
+        net = build_network([FirmRecord("a", "0111"), FirmRecord("b", "7022")], [])
+        assert net.s_in.dtype == np.float64 and net.s_out.dtype == np.float64
+        psi = np.array([0.3, 1.0])
+        for scenario in Scenario:
+            m = build_impact_matrices(net, assign_scenario(net, scenario))
+            assert m.n_groups == 0 and m.down_op.shape == (0, 2)  # no slot at all
+            res = run_cascade(net, m, None, psi)
+            assert res.converged and np.array_equal(res.h_final, psi)
 
     def test_arrays_frozen(self):
         net = square_net()
