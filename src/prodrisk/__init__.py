@@ -5,17 +5,12 @@ from .netcore import (
     FirmRecord,
     NetworkError,
     ProductionNetwork,
-    SectorNetwork,
     SyntheticConfig,
     TransactionEvent,
-    aggregate_to_sectors,
     build_network,
     filter_long_term_links,
     fingerprint,
     generate_synthetic,
-    input_matrix,
-    market_shares,
-    strengths,
 )
 from .prodfun import (
     ProductionParams,
@@ -46,9 +41,7 @@ from .analysis import (
     YearComparison,
     count_above_thresholds,
     detect_plateau,
-    disjoint_pair_fraction,
     fit_powerlaw_mle,
-    jaccard_overlap,
     rank_profile,
     sector_shock_experiment,
     strength_esri_fit,

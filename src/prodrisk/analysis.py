@@ -243,12 +243,12 @@ def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices,
     collects per-sector received shocks, their ratios to the reference, and
     the correlation matrix of the scenario deviation vectors.
     """
-    members = net.sector_index.get(sector)
-    if not members:
+    sector_id = net.sectors.index(sector) if sector in net.sectors else -1
+    member_idx = np.flatnonzero(net.sector_of == sector_id)
+    if not len(member_idx):
         raise DataError(f"sector {sector!r} has no firms in this network")
     if not 0.0 < magnitude <= 1.0:
         raise ValueError("magnitude must lie in (0, 1]")
-    member_idx = np.asarray(members, dtype=np.intp)
 
     s_total = net.s_in + net.s_out
     required = magnitude * float(np.sum(s_total[member_idx]))
@@ -325,52 +325,3 @@ def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices,
         converged=converged,
     )
 
-
-def _firm_index(net: ProductionNetwork, firm) -> int:
-    if isinstance(firm, str):
-        idx = net.index_of.get(firm)
-        if idx is None:
-            raise ValueError(f"unknown firm id {firm!r}")
-        return idx
-    idx = int(firm)
-    if not 0 <= idx < net.n:
-        raise ValueError(f"firm index {idx} out of range")
-    return idx
-
-
-def _neighbor_sectors(net: ProductionNetwork, idx: int, direction: str) -> set[int]:
-    if direction == "input":
-        mask = net.buy == idx
-        others = net.sup[mask]
-    elif direction == "customer":
-        mask = net.sup == idx
-        others = net.buy[mask]
-    else:
-        raise ValueError("direction must be 'input' or 'customer'")
-    return set(net.sector_of[others].tolist())
-
-
-def jaccard_overlap(net: ProductionNetwork, firm_a, firm_b, direction: str = "input") -> float:
-    """Jaccard index of two firms' supplier (or buyer) sector sets."""
-    sa = _neighbor_sectors(net, _firm_index(net, firm_a), direction)
-    sb = _neighbor_sectors(net, _firm_index(net, firm_b), direction)
-    union = len(sa | sb)
-    if union == 0:
-        return 0.0
-    return len(sa & sb) / union
-
-
-def disjoint_pair_fraction(net: ProductionNetwork, sector: str, direction: str = "input") -> float:
-    """Share of same-sector firm pairs whose neighbor sector sets are disjoint."""
-    members = net.sector_index.get(sector)
-    if members is None or len(members) < 2:
-        raise DataError(f"sector {sector!r} needs at least 2 firms")
-    sets = [_neighbor_sectors(net, idx, direction) for idx in members]
-    disjoint = 0
-    pairs = 0
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            pairs += 1
-            if not sets[a] & sets[b]:
-                disjoint += 1
-    return disjoint / pairs

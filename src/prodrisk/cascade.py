@@ -16,8 +16,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .netcore import ProductionNetwork, FirmRecord, sector_is_physical
-from .prodfun import ScenarioSpec, ESS_ALL, ESS_PHYSICAL
+from .netcore import ProductionNetwork, FirmRecord
+from .prodfun import ScenarioSpec, inputs_are_essential
 
 
 # rank slots of at most this many buyers are padded and reduced in one call,
@@ -173,17 +173,12 @@ def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec
     operators are compiled.
     """
     n_sectors = len(net.sectors)
-    sup, buy, w = net.sup, net.buy, net.w
-    phys_sector = np.array([sector_is_physical(c) for c in net.sectors], dtype=bool)
-    cls = spec.essential_class
-    ess = (cls[buy] == ESS_ALL) | ((cls[buy] == ESS_PHYSICAL) & phys_sector[net.sector_of[sup]])
-
-    d_ord = np.lexsort((sup, buy))
-    d_sup = sup[d_ord]
-    d_buy = buy[d_ord]
-    d_w = w[d_ord]
-    d_ess = ess[d_ord]
+    d_ord = np.lexsort((net.sup, net.buy))
+    d_sup = net.sup[d_ord]
+    d_buy = net.buy[d_ord]
+    d_w = net.w[d_ord]
     d_sector = net.sector_of[d_sup]
+    d_ess = inputs_are_essential(net, spec, d_buy, d_sector)
 
     # denominators of essential entries: same-sector input totals per buyer
     pair_key = d_buy * n_sectors + d_sector
@@ -233,6 +228,19 @@ def _scale_rows(op: sparse.csr_array, fac: np.ndarray) -> sparse.csr_array:
     return sparse.csr_array((data, op.indices, op.indptr), shape=op.shape)
 
 
+def _coverage_factor(observed: np.ndarray, reported: list) -> np.ndarray:
+    """min(1, observed / reported) per firm; 1 where the figure is None or 0.
+
+    A tiny figure may overflow the ratio to inf, which the cap turns into 1.
+    """
+    reported = np.array(reported, dtype=np.float64)  # None becomes NaN
+    fac = np.ones(len(reported))
+    ok = reported > 0
+    with np.errstate(over="ignore"):
+        fac[ok] = np.minimum(1.0, observed[ok] / reported[ok])
+    return fac
+
+
 def rescale_for_coverage(matrices: ImpactMatrices, firms: "tuple[FirmRecord, ...]") -> ImpactMatrices:
     """Shrink impact entries where income statements report unobserved trade.
 
@@ -243,15 +251,8 @@ def rescale_for_coverage(matrices: ImpactMatrices, firms: "tuple[FirmRecord, ...
     of i's true input basket is unobserved and assumed unshocked. Missing or
     zero figures leave entries unchanged.
     """
-    n = matrices.n
-    fac_u = np.ones(n)
-    fac_d = np.ones(n)
-    for i, f in enumerate(firms):
-        if f.revenue is not None and f.revenue > 0:
-            fac_u[i] = min(1.0, matrices.s_out[i] / f.revenue)
-        if f.material_cost is not None and f.material_cost > 0:
-            fac_d[i] = min(1.0, matrices.s_in[i] / f.material_cost)
-
+    fac_u = _coverage_factor(matrices.s_out, [f.revenue for f in firms])
+    fac_d = _coverage_factor(matrices.s_in, [f.material_cost for f in firms])
     up_op = _scale_rows(matrices.up_op, fac_u)
     row_fac = np.ones(matrices.down_op.shape[0])  # pad rows are empty
     row_fac[matrices.slots.rows] = fac_d[matrices.group_buyer]

@@ -1,4 +1,4 @@
-"""Production-network core: build, validate, filter, synthesize, aggregate.
+"""Production-network core: build, validate, filter, synthesize.
 
 A production network is a directed graph of firms where an edge (i -> j)
 carries the annual monetary volume supplier i delivers to buyer j. Firms
@@ -13,7 +13,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import date as _date
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class ProductionNetwork:
         self.sectors: tuple[str, ...] = tuple(sorted({f.nace4 for f in self.firms}))
         sector_id = {c: k for k, c in enumerate(self.sectors)}
         self.sector_of = np.array([sector_id[f.nace4] for f in self.firms], dtype=np.int64)
-        members: dict[str, list[int]] = {c: [] for c in self.sectors}
-        for i, f in enumerate(self.firms):
-            members[f.nace4].append(i)
-        self.sector_index: dict[str, tuple[int, ...]] = {c: tuple(v) for c, v in members.items()}
 
         # strengths, fixed accumulation order over the canonical edge arrays;
         # without edges bincount returns int64, hence the cast
@@ -228,11 +224,6 @@ def filter_long_term_links(events: Iterable[TransactionEvent]) -> list[tuple[str
     return kept
 
 
-def strengths(net: ProductionNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-firm (in-strength, out-strength, total strength)."""
-    return net.s_in, net.s_out, net.s_in + net.s_out
-
-
 def input_columns(net: ProductionNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Input volume of every (buyer, supplier sector) pair that trades.
 
@@ -255,51 +246,6 @@ def split_rows(n: int, row: np.ndarray, keys: list, values: np.ndarray) -> list[
     bounds = np.searchsorted(row, np.arange(n + 1)).tolist()
     values = values.tolist()
     return [dict(zip(keys[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
-
-
-def input_matrix(net: ProductionNetwork) -> list[dict[str, float]]:
-    """Per-firm input totals grouped by the supplier's industry code.
-
-    Row j maps each sector code to the total weight flowing into firm j from
-    suppliers of that sector; row sums equal in-strengths.
-    """
-    buyer, sector, volume = input_columns(net)
-    codes = np.array(net.sectors, dtype=object)[sector].tolist()
-    return split_rows(net.n, buyer, codes, volume)
-
-
-def market_shares(net: ProductionNetwork) -> np.ndarray:
-    """Each firm's share of out-strength within its own sector.
-
-    Firms in a sector with zero total out-strength get share 0.
-    """
-    sector_out = np.bincount(net.sector_of, weights=net.s_out, minlength=len(net.sectors))
-    denom = sector_out[net.sector_of]
-    shares = np.zeros(net.n)
-    np.divide(net.s_out, denom, out=shares, where=denom > 0)
-    return shares
-
-
-def aggregate_to_sectors(net: ProductionNetwork) -> "SectorNetwork":
-    """Collapse firm-level edges onto the sector-by-sector volume matrix."""
-    s = len(net.sectors)
-    key = net.sector_of[net.sup] * s + net.sector_of[net.buy]
-    flat = np.bincount(key, weights=net.w, minlength=s * s)
-    weights = flat.reshape(s, s)
-    weights.flags.writeable = False
-    return SectorNetwork(sectors=net.sectors, weights=weights)
-
-
-@dataclass(frozen=True)
-class SectorNetwork:
-    """Sector-aggregated view of a production network."""
-
-    sectors: tuple[str, ...]
-    weights: np.ndarray
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
 
 
 @dataclass(frozen=True)

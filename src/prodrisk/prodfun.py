@@ -53,13 +53,25 @@ class ScenarioSpec:
         return sector_is_physical(sector_code)
 
 
+def _physical_sectors(net: ProductionNetwork) -> np.ndarray:
+    """Per sector index, True for a physical industry code."""
+    return np.array([sector_is_physical(c) for c in net.sectors], dtype=bool)
+
+
+def inputs_are_essential(net: ProductionNetwork, spec: ScenarioSpec, buyer: np.ndarray,
+                         sector: np.ndarray) -> np.ndarray:
+    """ScenarioSpec.input_is_essential for every (buyer, supplier sector index) pair."""
+    cls = spec.essential_class[buyer]
+    return (cls == ESS_ALL) | ((cls == ESS_PHYSICAL) & _physical_sectors(net)[sector])
+
+
 def assign_scenario(net: ProductionNetwork, scenario: Scenario) -> ScenarioSpec:
     """Apply one of the four partition rules to every firm.
 
     Physical firms are those with a 2-digit industry prefix in 01-45; the
     sentinel category counts as service.
     """
-    physical = np.array([sector_is_physical(f.nace4) for f in net.firms], dtype=bool)
+    physical = _physical_sectors(net)[net.sector_of]
     cls = np.zeros(net.n, dtype=np.uint8)
     if scenario is Scenario.LIN:
         cls[:] = ESS_NONE
@@ -89,8 +101,6 @@ class ProductionParams:
     x0: np.ndarray
     beta_tilde: np.ndarray
     alpha: tuple[dict[str, float], ...]
-    essential_inputs: tuple[dict[str, float], ...]
-    non_essential_input: np.ndarray
     input_total: np.ndarray
 
 
@@ -101,39 +111,28 @@ def calibrate(net: ProductionNetwork, spec: ScenarioSpec) -> ProductionParams:
     with observed input volume, alpha is that volume divided by x0. beta_tilde
     is the essential share of total input value, with the convention 1 for
     firms that buy nothing. Per-firm totals add the sector volumes in the
-    order of input_matrix's rows.
+    order of input_columns.
     """
     n = net.n
     buyer, sector, volume = input_columns(net)
-    cls = spec.essential_class[buyer]
-    physical = np.array([sector_is_physical(c) for c in net.sectors], dtype=bool)
-    ess = (cls == ESS_ALL) | ((cls == ESS_PHYSICAL) & physical[sector])
+    ess = inputs_are_essential(net, spec, buyer, sector)
 
     x0 = np.array(net.s_out, dtype=np.float64)
     in_total, ess_total = np.zeros(n), np.zeros(n)
     np.add.at(in_total, buyer, volume)
     np.add.at(ess_total, buyer[ess], volume[ess])
-    ne_total = in_total - ess_total
     beta = np.ones(n)
     np.divide(ess_total, in_total, out=beta, where=in_total > 0)
 
     codes = np.array(net.sectors, dtype=object)[sector]
-    ess_rows = split_rows(n, buyer[ess], codes[ess].tolist(), volume[ess])
     has_alpha = ess & (x0[buyer] > 0)
     alphas = split_rows(n, buyer[has_alpha], codes[has_alpha].tolist(),
                         volume[has_alpha] / x0[buyer[has_alpha]])
 
-    for a in (x0, beta, ne_total, in_total):
+    for a in (x0, beta, in_total):
         a.flags.writeable = False
-    return ProductionParams(
-        spec=spec,
-        x0=x0,
-        beta_tilde=beta,
-        alpha=tuple(alphas),
-        essential_inputs=tuple(ess_rows),
-        non_essential_input=ne_total,
-        input_total=in_total,
-    )
+    return ProductionParams(spec=spec, x0=x0, beta_tilde=beta, alpha=tuple(alphas),
+                            input_total=in_total)
 
 
 def evaluate_gl(params: ProductionParams, firm: int, available: Mapping[str, float]) -> float:

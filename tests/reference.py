@@ -5,18 +5,20 @@ dense matrices, dictionaries keyed by firm id. No code is shared with the
 package beyond the input dataclasses, so agreement between the two is
 meaningful evidence rather than a tautology.
 
-The network builder and the calibration at the end are the package's
-earlier per-edge dictionary loops, kept as references for the columnar
-versions that replaced them. They fill the package's own result classes,
+The network builder, the calibration and the coverage rescaling at the
+end are the package's earlier per-edge and per-firm loops, kept as
+references for the columnar versions that replaced them. They fill the package's own result classes,
 so the two can be compared field by field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
+from prodrisk.cascade import ImpactMatrices, _residual_demand, _scale_rows
 from prodrisk.netcore import FirmRecord, NetworkError, ProductionNetwork, normalize_nace4
 from prodrisk.prodfun import ProductionParams
 
@@ -293,8 +295,7 @@ def reference_calibrate(net, spec) -> ProductionParams:
     n = net.n
     x0 = np.array(net.s_out, dtype=np.float64)
     beta = np.ones(n)
-    alphas, ess_rows = [], []
-    ne_total = np.zeros(n)
+    alphas = []
     in_total = np.zeros(n)
     for i in range(n):
         ess: dict[str, float] = {}
@@ -306,11 +307,27 @@ def reference_calibrate(net, spec) -> ProductionParams:
                 ess[code] = val
                 ess_sum += val
         in_total[i] = total
-        ne_total[i] = total - ess_sum
         if total > 0:
             beta[i] = ess_sum / total
         alphas.append({code: val / x0[i] for code, val in ess.items()} if x0[i] > 0 else {})
-        ess_rows.append(ess)
     return ProductionParams(spec=spec, x0=x0, beta_tilde=beta, alpha=tuple(alphas),
-                            essential_inputs=tuple(ess_rows), non_essential_input=ne_total,
                             input_total=in_total)
+
+
+def reference_rescale_for_coverage(matrices: ImpactMatrices, firms) -> ImpactMatrices:
+    """Per-firm loop over the income figures, then the same row scaling."""
+    n = matrices.n
+    fac_u = np.ones(n)
+    fac_d = np.ones(n)
+    for i, f in enumerate(firms):
+        if f.revenue is not None and f.revenue > 0:
+            fac_u[i] = min(1.0, matrices.s_out[i] / f.revenue)
+        if f.material_cost is not None and f.material_cost > 0:
+            fac_d[i] = min(1.0, matrices.s_in[i] / f.material_cost)
+
+    up_op = _scale_rows(matrices.up_op, fac_u)
+    row_fac = np.ones(matrices.down_op.shape[0])
+    row_fac[matrices.slots.rows] = fac_d[matrices.group_buyer]
+    down_op = _scale_rows(matrices.down_op, row_fac)
+    return dataclasses.replace(matrices, up_op=up_op, down_op=down_op,
+                               u_resid=_residual_demand(up_op))

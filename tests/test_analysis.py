@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from prodrisk.netcore import (
-    DataError,
-    FirmRecord,
-    SyntheticConfig,
-    build_network,
-    generate_synthetic,
-)
+from prodrisk.netcore import DataError, FirmRecord, build_network
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk.cascade import build_impact_matrices
 from prodrisk.esri import EsriVector
@@ -20,9 +14,7 @@ from prodrisk.analysis import (
     DEFAULT_THRESHOLDS,
     count_above_thresholds,
     detect_plateau,
-    disjoint_pair_fraction,
     fit_powerlaw_mle,
-    jaccard_overlap,
     rank_profile,
     sector_shock_experiment,
     strength_esri_fit,
@@ -262,64 +254,3 @@ class TestSectorShock:
         net, m, params = shock_fixture()
         with pytest.raises(ValueError, match="removes strength"):
             sector_shock_experiment(net, m, params, "2611", 0.2, [{"A": 0.9}])
-
-
-class TestOverlap:
-    def overlap_net(self):
-        firms = [FirmRecord("A", "9001"), FirmRecord("B", "9002"),
-                 FirmRecord("s1", "0111"), FirmRecord("s2", "0211"),
-                 FirmRecord("s3", "0311"), FirmRecord("s4", "0411")]
-        edges = [("s1", "A", 1.0), ("s2", "A", 1.0),
-                 ("s2", "B", 1.0), ("s3", "B", 1.0), ("s4", "B", 1.0)]
-        return build_network(firms, edges)
-
-    def test_supplier_sector_overlap(self):
-        net = self.overlap_net()
-        # A draws on {0111, 0211}, B on {0211, 0311, 0411}
-        assert jaccard_overlap(net, "A", "B") == 0.25
-        assert jaccard_overlap(net, "B", "A") == 0.25
-        assert jaccard_overlap(net, "A", "A") == 1.0
-
-    def test_customer_direction(self):
-        net = self.overlap_net()
-        assert jaccard_overlap(net, "s1", "s2", direction="customer") == 0.5
-        assert jaccard_overlap(net, "s3", "s4", direction="customer") == 1.0
-
-    def test_empty_sides(self):
-        net = self.overlap_net()
-        assert jaccard_overlap(net, "A", "B", direction="customer") == 0.0
-
-    def test_guards(self):
-        net = self.overlap_net()
-        with pytest.raises(ValueError, match="unknown firm"):
-            jaccard_overlap(net, "A", "nope")
-        with pytest.raises(ValueError, match="direction"):
-            jaccard_overlap(net, "A", "B", direction="sideways")
-
-
-class TestDisjointPairs:
-    def test_hand_counted_fraction(self):
-        firms = [FirmRecord("a", "9001"), FirmRecord("b", "9001"), FirmRecord("c", "9001"),
-                 FirmRecord("x", "0111"), FirmRecord("y", "0211")]
-        edges = [("x", "a", 1.0), ("x", "b", 1.0), ("y", "c", 1.0)]
-        net = build_network(firms, edges)
-        # pairs: (a,b) share 0111, (a,c) and (b,c) are disjoint
-        assert disjoint_pair_fraction(net, "9001") == pytest.approx(2.0 / 3.0)
-
-    def test_agrees_with_zero_overlap_count(self):
-        firms, edges = generate_synthetic(SyntheticConfig(n_firms=60, n_sectors=8), seed=5)
-        net = build_network(firms, edges)
-        sector = net.sectors[0]
-        members = [net.firms[i].firm_id for i in net.sector_index[sector]]
-        if len(members) < 2:
-            pytest.skip("seed produced a singleton sector")
-        pairs = [(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
-        expected = sum(1 for a, b in pairs if jaccard_overlap(net, a, b) == 0.0) / len(pairs)
-        assert disjoint_pair_fraction(net, sector) == pytest.approx(expected, abs=1e-12)
-
-    def test_needs_two_members(self):
-        net = shock_net()
-        with pytest.raises(DataError, match="at least 2"):
-            disjoint_pair_fraction(net, "1001")
-        with pytest.raises(DataError):
-            disjoint_pair_fraction(net, "0000")

@@ -1,9 +1,12 @@
 """Impact matrices, shock validation and the propagation engine."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+
+from reference import reference_rescale_for_coverage
 
 from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generate_synthetic
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
@@ -161,6 +164,33 @@ class TestImpactMatrices:
         scaled = rescale_for_coverage(plain, net.firms)
         assert np.all(scaled.down_op.data == plain.down_op.data)
         assert np.all(scaled.u_resid == plain.u_resid)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # the reference's scalar loop
+    def test_rescale_bit_equal_to_firm_loop(self):
+        """Column factors against the per-firm loop, on missing, zero and tiny figures."""
+        firms, edges = generate_synthetic(
+            SyntheticConfig(n_firms=300, n_sectors=12, coverage=0.8), seed=7)
+        observed = build_network(firms, edges)
+        rng = np.random.default_rng(7)
+
+        def figure(f, s):
+            pick = rng.integers(7)
+            return (f, None, 0.0, 5e-324, 1e-300, 0.5 * s, 3.0 * s)[pick]
+
+        firms = [FirmRecord(f.firm_id, f.nace4, figure(f.revenue, observed.s_out[i]),
+                            figure(f.material_cost, observed.s_in[i]))
+                 for i, f in enumerate(observed.firms)]
+        net = build_network(firms, edges)
+        for scenario in Scenario:
+            plain = build_impact_matrices(net, assign_scenario(net, scenario))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rescale_for_coverage(plain, net.firms)
+            want = reference_rescale_for_coverage(plain, net.firms)
+            for name in ("up_op", "down_op"):
+                assert getattr(got, name).data.tobytes() == getattr(want, name).data.tobytes()
+            assert got.u_resid.tobytes() == want.u_resid.tobytes()
+            assert not np.array_equal(got.up_op.data, plain.up_op.data)
 
 
 class TestExogenousShock:

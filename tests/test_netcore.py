@@ -1,4 +1,4 @@
-"""Graph construction, filtering, synthesis and aggregation."""
+"""Graph construction, filtering, synthesis and fingerprinting."""
 
 from datetime import date, timedelta
 
@@ -16,16 +16,14 @@ from prodrisk.netcore import (
     NetworkError,
     SyntheticConfig,
     TransactionEvent,
-    aggregate_to_sectors,
     build_network,
     filter_long_term_links,
     fingerprint,
     generate_synthetic,
-    input_matrix,
-    market_shares,
+    input_columns,
     normalize_nace4,
     sector_is_physical,
-    strengths,
+    split_rows,
 )
 from prodrisk.prodfun import Scenario, assign_scenario
 
@@ -37,6 +35,12 @@ def square_net():
     ]
     edges = [("a", "c", 3.0), ("b", "c", 1.0), ("c", "d", 2.0), ("d", "a", 5.0)]
     return build_network(firms, edges)
+
+
+def input_rows(net):
+    """input_columns as one {supplier sector code: volume} dict per buyer."""
+    buyer, sector, volume = input_columns(net)
+    return split_rows(net.n, buyer, [net.sectors[k] for k in sector], volume)
 
 
 class TestNormalization:
@@ -73,11 +77,9 @@ class TestBuildNetwork:
 
     def test_strength_identities(self):
         net = square_net()
-        s_in, s_out, s_tot = strengths(net)
-        assert s_out[net.index_of["a"]] == 3.0
-        assert s_in[net.index_of["c"]] == 4.0
-        assert np.all(s_tot == s_in + s_out)
-        assert float(np.sum(s_in)) == float(np.sum(s_out)) == net.total_weight
+        assert net.s_out[net.index_of["a"]] == 3.0
+        assert net.s_in[net.index_of["c"]] == 4.0
+        assert float(np.sum(net.s_in)) == float(np.sum(net.s_out)) == net.total_weight
 
     def test_parallel_edges_summed(self):
         firms = [FirmRecord("a"), FirmRecord("b")]
@@ -142,7 +144,7 @@ class TestBuildNetwork:
     def test_sectors_sorted_and_indexed(self):
         net = square_net()
         assert net.sectors == ("0111", "4711", SENTINEL_SECTOR)
-        assert net.sector_index["0111"] == (0, 1)
+        assert np.flatnonzero(net.sector_of == net.sectors.index("0111")).tolist() == [0, 1]
         assert [net.sectors[k] for k in net.sector_of] == [f.nace4 for f in net.firms]
 
 
@@ -181,35 +183,11 @@ class TestLongTermFilter:
 class TestDerivedViews:
     def test_input_matrix_rows(self):
         net = square_net()
-        rows = input_matrix(net)
+        rows = input_rows(net)
         assert rows[net.index_of["c"]] == {"0111": 4.0}
         assert rows[net.index_of["a"]] == {SENTINEL_SECTOR: 5.0}
         for i in range(net.n):
             assert sum(rows[i].values()) == pytest.approx(net.s_in[i])
-
-    def test_market_shares(self):
-        net = square_net()
-        shares = market_shares(net)
-        assert shares[net.index_of["a"]] == 0.75
-        assert shares[net.index_of["b"]] == 0.25
-        assert shares[net.index_of["c"]] == 1.0
-
-    def test_market_share_zero_sector(self):
-        firms = [FirmRecord("a", "0111"), FirmRecord("b", "0111"), FirmRecord("c", "2000")]
-        net = build_network(firms, [("c", "a", 1.0)])
-        shares = market_shares(net)
-        assert shares[net.index_of["a"]] == 0.0
-        assert shares[net.index_of["b"]] == 0.0
-        assert shares[net.index_of["c"]] == 1.0
-
-    def test_aggregation_conserves_weight(self):
-        net = square_net()
-        agg = aggregate_to_sectors(net)
-        assert agg.total_weight == net.total_weight
-        i = agg.sectors.index("0111")
-        j = agg.sectors.index("4711")
-        assert agg.weights[i, j] == 4.0
-        assert agg.weights[j, i] == 0.0
 
 
 class TestSyntheticGenerator:
@@ -296,8 +274,6 @@ def test_strength_conservation_property(data):
                         [e for e in edges if e[0] != e[1]])
     assert float(np.sum(net.s_in)) == pytest.approx(net.total_weight)
     assert float(np.sum(net.s_out)) == pytest.approx(net.total_weight)
-    agg = aggregate_to_sectors(net)
-    assert agg.total_weight == pytest.approx(net.total_weight)
 
 
 CODES = ["0111", "2611", "4711", "9609", "", SENTINEL_SECTOR]
@@ -358,7 +334,7 @@ class TestColumnarBuild:
         for name in ("sup", "buy", "w", "s_in", "s_out", "sector_of"):
             assert_bits_equal(getattr(net, name), getattr(ref, name))
         assert net.self_loops_dropped == ref.self_loops_dropped
-        rows, ref_rows = input_matrix(net), reference_input_matrix(ref)
+        rows, ref_rows = input_rows(net), reference_input_matrix(ref)
         assert [float_items(r) for r in rows] == [float_items(r) for r in ref_rows]
 
     @settings(max_examples=300, deadline=None)

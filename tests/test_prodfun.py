@@ -80,7 +80,6 @@ class TestCalibration:
         assert params.x0[mill] == 100.0
         assert params.alpha[mill] == {"0111": 0.4}
         assert params.beta_tilde[mill] == 0.8
-        assert params.non_essential_input[mill] == 10.0
         assert params.input_total[mill] == 50.0
 
     def test_leo_beta_is_one(self):
@@ -161,13 +160,11 @@ class TestEvaluation:
           [("s1", "buyer", 0.1), ("s2", "buyer", 0.1), ("s3", "buyer", 0.3),
            ("s4", "buyer", 0.2), ("s5", "buyer", 0.3)]))
 def test_calibrate_bit_equal_to_dict_loop(raw):
-    """calibrate against the input_matrix-based loop it replaced, all scenarios."""
+    """calibrate against the per-firm dictionary loop it replaced, all scenarios."""
     net = build_network(*raw)
     for scenario in Scenario:
         spec = assign_scenario(net, scenario)
         params, ref = calibrate(net, spec), reference_calibrate(net, spec)
-        for name in ("x0", "beta_tilde", "non_essential_input", "input_total"):
+        for name in ("x0", "beta_tilde", "input_total"):
             assert_bits_equal(getattr(params, name), getattr(ref, name))
-        for name in ("alpha", "essential_inputs"):
-            got, want = getattr(params, name), getattr(ref, name)
-            assert [float_items(r) for r in got] == [float_items(r) for r in want]
+        assert [float_items(r) for r in params.alpha] == [float_items(r) for r in ref.alpha]
