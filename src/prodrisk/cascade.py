@@ -24,6 +24,14 @@ from .prodfun import ScenarioSpec, inputs_are_essential
 # which costs about as much as one elementwise call per slot at a block of 16
 TAIL_ROWS = 64
 
+# the cost rule of the row-subset step (_subset_budget), in one-column
+# multiply-adds, fitted to 16-wide blocks at 5k firms and one-column cascades
+# at 5k and 100k firms: loading the index and coefficient of one nonzero;
+# copying it out and marking what it feeds; and the bookkeeping of one step
+LOAD_COST = 1
+GATHER_COST = 6
+STEP_COST = 200_000
+
 
 @dataclass(frozen=True)
 class GroupSlots:
@@ -37,9 +45,16 @@ class GroupSlots:
     in a slot has an empty row there. The head is slot 0 and every further
     slot of more than TAIL_ROWS buyers. rows[g] is the down_op row of group
     g; rows and everything else indexed by group are in group order.
+    counts[p] and in_deg[p] are the group count and the in-degree (the
+    nonzeros of its rows) of buyers[p], which has a row in slots 0 to
+    counts[p] - 1; rank[i] is the position of firm i in buyers, -1 for a
+    firm without suppliers.
     """
 
     buyers: np.ndarray
+    counts: np.ndarray
+    in_deg: np.ndarray
+    rank: np.ndarray
     rows: np.ndarray
     sizes: tuple[int, ...]
     tail_slots: int
@@ -143,7 +158,7 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     group_buyer = guniq // (n_sectors + 1)
     group_sector = guniq % (n_sectors + 1) - 1
     present_buyers, seg_starts = np.unique(group_buyer, return_index=True)
-    slots = _group_slots(present_buyers, seg_starts, len(guniq))
+    slots = _group_slots(present_buyers, seg_starts, np.bincount(d_group, minlength=len(guniq)), n)
 
     n_rows = sum(slots.sizes) + slots.tail_slots * slots.tail_rows
     down_op = sparse.csr_array((lam_d, (slots.rows[d_group], d_sup)), shape=(n_rows, n))
@@ -153,7 +168,8 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     for op in (down_op, up_op, sector_op):
         op.sort_indices()
     u_resid = _residual_demand(up_op)
-    for a in (group_buyer, group_sector, seg_starts, slots.buyers, slots.rows):
+    for a in (group_buyer, group_sector, seg_starts, slots.buyers, slots.counts, slots.in_deg,
+              slots.rank, slots.rows):
         a.flags.writeable = False
     return ImpactMatrices(
         n=n, s_out=net.s_out, s_in=net.s_in, sector_of=net.sector_of, n_groups=len(guniq),
@@ -192,8 +208,10 @@ def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec
     return d_sup, lam_d, d_group, guniq
 
 
-def _group_slots(present_buyers: np.ndarray, seg_starts: np.ndarray, n_groups: int) -> GroupSlots:
-    """Rank-slot layout of the constraint groups (see GroupSlots)."""
+def _group_slots(present_buyers: np.ndarray, seg_starts: np.ndarray, group_nnz: np.ndarray,
+                 n: int) -> GroupSlots:
+    """Rank-slot layout of the constraint groups (see GroupSlots); group_nnz counts each one's edges."""
+    n_groups = len(group_nnz)
     counts = np.diff(seg_starts, append=n_groups)
     k_max = int(counts.max()) if len(counts) else 0
     # in the smallest integer type that holds them, numpy radix-sorts the keys
@@ -206,7 +224,11 @@ def _group_slots(present_buyers: np.ndarray, seg_starts: np.ndarray, n_groups: i
     # group g is the k-th group of the buyer at rank p: row p of slot k
     buyer = np.repeat(np.arange(len(counts)), counts)
     rows = slot_start[np.arange(n_groups) - seg_starts[buyer]] + rank[buyer]
-    return GroupSlots(buyers=present_buyers[order], rows=rows, sizes=tuple(sizes[:head]),
+    in_deg = np.add.reduceat(group_nnz, seg_starts) if n_groups else group_nnz
+    firm_rank = np.full(n, -1)
+    firm_rank[present_buyers] = rank
+    return GroupSlots(buyers=present_buyers[order], counts=counts[order], in_deg=in_deg[order],
+                      rank=firm_rank, rows=rows, sizes=tuple(sizes[:head]),
                       tail_slots=k_max - head, tail_rows=tail_rows)
 
 
@@ -324,38 +346,299 @@ def _group_max(y: np.ndarray, slots: GroupSlots) -> np.ndarray:
     return top
 
 
+def _subset_budget(m: ImpactMatrices, width: int) -> float:
+    """Most nonzeros of down_op and up_op a row-subset step may recompute at this width.
+
+    A product costs width + LOAD_COST one-column multiply-adds per nonzero.
+    A step pays that for each nonzero it recomputes, plus GATHER_COST for
+    copying the nonzero out and marking what it feeds, plus STEP_COST for its
+    bookkeeping; it pays off while that stays below the full products.
+    """
+    full = (width + LOAD_COST) * (m.down_op.nnz + m.up_op.nnz)
+    return (full - STEP_COST) / (width + LOAD_COST + GATHER_COST)
+
+
 class _Workspace:
     """Every buffer of a block of up to `width` columns, for blocks run one after another.
 
-    A run takes no memory of its own beyond small per-column vectors, so a
-    worker that scores many blocks touches the same pages throughout instead
-    of faulting in fresh ones every iteration. The result rows out_d and
-    out_u are overwritten by the next block.
+    A run takes no memory of its own beyond small per-column vectors and
+    index lists, so a worker that scores many blocks touches the same pages
+    throughout instead of faulting in fresh ones every iteration. The result
+    rows out_d and out_u are overwritten by the next block. s_out and u_resid
+    hold the matrices' vectors once per column, so the division and the add
+    of a full iteration run as one long loop rather than n loops of width.
+    subset holds the buffers of the row-subset iterations, where the cost
+    rule admits any at this width.
     """
 
     def __init__(self, m: ImpactMatrices, width: int):
+        n = m.n
+        self.width = width
         # h_d, its successor, scratch, h_u, its successor
-        self.levels = [np.empty(m.n * width) for _ in range(5)]
+        self.levels = [np.empty(n * width) for _ in range(5)]
         self.down = np.empty(m.down_op.shape[0] * width)  # in down_op's row order
         self.sector = np.empty(m.sector_op.shape[0] * width)
-        self.out_d, self.out_u = np.empty((width, m.n)), np.empty((width, m.n))
+        self.out_d, self.out_u = np.empty((width, n)), np.empty((width, n))
+        self.s_out, self.u_resid = (v[:, None] if width == 1 else np.repeat(v[:, None], width, axis=1)
+                                    for v in (m.s_out, m.u_resid))
+        self.subset = _RowSubset(m, self) if _subset_budget(m, width) >= 0 else None
 
 
-def _spmm(op: sparse.csr_array, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _row_nnz(indptr: np.ndarray, rows: np.ndarray) -> int:
+    """Nonzeros in the given rows of a CSR structure."""
+    return int((indptr[rows + 1] - indptr[rows]).sum())
+
+
+def _spmm(op: sparse.csr_array, x: np.ndarray, out: np.ndarray, part=None) -> np.ndarray:
     """op @ x written into out; x and out are C-contiguous (rows, width) arrays.
 
     These are the kernels scipy's own product runs (a matvec for one column),
     on a zeroed output, so every entry sums in the same order; only the
-    allocation of a new result per call is saved.
+    allocation of a new result per call is saved. part = (indptr, indices,
+    data) of rows copied out of op (_RowSubset._gather) puts only those rows
+    into out.
     """
+    ptr, idx, data = (op.indptr, op.indices, op.data) if part is None else part
     out.fill(0.0)
     if x.shape[1] == 1:
-        _sparsetools.csr_matvec(op.shape[0], op.shape[1], op.indptr, op.indices, op.data,
+        _sparsetools.csr_matvec(len(ptr) - 1, op.shape[1], ptr, idx, data,
                                 x.reshape(-1), out.reshape(-1))
     else:
-        _sparsetools.csr_matvecs(op.shape[0], op.shape[1], x.shape[1], op.indptr, op.indices,
-                                 op.data, x.reshape(-1), out.reshape(-1))
+        _sparsetools.csr_matvecs(len(ptr) - 1, op.shape[1], x.shape[1], ptr, idx, data,
+                                 x.reshape(-1), out.reshape(-1))
     return out
+
+
+def _cap_rows(h: np.ndarray, keys: np.ndarray, cap_keys: np.ndarray, cols: np.ndarray,
+              vals: np.ndarray) -> None:
+    """Apply the caps to a compact block whose row p holds the state row keyed keys[p].
+
+    keys ascend; cap_keys are the keys of the capped state rows, and caps of
+    rows outside the block are skipped.
+    """
+    pos = np.searchsorted(keys, cap_keys)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == cap_keys[hit]
+    p, c = pos[hit], cols[hit]
+    h[p, c] = np.minimum(h[p, c], vals[hit])
+
+
+def _clip01(a: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
+
+
+class _RowSubset:
+    """Iterations of a block that recompute only the rows whose inputs changed.
+
+    One instance per workspace holds the buffers; start() begins a block,
+    whose levels step() then updates in place. changed_d and changed_u hold
+    the firms whose h_d and h_u changed in the last iteration in a live
+    column. Between iterations, q == sigma * (1 - h_d) and sector ==
+    sector_op @ h_d hold for the current levels, so an iteration recomputes:
+      - the sums of the sectors of changed_d, and q of the damaged firms
+        (h_d < 1 somewhere) of those sectors, changed_d among them; where
+        h_d == 1, q is +0.0 whatever sigma is, so no other firm's q moves;
+        with fixed sigma, q of changed_d alone;
+      - every group of every buyer of a firm whose q was recomputed, found
+        through up_op's supplier -> buyer index;
+      - the up_op rows of the suppliers of changed_u: the columns of their
+        down_op rows.
+    A row computed again from bitwise-equal inputs gives the same bits, so
+    every other row keeps its value, and its decrement is exactly 0.
+
+    damaged marks the firms whose h_d has moved in the block; mark and
+    sector_mark are all-False scratch. ptr and idx (one each per index type)
+    and vals take the operator rows that _gather copies out, as many
+    nonzeros as the cost rule admits; rows takes a list of down_op rows.
+    slot_start[k] is the first down_op row of slot k. Compact results and
+    old levels go to the workspace's free level buffers.
+    """
+
+    def __init__(self, m: ImpactMatrices, ws: _Workspace):
+        n, n_rows, width = m.n, m.down_op.shape[0], ws.width
+        self.m, self.ws = m, ws
+        self.q_buf = np.empty(n * width)
+        self.damaged = np.zeros(n, dtype=bool)
+        self.mark = np.zeros(n, dtype=bool)
+        self.sector_mark = np.zeros(m.sector_op.shape[0], dtype=bool)
+        nnz = max(n, int(_subset_budget(m, width)))
+        types = {op.indices.dtype for op in (m.down_op, m.up_op, m.sector_op)}
+        self.ptr = {t: np.empty(max(n_rows, n) + 1, dtype=t) for t in types}
+        self.idx = {t: np.empty(nnz, dtype=t) for t in types}
+        self.vals = np.empty(nnz)
+        self.rows = np.empty(n_rows, dtype=np.intp)
+        slots = m.slots
+        self.slot_start = np.cumsum([0, *slots.sizes, *[slots.tail_rows] * slots.tail_slots])
+
+    def start(self, h_d: np.ndarray, sigma_fixed: np.ndarray | None) -> "_RowSubset":
+        """Begin a block at all-ones levels h_d."""
+        m = self.m
+        n, w = h_d.shape
+        self.sigma_fixed = sigma_fixed
+        self.q = self.q_buf[:n * w].reshape(n, w)
+        self.q.fill(0.0)  # sigma * (1 - 1)
+        self.sector = self.ws.sector[:m.sector_op.shape[0] * w].reshape(-1, w)
+        if sigma_fixed is None:
+            _spmm(m.sector_op, h_d, self.sector)
+        self.damaged.fill(False)
+        self.budget = _subset_budget(m, w)
+        self.changed_d = self.changed_u = None
+        return self
+
+    def _gather(self, op: sparse.csr_array, rows: np.ndarray):
+        """The given rows of op, in that order, copied out.
+
+        Returns the (indptr, indices, data) of the len(rows)-row CSR they
+        form; every row keeps its entries in their order.
+        """
+        ptr = self.ptr[op.indices.dtype][:len(rows) + 1]
+        ptr[0] = 0
+        np.take(op.indptr[1:], rows, out=ptr[1:], mode="clip")
+        ptr[1:] -= op.indptr[rows]
+        np.cumsum(ptr[1:], out=ptr[1:])
+        idx, data = self.idx[op.indices.dtype][:ptr[-1]], self.vals[:ptr[-1]]
+        if len(data) < ptr[-1]:  # the copy writes through raw pointers
+            raise RuntimeError(f"{ptr[-1]} nonzeros exceed the row-subset buffers")
+        _sparsetools.csr_row_index(len(rows), rows, op.indptr, op.indices, op.data, idx, data)
+        return ptr, idx, data
+
+    def _marked(self, op: sparse.csr_array, rows: np.ndarray) -> np.ndarray:
+        """The distinct columns with an entry in the given rows of op, ascending."""
+        _, idx, _ = self._gather(op, rows)
+        self.mark[idx] = True
+        found = np.flatnonzero(self.mark)
+        self.mark[found] = False
+        return found
+
+    def _buyer_rows(self, ranks: np.ndarray):
+        """down_op rows of every group of the buyers at ascending ranks, slot after slot.
+
+        Returns the rows and, per slot k, how many of the buyers have a row
+        there: ranks[:in_slot[k]], as they have the most groups.
+        """
+        counts = self.m.slots.counts[ranks]
+        in_slot = np.searchsorted(-counts, -np.arange(counts[0] if len(counts) else 0))
+        rows = self.rows[:counts.sum()]
+        start = 0
+        for k, c in enumerate(in_slot.tolist()):
+            np.add(ranks[:c], self.slot_start[k], out=rows[start:start + c])
+            start += c
+        return rows, in_slot
+
+    def _first(self, h_d: np.ndarray, h_u: np.ndarray, caps) -> np.ndarray:
+        """Iteration 1 from all-ones levels: only the capped rows move.
+
+        From all-ones, q = sigma * 0 = +0.0, every downstream product is 0 and
+        h_d = clip(1 - 0) = 1. Upstream, the product is the observed share s
+        that u_resid = clip(1 - s, 0, 1) was formed from by the same matvec,
+        and clip(s + clip(1 - s, 0, 1), 0, 1) is exactly 1.0 under
+        round-to-nearest: for s >= 0.5, 1 - s is exact (Sterbenz); for
+        s < 0.5 its rounding error e is at most 2**-54, and 1 + e rounds back
+        to 1.0; for s > 1 the remainder is 0 and the clip gives 1. So every
+        uncapped row stays at 1.0 bit for bit, as the full iteration leaves it.
+        """
+        rows, cols, vals = caps
+        capped = rows * h_d.shape[1] + cols
+        for h in (h_d.reshape(-1), h_u.reshape(-1)):
+            h[capped] = np.minimum(h[capped], vals)
+        level = h_d.reshape(-1)[capped]
+        dec = np.zeros(h_d.shape[1])
+        np.maximum.at(dec, cols, 1.0 - level)
+        self.changed_d = self.changed_u = np.unique(rows[level != 1.0])
+        self.damaged[self.changed_d] = True
+        return dec
+
+    def step(self, h_d: np.ndarray, h_u: np.ndarray, caps, done: np.ndarray) -> np.ndarray | None:
+        """One iteration in place; the per-column largest decrement.
+
+        Returns None, with nothing changed, when the rows to recompute hold
+        more nonzeros than the cost rule admits (_subset_budget).
+        """
+        if self.changed_d is None:
+            return self._first(h_d, h_u, caps)
+        m, ws, sigma_fixed = self.m, self.ws, self.sigma_fixed
+        w = h_d.shape[1]
+        rows, cols, vals = caps
+        changed_d, changed_u = self.changed_d, self.changed_u
+        if sigma_fixed is None:
+            marked = self.sector_mark
+            marked[m.sector_of[changed_d]] = True
+            sectors = np.flatnonzero(marked)
+            damaged = np.flatnonzero(self.damaged)
+            q_rows = damaged[marked[m.sector_of[damaged]]]
+            marked[sectors] = False
+        else:
+            sectors, q_rows = changed_d[:0], changed_d
+        # the edges out of q_rows and into changed_u all lie in rows to recompute
+        slots, up_ptr = m.slots, m.up_op.indptr
+        u_ranks = slots.rank[changed_u]
+        u_ranks = np.sort(u_ranks[u_ranks >= 0])
+        into_u = slots.in_deg[u_ranks].sum()
+        if _row_nnz(up_ptr, q_rows) + into_u > self.budget:
+            return None
+        ranks = np.sort(slots.rank[self._marked(m.up_op, q_rows)])
+        nnz_down = slots.in_deg[ranks].sum()
+        if nnz_down + into_u > self.budget:
+            return None
+        up_rows = self._marked(m.down_op, self._buyer_rows(u_ranks)[0])
+        if nnz_down + _row_nnz(up_ptr, up_rows) > self.budget:
+            return None
+        down_rows, in_slot = self._buyer_rows(ranks)
+
+        def compact(buf, k):
+            return buf[:k * w].reshape(k, w)
+
+        if len(sectors):
+            self.sector[sectors] = _spmm(m.sector_op, h_d, compact(ws.levels[4], len(sectors)),
+                                         self._gather(m.sector_op, sectors))
+        if len(q_rows):
+            hq = np.take(h_d, q_rows, axis=0, out=compact(ws.levels[1], len(q_rows)), mode="clip")
+            np.subtract(1.0, hq, out=hq)
+            if sigma_fixed is None:
+                sig = np.take(self.sector, m.sector_of[q_rows], axis=0,
+                              out=compact(ws.levels[2], len(q_rows)), mode="clip")
+                sig = _sigma(m.s_out[q_rows, None], sig, sig)
+            else:
+                sig = sigma_fixed[q_rows, None]
+            self.q[q_rows] = np.multiply(sig, hq, out=hq)
+
+        buyers, d_new, d_dec = slots.buyers[ranks], None, None
+        if len(ranks):
+            y = _spmm(m.down_op, self.q, compact(ws.down, len(down_rows)),
+                      self._gather(m.down_op, down_rows))
+            # fold every further slot onto the first: ranks[:c] have a row in it
+            d_new = y[:len(ranks)]
+            start = len(ranks)
+            for c in in_slot[1:].tolist():
+                np.maximum(d_new[:c], y[start:start + c], out=d_new[:c])
+                start += c
+            _clip01(np.subtract(1.0, d_new, out=d_new))
+            _cap_rows(d_new, ranks, slots.rank[rows], cols, vals)
+            d_dec = np.take(h_d, buyers, axis=0, out=compact(ws.levels[1], len(ranks)), mode="clip")
+            np.subtract(d_dec, d_new, out=d_dec)
+
+        u_new, u_dec = None, None
+        if len(up_rows):
+            u_new = _spmm(m.up_op, h_u, compact(ws.levels[4], len(up_rows)),
+                          self._gather(m.up_op, up_rows))
+            _clip01(np.add(u_new, m.u_resid[up_rows, None], out=u_new))
+            _cap_rows(u_new, up_rows, rows, cols, vals)
+            u_dec = np.take(h_u, up_rows, axis=0, out=compact(ws.levels[2], len(up_rows)), mode="clip")
+            np.subtract(u_dec, u_new, out=u_dec)
+
+        dec = np.zeros(w)
+        moved = []
+        for at, new, diff, h in ((buyers, d_new, d_dec, h_d), (up_rows, u_new, u_dec, h_u)):
+            if diff is None:
+                moved.append(at)
+                continue
+            diff[:, done] = 0.0  # a finished column's levels no longer matter
+            moved.append(at[(diff != 0.0).any(axis=1)])
+            np.maximum(dec, _column_max(diff), out=dec)
+            h[at] = new
+        self.changed_d, self.changed_u = moved
+        self.damaged[self.changed_d] = True
+        return dec
 
 
 def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int,
@@ -368,15 +651,24 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     stops at its first iteration whose largest level decrement is at most
     epsilon, or at max_iter unconverged, and its levels, T and converged flag
     are taken there. Finished columns ride along until at least half of the
-    live ones are done; then the live columns are compacted. Every operator
-    is applied once per iteration as a sparse x dense product, whose rows
-    accumulate in the same order as a matvec, so a column's result is
-    bit-identical whatever block it runs in. All state lives in ws (a new
-    workspace if none is given), which must be at least `width` wide.
+    live ones are done; then the live columns are compacted. All state lives
+    in ws (a new workspace if none is given), which must be at least `width`
+    wide.
+
+    An iteration recomputes only the rows whose inputs changed in the one
+    before, in place (_RowSubset); every other row keeps its bits and a
+    decrement of exactly 0, so T, converged, finishing and compaction are
+    those of recomputing every row. Once the rows to recompute pass the cost
+    rule (_subset_budget), or the block is compacted, every row is recomputed
+    from then on: each operator is applied whole, as a sparse x dense product
+    into the successor buffers. Either way every row accumulates in the same
+    order as a matvec, so a column's result is bit-identical whatever block
+    it runs in and whichever rows are recomputed.
 
     Returns (h_d, h_u, T, converged), with one row of h_d and h_u per column.
     A list passed as trace receives the CascadeState of every iteration of a
-    one-column run, t = 0 included.
+    one-column run, t = 0 included; a traced run recomputes every row from
+    t = 1, as it records pi_tilde for every group.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
@@ -387,7 +679,6 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     n, n_sectors = m.n, m.sector_op.shape[0]
     rows, cols, vals = caps
     capped = rows * width + cols  # flat positions in the (n, width) state
-    s_out, u_resid = m.s_out[:, None], m.u_resid[:, None]
     sigma = None if sigma_fixed is None else sigma_fixed[:, None]
     flats = list(ws.levels)
     n_rows = m.down_op.shape[0]
@@ -395,10 +686,11 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     def views(w):
         """The state at width w; after a compaction the same memory is viewed narrower."""
         return ([f[:n * w].reshape(n, w) for f in flats]
-                + [ws.down[:n_rows * w].reshape(-1, w), ws.sector[:n_sectors * w].reshape(-1, w)])
+                + [ws.down[:n_rows * w].reshape(-1, w), ws.sector[:n_sectors * w].reshape(-1, w),
+                   ws.s_out[:, :w], ws.u_resid[:, :w]])
 
     w = width
-    h_d, hd_new, work, h_u, hu_new, y, sector = views(w)
+    h_d, hd_new, work, h_u, hu_new, y, sector, s_out, u_resid = views(w)
     h_d.fill(1.0)
     h_u.fill(1.0)
     out_d, out_u = ws.out_d[:width], ws.out_u[:width]
@@ -406,6 +698,9 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     converged = np.zeros(width, dtype=bool)
     col_of = np.arange(width)
     done = np.zeros(width, dtype=bool)
+    subset = None  # every row: traced, or no row subset pays at this size
+    if trace is None and ws.subset is not None and _subset_budget(m, width) >= 0:
+        subset = ws.subset.start(h_d, sigma_fixed)
 
     # _sigma divides by zero where a whole sector has stopped
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -417,44 +712,48 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
                                       pi_tilde=np.ones(m.n_groups)))
 
         for t in range(1, max_iter + 1):
-            if sigma_fixed is None:
-                _spmm(m.sector_op, h_d, sector).take(m.sector_of, axis=0, out=work, mode="clip")
-                sigma = _sigma(s_out, work, work)
-            # the per-firm weighted drop is folded before the product, so
-            # every edge costs one multiply-add per column; hd_new is free
-            # until the group maximum fills it
-            np.subtract(1.0, h_d, out=hd_new)
-            np.multiply(sigma, hd_new, out=hd_new)
-            _spmm(m.down_op, hd_new, y)
-            if trace is not None:
-                pi_tilde = np.subtract(1.0, y[m.slots.rows, 0])
-                np.minimum(np.maximum(pi_tilde, 0.0, out=pi_tilde), 1.0, out=pi_tilde)
+            dec = None if subset is None else subset.step(h_d, h_u, (rows, cols, vals), done)
+            if dec is None:
+                subset = None
+                if sigma_fixed is None:
+                    _spmm(m.sector_op, h_d, sector).take(m.sector_of, axis=0, out=work, mode="clip")
+                    sigma = _sigma(s_out, work, work)
+                # the per-firm weighted drop is folded before the product, so
+                # every edge costs one multiply-add per column; hd_new is free
+                # until the group maximum fills it
+                np.subtract(1.0, h_d, out=hd_new)
+                np.multiply(sigma, hd_new, out=hd_new)
+                _spmm(m.down_op, hd_new, y)
+                if trace is not None:
+                    pi_tilde = np.subtract(1.0, y[m.slots.rows, 0])
+                    np.minimum(np.maximum(pi_tilde, 0.0, out=pi_tilde), 1.0, out=pi_tilde)
 
-            # min over a buyer's groups of clip(1 - y, 0, 1) is clip(1 - max y, 0, 1)
-            # bit for bit, as both maps are monotone
-            top = _group_max(y, m.slots)
-            np.subtract(1.0, top, out=top)
-            np.minimum(np.maximum(top, 0.0, out=top), 1.0, out=top)
-            hd_new.fill(1.0)
-            hd_new[m.slots.buyers] = top
+                # min over a buyer's groups of clip(1 - y, 0, 1) is clip(1 - max y, 0, 1)
+                # bit for bit, as both maps are monotone
+                top = _group_max(y, m.slots)
+                np.subtract(1.0, top, out=top)
+                np.minimum(np.maximum(top, 0.0, out=top), 1.0, out=top)
+                hd_new.fill(1.0)
+                hd_new[m.slots.buyers] = top
 
-            # upstream: demand-weighted buyer levels plus the unobserved remainder
-            _spmm(m.up_op, h_u, hu_new)
-            np.add(hu_new, u_resid, out=hu_new)
-            np.minimum(np.maximum(hu_new, 0.0, out=hu_new), 1.0, out=hu_new)
-            for h in (hd_new.reshape(-1), hu_new.reshape(-1)):
-                h[capped] = np.minimum(h[capped], vals)
+                # upstream: demand-weighted buyer levels plus the unobserved remainder
+                _spmm(m.up_op, h_u, hu_new)
+                np.add(hu_new, u_resid, out=hu_new)
+                np.minimum(np.maximum(hu_new, 0.0, out=hu_new), 1.0, out=hu_new)
+                for h in (hd_new.reshape(-1), hu_new.reshape(-1)):
+                    h[capped] = np.minimum(h[capped], vals)
 
-            if trace is not None:
-                trace.append(CascadeState(t=t, h_d=hd_new[:, 0].copy(), h_u=hu_new[:, 0].copy(),
-                                          sigma=sigma[:, 0].copy(), pi_tilde=pi_tilde))
-            np.subtract(h_d, hd_new, out=work)
-            np.subtract(h_u, hu_new, out=h_u)  # the old upstream levels are done with
-            np.maximum(work, h_u, out=work)
-            ok = _column_max(work) <= epsilon
+                if trace is not None:
+                    trace.append(CascadeState(t=t, h_d=hd_new[:, 0].copy(), h_u=hu_new[:, 0].copy(),
+                                              sigma=sigma[:, 0].copy(), pi_tilde=pi_tilde))
+                np.subtract(h_d, hd_new, out=work)
+                np.subtract(h_u, hu_new, out=h_u)  # the old upstream levels are done with
+                np.maximum(work, h_u, out=work)
+                dec = _column_max(work)
+                h_d, hd_new, h_u, hu_new = hd_new, h_d, hu_new, h_u
+                flats[0], flats[1], flats[3], flats[4] = flats[1], flats[0], flats[4], flats[3]
 
-            h_d, hd_new, h_u, hu_new = hd_new, h_d, hu_new, h_u
-            flats[0], flats[1], flats[3], flats[4] = flats[1], flats[0], flats[4], flats[3]
+            ok = dec <= epsilon
             if t < max_iter and not ok.any():
                 continue
             finished = ~done if t == max_iter else ~done & ok
@@ -476,11 +775,12 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
                 for src, dst in ((h_d, 1), (h_u, 4)):
                     np.take(src, keep, axis=1, out=flats[dst][:n * w].reshape(n, w), mode="clip")
                 flats[0], flats[1], flats[3], flats[4] = flats[1], flats[0], flats[4], flats[3]
-                h_d, hd_new, work, h_u, hu_new, y, sector = views(w)
+                h_d, hd_new, work, h_u, hu_new, y, sector, s_out, u_resid = views(w)
                 live = pos[cols] >= 0
                 rows, cols, vals = rows[live], pos[cols[live]], vals[live]
                 capped = rows * w + cols
                 col_of, done = col_of[keep], done[keep]
+                subset = None  # its q and sector sums are not compacted
     return out_d, out_u, T, converged
 
 
@@ -499,10 +799,10 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
     all-ones state at t = 0 included.
 
     sigma_fixed freezes the replaceability factors (for example at all-ones
-    to switch substitution off entirely); by default they are recomputed from
-    the downstream levels every iteration. net and params are not read: they
-    are passed through so every scoring entry point has the same signature.
-    This is the one-column case of the batch kernel.
+    to switch substitution off entirely), each finite and >= 0; by default
+    they are recomputed from the downstream levels every iteration. net and
+    params are not read: they are passed through so every scoring entry point
+    has the same signature. This is the one-column case of the batch kernel.
     """
     if matrices.n == 0:
         raise ValueError("cannot run a cascade on an empty network")
@@ -512,6 +812,11 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
     if sigma_fixed is not None:
         # a copy: a recorded trace freezes it, never the caller's array
         sigma_fixed = np.array(sigma_fixed, dtype=np.float64)
+        if sigma_fixed.shape != psi.shape:
+            raise ValueError(f"sigma_fixed has shape {sigma_fixed.shape}, expected {psi.shape}")
+        # sigma * (1 - 1) must be 0, as the row-subset iterations assume
+        if not np.all(np.isfinite(sigma_fixed) & (sigma_fixed >= 0)):
+            raise ValueError("sigma_fixed values must be finite and >= 0")
 
     capped = np.flatnonzero(psi < 1.0)
     trace: list[CascadeState] | None = [] if record_trace else None

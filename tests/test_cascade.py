@@ -5,15 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference import reference_rescale_for_coverage
 
 from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generate_synthetic
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
+from prodrisk import cascade
 from prodrisk.cascade import (
     ExogenousShock,
     _group_max,
     _iterate,
+    _RowSubset,
     _Workspace,
     build_impact_matrices,
     replaceability,
@@ -103,6 +107,17 @@ class TestImpactMatrices:
         assert len(pads) > 0
         assert np.all(np.diff(m.down_op.indptr)[pads] == 0)
         assert np.array_equal(np.sort(slots.buyers), m.group_buyer[m.seg_starts])
+
+    def test_group_slots_count_each_buyers_groups_and_inputs(self):
+        m = leo_matrices()
+        slots = m.slots
+        present = m.group_buyer[m.seg_starts]
+        counts = np.diff(m.seg_starts, append=m.n_groups)
+        assert np.array_equal(slots.counts, counts[np.searchsorted(present, slots.buyers)])
+        in_deg = np.bincount(m.up_op.indices, minlength=m.n)
+        assert np.array_equal(slots.in_deg, in_deg[slots.buyers])
+        assert np.array_equal(slots.rank[slots.buyers], np.arange(len(slots.buyers)))
+        assert np.all(np.delete(slots.rank, slots.buyers) == -1)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("width", [1, 16])
@@ -371,6 +386,13 @@ class TestEngine:
             run_cascade(net, m, params, good, max_iter=0)
         with pytest.raises(ValueError, match="length"):
             run_cascade(net, m, params, np.ones(net.n + 1))
+        with pytest.raises(ValueError, match="shape"):
+            run_cascade(net, m, params, good, sigma_fixed=np.ones(net.n + 1))
+        for bad in (np.nan, np.inf, -0.5):
+            sigma = np.ones(net.n)
+            sigma[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                run_cascade(net, m, params, good, sigma_fixed=sigma)
         empty = build_network([], [])
         p2, m2 = prepared(empty, Scenario.GL)
         with pytest.raises(ValueError, match="empty"):
@@ -403,3 +425,144 @@ class TestEngine:
             res.h_final[0] = 0.5
         with pytest.raises(ValueError):
             res.trace[0].h_d[0] = 0.5
+
+
+@pytest.fixture
+def every_step_subset(monkeypatch):
+    """Cost constants under which every iteration recomputes only the changed rows.
+
+    Returns a list that receives one entry per row-subset step that ran.
+    """
+    for name in ("LOAD_COST", "GATHER_COST", "STEP_COST"):
+        monkeypatch.setattr(cascade, name, 0)
+    ran = []
+    step = _RowSubset.step
+
+    def counted(self, *args):
+        dec = step(self, *args)
+        ran.append(dec is not None)
+        return dec
+
+    monkeypatch.setattr(_RowSubset, "step", counted)
+    return ran
+
+
+def subset_net():
+    firms, edges = generate_synthetic(
+        SyntheticConfig(n_firms=300, n_sectors=10, mean_out_degree=6.0, coverage=0.7), seed=13)
+    return build_network(firms, edges)
+
+
+def subset_shocks(n):
+    """Single-firm, multi-firm and partial caps, each with and without fixed sigma."""
+    rng = np.random.default_rng(13)
+    shocks = []
+    for firm in (0, 57, 131, 299):
+        psi = np.ones(n)
+        psi[firm] = 0.0
+        shocks.append(psi)
+    psi = np.ones(n)
+    psi[rng.choice(n, 6, replace=False)] = 0.0
+    shocks.append(psi)
+    psi = np.ones(n)
+    psi[rng.choice(n, 6, replace=False)] = 0.3
+    psi[rng.choice(n, 2, replace=False)] = 0.0
+    shocks.append(psi)
+    return [(psi, sigma) for psi in shocks for sigma in (None, np.ones(n))]
+
+
+class TestRowSubset:
+    """Recomputing only the rows whose inputs changed leaves every bit as it is."""
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-7])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_matches_all_rows_bit_for_bit(self, every_step_subset, scenario, epsilon):
+        net = subset_net()
+        params, m = prepared(net, scenario)
+        for psi, sigma in subset_shocks(net.n):
+            sub = run_cascade(net, m, params, psi, epsilon=epsilon, sigma_fixed=sigma)
+            full = run_cascade(net, m, params, psi, epsilon=epsilon, sigma_fixed=sigma,
+                               record_trace=True)  # every row, every iteration
+            assert sub.h_d_final.tobytes() == full.h_d_final.tobytes()
+            assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
+            assert (sub.T, sub.converged) == (full.T, full.converged)
+        assert sum(every_step_subset) > 20
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_default_cost_rule_matches_all_rows(self, scenario):
+        net = subset_net()
+        params, m = prepared(net, scenario)
+        for psi, sigma in subset_shocks(net.n):
+            sub = run_cascade(net, m, params, psi, sigma_fixed=sigma)
+            full = run_cascade(net, m, params, psi, sigma_fixed=sigma, record_trace=True)
+            assert sub.h_d_final.tobytes() == full.h_d_final.tobytes()
+            assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
+            assert (sub.T, sub.converged) == (full.T, full.converged)
+
+    @pytest.mark.parametrize("max_iter", [1000, 3])
+    @pytest.mark.parametrize("scenario", [Scenario.GL, Scenario.LEO])
+    def test_block_columns_match_all_rows(self, every_step_subset, scenario, max_iter):
+        """Columns retire, ride along and are compacted while rows are skipped."""
+        net = subset_net()
+        params, m = prepared(net, scenario)
+        ws = _Workspace(m, 16)
+        for start in (0, 144, 288):
+            firms = np.arange(start, min(start + 16, net.n))
+            h_d, h_u, T, conv = _iterate(m, (firms, firms - start, np.zeros(len(firms))),
+                                         len(firms), 1e-4, max_iter, ws=ws)
+            for j, firm in enumerate(firms):
+                psi = np.ones(net.n)
+                psi[firm] = 0.0
+                full = run_cascade(net, m, params, psi, epsilon=1e-4, max_iter=max_iter,
+                                   record_trace=True)
+                assert h_d[j].tobytes() == full.h_d_final.tobytes()
+                assert h_u[j].tobytes() == full.h_u_final.tobytes()
+                assert (T[j], conv[j]) == (full.T, full.converged)
+        assert sum(every_step_subset) > 5
+
+
+@st.composite
+def coverage_network(draw):
+    """A small network with weights and income figures far apart in magnitude."""
+    n = draw(st.integers(2, 8))
+    ids = [f"f{k}" for k in range(n)]
+    figure = st.one_of(st.none(), st.just(0.0),
+                       st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False))
+    firms = [FirmRecord(fid, draw(st.sampled_from(["0111", "2611", "4711", "9609"])),
+                        draw(figure), draw(figure)) for fid in ids]
+    weight = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 1.0, 1e16, 5e-324]),
+                       st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False))
+    ends = st.sampled_from(ids)
+    edges = draw(st.lists(st.tuples(ends, ends, weight), min_size=1, max_size=30))
+    return firms, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(coverage_network())
+def test_unshocked_step_is_bitwise_stationary(raw):
+    """One iteration from all-ones, before and after rescaling, leaves every row at 1.0.
+
+    The upstream row of a supplier is clip(s + u_resid, 0, 1), where s is its
+    observed share and u_resid = clip(1 - s, 0, 1) comes from the same matvec;
+    the row-subset iterations rely on that sum being exactly 1.0.
+    """
+    firms, edges = raw
+    net = build_network(firms, edges)
+    for scenario in (Scenario.GL, Scenario.LEO):
+        plain = build_impact_matrices(net, assign_scenario(net, scenario))
+        for m in (plain, rescale_for_coverage(plain, net.firms)):
+            res = run_cascade(net, m, None, np.ones(net.n), max_iter=1, record_trace=True)
+            assert np.all(res.trace[1].h_u == 1.0) and np.all(res.trace[1].h_d == 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 2.0))
+@example(0.5)
+@example(np.nextafter(0.5, 0.0))
+@example(1e-300)
+@example(5e-324)
+@example(np.nextafter(1.0, 2.0))
+def test_observed_share_plus_remainder_is_one(s):
+    """clip(s + clip(1 - s, 0, 1), 0, 1) == 1.0 under round-to-nearest."""
+    s = np.float64(s)
+    assert np.clip(s + np.clip(1.0 - s, 0.0, 1.0), 0.0, 1.0) == 1.0
