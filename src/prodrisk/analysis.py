@@ -9,7 +9,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .netcore import DataError, ProductionNetwork
-from .prodfun import ProductionParams
 from .cascade import ImpactMatrices, run_cascade
 from .esri import EsriVector
 
@@ -228,9 +227,8 @@ def _received_by_sector(net: ProductionNetwork, h_final: np.ndarray) -> np.ndarr
     return out
 
 
-def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices,
-                            params: ProductionParams, sector: str, magnitude: float,
-                            firm_scenarios: Sequence[Mapping[str, float]],
+def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices, sector: str,
+                            magnitude: float, firm_scenarios: Sequence[Mapping[str, float]],
                             labels: Sequence[str] | None = None,
                             epsilon: float = 1e-2, max_iter: int = 1000) -> SectorShockReport:
     """Compare a sector-wide shock against size-equivalent firm-level shocks.
@@ -280,7 +278,7 @@ def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices,
     psi_ref = np.ones(net.n)
     psi_ref[member_idx] = 1.0 - magnitude
 
-    ref_res = run_cascade(net, matrices, params, psi_ref, epsilon=epsilon, max_iter=max_iter)
+    ref_res = run_cascade(net, matrices, None, psi_ref, epsilon=epsilon, max_iter=max_iter)
     received_ref = _received_by_sector(net, ref_res.h_final)
     converged = ref_res.converged
 
@@ -288,7 +286,7 @@ def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices,
     n_sec = len(net.sectors)
     received = np.empty((k, n_sec))
     for row, psi in enumerate(psi_runs):
-        res = run_cascade(net, matrices, params, psi, epsilon=epsilon, max_iter=max_iter)
+        res = run_cascade(net, matrices, None, psi, epsilon=epsilon, max_iter=max_iter)
         converged = converged and res.converged
         received[row] = _received_by_sector(net, res.h_final)
 

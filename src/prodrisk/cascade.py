@@ -447,9 +447,10 @@ class _RowSubset:
     every other row keeps its value, and its decrement is exactly 0.
 
     damaged marks the firms whose h_d has moved in the block; mark and
-    sector_mark are all-False scratch. ptr and idx (one each per index type)
-    and vals take the operator rows that _gather copies out, as many
-    nonzeros as the cost rule admits; rows takes a list of down_op rows.
+    sector_mark are all-False scratch. ptr, idx and vals take the operator
+    rows that _gather copies out, in the index type all three operators
+    share: any rows of up_op, or as many nonzeros as the cost rule admits;
+    rows takes a list of down_op rows.
     slot_start[k] is the first down_op row of slot k. Compact results and
     old levels go to the workspace's free level buffers.
     """
@@ -461,10 +462,10 @@ class _RowSubset:
         self.damaged = np.zeros(n, dtype=bool)
         self.mark = np.zeros(n, dtype=bool)
         self.sector_mark = np.zeros(m.sector_op.shape[0], dtype=bool)
-        nnz = max(n, int(_subset_budget(m, width)))
-        types = {op.indices.dtype for op in (m.down_op, m.up_op, m.sector_op)}
-        self.ptr = {t: np.empty(max(n_rows, n) + 1, dtype=t) for t in types}
-        self.idx = {t: np.empty(nnz, dtype=t) for t in types}
+        # the up_op rows of q_rows are copied out before any count can decline a step
+        nnz = max(n, m.up_op.nnz, int(_subset_budget(m, width)))
+        self.ptr = np.empty(max(n_rows, n) + 1, dtype=m.up_op.indices.dtype)
+        self.idx = np.empty(nnz, dtype=m.up_op.indices.dtype)
         self.vals = np.empty(nnz)
         self.rows = np.empty(n_rows, dtype=np.intp)
         slots = m.slots
@@ -491,12 +492,12 @@ class _RowSubset:
         Returns the (indptr, indices, data) of the len(rows)-row CSR they
         form; every row keeps its entries in their order.
         """
-        ptr = self.ptr[op.indices.dtype][:len(rows) + 1]
+        ptr = self.ptr[:len(rows) + 1]
         ptr[0] = 0
         np.take(op.indptr[1:], rows, out=ptr[1:], mode="clip")
         ptr[1:] -= op.indptr[rows]
         np.cumsum(ptr[1:], out=ptr[1:])
-        idx, data = self.idx[op.indices.dtype][:ptr[-1]], self.vals[:ptr[-1]]
+        idx, data = self.idx[:ptr[-1]], self.vals[:ptr[-1]]
         if len(data) < ptr[-1]:  # the copy writes through raw pointers
             raise RuntimeError(f"{ptr[-1]} nonzeros exceed the row-subset buffers")
         _sparsetools.csr_row_index(len(rows), rows, op.indptr, op.indices, op.data, idx, data)
@@ -569,19 +570,17 @@ class _RowSubset:
             marked[sectors] = False
         else:
             sectors, q_rows = changed_d[:0], changed_d
-        # the edges out of q_rows and into changed_u all lie in rows to recompute
-        slots, up_ptr = m.slots, m.up_op.indptr
+        # the down_op nonzeros of changed_u's rows: their columns are the up_op rows to recompute
+        slots = m.slots
         u_ranks = slots.rank[changed_u]
         u_ranks = np.sort(u_ranks[u_ranks >= 0])
         into_u = slots.in_deg[u_ranks].sum()
-        if _row_nnz(up_ptr, q_rows) + into_u > self.budget:
-            return None
         ranks = np.sort(slots.rank[self._marked(m.up_op, q_rows)])
         nnz_down = slots.in_deg[ranks].sum()
         if nnz_down + into_u > self.budget:
             return None
         up_rows = self._marked(m.down_op, self._buyer_rows(u_ranks)[0])
-        if nnz_down + _row_nnz(up_ptr, up_rows) > self.budget:
+        if nnz_down + _row_nnz(m.up_op.indptr, up_rows) > self.budget:
             return None
         down_rows, in_slot = self._buyer_rows(ranks)
 
@@ -725,21 +724,18 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
                 np.multiply(sigma, hd_new, out=hd_new)
                 _spmm(m.down_op, hd_new, y)
                 if trace is not None:
-                    pi_tilde = np.subtract(1.0, y[m.slots.rows, 0])
-                    np.minimum(np.maximum(pi_tilde, 0.0, out=pi_tilde), 1.0, out=pi_tilde)
+                    pi_tilde = _clip01(np.subtract(1.0, y[m.slots.rows, 0]))
 
                 # min over a buyer's groups of clip(1 - y, 0, 1) is clip(1 - max y, 0, 1)
                 # bit for bit, as both maps are monotone
                 top = _group_max(y, m.slots)
-                np.subtract(1.0, top, out=top)
-                np.minimum(np.maximum(top, 0.0, out=top), 1.0, out=top)
+                _clip01(np.subtract(1.0, top, out=top))
                 hd_new.fill(1.0)
                 hd_new[m.slots.buyers] = top
 
                 # upstream: demand-weighted buyer levels plus the unobserved remainder
                 _spmm(m.up_op, h_u, hu_new)
-                np.add(hu_new, u_resid, out=hu_new)
-                np.minimum(np.maximum(hu_new, 0.0, out=hu_new), 1.0, out=hu_new)
+                _clip01(np.add(hu_new, u_resid, out=hu_new))
                 for h in (hd_new.reshape(-1), hu_new.reshape(-1)):
                     h[capped] = np.minimum(h[capped], vals)
 

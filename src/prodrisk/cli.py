@@ -202,7 +202,7 @@ def _read_esri(path) -> _LoadedVector:
             raise DataError(f"{path} line {lineno}: duplicate firm_id {fid!r}")
         seen.add(fid)
         ids.append(fid)
-        values.append(_parse_float(path, lineno, "esri", value_text))
+        values.append(_parse_amount(path, lineno, "esri", value_text))
     if not ids:
         raise DataError(f"{path}: no rows")
     return _LoadedVector(tuple(ids), np.asarray(values))
@@ -402,7 +402,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sector_experiment(args) -> int:
     net = _load_network(args)
-    params, matrices = _prepare(net, Scenario(args.scenario))
+    _, matrices = _prepare(net, Scenario(args.scenario))
 
     scenarios: list[dict[str, float]] = []
     labels: list[str] = []
@@ -420,7 +420,7 @@ def cmd_sector_experiment(args) -> int:
         labels.append(fid)
 
     report = sector_shock_experiment(
-        net, matrices, params, args.sector, args.magnitude, scenarios,
+        net, matrices, args.sector, args.magnitude, scenarios,
         labels=labels, epsilon=args.epsilon, max_iter=args.max_iter)
 
     k = len(report.labels)

@@ -9,8 +9,7 @@ for any worker count because each cascade uses a fixed accumulation order.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
-import os
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -64,14 +63,21 @@ def esri_single(net: ProductionNetwork, matrices: ImpactMatrices, params: Produc
 # single-firm shocks per kernel call: the columns of one (n, BLOCK) state
 BLOCK = 16
 
-# batch context inherited by forked workers, set just before the pool starts
-_BATCH: dict | None = None
+# the batch context of a pool worker, set once by its initializer
+_worker_ctx: dict | None = None
 
 
-def _run_range(bounds: tuple[int, int]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Run the cascades of one firm-index range against the shared context, BLOCK at a time."""
+def _init_worker(ctx: dict) -> None:
+    """Pool initializer: keep the batch context for every range this worker runs."""
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _run_range(bounds: tuple[int, int], ctx: dict | None = None
+               ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Run the cascades of one firm-index range, BLOCK at a time; ctx defaults to the worker's."""
     lo, hi = bounds
-    ctx = _BATCH
+    ctx = ctx or _worker_ctx
     m: ImpactMatrices = ctx["matrices"]
     total_out: float = ctx["total_out"]
     # one workspace per process, made by its first range, serves all its blocks
@@ -104,7 +110,6 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     per firm and the batch still completes. progress, if given, is called
     with the number of finished firms after each chunk.
     """
-    global _BATCH
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
     n = net.n
@@ -117,25 +122,21 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     T = np.empty(n, dtype=np.int64)
     conv = np.empty(n, dtype=bool)
 
-    use_pool = worker_count > 1 and "fork" in multiprocessing.get_all_start_methods()
-    _BATCH = ctx
-    try:
-        with contextlib.ExitStack() as stack:
-            run = map
-            if use_pool:
-                mp_ctx = multiprocessing.get_context("fork")
-                run = stack.enter_context(
-                    ProcessPoolExecutor(max_workers=worker_count, mp_context=mp_ctx)).map
-            done = 0
-            for lo, v, t, c in run(_run_range, bounds):
-                values[lo:lo + len(v)] = v
-                T[lo:lo + len(v)] = t
-                conv[lo:lo + len(v)] = c
-                done += len(v)
-                if progress is not None:
-                    progress(done, n)
-    finally:
-        _BATCH = None
+    with contextlib.ExitStack() as stack:
+        ranges = map(functools.partial(_run_range, ctx=ctx), bounds)
+        if worker_count > 1:
+            # each worker receives the batch context once, when it starts
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=worker_count, initializer=_init_worker, initargs=(ctx,)))
+            ranges = pool.map(_run_range, bounds)
+        done = 0
+        for lo, v, t, c in ranges:
+            values[lo:lo + len(v)] = v
+            T[lo:lo + len(v)] = t
+            conv[lo:lo + len(v)] = c
+            done += len(v)
+            if progress is not None:
+                progress(done, n)
 
     for a in (values, T, conv):
         a.flags.writeable = False

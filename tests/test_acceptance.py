@@ -296,12 +296,12 @@ def test_criterion_8_aggregation_divergence():
             ("C1", "T", 40.0), ("C2", "T", 240.0),
         ]
         net = build_network(firms, edges)
-        _, params, matrices = prepared(net, Scenario.LEO)
+        _, _, matrices = prepared(net, Scenario.LEO)
 
         # total strength of the sector: A carries 72 of 400, B the rest
         magnitude = 0.18
         report = sector_shock_experiment(
-            net, matrices, params, sector="2611", magnitude=magnitude,
+            net, matrices, sector="2611", magnitude=magnitude,
             firm_scenarios=[{"A": 0.0}, {"B": 1.0 - 72.0 / 328.0}],
             labels=["all_on_A", "all_on_B"], epsilon=1e-8, max_iter=1000)
 

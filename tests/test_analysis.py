@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 
 from prodrisk.netcore import DataError, FirmRecord, build_network
-from prodrisk.prodfun import Scenario, assign_scenario, calibrate
+from prodrisk.prodfun import Scenario, assign_scenario
 from prodrisk.cascade import build_impact_matrices
 from prodrisk.esri import EsriVector
 from prodrisk.analysis import (
@@ -195,13 +195,13 @@ def shock_net():
 def shock_fixture(scenario=Scenario.LEO):
     net = shock_net()
     spec = assign_scenario(net, scenario)
-    return net, build_impact_matrices(net, spec), calibrate(net, spec)
+    return net, build_impact_matrices(net, spec)
 
 
 class TestSectorShock:
     def test_reference_only_run(self):
-        net, m, params = shock_fixture()
-        report = sector_shock_experiment(net, m, params, "2611", 0.2, [])
+        net, m = shock_fixture()
+        report = sector_shock_experiment(net, m, "2611", 0.2, [])
         assert report.labels == ()
         assert report.received.shape == (0, len(net.sectors))
         assert report.rel_dev.shape == (0, len(net.sectors))
@@ -214,43 +214,43 @@ class TestSectorShock:
         assert hit >= 0.2 - 1e-12
 
     def test_size_equivalent_scenario_accepted(self):
-        net, m, params = shock_fixture()
+        net, m = shock_fixture()
         # sector 2611 carries 100 of combined strength, so 20 must go;
         # firm A holds 70 of it, hence psi = 1 - 20/70
         report = sector_shock_experiment(
-            net, m, params, "2611", 0.2, [{"A": 1.0 - 20.0 / 70.0}], labels=["a-only"])
+            net, m, "2611", 0.2, [{"A": 1.0 - 20.0 / 70.0}], labels=["a-only"])
         assert report.labels == ("a-only",)
         assert report.deviation_correlation.shape == (1, 1)
         assert report.received.shape == (1, len(net.sectors))
         assert np.all(report.rel_dev[0] >= 0.0)
 
     def test_default_labels(self):
-        net, m, params = shock_fixture()
+        net, m = shock_fixture()
         report = sector_shock_experiment(
-            net, m, params, "2611", 0.2, [{"A": 1.0 - 20.0 / 70.0}])
+            net, m, "2611", 0.2, [{"A": 1.0 - 20.0 / 70.0}])
         assert report.labels == ("scenario_1",)
 
     def test_unknown_sector(self):
-        net, m, params = shock_fixture()
+        net, m = shock_fixture()
         with pytest.raises(DataError, match="no firms"):
-            sector_shock_experiment(net, m, params, "9999", 0.2, [])
+            sector_shock_experiment(net, m, "9999", 0.2, [])
 
     def test_magnitude_guard(self):
-        net, m, params = shock_fixture()
+        net, m = shock_fixture()
         for bad in (0.0, 1.5, -0.2):
             with pytest.raises(ValueError, match="magnitude"):
-                sector_shock_experiment(net, m, params, "2611", bad, [])
+                sector_shock_experiment(net, m, "2611", bad, [])
 
     def test_scenario_guards(self):
-        net, m, params = shock_fixture()
+        net, m = shock_fixture()
         with pytest.raises(ValueError, match="unknown firm"):
-            sector_shock_experiment(net, m, params, "2611", 0.2, [{"nope": 0.5}])
+            sector_shock_experiment(net, m, "2611", 0.2, [{"nope": 0.5}])
         with pytest.raises(ValueError, match="must lie in"):
-            sector_shock_experiment(net, m, params, "2611", 0.2, [{"A": 1.5}])
+            sector_shock_experiment(net, m, "2611", 0.2, [{"A": 1.5}])
         with pytest.raises(ValueError, match="one label per scenario"):
-            sector_shock_experiment(net, m, params, "2611", 0.2, [{"A": 0.5}], labels=[])
+            sector_shock_experiment(net, m, "2611", 0.2, [{"A": 0.5}], labels=[])
 
     def test_wrong_size_rejected(self):
-        net, m, params = shock_fixture()
+        net, m = shock_fixture()
         with pytest.raises(ValueError, match="removes strength"):
-            sector_shock_experiment(net, m, params, "2611", 0.2, [{"A": 0.9}])
+            sector_shock_experiment(net, m, "2611", 0.2, [{"A": 0.9}])

@@ -499,6 +499,26 @@ class TestRowSubset:
             assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
             assert (sub.T, sub.converged) == (full.T, full.converged)
 
+    def test_declined_steps_fit_their_buffers(self, every_step_subset, monkeypatch):
+        """A step copies out the up_op rows of every moved q before its counts can decline it.
+
+        Under a budget far below up_op's nonzeros, those rows must still fit.
+        """
+        net = subset_net()
+        params, m = prepared(net, Scenario.GL)
+        monkeypatch.setattr(cascade, "STEP_COST", m.down_op.nnz + m.up_op.nnz - 60)
+        assert cascade._subset_budget(m, 1) == 60 < m.up_op.nnz
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            psi = np.ones(net.n)
+            psi[rng.choice(net.n, net.n // 2, replace=False)] = 0.5
+            sub = run_cascade(net, m, params, psi)
+            full = run_cascade(net, m, params, psi, record_trace=True)
+            assert sub.h_d_final.tobytes() == full.h_d_final.tobytes()
+            assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
+            assert (sub.T, sub.converged) == (full.T, full.converged)
+        assert every_step_subset.count(False) >= 5
+
     @pytest.mark.parametrize("max_iter", [1000, 3])
     @pytest.mark.parametrize("scenario", [Scenario.GL, Scenario.LEO])
     def test_block_columns_match_all_rows(self, every_step_subset, scenario, max_iter):

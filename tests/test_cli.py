@@ -348,6 +348,15 @@ class TestAnalyze:
                   [["f1", "0.5", "1", "true"], ["f1", "0.4", "1", "true"]])
         assert run("analyze", "--esri", str(path), "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_bad_values_are_data_errors(self, tmp_path, capsys, value):
+        path = tmp_path / "esri.csv"
+        write_csv(path, cli.ESRI_HEADER,
+                  [["f1", "0.5", "1", "true"], ["f2", value, "1", "true"]])
+        assert run("analyze", "--esri", str(path), "--out-dir", str(tmp_path / "an")) == 2
+        assert "esri.csv line 3" in capsys.readouterr().err
+        assert not (tmp_path / "an").exists()
+
     def test_flat_values_cannot_pick_a_window(self, tmp_path):
         path = self.esri_file(tmp_path, [0.2, 0.2, 0.2])
         assert run("analyze", "--esri", str(path), "--out-dir", str(tmp_path)) == 2
@@ -421,6 +430,15 @@ class TestCompareYears:
         assert cmp["n_matched"] == 3
         assert cmp["pearson_raw"] == pytest.approx(1.0)
         assert cmp["pearson_log"] == pytest.approx(1.0)
+
+    def test_bad_values_are_data_errors(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_csv(a, cli.ESRI_HEADER, [["f1", "0.1", "1", "true"], ["f2", "0.2", "1", "true"]])
+        write_csv(b, cli.ESRI_HEADER, [["f1", "0.2", "1", "true"], ["f2", "nan", "1", "true"]])
+        assert run("compare-years", "--esri-a", str(a), "--esri-b", str(b),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "b.csv line 3" in capsys.readouterr().err
 
     def test_small_overlap_is_a_data_error(self, tmp_path):
         a = tmp_path / "a.csv"

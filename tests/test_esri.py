@@ -1,7 +1,16 @@
 """Per-firm index batches: values, determinism, bookkeeping."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import prodrisk
 
 from prodrisk.netcore import (
     DataError,
@@ -112,6 +121,68 @@ class TestBatch:
         # a complete failure always moves some level by 1 in the first step
         assert np.all(vec.T == 1)
         assert not np.any(vec.converged)
+
+    def test_concurrent_batches_keep_their_own_context(self):
+        firms, edges = generate_synthetic(SyntheticConfig(n_firms=400), seed=3)
+        net = build_network(firms, edges)
+        jobs = {s: prepared(net, s) for s in (Scenario.GL, Scenario.LEO)}
+        serial = {s: esri_all(net, m, params) for s, (params, m) in jobs.items()}
+        assert serial[Scenario.GL].values.tobytes() != serial[Scenario.LEO].values.tobytes()
+        barrier = threading.Barrier(len(jobs))
+        got = {}
+
+        def score(scenario):
+            params, m = jobs[scenario]
+            barrier.wait(timeout=30)
+            try:
+                got[scenario] = esri_all(net, m, params)
+            except Exception as exc:  # reported below, from the test's own thread
+                got[scenario] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=score, args=(s,)) for s in jobs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for scenario, vec in serial.items():
+            assert not isinstance(got[scenario], Exception), repr(got[scenario])
+            assert got[scenario].values.tobytes() == vec.values.tobytes()
+            assert np.array_equal(got[scenario].T, vec.T)
+            assert np.array_equal(got[scenario].converged, vec.converged)
+
+    @pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
+                                        if m in multiprocessing.get_all_start_methods()])
+    def test_pool_under_start_method(self, method):
+        """Workers that start from a fresh import get the batch from their initializer."""
+        script = (
+            "import multiprocessing, sys\n"
+            "from prodrisk.netcore import SyntheticConfig, build_network, generate_synthetic\n"
+            "from prodrisk.prodfun import Scenario, assign_scenario, calibrate\n"
+            "from prodrisk.cascade import build_impact_matrices, rescale_for_coverage\n"
+            "from prodrisk.esri import esri_all\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "net = build_network(*generate_synthetic(SyntheticConfig(n_firms=150), seed=9))\n"
+            "spec = assign_scenario(net, Scenario.GL)\n"
+            "params = calibrate(net, spec)\n"
+            "m = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)\n"
+            "one, two = (esri_all(net, m, params, worker_count=w) for w in (1, 2))\n"
+            "for a, b in zip((one.values, one.T, one.converged), (two.values, two.T, two.converged)):\n"
+            "    assert a.tobytes() == b.tobytes()\n"
+            "print(multiprocessing.get_start_method())\n"
+        )
+        src = str(Path(prodrisk.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script, method], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [method]
 
     def test_invalid_worker_count(self):
         net = sink_net()
