@@ -117,9 +117,11 @@ def detect_plateau(profile: RankProfile, rel_tol: float = 0.05) -> Plateau:
 
 
 def count_above_thresholds(esri, thresholds: Sequence[float] = DEFAULT_THRESHOLDS) -> tuple[int, ...]:
-    """Number of values strictly above each threshold of a descending ladder."""
+    """Number of values strictly above each finite threshold of a descending ladder."""
     vals = _values_of(esri)
     thresholds = tuple(float(t) for t in thresholds)
+    if not all(math.isfinite(t) for t in thresholds):
+        raise ValueError("thresholds must be finite")
     for a, b in zip(thresholds, thresholds[1:]):
         if a < b:
             raise ValueError("thresholds must be sorted in descending order")

@@ -323,6 +323,20 @@ def _column_max(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(a[:rows], axis=0)
 
 
+def _fold_slots(y: np.ndarray, top_rows: int, sizes) -> tuple[np.ndarray, int]:
+    """Fold the slots of sizes[k] rows that follow y's first top_rows rows onto them, in place.
+
+    Row p of every slot belongs to the same buyer. Returns the top rows,
+    each now the maximum over its slots, and the row after the last slot.
+    """
+    top = y[:top_rows]
+    start = top_rows
+    for size in sizes:
+        np.maximum(top[:size], y[start:start + size], out=top[:size])
+        start += size
+    return top, start
+
+
 def _group_max(y: np.ndarray, slots: GroupSlots) -> np.ndarray:
     """Largest y over the constraint groups of each present buyer, in place.
 
@@ -333,11 +347,7 @@ def _group_max(y: np.ndarray, slots: GroupSlots) -> np.ndarray:
     >= +0.0 (sigma * (1 - h_d) >= 0 times positive shares, summed into a
     zeroed output), so the 0.0 of an empty pad row changes no maximum.
     """
-    top = y[:len(slots.buyers)]
-    start = len(top)
-    for size in slots.sizes[1:]:
-        np.maximum(top[:size], y[start:start + size], out=top[:size])
-        start += size
+    top, start = _fold_slots(y, len(slots.buyers), slots.sizes[1:])
     if slots.tail_slots:
         tail = y[start:].reshape(slots.tail_slots, slots.tail_rows, -1)
         head = top[:slots.tail_rows]
@@ -438,7 +448,7 @@ class _RowSubset:
       - the sums of the sectors of changed_d, and q of the damaged firms
         (h_d < 1 somewhere) of those sectors, changed_d among them; where
         h_d == 1, q is +0.0 whatever sigma is, so no other firm's q moves;
-        with fixed sigma, q of changed_d alone;
+        without substitution, q == 1 - h_d of changed_d alone;
       - every group of every buyer of a firm whose q was recomputed, found
         through up_op's supplier -> buyer index;
       - the up_op rows of the suppliers of changed_u: the columns of their
@@ -471,15 +481,15 @@ class _RowSubset:
         slots = m.slots
         self.slot_start = np.cumsum([0, *slots.sizes, *[slots.tail_rows] * slots.tail_slots])
 
-    def start(self, h_d: np.ndarray, sigma_fixed: np.ndarray | None) -> "_RowSubset":
+    def start(self, h_d: np.ndarray, substitution: bool) -> "_RowSubset":
         """Begin a block at all-ones levels h_d."""
         m = self.m
         n, w = h_d.shape
-        self.sigma_fixed = sigma_fixed
+        self.substitution = substitution
         self.q = self.q_buf[:n * w].reshape(n, w)
         self.q.fill(0.0)  # sigma * (1 - 1)
         self.sector = self.ws.sector[:m.sector_op.shape[0] * w].reshape(-1, w)
-        if sigma_fixed is None:
+        if substitution:
             _spmm(m.sector_op, h_d, self.sector)
         self.damaged.fill(False)
         self.budget = _subset_budget(m, w)
@@ -557,11 +567,11 @@ class _RowSubset:
         """
         if self.changed_d is None:
             return self._first(h_d, h_u, caps)
-        m, ws, sigma_fixed = self.m, self.ws, self.sigma_fixed
+        m, ws = self.m, self.ws
         w = h_d.shape[1]
         rows, cols, vals = caps
         changed_d, changed_u = self.changed_d, self.changed_u
-        if sigma_fixed is None:
+        if self.substitution:
             marked = self.sector_mark
             marked[m.sector_of[changed_d]] = True
             sectors = np.flatnonzero(marked)
@@ -593,24 +603,18 @@ class _RowSubset:
         if len(q_rows):
             hq = np.take(h_d, q_rows, axis=0, out=compact(ws.levels[1], len(q_rows)), mode="clip")
             np.subtract(1.0, hq, out=hq)
-            if sigma_fixed is None:
+            if self.substitution:
                 sig = np.take(self.sector, m.sector_of[q_rows], axis=0,
                               out=compact(ws.levels[2], len(q_rows)), mode="clip")
-                sig = _sigma(m.s_out[q_rows, None], sig, sig)
-            else:
-                sig = sigma_fixed[q_rows, None]
-            self.q[q_rows] = np.multiply(sig, hq, out=hq)
+                np.multiply(_sigma(m.s_out[q_rows, None], sig, sig), hq, out=hq)
+            self.q[q_rows] = hq
 
         buyers, d_new, d_dec = slots.buyers[ranks], None, None
         if len(ranks):
             y = _spmm(m.down_op, self.q, compact(ws.down, len(down_rows)),
                       self._gather(m.down_op, down_rows))
-            # fold every further slot onto the first: ranks[:c] have a row in it
-            d_new = y[:len(ranks)]
-            start = len(ranks)
-            for c in in_slot[1:].tolist():
-                np.maximum(d_new[:c], y[start:start + c], out=d_new[:c])
-                start += c
+            # ranks[:in_slot[k]] have a row in slot k
+            d_new, _ = _fold_slots(y, len(ranks), in_slot[1:].tolist())
             _clip01(np.subtract(1.0, d_new, out=d_new))
             _cap_rows(d_new, ranks, slots.rank[rows], cols, vals)
             d_dec = np.take(h_d, buyers, axis=0, out=compact(ws.levels[1], len(ranks)), mode="clip")
@@ -641,7 +645,7 @@ class _RowSubset:
 
 
 def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int,
-             epsilon: float, max_iter: int, sigma_fixed: np.ndarray | None = None,
+             epsilon: float, max_iter: int, substitution: bool = True,
              trace: list | None = None, ws: _Workspace | None = None):
     """Run `width` cascades side by side as the columns of one (n, width) state.
 
@@ -652,7 +656,7 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     are taken there. Finished columns ride along until at least half of the
     live ones are done; then the live columns are compacted. All state lives
     in ws (a new workspace if none is given), which must be at least `width`
-    wide.
+    wide. substitution=False holds every replaceability factor at 1.
 
     An iteration recomputes only the rows whose inputs changed in the one
     before, in place (_RowSubset); every other row keeps its bits and a
@@ -678,7 +682,6 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     n, n_sectors = m.n, m.sector_op.shape[0]
     rows, cols, vals = caps
     capped = rows * width + cols  # flat positions in the (n, width) state
-    sigma = None if sigma_fixed is None else sigma_fixed[:, None]
     flats = list(ws.levels)
     n_rows = m.down_op.shape[0]
 
@@ -699,14 +702,14 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     done = np.zeros(width, dtype=bool)
     subset = None  # every row: traced, or no row subset pays at this size
     if trace is None and ws.subset is not None and _subset_budget(m, width) >= 0:
-        subset = ws.subset.start(h_d, sigma_fixed)
+        subset = ws.subset.start(h_d, substitution)
 
     # _sigma divides by zero where a whole sector has stopped
     with np.errstate(divide="ignore", invalid="ignore"):
         if trace is not None:
             ones = np.ones(n)
-            sigma0 = sigma_fixed if sigma_fixed is not None else _sigma(
-                m.s_out, (m.sector_op @ ones)[m.sector_of], np.empty(n))
+            sigma0 = _sigma(m.s_out, (m.sector_op @ ones)[m.sector_of],
+                            np.empty(n)) if substitution else ones
             trace.append(CascadeState(t=0, h_d=ones, h_u=ones, sigma=sigma0,
                                       pi_tilde=np.ones(m.n_groups)))
 
@@ -714,14 +717,15 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
             dec = None if subset is None else subset.step(h_d, h_u, (rows, cols, vals), done)
             if dec is None:
                 subset = None
-                if sigma_fixed is None:
+                if substitution:
                     _spmm(m.sector_op, h_d, sector).take(m.sector_of, axis=0, out=work, mode="clip")
                     sigma = _sigma(s_out, work, work)
                 # the per-firm weighted drop is folded before the product, so
                 # every edge costs one multiply-add per column; hd_new is free
                 # until the group maximum fills it
                 np.subtract(1.0, h_d, out=hd_new)
-                np.multiply(sigma, hd_new, out=hd_new)
+                if substitution:
+                    np.multiply(sigma, hd_new, out=hd_new)
                 _spmm(m.down_op, hd_new, y)
                 if trace is not None:
                     pi_tilde = _clip01(np.subtract(1.0, y[m.slots.rows, 0]))
@@ -741,7 +745,8 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
 
                 if trace is not None:
                     trace.append(CascadeState(t=t, h_d=hd_new[:, 0].copy(), h_u=hu_new[:, 0].copy(),
-                                              sigma=sigma[:, 0].copy(), pi_tilde=pi_tilde))
+                                              sigma=sigma[:, 0].copy() if substitution else sigma0,
+                                              pi_tilde=pi_tilde))
                 np.subtract(h_d, hd_new, out=work)
                 np.subtract(h_u, hu_new, out=h_u)  # the old upstream levels are done with
                 np.maximum(work, h_u, out=work)
@@ -782,8 +787,7 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
                 psi: np.ndarray, epsilon: float = 1e-2, max_iter: int = 1000,
-                record_trace: bool = False,
-                sigma_fixed: np.ndarray | None = None) -> CascadeResult:
+                record_trace: bool = False, substitution: bool = True) -> CascadeResult:
     """Iterate the shock recursion to its fixed point.
 
     Starts from all-ones levels; the exogenous cap takes effect in the first
@@ -794,31 +798,23 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
     downstream and upstream levels. record_trace keeps every state, the
     all-ones state at t = 0 included.
 
-    sigma_fixed freezes the replaceability factors (for example at all-ones
-    to switch substitution off entirely), each finite and >= 0; by default
-    they are recomputed from the downstream levels every iteration. net and
-    params are not read: they are passed through so every scoring entry point
-    has the same signature. This is the one-column case of the batch kernel.
+    The replaceability factors are recomputed from the downstream levels
+    every iteration; substitution=False holds them at 1, so a failed
+    supplier passes its whole drop to its buyers. net and params are not
+    read: they are passed through so every scoring entry point has the same
+    signature. This is the one-column case of the batch kernel.
     """
     if matrices.n == 0:
         raise ValueError("cannot run a cascade on an empty network")
     psi = ExogenousShock(psi).psi
     if len(psi) != matrices.n:
         raise ValueError(f"psi has length {len(psi)}, expected {matrices.n}")
-    if sigma_fixed is not None:
-        # a copy: a recorded trace freezes it, never the caller's array
-        sigma_fixed = np.array(sigma_fixed, dtype=np.float64)
-        if sigma_fixed.shape != psi.shape:
-            raise ValueError(f"sigma_fixed has shape {sigma_fixed.shape}, expected {psi.shape}")
-        # sigma * (1 - 1) must be 0, as the row-subset iterations assume
-        if not np.all(np.isfinite(sigma_fixed) & (sigma_fixed >= 0)):
-            raise ValueError("sigma_fixed values must be finite and >= 0")
 
     capped = np.flatnonzero(psi < 1.0)
     trace: list[CascadeState] | None = [] if record_trace else None
     h_d, h_u, T, converged = _iterate(
         matrices, (capped, np.zeros_like(capped), psi[capped]), 1, epsilon, max_iter,
-        sigma_fixed=sigma_fixed, trace=trace)
+        substitution=substitution, trace=trace)
     h_d, h_u = h_d[0], h_u[0]
     h_final = np.minimum(h_d, h_u)
     for a in (h_final, h_d, h_u):

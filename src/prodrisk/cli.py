@@ -360,7 +360,15 @@ def cmd_esri(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    thresholds = DEFAULT_THRESHOLDS
+    if args.thresholds is not None:
+        try:
+            thresholds = tuple(float(t) for t in args.thresholds.split(","))
+        except ValueError:
+            raise ValueError(f"--thresholds {args.thresholds!r}: expected comma-separated "
+                             "numbers") from None
     vec = _read_esri(args.esri)
+    counts = count_above_thresholds(vec.values, thresholds)  # checked before any file is written
     out = _out_dir(args)
 
     profile = rank_profile(vec)
@@ -372,11 +380,6 @@ def cmd_analyze(args) -> int:
     _write_json(out / "plateau.json", {
         "size": plateau.size, "level": plateau.level, "rel_tol": args.rel_tol})
 
-    if args.thresholds is not None:
-        thresholds = tuple(float(t) for t in args.thresholds.split(","))
-    else:
-        thresholds = DEFAULT_THRESHOLDS
-    counts = count_above_thresholds(vec.values, thresholds)
     _write_json(out / "thresholds.json", {
         "thresholds": list(thresholds), "counts": list(counts)})
 

@@ -21,6 +21,9 @@ SENTINEL_SECTOR = "unclassified"
 
 # 2-digit prefixes 01-45 mark physical production, 46-99 trade and services.
 PHYSICAL_PREFIX_MAX = 45
+# synthetic sector codes are a prefix and a suffix 10-99, so each side has 90 per prefix
+PHYSICAL_CODES = PHYSICAL_PREFIX_MAX * 90
+SERVICE_CODES = (99 - PHYSICAL_PREFIX_MAX) * 90
 
 
 class NetworkError(Exception):
@@ -267,24 +270,37 @@ class SyntheticConfig:
     share_physical_sectors: float = 0.5
     coverage: float = 1.0
 
+    @property
+    def physical_sectors(self) -> int:
+        """How many of the sector codes are physical."""
+        return int(round(self.n_sectors * self.share_physical_sectors))
+
     def validate(self) -> None:
         if self.n_firms < 1:
             raise ValueError("n_firms must be >= 1")
         if self.n_sectors < 1:
             raise ValueError("n_sectors must be >= 1")
-        if not self.mean_out_degree > 0:
-            raise ValueError("mean_out_degree must be > 0")
+        if not 0 < self.mean_out_degree < math.inf:
+            raise ValueError("mean_out_degree must be finite and > 0")
         if not 0 <= self.share_physical_sectors <= 1:
             raise ValueError("share_physical_sectors must be in [0, 1]")
         if not 0 < self.coverage <= 1:
             raise ValueError("coverage must be in (0, 1]")
-        if not self.weight_sigma >= 0:
-            raise ValueError("weight_sigma must be >= 0")
+        if not math.isfinite(self.weight_mu):
+            raise ValueError("weight_mu must be finite")
+        if not 0 <= self.weight_sigma < math.inf:
+            raise ValueError("weight_sigma must be finite and >= 0")
+        n_phys = self.physical_sectors
+        if n_phys > PHYSICAL_CODES or self.n_sectors - n_phys > SERVICE_CODES:
+            raise ValueError(
+                f"n_sectors {self.n_sectors} at share_physical_sectors "
+                f"{self.share_physical_sectors} needs {n_phys} physical and "
+                f"{self.n_sectors - n_phys} service codes; 4-digit codes allow at most "
+                f"{PHYSICAL_CODES} and {SERVICE_CODES}")
 
 
-def _sector_codes(n_sectors: int, share_physical: float) -> list[str]:
-    """Distinct 4-digit codes with the requested physical/service split."""
-    n_phys = int(round(n_sectors * share_physical))
+def _sector_codes(n_sectors: int, n_phys: int) -> list[str]:
+    """Distinct 4-digit codes, the first n_phys of them physical."""
     codes = []
     for t in range(n_sectors):
         if t < n_phys:
@@ -304,14 +320,15 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[list[FirmRec
     Suppliers and buyers of each edge are drawn with probability proportional
     to per-firm Pareto fitness, which produces heavy-tailed in- and
     out-degrees. Self-loops are discarded, parallel draws are summed, and
-    the returned edge list is sorted by (supplier_id, buyer_id).
+    the returned edge list is sorted by (supplier_id, buyer_id). Raises
+    ValueError when an edge weight or a synthesized figure overflows.
     """
     config.validate()
     rng = np.random.default_rng(seed)
     n = config.n_firms
     ids = [f"F{i:06d}" for i in range(n)]
 
-    codes = _sector_codes(config.n_sectors, config.share_physical_sectors)
+    codes = _sector_codes(config.n_sectors, config.physical_sectors)
     firm_sector = rng.integers(0, config.n_sectors, size=n)
 
     m = int(round(n * config.mean_out_degree))
@@ -332,16 +349,17 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[list[FirmRec
     weight = np.bincount(inv, weights=w)
     usup, ubuy = uniq // n, uniq % n
 
-    s_out = np.bincount(usup, weights=weight, minlength=n)
-    s_in = np.bincount(ubuy, weights=weight, minlength=n)
+    with np.errstate(over="ignore"):  # checked below
+        revenue = np.bincount(usup, weights=weight, minlength=n) / config.coverage
+        material_cost = np.bincount(ubuy, weights=weight, minlength=n) / config.coverage
+    if not all(np.isfinite(a).all() for a in (weight, revenue, material_cost)):
+        raise ValueError(f"weight_mu {config.weight_mu}, weight_sigma {config.weight_sigma} and "
+                         f"coverage {config.coverage} give edge weights or income figures "
+                         "that are not finite")
 
     firms = [
-        FirmRecord(
-            ids[i],
-            codes[firm_sector[i]],
-            revenue=float(s_out[i] / config.coverage),
-            material_cost=float(s_in[i] / config.coverage),
-        )
+        FirmRecord(ids[i], codes[firm_sector[i]], revenue=float(revenue[i]),
+                   material_cost=float(material_cost[i]))
         for i in range(n)
     ]
     edges = [(ids[usup[e]], ids[ubuy[e]], float(weight[e])) for e in range(len(uniq))]

@@ -76,7 +76,7 @@ def test_criterion_1_replaceability_example():
         assert abs(res.h_final[b] - 0.99) <= 1e-12
 
         blunt = run_cascade(net, matrices, params, psi, epsilon=1e-2, max_iter=10,
-                            sigma_fixed=np.ones(net.n))
+                            substitution=False)
         assert abs(blunt.h_final[b] - 0.90) <= 1e-12
 
 

@@ -88,6 +88,11 @@ class TestThresholdCounts:
         with pytest.raises(ValueError, match="descending"):
             count_above_thresholds([1.0], thresholds=(0.1, 0.2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_thresholds_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            count_above_thresholds([0.5], thresholds=(bad, 0.1))
+
 
 class TestPowerlawFit:
     def test_hand_computed_exponent(self):

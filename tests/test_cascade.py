@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_rescale_for_coverage
+from reference import dense_net, reference_cascade, reference_rescale_for_coverage
+from test_acceptance import _micro_fixture
 
 from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generate_synthetic
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
@@ -232,12 +233,9 @@ class TestExogenousShock:
         params, m = prepared(net, Scenario.GL)
         psi = np.ones(net.n)
         psi[0] = 0.0
-        sigma = np.ones(net.n)
-        run_cascade(net, m, params, psi, record_trace=True, sigma_fixed=sigma)
+        run_cascade(net, m, params, psi, record_trace=True)
         assert psi[0] == 0.0 and psi.flags.writeable
-        assert sigma.flags.writeable
         psi[0] = 1.0  # stays writable for reuse
-        sigma[0] = 0.5
 
 
 class TestReplaceability:
@@ -386,13 +384,6 @@ class TestEngine:
             run_cascade(net, m, params, good, max_iter=0)
         with pytest.raises(ValueError, match="length"):
             run_cascade(net, m, params, np.ones(net.n + 1))
-        with pytest.raises(ValueError, match="shape"):
-            run_cascade(net, m, params, good, sigma_fixed=np.ones(net.n + 1))
-        for bad in (np.nan, np.inf, -0.5):
-            sigma = np.ones(net.n)
-            sigma[1] = bad
-            with pytest.raises(ValueError, match="finite"):
-                run_cascade(net, m, params, good, sigma_fixed=sigma)
         empty = build_network([], [])
         p2, m2 = prepared(empty, Scenario.GL)
         with pytest.raises(ValueError, match="empty"):
@@ -409,13 +400,35 @@ class TestEngine:
         psi[net.index_of["S"]] = 0.0
         damped = run_cascade(net, m, params, psi, epsilon=1e-9, max_iter=200)
         blunt = run_cascade(net, m, params, psi, epsilon=1e-9, max_iter=200,
-                            sigma_fixed=np.ones(net.n))
+                            substitution=False)
         b = net.index_of["B"]
         assert blunt.h_final[b] < damped.h_final[b]
         assert blunt.h_final[b] == pytest.approx(0.5)
         # with the failed firm at a tenth of surviving sector output the
         # damped loss is sigma * share * drop = (10/92) * 0.5
         assert damped.h_final[b] == pytest.approx(1.0 - 10.0 / 92.0 * 0.5)
+
+    def test_no_substitution_matches_dense_oracle(self):
+        """Every iteration without substitution is the oracle's at sigma = 1."""
+        for seed in range(30):
+            net = build_network(*_micro_fixture(seed))
+            if float(np.sum(net.s_out)) == 0:
+                continue
+            dn = dense_net(net)
+            rng = np.random.default_rng(2000 + seed)
+            psi = rng.uniform(0.0, 1.0, size=net.n)
+            psi[int(rng.integers(0, net.n))] = 0.0
+            for scenario in Scenario:
+                params, m = prepared(net, scenario)
+                res = run_cascade(net, m, params, psi, epsilon=1e-3, max_iter=50,
+                                  record_trace=True, substitution=False)
+                ref = reference_cascade(dn, scenario.value, psi, epsilon=1e-3, max_iter=50,
+                                        sigma_fixed=np.ones(net.n))
+                assert (res.T, res.converged) == (ref["T"], ref["converged"])
+                assert len(res.trace) == len(ref["h_d"])
+                for t, state in enumerate(res.trace):
+                    for name in ("h_d", "h_u", "sigma"):
+                        assert np.max(np.abs(getattr(state, name) - ref[name][t])) <= 1e-9
 
     def test_results_are_frozen(self):
         net = mill_net()
@@ -454,7 +467,7 @@ def subset_net():
 
 
 def subset_shocks(n):
-    """Single-firm, multi-firm and partial caps, each with and without fixed sigma."""
+    """Single-firm, multi-firm and partial caps, each with and without substitution."""
     rng = np.random.default_rng(13)
     shocks = []
     for firm in (0, 57, 131, 299):
@@ -468,7 +481,7 @@ def subset_shocks(n):
     psi[rng.choice(n, 6, replace=False)] = 0.3
     psi[rng.choice(n, 2, replace=False)] = 0.0
     shocks.append(psi)
-    return [(psi, sigma) for psi in shocks for sigma in (None, np.ones(n))]
+    return [(psi, sub) for psi in shocks for sub in (True, False)]
 
 
 class TestRowSubset:
@@ -479,9 +492,9 @@ class TestRowSubset:
     def test_matches_all_rows_bit_for_bit(self, every_step_subset, scenario, epsilon):
         net = subset_net()
         params, m = prepared(net, scenario)
-        for psi, sigma in subset_shocks(net.n):
-            sub = run_cascade(net, m, params, psi, epsilon=epsilon, sigma_fixed=sigma)
-            full = run_cascade(net, m, params, psi, epsilon=epsilon, sigma_fixed=sigma,
+        for psi, substitution in subset_shocks(net.n):
+            sub = run_cascade(net, m, params, psi, epsilon=epsilon, substitution=substitution)
+            full = run_cascade(net, m, params, psi, epsilon=epsilon, substitution=substitution,
                                record_trace=True)  # every row, every iteration
             assert sub.h_d_final.tobytes() == full.h_d_final.tobytes()
             assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
@@ -492,9 +505,9 @@ class TestRowSubset:
     def test_default_cost_rule_matches_all_rows(self, scenario):
         net = subset_net()
         params, m = prepared(net, scenario)
-        for psi, sigma in subset_shocks(net.n):
-            sub = run_cascade(net, m, params, psi, sigma_fixed=sigma)
-            full = run_cascade(net, m, params, psi, sigma_fixed=sigma, record_trace=True)
+        for psi, substitution in subset_shocks(net.n):
+            sub = run_cascade(net, m, params, psi, substitution=substitution)
+            full = run_cascade(net, m, params, psi, substitution=substitution, record_trace=True)
             assert sub.h_d_final.tobytes() == full.h_d_final.tobytes()
             assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
             assert (sub.T, sub.converged) == (full.T, full.converged)

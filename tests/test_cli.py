@@ -93,6 +93,20 @@ class TestGenerate:
         assert run("generate", "--n", "5", "--coverage", "1.5",
                    "--out-dir", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("args, name", [
+        (["--mean-out-degree", "inf"], "mean_out_degree"),
+        (["--weight-mu", "nan"], "weight_mu"),
+        (["--weight-sigma", "inf"], "weight_sigma"),
+        (["--weight-mu", "1000"], "weight_mu"),
+        (["--sectors", "9000"], "n_sectors"),
+        (["--sectors", "4100", "--share-physical", "1"], "n_sectors"),
+    ])
+    def test_parameters_esri_cannot_read_are_usage_errors(self, tmp_path, capsys, args, name):
+        out = tmp_path / "data"
+        assert run("generate", "--n", "20", *args, "--out-dir", str(out)) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFilter:
     def test_keeps_long_term_pairs(self, tmp_path, capsys):
@@ -332,6 +346,15 @@ class TestAnalyze:
         assert read_json(out / "thresholds.json")["counts"] == [1, 2]
         assert run("analyze", "--esri", str(path), "--thresholds", "0.1,0.3",
                    "--out-dir", str(out)) == 1
+
+    @pytest.mark.parametrize("ladder", ["nan,0.1", "inf,0.1", "0.1,,0.01"])
+    def test_bad_thresholds_write_nothing(self, tmp_path, capsys, ladder):
+        path = self.esri_file(tmp_path, [0.5, 0.2, 0.09, 0.01])
+        out = tmp_path / "an"
+        assert run("analyze", "--esri", str(path), "--thresholds", ladder,
+                   "--out-dir", str(out)) == 1
+        assert "thresholds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert run("analyze", "--esri", str(tmp_path / "nope.csv"),

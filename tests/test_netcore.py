@@ -1,5 +1,7 @@
 """Graph construction, filtering, synthesis and fingerprinting."""
 
+import dataclasses
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -24,6 +26,7 @@ from prodrisk.netcore import (
     normalize_nace4,
     sector_is_physical,
     split_rows,
+    _sector_codes,
 )
 from prodrisk.prodfun import Scenario, assign_scenario
 
@@ -223,6 +226,27 @@ class TestSyntheticGenerator:
         for i, f in enumerate(net.firms):
             assert f.revenue == pytest.approx(net.s_out[i] / 0.5)
             assert f.material_cost == pytest.approx(net.s_in[i] / 0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean_out_degree", math.inf), ("weight_mu", math.nan), ("weight_sigma", math.inf)])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticConfig(n_firms=5, **{field: value}).validate()
+
+    def test_overflowing_weights_rejected(self):
+        with pytest.raises(ValueError, match="weight_mu"):
+            generate_synthetic(SyntheticConfig(n_firms=20, weight_mu=1000.0), seed=0)
+
+    @pytest.mark.parametrize("n_sectors, share", [(4050, 1.0), (4860, 0.0)])
+    def test_sector_count_bounded_by_four_digit_codes(self, n_sectors, share):
+        cfg = SyntheticConfig(n_firms=200, n_sectors=n_sectors, share_physical_sectors=share)
+        codes = _sector_codes(n_sectors, cfg.physical_sectors)
+        assert len(set(codes)) == n_sectors
+        assert all(normalize_nace4(c) == c and sector_is_physical(c) == (share == 1.0)
+                   for c in codes)
+        build_network(*generate_synthetic(cfg, seed=0))
+        with pytest.raises(ValueError, match="n_sectors"):
+            dataclasses.replace(cfg, n_sectors=n_sectors + 1).validate()
 
     def test_output_builds_cleanly(self):
         cfg = SyntheticConfig(n_firms=80, n_sectors=12)
