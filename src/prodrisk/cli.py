@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import io
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ EDGES_HEADER = ["supplier_id", "buyer_id", "weight"]
 TRANSACTIONS_HEADER = ["supplier_id", "buyer_id", "date", "amount"]
 ESRI_HEADER = ["firm_id", "esri", "T", "converged"]
 PSI_HEADER = ["firm_id", "psi"]
+_BLOCK_BYTES = 1 << 16  # bytes of a table read at once, cut at a newline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,28 +106,99 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_table(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Rows of a CSV file with the given header, as (line number, fields).
+def _read_blocks(path, header: Sequence[str]
+                 ) -> Iterator[tuple[Sequence[int], list[Sequence[str]]]]:
+    """Blocks of rows of a CSV file with the given header, as (line numbers, columns).
 
     The header row is optional so hand-made fixtures stay minimal; when the
-    first row is not the header it must already be data. An empty file is an
-    empty table. Rows are yielded as they are read; wrong field counts are
-    rejected with their line number.
+    first row is not the header it must already be data. Blank rows are
+    skipped and an empty file is an empty table. Line numbers count the rows
+    csv.reader makes of the file. A wrong field count is rejected with its
+    line number; it and any other error of the file are raised once the rows
+    before them are yielded.
+
+    The file is read in blocks of about _BLOCK_BYTES, cut at a newline. A
+    block without a quote, CR or NUL byte, without a blank line or a line
+    longer than csv.field_size_limit(), and with the header's field count on
+    every line is what csv.reader reads as split on newlines and commas, so
+    it is split that way. From the first block that is not, the rest of the
+    file goes through csv.reader.
     """
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"{path}: no such file")
     header = list(header)
-    with open(p, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if lineno == 1 and row == header:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
-            yield lineno, row
+    k = len(header)
+    block_size = _BLOCK_BYTES
+    with open(p, "rb") as fh:
+        lineno = 0  # rows read so far
+        while True:
+            start = fh.tell()
+            buf = fh.read(block_size)
+            if not buf:
+                return
+            if not buf.endswith(b"\n"):
+                buf += fh.readline()
+                if not buf.endswith(b"\n"):  # the last line has no newline
+                    buf += b"\n"
+            n_lines = _plain_lines(buf, k)
+            if n_lines is None:
+                break
+            fields = buf.decode("utf-8").replace("\n", ",").split(",")
+            del fields[-1]  # after the final newline
+            skip = lineno == 0 and fields[:k] == header
+            if skip:
+                del fields[:k]
+            if fields:
+                yield (range(lineno + 1 + skip, lineno + n_lines + 1),
+                       [fields[j::k] for j in range(k)])
+            lineno += n_lines
+
+        fh.seek(start)
+        rows_per_block = max(1, block_size // 32)
+        lines: list[int] = []
+        rows: list[list[str]] = []
+        try:
+            for lineno, row in enumerate(
+                    csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline="")),
+                    start=lineno + 1):
+                if not row or (lineno == 1 and row == header):
+                    continue
+                if len(row) != k:
+                    raise DataError(f"{path} line {lineno}: expected {k} fields, got {len(row)}")
+                lines.append(lineno)
+                rows.append(row)
+                if len(rows) == rows_per_block:
+                    yield lines, list(zip(*rows))
+                    lines, rows = [], []
+        except (DataError, csv.Error, UnicodeDecodeError):
+            if rows:
+                yield lines, list(zip(*rows))
+            raise
+        if rows:
+            yield lines, list(zip(*rows))
+
+
+def _plain_lines(buf: bytes, k: int) -> int | None:
+    """Line count of a block that csv.reader reads as split on newlines and
+    commas into k fields a line, else None. buf ends with a newline. A blank
+    line has no comma, so it fails the count for the k >= 2 of every table."""
+    if b'"' in buf or b"\r" in buf or b"\0" in buf:
+        return None
+    a = np.frombuffer(buf, dtype=np.uint8)
+    newlines = np.flatnonzero(a == 10)
+    commas = np.searchsorted(np.flatnonzero(a == 44), newlines)  # before each newline
+    if (np.diff(commas, prepend=0) != k - 1).any():
+        return None
+    if np.diff(newlines, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+    return len(newlines)
+
+
+def _read_rows(path, header: Sequence[str]) -> Iterator[tuple[int, Sequence[str]]]:
+    """The rows of _read_blocks one at a time, as (line number, fields)."""
+    for lines, columns in _read_blocks(path, header):
+        yield from zip(lines, zip(*columns))
 
 
 def _parse_float(path, lineno: int, label: str, text: str) -> float:
@@ -147,21 +221,60 @@ def _parse_income(path, lineno: int, label: str, text: str) -> float | None:
     return None if text == "" else _parse_amount(path, lineno, label, text)
 
 
+def _amounts(texts: Sequence[str]) -> np.ndarray:
+    """A column of figures; ValueError unless each is a number, finite and >= 0."""
+    values = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    if not ((values >= 0).all() and np.isfinite(values).all()):
+        raise ValueError("figure not finite and >= 0")
+    return values
+
+
+def _incomes(texts: Sequence[str]) -> list[float | None]:
+    """A column of optional figures, None where empty; ValueError as _amounts."""
+    given = np.fromiter(map(bool, texts), dtype=bool, count=len(texts))
+    values = np.full(len(texts), None, dtype=object)
+    values[given] = _amounts(list(compress(texts, given))).tolist()
+    return values.tolist()
+
+
+def _first_bad_row(path, lines: Sequence[int], columns, parsers) -> NoReturn:
+    """Raise the DataError of a block's first bad figure in file order.
+
+    The column parsers only say that a block holds a bad figure; row by row,
+    each column checked with its (parser, label) in turn, names the line.
+    """
+    for lineno, *texts in zip(lines, *columns):
+        for (parse, label), text in zip(parsers, texts):
+            parse(path, lineno, label, text)
+    raise AssertionError("a column parser rejected a block whose rows all parse")
+
+
 def _read_firms(path) -> list[FirmRecord]:
-    return [FirmRecord(fid, nace, _parse_income(path, lineno, "revenue", rev),
-                       _parse_income(path, lineno, "material_cost", cost))
-            for lineno, (fid, nace, rev, cost) in _read_table(path, FIRMS_HEADER)]
+    incomes = ((_parse_income, "revenue"), (_parse_income, "material_cost"))
+    firms: list[FirmRecord] = []
+    for lines, (ids, codes, revenues, costs) in _read_blocks(path, FIRMS_HEADER):
+        try:
+            figures = _incomes(revenues), _incomes(costs)
+        except ValueError:
+            _first_bad_row(path, lines, (revenues, costs), incomes)
+        firms += map(FirmRecord, ids, codes, *figures)
+    return firms
 
 
-def _read_edges(path) -> Iterator[tuple[str, str, float]]:
-    """Edge triples streamed from the file; weights must be finite and >= 0."""
-    return ((sid, bid, _parse_amount(path, lineno, "weight", w))
-            for lineno, (sid, bid, w) in _read_table(path, EDGES_HEADER))
+def _read_edges(path) -> Iterator[tuple[Sequence[str], Sequence[str], np.ndarray]]:
+    """Edge column blocks (supplier ids, buyer ids, weights) streamed from the
+    file; weights must be finite and >= 0."""
+    for lines, (sids, bids, weights) in _read_blocks(path, EDGES_HEADER):
+        try:
+            w = _amounts(weights)
+        except ValueError:
+            _first_bad_row(path, lines, (weights,), ((_parse_amount, "weight"),))
+        yield sids, bids, w
 
 
 def _read_transactions(path) -> list[TransactionEvent]:
     events = []
-    for lineno, (sid, bid, date_text, amount_text) in _read_table(path, TRANSACTIONS_HEADER):
+    for lineno, (sid, bid, date_text, amount_text) in _read_rows(path, TRANSACTIONS_HEADER):
         try:
             date = datetime.date.fromisoformat(date_text)
         except ValueError:
@@ -175,7 +288,7 @@ def _read_transactions(path) -> list[TransactionEvent]:
 
 def _read_psi(path) -> dict[str, float]:
     psi: dict[str, float] = {}
-    for lineno, (fid, value_text) in _read_table(path, PSI_HEADER):
+    for lineno, (fid, value_text) in _read_rows(path, PSI_HEADER):
         value = _parse_float(path, lineno, "psi", value_text)
         if not 0.0 <= value <= 1.0:
             raise DataError(f"{path} line {lineno}: psi must lie in [0, 1]")
@@ -197,7 +310,7 @@ def _read_esri(path) -> _LoadedVector:
     ids: list[str] = []
     values: list[float] = []
     seen: set[str] = set()
-    for lineno, (fid, value_text, _t, _conv) in _read_table(path, ESRI_HEADER):
+    for lineno, (fid, value_text, _t, _conv) in _read_rows(path, ESRI_HEADER):
         if fid in seen:
             raise DataError(f"{path} line {lineno}: duplicate firm_id {fid!r}")
         seen.add(fid)
@@ -368,7 +481,19 @@ def cmd_analyze(args) -> int:
             raise ValueError(f"--thresholds {args.thresholds!r}: expected comma-separated "
                              "numbers") from None
     vec = _read_esri(args.esri)
-    counts = count_above_thresholds(vec.values, thresholds)  # checked before any file is written
+    # the thresholds and the tail window are checked before any file is written
+    counts = count_above_thresholds(vec.values, thresholds)
+    x_min, x_max = args.x_min, args.x_max
+    if x_min is None or x_max is None:
+        positive = vec.values[vec.values > 0]
+        if positive.size < 2 or float(positive.min()) == float(positive.max()):
+            raise DataError("cannot choose a tail window: need at least two "
+                            "distinct positive values, or pass --x-min/--x-max")
+        if x_min is None:
+            x_min = float(positive.min())
+        if x_max is None:
+            x_max = float(positive.max())
+    fit = fit_powerlaw_mle(vec.values, x_min, x_max)
     out = _out_dir(args)
 
     profile = rank_profile(vec)
@@ -383,17 +508,6 @@ def cmd_analyze(args) -> int:
     _write_json(out / "thresholds.json", {
         "thresholds": list(thresholds), "counts": list(counts)})
 
-    x_min, x_max = args.x_min, args.x_max
-    if x_min is None or x_max is None:
-        positive = vec.values[vec.values > 0]
-        if positive.size < 2 or float(positive.min()) == float(positive.max()):
-            raise DataError("cannot choose a tail window: need at least two "
-                            "distinct positive values, or pass --x-min/--x-max")
-        if x_min is None:
-            x_min = float(positive.min())
-        if x_max is None:
-            x_max = float(positive.max())
-    fit = fit_powerlaw_mle(vec.values, x_min, x_max)
     _write_json(out / "powerlaw.json", {
         "alpha_hat": fit.alpha_hat, "x_min": fit.x_min, "x_max": fit.x_max,
         "n_used": fit.n_used, "coverage": fit.coverage})

@@ -13,6 +13,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import date as _date
+from itertools import repeat
+from operator import attrgetter, is_not
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,16 +91,19 @@ class ProductionNetwork:
                  w: np.ndarray, self_loops_dropped: int = 0):
         self.firms: tuple[FirmRecord, ...] = tuple(firms)
         self.n: int = len(self.firms)
-        self.index_of: dict[str, int] = {f.firm_id: i for i, f in enumerate(self.firms)}
+        self.index_of: dict[str, int] = dict(zip(map(attrgetter("firm_id"), self.firms),
+                                                 range(self.n)))
         self.sup = np.ascontiguousarray(sup, dtype=np.int64)
         self.buy = np.ascontiguousarray(buy, dtype=np.int64)
         self.w = np.ascontiguousarray(w, dtype=np.float64)
         self.self_loops_dropped = int(self_loops_dropped)
 
         # sector bookkeeping: stable sorted code list, integer code per firm
-        self.sectors: tuple[str, ...] = tuple(sorted({f.nace4 for f in self.firms}))
-        sector_id = {c: k for k, c in enumerate(self.sectors)}
-        self.sector_of = np.array([sector_id[f.nace4] for f in self.firms], dtype=np.int64)
+        codes = list(map(attrgetter("nace4"), self.firms))
+        self.sectors: tuple[str, ...] = tuple(sorted(set(codes)))
+        sector_id = dict(zip(self.sectors, range(len(self.sectors))))
+        self.sector_of = np.fromiter(map(sector_id.__getitem__, codes), dtype=np.int64,
+                                     count=self.n)
 
         # strengths, fixed accumulation order over the canonical edge arrays;
         # without edges bincount returns int64, hence the cast
@@ -120,54 +125,46 @@ class ProductionNetwork:
         return float(np.sum(self.w))
 
 
-class _FirmIndex(dict):
-    """Firm id -> index; a missing id maps to -1 and the first one is kept."""
-
-    first_unknown: str | None = None
-
-    def __missing__(self, firm_id):
-        if self.first_unknown is None:
-            self.first_unknown = firm_id
-        return -1
-
-
 def build_network(firms: Sequence[FirmRecord],
-                  raw_edges: Iterable[tuple[str, str, float]]) -> ProductionNetwork:
-    """Validate firm and edge lists and assemble a ProductionNetwork.
+                  edge_blocks: Iterable[tuple[Sequence[str], Sequence[str], Sequence[float]]]
+                  ) -> ProductionNetwork:
+    """Validate firms and edge column blocks and assemble a ProductionNetwork.
 
+    Each block of edge_blocks is three equally long columns: supplier ids,
+    buyer ids and weights (a list or an array). A non-empty list of
+    (supplier, buyer, weight) triples is the one block ``zip(*triples)``.
     Parallel edges are summed in input order, zero-weight edges dropped,
     self-loops dropped with a count kept on the result. Firms with a missing
-    industry code are assigned the sentinel category. raw_edges is read once,
-    in full, before anything is checked, so it may be a stream.
+    industry code are assigned the sentinel category. edge_blocks is read
+    once, in full, before anything is checked, so it may be a stream.
 
-    Raises NetworkError on duplicate firm ids, revenue or material cost that
-    is NaN, infinite or negative, malformed industry codes, and then on the
-    first edge in input order with an unknown endpoint or a weight that is
-    negative, NaN or infinite.
+    Raises NetworkError on the first firm in list order with a duplicate id,
+    revenue or material cost that is NaN, infinite or negative, or a
+    malformed industry code, and then on the first edge in input order with
+    an unknown endpoint or a weight that is negative, NaN or infinite.
     """
     firms = list(firms)
-    index = _FirmIndex((f.firm_id, i) for i, f in enumerate(firms))
+    n = len(firms)
+    ids = list(map(attrgetter("firm_id"), firms))
+    index = dict(zip(ids, range(n)))
     sup_col, buy_col, w_col = array("q"), array("q"), array("d")
-    for sid, bid, weight in raw_edges:
-        sup_col.append(index[sid])
-        buy_col.append(index[bid])
-        w_col.append(float(weight))
+    first_unknown = None
+    for sids, bids, weights in edge_blocks:
+        sup = np.fromiter(map(index.get, sids, repeat(-1)), dtype=np.int64, count=len(sids))
+        buy = np.fromiter(map(index.get, bids, repeat(-1)), dtype=np.int64, count=len(bids))
+        w = np.asarray(weights, dtype=np.float64)
+        if not sup.shape == buy.shape == w.shape:
+            raise ValueError(f"edge block columns of lengths {len(sup)}, {len(buy)} and "
+                             f"{len(w)}: expected three equal lengths")
+        unknown = (sup < 0) | (buy < 0)
+        if first_unknown is None and unknown.any():
+            e = int(np.argmax(unknown))
+            first_unknown = sids[e] if sup[e] < 0 else bids[e]
+        sup_col.frombytes(sup.tobytes())
+        buy_col.frombytes(buy.tobytes())
+        w_col.frombytes(w.tobytes())
 
-    seen: set[str] = set()
-    cleaned: list[FirmRecord] = []
-    for f in firms:
-        if f.firm_id in seen:
-            raise NetworkError(f"duplicate firm_id {f.firm_id!r}")
-        seen.add(f.firm_id)
-        for label, value in (("revenue", f.revenue), ("material_cost", f.material_cost)):
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise NetworkError(
-                    f"firm {f.firm_id!r} has {label} {value!r}: expected None or finite and >= 0")
-        code = normalize_nace4(f.nace4)
-        if code != f.nace4:
-            f = FirmRecord(f.firm_id, code, f.revenue, f.material_cost)
-        cleaned.append(f)
-
+    firms = _checked_firms(firms, ids, duplicates=len(index) < n)
     sup = np.frombuffer(sup_col, dtype=np.int64)
     buy = np.frombuffer(buy_col, dtype=np.int64)
     w = np.frombuffer(w_col, dtype=np.float64)
@@ -175,7 +172,7 @@ def build_network(firms: Sequence[FirmRecord],
     if bad.any():
         e = int(np.argmax(bad))
         if sup[e] < 0 or buy[e] < 0:
-            raise NetworkError(f"edge references unknown firm_id {index.first_unknown!r}")
+            raise NetworkError(f"edge references unknown firm_id {first_unknown!r}")
         raise NetworkError(f"edge ({firms[sup[e]].firm_id!r}, {firms[buy[e]].firm_id!r}) "
                            f"has invalid weight {float(w[e])}")
 
@@ -184,11 +181,62 @@ def build_network(firms: Sequence[FirmRecord],
     keep = nonzero & ~loop
     # sorting the (supplier, buyer) keys gives the canonical order; bincount
     # adds the weights of each pair in input order
-    n = len(cleaned)
     keys, pair = np.unique(sup[keep] * n + buy[keep], return_inverse=True)
     merged = np.bincount(pair, weights=w[keep], minlength=len(keys))
-    return ProductionNetwork(cleaned, keys // n, keys % n, merged,
+    return ProductionNetwork(firms, keys // n, keys % n, merged,
                              self_loops_dropped=int(np.count_nonzero(nonzero & loop)))
+
+
+def _bad_figures(values: list) -> np.ndarray:
+    """Mask of income figures that are neither None nor finite and >= 0."""
+    given = np.fromiter(map(is_not, values, repeat(None)), dtype=bool, count=len(values))
+    x = np.array(values, dtype=np.float64)  # None reads as NaN
+    return given & ~((x >= 0) & np.isfinite(x))
+
+
+def _checked_firms(firms: list[FirmRecord], ids: list[str],
+                   duplicates: bool) -> list[FirmRecord]:
+    """The firms with normalized industry codes; NetworkError on the first bad one.
+
+    A firm is checked for a duplicate id, then its revenue, material cost and
+    code; normalize_nace4 runs once per distinct code.
+    """
+    n = len(firms)
+    codes = list(map(attrgetter("nace4"), firms))
+    normal: dict = {}
+    errors: dict = {}
+    for code in set(codes):
+        try:
+            normal[code] = normalize_nace4(code)
+        except NetworkError as exc:
+            errors[code] = exc
+
+    dup = np.zeros(n, dtype=bool)
+    if duplicates:  # the first firm of each id keeps its position
+        first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+        dup = np.fromiter(map(first.__getitem__, ids), dtype=np.int64, count=n) != np.arange(n)
+    revenue = list(map(attrgetter("revenue"), firms))
+    cost = list(map(attrgetter("material_cost"), firms))
+    bad_code = np.fromiter(map(errors.__contains__, codes), dtype=bool, count=n)
+    bad = dup | _bad_figures(revenue) | _bad_figures(cost) | bad_code
+    if bad.any():
+        i = int(np.argmax(bad))
+        f = firms[i]
+        if dup[i]:
+            raise NetworkError(f"duplicate firm_id {f.firm_id!r}")
+        for label, value in (("revenue", f.revenue), ("material_cost", f.material_cost)):
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise NetworkError(
+                    f"firm {f.firm_id!r} has {label} {value!r}: expected None or finite and >= 0")
+        raise errors[f.nace4]
+
+    renamed = {code for code, norm in normal.items() if norm != code}
+    if renamed:
+        for i in np.flatnonzero(np.fromiter(map(renamed.__contains__, codes),
+                                            dtype=bool, count=n)):
+            f = firms[i]
+            firms[i] = FirmRecord(f.firm_id, normal[f.nace4], f.revenue, f.material_cost)
+    return firms
 
 
 def filter_long_term_links(events: Iterable[TransactionEvent]) -> list[tuple[str, str, float]]:
@@ -321,7 +369,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[list[FirmRec
     to per-firm Pareto fitness, which produces heavy-tailed in- and
     out-degrees. Self-loops are discarded, parallel draws are summed, and
     the returned edge list is sorted by (supplier_id, buyer_id). Raises
-    ValueError when an edge weight or a synthesized figure overflows.
+    ValueError when an edge weight or a synthesized figure overflows, or
+    when the total weight is zero.
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -356,6 +405,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[list[FirmRec
         raise ValueError(f"weight_mu {config.weight_mu}, weight_sigma {config.weight_sigma} and "
                          f"coverage {config.coverage} give edge weights or income figures "
                          "that are not finite")
+    if not weight.sum() > 0:
+        raise ValueError(f"n_firms {n}, mean_out_degree {config.mean_out_degree}, weight_mu "
+                         f"{config.weight_mu} and weight_sigma {config.weight_sigma} give a "
+                         "network whose total weight is zero, so no loss can be scored")
 
     firms = [
         FirmRecord(ids[i], codes[firm_sector[i]], revenue=float(revenue[i]),

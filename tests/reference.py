@@ -8,18 +8,23 @@ meaningful evidence rather than a tautology.
 The network builder, the calibration and the coverage rescaling at the
 end are the package's earlier per-edge and per-firm loops, kept as
 references for the columnar versions that replaced them. They fill the package's own result classes,
-so the two can be compared field by field.
+so the two can be compared field by field. The row-by-row CSV reader of
+the command line is kept the same way, for its block reader.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 
 from prodrisk.cascade import ImpactMatrices, _residual_demand, _scale_rows
-from prodrisk.netcore import FirmRecord, NetworkError, ProductionNetwork, normalize_nace4
+from prodrisk.cli import EDGES_HEADER, FIRMS_HEADER, _parse_amount, _parse_income
+from prodrisk.netcore import (DataError, FirmRecord, NetworkError, ProductionNetwork,
+                              normalize_nace4)
 from prodrisk.prodfun import ProductionParams
 
 PHYS = {f"{p:02d}" for p in range(1, 46)}
@@ -233,6 +238,45 @@ def reference_filter(events):
         if cnt >= 2 and (hi - lo).days >= 90:
             out.append((sid, bid, total))
     return out
+
+
+def edge_blocks(triples, cuts=()):
+    """build_network's column blocks of a list of edge triples, cut before
+    each index in cuts; one block when there is no cut."""
+    bounds = [0, *sorted(cuts), len(triples)]
+    return [([s for s, _, _ in part], [b for _, b, _ in part], [w for _, _, w in part])
+            for part in (triples[a:b] for a, b in zip(bounds, bounds[1:]))]
+
+
+def reference_read_table(path, header):
+    """Rows of a CSV file with the given header, as (line number, fields),
+    one csv.reader row at a time; the header row is optional."""
+    p = Path(path)
+    if not p.is_file():
+        raise ValueError(f"{path}: no such file")
+    header = list(header)
+    with open(p, encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if lineno == 1 and row == header:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
+
+
+def reference_read_firms(path) -> list[FirmRecord]:
+    return [FirmRecord(fid, nace, _parse_income(path, lineno, "revenue", rev),
+                       _parse_income(path, lineno, "material_cost", cost))
+            for lineno, (fid, nace, rev, cost) in reference_read_table(path, FIRMS_HEADER)]
+
+
+def reference_read_edges(path):
+    """Edge triples streamed from the file; weights must be finite and >= 0."""
+    return ((sid, bid, _parse_amount(path, lineno, "weight", w))
+            for lineno, (sid, bid, w) in reference_read_table(path, EDGES_HEADER))
 
 
 def reference_build_network(firms, raw_edges) -> ProductionNetwork:

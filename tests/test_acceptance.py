@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from conftest import criterion
-from reference import DenseNet, dense_net, reference_cascade, reference_esri, reference_filter
+from reference import (DenseNet, dense_net, edge_blocks, reference_cascade, reference_esri,
+                       reference_filter)
 
 from prodrisk.netcore import (
     FirmRecord,
@@ -59,7 +60,7 @@ def test_criterion_1_replaceability_example():
             FirmRecord("D", "9999"),
         ]
         edges = [("S", "B", 10.0), ("Z", "B", 10.0), ("X", "D", 82.0)]
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         _, params, matrices = prepared(net, Scenario.LEO)
         b = net.index_of["B"]
         s = net.index_of["S"]
@@ -117,7 +118,7 @@ def test_criterion_2_dense_oracle_equivalence():
         t0 = time.perf_counter()
         for seed in range(100):
             firms, raw = _micro_fixture(seed)
-            net = build_network(firms, raw)
+            net = build_network(firms, edge_blocks(raw))
             if float(np.sum(net.s_out)) == 0:
                 continue
             dn = dense_net(net)
@@ -154,7 +155,7 @@ def test_criterion_3_monotone_convergence():
         for seed in range(100):
             cfg = SyntheticConfig(n_firms=200, coverage=1.0 if seed % 2 else 0.7)
             firms, edges = generate_synthetic(cfg, seed=seed)
-            net = build_network(firms, edges)
+            net = build_network(firms, edge_blocks(edges))
             scenario = ALL_SCENARIOS[seed % 4]
             _, params, matrices = prepared(net, scenario)
             total = float(np.sum(net.s_out))
@@ -186,7 +187,7 @@ def test_criterion_4_scenario_bounds():
             cfg = SyntheticConfig(n_firms=200, coverage=0.35,
                                   share_physical_sectors=0.75)
             firms, edges = generate_synthetic(cfg, seed=seed)
-            net = build_network(firms, edges)
+            net = build_network(firms, edge_blocks(edges))
             vals = {}
             for scenario in ALL_SCENARIOS:
                 _, params, matrices = prepared(net, scenario)
@@ -208,7 +209,7 @@ def test_criterion_5_self_loss_bound():
             FirmRecord("C", "2611"), FirmRecord("D", "4711"),
         ]
         edges = [("A", "D", 5.0), ("B", "D", 5.0), ("C", "D", 85.0), ("D", "A", 2.0)]
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         for scenario in ALL_SCENARIOS:
             _, params, matrices = prepared(net, scenario)
             vec = esri_all(net, matrices, params, epsilon=1e-2, max_iter=1000)
@@ -248,7 +249,7 @@ def _chain_fixture(with_side_suppliers: bool):
         for k, tgt in enumerate(chain[1:]):
             firms.append(FirmRecord(f"U{tgt}", f"{10 + k}11"))
             edges.append((f"U{tgt}", tgt, 10.0))
-    return build_network(firms, edges)
+    return build_network(firms, edge_blocks(edges))
 
 
 def test_criterion_7_chain_propagation():
@@ -295,7 +296,7 @@ def test_criterion_8_aggregation_divergence():
             ("A", "C1", 50.0), ("B", "C2", 298.0),
             ("C1", "T", 40.0), ("C2", "T", 240.0),
         ]
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         _, _, matrices = prepared(net, Scenario.LEO)
 
         # total strength of the sector: A carries 72 of 400, B the rest

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from reference import edge_blocks
+
 from prodrisk.netcore import DataError, FirmRecord, build_network
 from prodrisk.prodfun import Scenario, assign_scenario
 from prodrisk.cascade import build_impact_matrices
@@ -194,7 +196,7 @@ def shock_net():
     firms = [FirmRecord("P", "1001"), FirmRecord("A", "2611"), FirmRecord("B", "2611"),
              FirmRecord("C1", "5001"), FirmRecord("C2", "6001")]
     edges = [("P", "A", 20.0), ("A", "C1", 50.0), ("B", "C2", 30.0)]
-    return build_network(firms, edges)
+    return build_network(firms, edge_blocks(edges))
 
 
 def shock_fixture(scenario=Scenario.LEO):

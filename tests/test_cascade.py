@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import dense_net, reference_cascade, reference_rescale_for_coverage
+from reference import (dense_net, edge_blocks, reference_cascade,
+                       reference_rescale_for_coverage)
 from test_acceptance import _micro_fixture
 
 from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generate_synthetic
@@ -35,7 +36,7 @@ def mill_net(revenue=None, material_cost=None):
         FirmRecord("shop", "4711"),
     ]
     edges = [("wheat", "mill", 40.0), ("consult", "mill", 10.0), ("mill", "shop", 100.0)]
-    return build_network(firms, edges)
+    return build_network(firms, edge_blocks(edges))
 
 
 def prepared(net, scenario):
@@ -48,7 +49,7 @@ def leo_matrices(scenario=Scenario.LEO):
     """150 firms in 8 sectors: under leo, head folds and a padded tail."""
     firms, edges = generate_synthetic(
         SyntheticConfig(n_firms=150, n_sectors=8, mean_out_degree=6.0), seed=5)
-    net = build_network(firms, edges)
+    net = build_network(firms, edge_blocks(edges))
     return build_impact_matrices(net, assign_scenario(net, scenario))
 
 
@@ -143,7 +144,7 @@ class TestImpactMatrices:
 
     def test_share_sums_bounded(self):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=40), seed=2)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         for scenario in Scenario:
             m = build_impact_matrices(net, assign_scenario(net, scenario))
             for g, total in enumerate(m.down_op.sum(axis=1)[m.slots.rows]):
@@ -186,7 +187,7 @@ class TestImpactMatrices:
         """Column factors against the per-firm loop, on missing, zero and tiny figures."""
         firms, edges = generate_synthetic(
             SyntheticConfig(n_firms=300, n_sectors=12, coverage=0.8), seed=7)
-        observed = build_network(firms, edges)
+        observed = build_network(firms, edge_blocks(edges))
         rng = np.random.default_rng(7)
 
         def figure(f, s):
@@ -196,7 +197,7 @@ class TestImpactMatrices:
         firms = [FirmRecord(f.firm_id, f.nace4, figure(f.revenue, observed.s_out[i]),
                             figure(f.material_cost, observed.s_in[i]))
                  for i, f in enumerate(observed.firms)]
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         for scenario in Scenario:
             plain = build_impact_matrices(net, assign_scenario(net, scenario))
             with warnings.catch_warnings():
@@ -244,7 +245,7 @@ class TestReplaceability:
                  FirmRecord("X", "2611"), FirmRecord("B", "1071"),
                  FirmRecord("D", "9999")]
         edges = [("S", "B", 10.0), ("Z", "B", 10.0), ("X", "D", 82.0)]
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         h = np.ones(net.n)
         h[net.index_of["S"]] = 0.8
         sigma = replaceability(h, net)
@@ -252,14 +253,14 @@ class TestReplaceability:
 
     def test_dead_sector_gives_one(self):
         firms = [FirmRecord("a", "0111"), FirmRecord("b", "4711")]
-        net = build_network(firms, [("a", "b", 3.0)])
+        net = build_network(firms, edge_blocks([("a", "b", 3.0)]))
         sigma = replaceability(np.array([0.0, 1.0]), net)
         assert sigma[net.index_of["a"]] == 1.0
 
     def test_capped_at_one(self):
         firms = [FirmRecord("a", "0111"), FirmRecord("b", "0111"),
                  FirmRecord("c", "4711")]
-        net = build_network(firms, [("a", "c", 6.0), ("b", "c", 4.0)])
+        net = build_network(firms, edge_blocks([("a", "c", 6.0), ("b", "c", 4.0)]))
         sigma = replaceability(np.array([1.0, 0.1, 1.0]), net)
         assert sigma[net.index_of["a"]] == pytest.approx(6.0 / 6.4)
         assert sigma[net.index_of["b"]] == pytest.approx(4.0 / 6.4)
@@ -278,7 +279,7 @@ class TestEngine:
     def test_no_shock_exact_at_scale_with_low_coverage(self):
         firms, edges = generate_synthetic(
             SyntheticConfig(n_firms=200, coverage=0.35), seed=11)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         params, m = prepared(net, Scenario.GL)
         res = run_cascade(net, m, params, np.ones(net.n))
         assert np.all(res.h_final == 1.0) and res.T == 1
@@ -304,7 +305,7 @@ class TestEngine:
 
     def test_trace_pi_tilde_is_the_clipped_downstream_product(self):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=80, n_sectors=6), seed=7)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         params, m = prepared(net, Scenario.LEO)
         psi = np.ones(net.n)
         psi[int(np.argmax(net.s_out))] = 0.0
@@ -322,7 +323,7 @@ class TestEngine:
     def test_reused_workspace_allocates_no_state_sized_array(self):
         """Blocks run in one workspace; no iteration makes a new (rows, width) array."""
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=2000, n_sectors=8), seed=11)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         _, m = prepared(net, Scenario.LEO)
         width = 16
         cols = np.arange(width)
@@ -394,7 +395,7 @@ class TestEngine:
                  FirmRecord("X", "2611"), FirmRecord("B", "1071"),
                  FirmRecord("D", "9999")]
         edges = [("S", "B", 10.0), ("Z", "B", 10.0), ("X", "D", 82.0)]
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         params, m = prepared(net, Scenario.LEO)
         psi = np.ones(net.n)
         psi[net.index_of["S"]] = 0.0
@@ -411,7 +412,8 @@ class TestEngine:
     def test_no_substitution_matches_dense_oracle(self):
         """Every iteration without substitution is the oracle's at sigma = 1."""
         for seed in range(30):
-            net = build_network(*_micro_fixture(seed))
+            firms, edges = _micro_fixture(seed)
+            net = build_network(firms, edge_blocks(edges))
             if float(np.sum(net.s_out)) == 0:
                 continue
             dn = dense_net(net)
@@ -463,7 +465,7 @@ def every_step_subset(monkeypatch):
 def subset_net():
     firms, edges = generate_synthetic(
         SyntheticConfig(n_firms=300, n_sectors=10, mean_out_degree=6.0, coverage=0.7), seed=13)
-    return build_network(firms, edges)
+    return build_network(firms, edge_blocks(edges))
 
 
 def subset_shocks(n):
@@ -580,7 +582,7 @@ def test_unshocked_step_is_bitwise_stationary(raw):
     the row-subset iterations rely on that sum being exactly 1.0.
     """
     firms, edges = raw
-    net = build_network(firms, edges)
+    net = build_network(firms, edge_blocks(edges))
     for scenario in (Scenario.GL, Scenario.LEO):
         plain = build_impact_matrices(net, assign_scenario(net, scenario))
         for m in (plain, rescale_for_coverage(plain, net.firms)):

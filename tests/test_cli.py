@@ -3,10 +3,19 @@
 import csv
 import json
 import math
+import tempfile
 import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from reference import (edge_blocks, reference_read_edges, reference_read_firms,
+                       reference_read_table)
 
 from prodrisk import cli
 from prodrisk.netcore import FirmRecord, build_network
@@ -57,7 +66,7 @@ def load_network(data):
                         float(cost) if cost else None)
              for fid, nace, rev, cost in read_rows(data / "firms.csv")[1:]]
     edges = [(s, b, float(w)) for s, b, w in read_rows(data / "edges.csv")[1:]]
-    return build_network(firms, edges)
+    return build_network(firms, edge_blocks(edges))
 
 
 def chain_dir(tmp_path):
@@ -68,6 +77,107 @@ def chain_dir(tmp_path):
               [["a", "0111", "", ""], ["b", "4711", "", ""]])
     write_csv(out / "edges.csv", cli.EDGES_HEADER, [["a", "b", "10.0"]])
     return out
+
+
+# fields csv.reader reads as they are, and fields that need quotes, a CR or a NUL
+IDS = st.sampled_from(["F1", "F2", "é", "日本", "a b", "", "sp ", "\u2028", "a\x00b",
+                       'x"y', "q,r", "two\nlines", "cr\rhere"])
+# good, negative, non-finite and unparsable figures
+FIGURES = st.sampled_from(["1.5", "0", "0.0", "-0.0", "5e-324", "1e308", "2_0", " 3",
+                           "4.25", "", "x", "-1", "nan", "inf", "1e400"])
+
+
+@st.composite
+def csv_text(draw, header):
+    """CSV text in the given header's shape: ids, then figures after the
+    second field, with quoted fields, CR and CRLF line ends, blank lines,
+    wrong field counts, header rows, and the first header row and the final
+    newline optional."""
+    k = len(header)
+    lines = [",".join(header)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 19)) == 0:  # the header as a data row
+            lines.append(",".join(header))
+            continue
+        width = k if draw(st.integers(0, 9)) else draw(st.sampled_from([1, k - 1, k + 1]))
+        fields = []
+        for j in range(width):
+            text = draw(IDS if j < 2 else FIGURES)
+            if any(c in text for c in ',"\r\n') or draw(st.integers(0, 19)) == 0:
+                text = '"' + text.replace('"', '""') + '"'
+            fields.append(text)
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    ends = st.sampled_from(["\n"] * 8 + ["\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def outcome_of(read):
+    """Everything read before an error, and the error's type and text."""
+    got = []
+    try:
+        for item in read():
+            got.append(item)
+    except (ValueError, cli.DataError, csv.Error) as exc:
+        return got, (type(exc).__name__, str(exc))
+    return got, None
+
+
+def block_rows(path, header):
+    for lines, columns in cli._read_blocks(path, header):
+        for lineno, fields in zip(lines, zip(*columns)):
+            yield lineno, list(fields)
+
+
+def edge_triples(path):
+    for sids, bids, w in cli._read_edges(path):
+        yield from zip(sids, bids, map(float.hex, w.tolist()))
+
+
+class TestBlockReader:
+    """The block reader against the row reader it replaced: same rows, same line
+    numbers, same first error, at block sizes of 1-64 bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([cli.EDGES_HEADER, cli.FIRMS_HEADER]).flatmap(
+               lambda h: st.tuples(st.just(h), csv_text(h))),
+           st.integers(1, 64), st.sampled_from([None, 3, 12]))
+    @example((cli.EDGES_HEADER, "a,b,1\r\nc,d,2\n"), 64, None)
+    @example((cli.EDGES_HEADER, "a,b,1\n\nc,d\n"), 1, None)
+    @example((cli.EDGES_HEADER, 'supplier_id,buyer_id,weight\na,"b\nc",-1\n'), 8, None)
+    @example((cli.FIRMS_HEADER, "a,0111,1,\nlongfield,0111,,\n"), 64, 8)
+    @example((cli.EDGES_HEADER, "a,b,1\n" * 4 + "a,b,-1\na,b,1\na,b,x\n"), 64, None)
+    @example((cli.EDGES_HEADER, '"a",b,1\na,b,-1\na,b\n'), 64, None)
+    @example((cli.FIRMS_HEADER, "a,0111,1,x\nb,0111,-1,1\n"), 64, None)
+    def test_same_rows_and_errors_as_row_reader(self, table, size, limit):
+        header, text = table
+        old_limit = csv.field_size_limit()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_BLOCK_BYTES", size):
+            path = Path(tmp) / "table.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                if limit is not None:
+                    csv.field_size_limit(limit)
+                assert (outcome_of(lambda: block_rows(path, header))
+                        == outcome_of(lambda: reference_read_table(path, header)))
+                if header == cli.EDGES_HEADER:
+                    got, ref = (outcome_of(lambda: edge_triples(path)),
+                                outcome_of(lambda: ((s, b, w.hex())
+                                                    for s, b, w in reference_read_edges(path))))
+                else:
+                    got, ref = (outcome_of(lambda: map(astuple, cli._read_firms(path))),
+                                outcome_of(lambda: map(astuple, reference_read_firms(path))))
+            finally:
+                csv.field_size_limit(old_limit)
+        # the first bad row wins; rows before it are checked in blocks
+        assert got[1] == ref[1]
+        if ref[1] is None:
+            assert [list(map(repr, r)) for r in got[0]] == [list(map(repr, r)) for r in ref[0]]
 
 
 class TestGenerate:
@@ -105,6 +215,15 @@ class TestGenerate:
         out = tmp_path / "data"
         assert run("generate", "--n", "20", *args, "--out-dir", str(out)) == 1
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--n", "1"], ["--n", "20", "--weight-mu", "-1000"]])
+    def test_zero_total_weight_is_a_usage_error(self, tmp_path, capsys, args):
+        """One firm has only self-loops; at mu = -1000 every weight underflows to 0."""
+        out = tmp_path / "data"
+        assert run("generate", *args, "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "total weight is zero" in err and "n_firms" in err and "weight_mu" in err
         assert not out.exists()
 
 
@@ -354,6 +473,15 @@ class TestAnalyze:
         assert run("analyze", "--esri", str(path), "--thresholds", ladder,
                    "--out-dir", str(out)) == 1
         assert "thresholds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", [["--x-min", "0.3", "--x-max", "0.1"],
+                                        ["--x-max", "inf"]])
+    def test_bad_window_writes_nothing(self, tmp_path, capsys, window):
+        path = self.esri_file(tmp_path, [0.5, 0.2, 0.09])
+        out = tmp_path / "an"
+        assert run("analyze", "--esri", str(path), *window, "--out-dir", str(out)) == 1
+        assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_is_a_usage_error(self, tmp_path):

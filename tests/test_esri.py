@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import edge_blocks
+
 import prodrisk
 
 from prodrisk.netcore import (
@@ -38,7 +40,7 @@ def sink_net():
              FirmRecord("C", "0311"), FirmRecord("E", "0411"),
              FirmRecord("D", "4711")]
     edges = [("A", "D", 5.0), ("B", "D", 5.0), ("C", "D", 5.0), ("E", "D", 85.0)]
-    return build_network(firms, edges)
+    return build_network(firms, edge_blocks(edges))
 
 
 class TestSingle:
@@ -53,7 +55,7 @@ class TestSingle:
 
     def test_matches_batch_entry(self):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=30), seed=4)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         params, m = prepared(net, Scenario.GL)
         vec = esri_all(net, m, params)
         for firm in (0, 7, 29):
@@ -80,7 +82,7 @@ class TestSingle:
 class TestBatch:
     def test_worker_count_does_not_change_results(self):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=150), seed=9)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         params, m = prepared(net, Scenario.GL)
         one = esri_all(net, m, params, worker_count=1)
         two = esri_all(net, m, params, worker_count=2)
@@ -90,7 +92,7 @@ class TestBatch:
 
     def test_progress_reports_cover_all_firms(self):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=130), seed=2)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         params, m = prepared(net, Scenario.LIN)
         calls = []
         esri_all(net, m, params, progress=lambda done, total: calls.append((done, total)))
@@ -124,7 +126,7 @@ class TestBatch:
 
     def test_concurrent_batches_keep_their_own_context(self):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=400), seed=3)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         jobs = {s: prepared(net, s) for s in (Scenario.GL, Scenario.LEO)}
         serial = {s: esri_all(net, m, params) for s, (params, m) in jobs.items()}
         assert serial[Scenario.GL].values.tobytes() != serial[Scenario.LEO].values.tobytes()
@@ -167,7 +169,8 @@ class TestBatch:
             "from prodrisk.cascade import build_impact_matrices, rescale_for_coverage\n"
             "from prodrisk.esri import esri_all\n"
             "multiprocessing.set_start_method(sys.argv[1])\n"
-            "net = build_network(*generate_synthetic(SyntheticConfig(n_firms=150), seed=9))\n"
+            "firms, edges = generate_synthetic(SyntheticConfig(n_firms=150), seed=9)\n"
+            "net = build_network(firms, [zip(*edges)])\n"
             "spec = assign_scenario(net, Scenario.GL)\n"
             "params = calibrate(net, spec)\n"
             "m = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)\n"
@@ -198,7 +201,7 @@ class TestBlocks:
     def net(self):
         firms, edges = generate_synthetic(
             SyntheticConfig(n_firms=150, n_sectors=8, mean_out_degree=6.0, coverage=0.7), seed=5)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         assert net.n % BLOCK != 0
         return net
 
@@ -231,7 +234,7 @@ class TestBlocks:
 class TestSuite:
     def test_fingerprints_the_network_once(self, monkeypatch):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=40), seed=3)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         calls = []
         real = netcore._content_hash
         monkeypatch.setattr(netcore, "_content_hash", lambda n: calls.append(n) or real(n))
@@ -241,7 +244,7 @@ class TestSuite:
 
     def test_progress_counts_every_scenario(self):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=70), seed=3)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         calls = []
         scenario_suite(net, progress=lambda done, total: calls.append((done, total)))
         assert [c[0] for c in calls] == sorted(c[0] for c in calls)
@@ -250,7 +253,7 @@ class TestSuite:
 
     def test_runs_all_four_scenarios(self):
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=40, coverage=0.5), seed=1)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         out = scenario_suite(net, epsilon=1e-3)
         assert set(out) == set(Scenario)
         prints = {v.network_fingerprint for v in out.values()}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_build_network, reference_input_matrix
+from reference import edge_blocks, reference_build_network, reference_input_matrix
 
 from prodrisk.cascade import build_impact_matrices, run_cascade
 from prodrisk.netcore import (
@@ -37,7 +37,7 @@ def square_net():
         FirmRecord("c", "4711"), FirmRecord("d", ""),
     ]
     edges = [("a", "c", 3.0), ("b", "c", 1.0), ("c", "d", 2.0), ("d", "a", 5.0)]
-    return build_network(firms, edges)
+    return build_network(firms, edge_blocks(edges))
 
 
 def input_rows(net):
@@ -86,19 +86,19 @@ class TestBuildNetwork:
 
     def test_parallel_edges_summed(self):
         firms = [FirmRecord("a"), FirmRecord("b")]
-        net = build_network(firms, [("a", "b", 1.5), ("a", "b", 2.5)])
+        net = build_network(firms, edge_blocks([("a", "b", 1.5), ("a", "b", 2.5)]))
         assert net.n_edges == 1
         assert net.w[0] == 4.0
 
     def test_self_loops_dropped_and_counted(self):
         firms = [FirmRecord("a"), FirmRecord("b")]
-        net = build_network(firms, [("a", "a", 9.0), ("a", "b", 1.0)])
+        net = build_network(firms, edge_blocks([("a", "a", 9.0), ("a", "b", 1.0)]))
         assert net.n_edges == 1
         assert net.self_loops_dropped == 1
 
     def test_zero_weight_edges_dropped(self):
         firms = [FirmRecord("a"), FirmRecord("b")]
-        net = build_network(firms, [("a", "b", 0.0)])
+        net = build_network(firms, edge_blocks([("a", "b", 0.0)]))
         assert net.n_edges == 0
 
     def test_duplicate_firm_rejected(self):
@@ -107,24 +107,24 @@ class TestBuildNetwork:
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(NetworkError, match="unknown"):
-            build_network([FirmRecord("a")], [("a", "zz", 1.0)])
+            build_network([FirmRecord("a")], edge_blocks([("a", "zz", 1.0)]))
 
     @pytest.mark.parametrize("w", [-1.0, float("nan"), float("inf")])
     def test_bad_weight_rejected(self, w):
         with pytest.raises(NetworkError, match="invalid weight"):
-            build_network([FirmRecord("a"), FirmRecord("b")], [("a", "b", w)])
+            build_network([FirmRecord("a"), FirmRecord("b")], edge_blocks([("a", "b", w)]))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -5.0])
     @pytest.mark.parametrize("field", ["revenue", "material_cost"])
     def test_bad_income_figure_rejected(self, field, value):
         firms = [FirmRecord("a"), FirmRecord("b", **{field: value})]
         with pytest.raises(NetworkError, match=f"'b' has {field}"):
-            build_network(firms, [("a", "b", 1.0)])
+            build_network(firms, edge_blocks([("a", "b", 1.0)]))
 
     def test_missing_and_zero_income_figures_accepted(self):
         firms = [FirmRecord("a", revenue=None, material_cost=0.0),
                  FirmRecord("b", revenue=0.0, material_cost=None)]
-        net = build_network(firms, [("a", "b", 1.0)])
+        net = build_network(firms, edge_blocks([("a", "b", 1.0)]))
         assert net.firms[0].material_cost == 0.0 and net.firms[1].revenue == 0.0
 
     def test_edgeless_network_has_float_strengths_and_no_cascade(self):
@@ -222,7 +222,7 @@ class TestSyntheticGenerator:
     def test_coverage_sets_income_figures(self):
         cfg = SyntheticConfig(n_firms=50, coverage=0.5)
         firms, edges = generate_synthetic(cfg, seed=3)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         for i, f in enumerate(net.firms):
             assert f.revenue == pytest.approx(net.s_out[i] / 0.5)
             assert f.material_cost == pytest.approx(net.s_in[i] / 0.5)
@@ -237,6 +237,12 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="weight_mu"):
             generate_synthetic(SyntheticConfig(n_firms=20, weight_mu=1000.0), seed=0)
 
+    @pytest.mark.parametrize("config", [SyntheticConfig(n_firms=1),
+                                        SyntheticConfig(n_firms=20, weight_mu=-1000.0)])
+    def test_zero_total_weight_rejected(self, config):
+        with pytest.raises(ValueError, match="total weight is zero"):
+            generate_synthetic(config, seed=0)
+
     @pytest.mark.parametrize("n_sectors, share", [(4050, 1.0), (4860, 0.0)])
     def test_sector_count_bounded_by_four_digit_codes(self, n_sectors, share):
         cfg = SyntheticConfig(n_firms=200, n_sectors=n_sectors, share_physical_sectors=share)
@@ -244,14 +250,15 @@ class TestSyntheticGenerator:
         assert len(set(codes)) == n_sectors
         assert all(normalize_nace4(c) == c and sector_is_physical(c) == (share == 1.0)
                    for c in codes)
-        build_network(*generate_synthetic(cfg, seed=0))
+        firms, edges = generate_synthetic(cfg, seed=0)
+        build_network(firms, edge_blocks(edges))
         with pytest.raises(ValueError, match="n_sectors"):
             dataclasses.replace(cfg, n_sectors=n_sectors + 1).validate()
 
     def test_output_builds_cleanly(self):
         cfg = SyntheticConfig(n_firms=80, n_sectors=12)
         firms, edges = generate_synthetic(cfg, seed=1)
-        net = build_network(firms, edges)
+        net = build_network(firms, edge_blocks(edges))
         assert net.n == 80
         assert net.self_loops_dropped == 0
         assert len(net.sectors) <= 12
@@ -264,7 +271,7 @@ class TestFingerprint:
         assert fingerprint(net1) == fingerprint(net2)
         firms = [FirmRecord(f.firm_id, f.nace4) for f in net1.firms]
         edges = [("a", "c", 3.0), ("b", "c", 1.0), ("c", "d", 2.0), ("d", "a", 5.5)]
-        assert fingerprint(build_network(firms, edges)) != fingerprint(net1)
+        assert fingerprint(build_network(firms, edge_blocks(edges))) != fingerprint(net1)
 
     def test_pinned_digest(self):
         """The text hashed is fixed: this digest must not change."""
@@ -274,13 +281,13 @@ class TestFingerprint:
                  FirmRecord("d", "")]
         edges = [("a", "c", 0.1), ("b", "c", 1.0), ("c", "d", 2e-7), ("d", "a", 5.0),
                  ("a", "c", 0.2)]
-        assert fingerprint(build_network(firms, edges)) == "568c1f14b886d638"
+        assert fingerprint(build_network(firms, edge_blocks(edges))) == "568c1f14b886d638"
 
     def test_metadata_included(self):
         firms1 = [FirmRecord("a", "0111"), FirmRecord("b", "0111", revenue=7.0)]
         firms2 = [FirmRecord("a", "0111"), FirmRecord("b", "0111", revenue=8.0)]
-        n1 = build_network(firms1, [("a", "b", 1.0)])
-        n2 = build_network(firms2, [("a", "b", 1.0)])
+        n1 = build_network(firms1, edge_blocks([("a", "b", 1.0)]))
+        n2 = build_network(firms2, edge_blocks([("a", "b", 1.0)]))
         assert fingerprint(n1) != fingerprint(n2)
 
 
@@ -295,7 +302,7 @@ def test_strength_conservation_property(data):
                   st.floats(0.1, 1e6, allow_nan=False)),
         max_size=25))
     net = build_network([FirmRecord(i) for i in ids],
-                        [e for e in edges if e[0] != e[1]])
+                        edge_blocks([e for e in edges if e[0] != e[1]]))
     assert float(np.sum(net.s_in)) == pytest.approx(net.total_weight)
     assert float(np.sum(net.s_out)) == pytest.approx(net.total_weight)
 
@@ -342,18 +349,25 @@ def outcome(build, firms, edges):
         return str(exc)
 
 
+CUTS = st.lists(st.integers(0, 40), max_size=6)  # block boundaries, clipped to the edge count
+
+
+def cut_blocks(edges, cuts):
+    return iter(edge_blocks(edges, [c % (len(edges) + 1) for c in cuts]))
+
+
 class TestColumnarBuild:
     """build_network against the per-edge dictionary build it replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(raw_network())
-    @example(([FirmRecord("a")], []))
+    @given(raw_network(), CUTS)
+    @example(([FirmRecord("a")], []), [])
     @example(([FirmRecord("a"), FirmRecord("b")],  # the sum depends on the order
-              [("a", "b", 0.1), ("a", "b", 0.2), ("a", "b", 0.3), ("b", "b", 1.0)]))
-    def test_bit_equal_to_dict_build(self, raw):
+              [("a", "b", 0.1), ("a", "b", 0.2), ("a", "b", 0.3), ("b", "b", 1.0)]), [2, 2])
+    def test_bit_equal_to_dict_build(self, raw, cuts):
         firms, edges = raw
         ref = reference_build_network(firms, edges)
-        net = build_network(firms, iter(edges))
+        net = build_network(firms, cut_blocks(edges, cuts))
         assert net.firms == ref.firms
         for name in ("sup", "buy", "w", "s_in", "s_out", "sector_of"):
             assert_bits_equal(getattr(net, name), getattr(ref, name))
@@ -363,16 +377,18 @@ class TestColumnarBuild:
 
     @settings(max_examples=300, deadline=None)
     @given(raw_network(weights=BAD_WEIGHTS, extra_ids=("ghost", "spook"),
-                       codes=CODES + ["12a4"], duplicates=True))
+                       codes=CODES + ["12a4"], duplicates=True), CUTS)
     @example(([FirmRecord("a"), FirmRecord("b")],
-              [("a", "b", 1.0), ("b", "a", float("nan")), ("a", "ghost", 1.0)]))
+              [("a", "b", 1.0), ("b", "a", float("nan")), ("a", "ghost", 1.0)]), [])
     @example(([FirmRecord("a"), FirmRecord("b")],
-              [("a", "b", 1.0), ("spook", "ghost", 1.0), ("b", "a", -1.0)]))
-    def test_first_bad_input_wins(self, raw):
+              [("a", "b", 1.0), ("spook", "ghost", 1.0), ("b", "a", -1.0)]), [1])
+    @example(([FirmRecord("a"), FirmRecord("b")],  # a buyer unknown before a supplier
+              [("a", "ghost", 1.0), ("spook", "b", 1.0)]), [])
+    def test_first_bad_input_wins(self, raw, cuts):
         """The same NetworkError as the per-edge build, for the first bad edge."""
         firms, edges = raw
         ref = outcome(reference_build_network, firms, edges)
-        got = outcome(build_network, firms, edges)
+        got = outcome(build_network, firms, cut_blocks(edges, cuts))
         if isinstance(ref, str):
             assert got == ref
         else:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_calibrate
+from reference import edge_blocks, reference_calibrate
 from test_netcore import assert_bits_equal, float_items, raw_network
 
 from prodrisk.netcore import FirmRecord, SENTINEL_SECTOR, build_network
@@ -29,7 +29,7 @@ def mill_net():
         FirmRecord("shop", "4711"),
     ]
     edges = [("wheat", "mill", 40.0), ("consult", "mill", 10.0), ("mill", "shop", 100.0)]
-    return build_network(firms, edges)
+    return build_network(firms, edge_blocks(edges))
 
 
 class TestAssignment:
@@ -66,7 +66,7 @@ class TestAssignment:
 
     def test_sentinel_firm_counts_as_service(self):
         firms = [FirmRecord("u", ""), FirmRecord("v", "0111")]
-        net = build_network(firms, [("v", "u", 1.0)])
+        net = build_network(firms, edge_blocks([("v", "u", 1.0)]))
         for scenario, expected in [(Scenario.MIX, ESS_NONE), (Scenario.GL, ESS_NONE)]:
             spec = assign_scenario(net, scenario)
             assert spec.essential_class[net.index_of["u"]] == expected
@@ -103,7 +103,7 @@ class TestCalibration:
 
     def test_zero_output_firm_keeps_empty_alpha(self):
         firms = [FirmRecord("s", "0111"), FirmRecord("sink", "1061")]
-        net = build_network(firms, [("s", "sink", 8.0)])
+        net = build_network(firms, edge_blocks([("s", "sink", 8.0)]))
         params = calibrate(net, assign_scenario(net, Scenario.LEO))
         sink = net.index_of["sink"]
         assert params.x0[sink] == 0.0
@@ -135,7 +135,7 @@ class TestEvaluation:
 
     def test_zero_output_firm_stays_zero(self):
         firms = [FirmRecord("s", "0111"), FirmRecord("sink", "1061")]
-        net = build_network(firms, [("s", "sink", 8.0)])
+        net = build_network(firms, edge_blocks([("s", "sink", 8.0)]))
         params = calibrate(net, assign_scenario(net, Scenario.LEO))
         assert evaluate_gl(params, net.index_of["sink"], {"0111": 8.0}) == 0.0
 
@@ -161,7 +161,7 @@ class TestEvaluation:
            ("s4", "buyer", 0.2), ("s5", "buyer", 0.3)]))
 def test_calibrate_bit_equal_to_dict_loop(raw):
     """calibrate against the per-firm dictionary loop it replaced, all scenarios."""
-    net = build_network(*raw)
+    net = build_network(raw[0], edge_blocks(raw[1]))
     for scenario in Scenario:
         spec = assign_scenario(net, scenario)
         params, ref = calibrate(net, spec), reference_calibrate(net, spec)
