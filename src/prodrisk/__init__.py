@@ -18,7 +18,6 @@ from .prodfun import (
     ScenarioSpec,
     assign_scenario,
     calibrate,
-    evaluate_gl,
 )
 from .cascade import (
     CascadeResult,
@@ -26,14 +25,12 @@ from .cascade import (
     ExogenousShock,
     ImpactMatrices,
     build_impact_matrices,
-    replaceability,
     rescale_for_coverage,
     run_cascade,
 )
 from .esri import EsriVector, esri_all, esri_single, scenario_suite
 from .analysis import (
     DEFAULT_THRESHOLDS,
-    LogLogFit,
     Plateau,
     PowerlawFit,
     RankProfile,
@@ -44,7 +41,6 @@ from .analysis import (
     fit_powerlaw_mle,
     rank_profile,
     sector_shock_experiment,
-    strength_esri_fit,
     year_over_year,
 )
 

@@ -55,14 +55,6 @@ class YearComparison:
 
 
 @dataclass(frozen=True)
-class LogLogFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    n_used: int
-
-
-@dataclass(frozen=True)
 class SectorShockReport:
     """Per-sector received shocks for a reference run and alternative scenarios.
 
@@ -188,35 +180,6 @@ def year_over_year(esri_a: EsriVector, esri_b: EsriVector) -> YearComparison:
     kept = int(np.sum(positive))
     log_r = _pearson(np.log(va[positive]), np.log(vb[positive])) if kept >= 2 else math.nan
     return YearComparison(raw, log_r, len(ia), len(ia) - kept)
-
-
-def strength_esri_fit(esri: EsriVector, strengths) -> LogLogFit:
-    """Least-squares fit of ln(risk) against ln(strength).
-
-    strengths must be aligned with esri.firm_ids, one entry per firm. Firms
-    with a zero on either axis cannot be logged and are dropped first.
-    """
-    vals = esri.values
-    s = np.asarray(strengths, dtype=float)
-    if s.shape != vals.shape:
-        raise ValueError("need exactly one strength per firm, in vector order")
-    keep = (vals > 0) & (s > 0)
-    n = int(np.sum(keep))
-    if n < 3:
-        raise DataError(f"only {n} firms with positive risk and strength, need at least 3")
-    x = np.log(s[keep])
-    y = np.log(vals[keep])
-    xc = x - x.mean()
-    s_xx = float(np.sum(xc * xc))
-    if s_xx == 0.0:
-        raise DataError("all qualifying strengths are equal, the regressor is degenerate")
-    slope = float(np.sum(xc * (y - y.mean()))) / s_xx
-    intercept = float(y.mean()) - slope * float(x.mean())
-    resid = y - (intercept + slope * x)
-    ss_res = float(np.sum(resid * resid))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return LogLogFit(slope, intercept, r_squared, n)
 
 
 def _received_by_sector(net: ProductionNetwork, h_final: np.ndarray) -> np.ndarray:

@@ -116,7 +116,7 @@ class ExogenousShock:
 class CascadeState:
     """Snapshot of one iteration; its arrays are frozen.
 
-    sigma and pi_tilde are the replaceability factors and per-group input
+    sigma and pi_tilde are the substitution factors and per-group input
     availabilities applied in the step that produced these levels; for the
     initial state they are the no-shock values. pi_tilde is in the group
     order of the matrices that produced the state (not down_op's row order).
@@ -284,7 +284,7 @@ def rescale_for_coverage(matrices: ImpactMatrices, firms: "tuple[FirmRecord, ...
 
 
 def _sigma(s_out: np.ndarray, denom: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Replaceability factors: own out-strength over surviving sector output, capped at 1.
+    """Substitution factors: own out-strength over surviving sector output, capped at 1.
 
     denom is the surviving output of each firm's sector. Where none survives,
     x / 0 gives inf or nan, and fmin maps both to 1; callers silence the
@@ -292,20 +292,6 @@ def _sigma(s_out: np.ndarray, denom: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     np.divide(s_out, denom, out=out)
     return np.fmin(out, 1.0, out=out)
-
-
-def replaceability(h_d: np.ndarray, net: ProductionNetwork) -> np.ndarray:
-    """Replaceability factor of every firm given downstream levels h_d.
-
-    A firm's factor is its baseline out-strength divided by the surviving
-    output of its whole sector (itself included), capped at 1. A sector with
-    no surviving output gives factor 1: nothing is left to substitute with.
-    Upstream levels play no role.
-    """
-    h_d = np.asarray(h_d, dtype=np.float64)
-    live = np.bincount(net.sector_of, weights=net.s_out * h_d, minlength=len(net.sectors))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _sigma(net.s_out, live[net.sector_of], np.empty(net.n))
 
 
 def _column_max(a: np.ndarray) -> np.ndarray:
@@ -656,7 +642,7 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     are taken there. Finished columns ride along until at least half of the
     live ones are done; then the live columns are compacted. All state lives
     in ws (a new workspace if none is given), which must be at least `width`
-    wide. substitution=False holds every replaceability factor at 1.
+    wide. substitution=False holds every substitution factor at 1.
 
     An iteration recomputes only the rows whose inputs changed in the one
     before, in place (_RowSubset); every other row keeps its bits and a
@@ -798,7 +784,7 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
     downstream and upstream levels. record_trace keeps every state, the
     all-ones state at t = 0 included.
 
-    The replaceability factors are recomputed from the downstream levels
+    The substitution factors sigma are recomputed from the downstream levels
     every iteration; substitution=False holds them at 1, so a failed
     supplier passes its whole drop to its buyers. net and params are not
     read: they are passed through so every scoring entry point has the same

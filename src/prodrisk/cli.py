@@ -326,7 +326,7 @@ def _load_network(args):
 
 
 def _prepare(net, scenario: Scenario):
-    """Calibrated parameters and impact matrices of one scenario."""
+    """Params and impact matrices of one scenario."""
     spec = assign_scenario(net, scenario)
     params = calibrate(net, spec)
     matrices = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
@@ -371,9 +371,8 @@ def cmd_filter(args) -> int:
 
 
 def _esri_rows(vec):
-    for i, fid in enumerate(vec.firm_ids):
-        yield [fid, _fmt(vec.values[i]), str(int(vec.T[i])),
-               "true" if vec.converged[i] else "false"]
+    return zip(vec.firm_ids, map(repr, vec.values.tolist()), map(str, vec.T.tolist()),
+               np.where(vec.converged, "true", "false").tolist())
 
 
 def _scenario_summary(vec) -> dict:
@@ -416,9 +415,8 @@ def cmd_esri(args) -> int:
         result = run_cascade(net, matrices, params, psi,
                              epsilon=args.epsilon, max_iter=args.max_iter)
         _write_csv(out / "h.csv", ["firm_id", "h_d", "h_u", "h"],
-                   ([net.firms[i].firm_id, _fmt(result.h_d_final[i]),
-                     _fmt(result.h_u_final[i]), _fmt(result.h_final[i])]
-                    for i in range(net.n)))
+                   zip((f.firm_id for f in net.firms), map(repr, result.h_d_final.tolist()),
+                       map(repr, result.h_u_final.tolist()), map(repr, result.h_final.tolist())))
         loss = _loss_weighted(net.s_out, total_out, result.h_final)
         _write_json(out / "summary.json", {
             "caveat": CAVEAT,
@@ -481,8 +479,11 @@ def cmd_analyze(args) -> int:
             raise ValueError(f"--thresholds {args.thresholds!r}: expected comma-separated "
                              "numbers") from None
     vec = _read_esri(args.esri)
-    # the thresholds and the tail window are checked before any file is written
+    # the thresholds, the plateau tolerance and the tail window are checked
+    # before any file is written
     counts = count_above_thresholds(vec.values, thresholds)
+    profile = rank_profile(vec)
+    plateau = detect_plateau(profile, rel_tol=args.rel_tol)
     x_min, x_max = args.x_min, args.x_max
     if x_min is None or x_max is None:
         positive = vec.values[vec.values > 0]
@@ -496,12 +497,9 @@ def cmd_analyze(args) -> int:
     fit = fit_powerlaw_mle(vec.values, x_min, x_max)
     out = _out_dir(args)
 
-    profile = rank_profile(vec)
     _write_csv(out / "profile.csv", ["rank", "firm_id", "esri"],
                ([str(r), fid, _fmt(v)]
                 for r, fid, v in zip(profile.ranks, profile.firm_ids, profile.values)))
-
-    plateau = detect_plateau(profile, rel_tol=args.rel_tol)
     _write_json(out / "plateau.json", {
         "size": plateau.size, "level": plateau.level, "rel_tol": args.rel_tol})
 

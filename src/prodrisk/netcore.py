@@ -120,10 +120,6 @@ class ProductionNetwork:
     def n_edges(self) -> int:
         return int(self.sup.shape[0])
 
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.w))
-
 
 def build_network(firms: Sequence[FirmRecord],
                   edge_blocks: Iterable[tuple[Sequence[str], Sequence[str], Sequence[float]]]
@@ -273,30 +269,6 @@ def filter_long_term_links(events: Iterable[TransactionEvent]) -> list[tuple[str
             kept.append((sid, bid, total))
     kept.sort(key=lambda t: (t[0], t[1]))
     return kept
-
-
-def input_columns(net: ProductionNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Input volume of every (buyer, supplier sector) pair that trades.
-
-    Returns the columns (buyer, sector index, volume), buyers ascending.
-    Within a buyer, pairs come in the order of their first edge in the
-    canonical edge order, and each volume adds its edges' weights in that
-    order.
-    """
-    s = len(net.sectors)
-    keys, first, pair = np.unique(net.buy * s + net.sector_of[net.sup],
-                                  return_index=True, return_inverse=True)
-    volume = np.bincount(pair, weights=net.w, minlength=len(keys))
-    order = np.lexsort((first, keys // s))
-    keys = keys[order]
-    return keys // s, keys % s, volume[order]
-
-
-def split_rows(n: int, row: np.ndarray, keys: list, values: np.ndarray) -> list[dict]:
-    """One dict per row 0..n-1 from columns sorted by row, keys in column order."""
-    bounds = np.searchsorted(row, np.arange(n + 1)).tolist()
-    values = values.tolist()
-    return [dict(zip(keys[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,16 @@ dense matrices, dictionaries keyed by firm id. No code is shared with the
 package beyond the input dataclasses, so agreement between the two is
 meaningful evidence rather than a tautology.
 
-The network builder, the calibration and the coverage rescaling at the
-end are the package's earlier per-edge and per-firm loops, kept as
-references for the columnar versions that replaced them. They fill the package's own result classes,
-so the two can be compared field by field. The row-by-row CSV reader of
-the command line is kept the same way, for its block reader.
+The network builder and the coverage rescaling at the end are the
+package's earlier per-edge and per-firm loops, kept as references for the
+columnar versions that replaced them. They fill the package's own result
+classes, so the two can be compared field by field. The row-by-row CSV
+reader of the command line is kept the same way, for its block reader.
+
+The generalized-Leontief production function (its calibration from the
+observed inputs and its evaluation) lives only here: the cascade reads the
+firms' production functions only through the impact operators, so the
+package never calibrates one.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from prodrisk.cascade import ImpactMatrices, _residual_demand, _scale_rows
 from prodrisk.cli import EDGES_HEADER, FIRMS_HEADER, _parse_amount, _parse_income
 from prodrisk.netcore import (DataError, FirmRecord, NetworkError, ProductionNetwork,
                               normalize_nace4)
-from prodrisk.prodfun import ProductionParams
+from prodrisk.prodfun import ESS_ALL, ESS_NONE, ScenarioSpec
 
 PHYS = {f"{p:02d}" for p in range(1, 46)}
 SENTINEL = "unclassified"
@@ -333,8 +340,41 @@ def reference_input_matrix(net) -> list[dict[str, float]]:
     return rows
 
 
-def reference_calibrate(net, spec) -> ProductionParams:
-    """Per-firm loop over reference_input_matrix rows."""
+def input_is_essential(spec: ScenarioSpec, firm: int, sector_code: str) -> bool:
+    """Does firm treat inputs from the given sector as essential?"""
+    c = int(spec.essential_class[firm])
+    if c == ESS_ALL:
+        return True
+    if c == ESS_NONE:
+        return False
+    return is_physical(sector_code)
+
+
+@dataclass(frozen=True)
+class GLParams:
+    """Calibrated generalized-Leontief parameters for every firm.
+
+    alpha[i] maps each essential input sector with observed volume to its
+    technical coefficient (input per unit of output). beta_tilde[i] is the
+    fraction of output attainable with essential inputs alone, 1 for firms
+    without inputs. Firms with zero baseline output keep empty alpha maps.
+    """
+
+    spec: ScenarioSpec
+    x0: np.ndarray
+    beta_tilde: np.ndarray
+    alpha: tuple[dict[str, float], ...]
+    input_total: np.ndarray
+
+
+def reference_calibrate(net, spec: ScenarioSpec) -> GLParams:
+    """Read technical coefficients off the observed network, one firm at a time.
+
+    Baseline output x0 is the firm's out-strength. For each essential sector
+    with observed input volume, alpha is that volume divided by x0. beta_tilde
+    is the essential share of total input value, with the convention 1 for
+    firms that buy nothing.
+    """
     rows = reference_input_matrix(net)
     n = net.n
     x0 = np.array(net.s_out, dtype=np.float64)
@@ -347,15 +387,59 @@ def reference_calibrate(net, spec) -> ProductionParams:
         total = 0.0
         for code, val in rows[i].items():
             total += val
-            if spec.input_is_essential(i, code):
+            if input_is_essential(spec, i, code):
                 ess[code] = val
                 ess_sum += val
         in_total[i] = total
         if total > 0:
             beta[i] = ess_sum / total
         alphas.append({code: val / x0[i] for code, val in ess.items()} if x0[i] > 0 else {})
-    return ProductionParams(spec=spec, x0=x0, beta_tilde=beta, alpha=tuple(alphas),
-                            input_total=in_total)
+    return GLParams(spec=spec, x0=x0, beta_tilde=beta, alpha=tuple(alphas),
+                    input_total=in_total)
+
+
+def evaluate_gl(params: GLParams, firm: int, available: Mapping[str, float]) -> float:
+    """Output of one firm given available input volumes per sector.
+
+    Output is the minimum of the Leontief branch (scarcest essential input
+    over its coefficient) and the linear branch (base level plus the summed
+    non-essential inputs scaled by the overall input intensity). Evaluated at
+    the observed inputs this reproduces the baseline output.
+    """
+    x0 = float(params.x0[firm])
+    if x0 == 0:
+        return 0.0
+
+    ess_branch = np.inf
+    for code, a in params.alpha[firm].items():
+        ess_branch = min(ess_branch, float(available.get(code, 0.0)) / a)
+
+    total = float(params.input_total[firm])
+    if total == 0:
+        lin_branch = x0
+    else:
+        ne_avail = 0.0
+        for code, val in available.items():
+            if not input_is_essential(params.spec, firm, code):
+                ne_avail += float(val)
+        lin_branch = params.beta_tilde[firm] * x0 + ne_avail * x0 / total
+
+    return float(min(ess_branch, lin_branch))
+
+
+def replaceability(h_d: np.ndarray, net) -> np.ndarray:
+    """Replaceability factor of every firm given downstream levels h_d.
+
+    A firm's factor is its baseline out-strength divided by the surviving
+    output of its whole sector (itself included), capped at 1. A sector with
+    no surviving output gives factor 1: nothing is left to substitute with.
+    The kernel's traced factors must agree with these bit for bit, so the
+    sector sums run in firm order and the division comes before the cap.
+    """
+    h_d = np.asarray(h_d, dtype=np.float64)
+    live = np.bincount(net.sector_of, weights=net.s_out * h_d, minlength=len(net.sectors))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmin(net.s_out / live[net.sector_of], 1.0)
 
 
 def reference_rescale_for_coverage(matrices: ImpactMatrices, firms) -> ImpactMatrices:

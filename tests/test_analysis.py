@@ -19,7 +19,6 @@ from prodrisk.analysis import (
     fit_powerlaw_mle,
     rank_profile,
     sector_shock_experiment,
-    strength_esri_fit,
     year_over_year,
 )
 
@@ -160,36 +159,6 @@ class TestYearOverYear:
     def test_small_overlap_rejected(self):
         with pytest.raises(DataError, match="need at least 3"):
             year_over_year(vec(["a", "b"], [1.0, 2.0]), vec(["a", "b"], [1.0, 2.0]))
-
-
-class TestStrengthFit:
-    def test_matches_polyfit(self):
-        rng = np.random.default_rng(11)
-        s = rng.pareto(2.0, 60) + 1.0
-        values = 0.003 * s ** 0.9 * np.exp(rng.normal(0.0, 0.1, 60))
-        fit = strength_esri_fit(vec([f"f{i}" for i in range(60)], values), s)
-        slope, intercept = np.polyfit(np.log(s), np.log(values), 1)
-        assert fit.slope == pytest.approx(slope, abs=1e-9)
-        assert fit.intercept == pytest.approx(intercept, abs=1e-9)
-        r = scipy.stats.pearsonr(np.log(s), np.log(values)).statistic
-        assert fit.r_squared == pytest.approx(r * r, abs=1e-9)
-        assert fit.n_used == 60
-
-    def test_zero_entries_dropped(self):
-        fit = strength_esri_fit(vec(list("abcd"), [0.0, 1.0, 2.0, 4.0]),
-                                [3.0, 1.0, 2.0, 4.0])
-        assert fit.n_used == 3
-        assert fit.slope == pytest.approx(1.0, abs=1e-12)
-
-    def test_shape_guard(self):
-        with pytest.raises(ValueError, match="one strength per firm"):
-            strength_esri_fit(vec(["a", "b"], [1.0, 2.0]), [1.0])
-
-    def test_data_guards(self):
-        with pytest.raises(DataError, match="need at least 3"):
-            strength_esri_fit(vec(["a", "b", "c"], [1.0, 0.0, 2.0]), [1.0, 2.0, 3.0])
-        with pytest.raises(DataError, match="degenerate"):
-            strength_esri_fit(vec(["a", "b", "c"], [1.0, 2.0, 3.0]), [2.0, 2.0, 2.0])
 
 
 def shock_net():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (dense_net, edge_blocks, reference_cascade,
-                       reference_rescale_for_coverage)
+                       reference_rescale_for_coverage, replaceability)
 from test_acceptance import _micro_fixture
 
 from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generate_synthetic
@@ -22,7 +22,6 @@ from prodrisk.cascade import (
     _RowSubset,
     _Workspace,
     build_impact_matrices,
-    replaceability,
     rescale_for_coverage,
     run_cascade,
 )

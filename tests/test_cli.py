@@ -484,6 +484,15 @@ class TestAnalyze:
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rel_tol", ["1.0", "1.5"])
+    def test_bad_rel_tol_writes_nothing(self, tmp_path, capsys, rel_tol):
+        path = self.esri_file(tmp_path, [0.5, 0.2, 0.09])
+        out = tmp_path / "an"
+        assert run("analyze", "--esri", str(path), "--rel-tol", rel_tol,
+                   "--out-dir", str(out)) == 1
+        assert "rel_tol" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert run("analyze", "--esri", str(tmp_path / "nope.csv"),
                    "--out-dir", str(tmp_path)) == 1

@@ -1,12 +1,11 @@
-"""Scenario assignment and production-function calibration."""
+"""Scenario assignment, and the generalized-Leontief oracle of tests/reference.py."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import edge_blocks, reference_calibrate
-from test_netcore import assert_bits_equal, float_items, raw_network
+from reference import edge_blocks, evaluate_gl, input_is_essential, reference_calibrate
 
 from prodrisk.netcore import FirmRecord, SENTINEL_SECTOR, build_network
 from prodrisk.prodfun import (
@@ -15,8 +14,7 @@ from prodrisk.prodfun import (
     ESS_PHYSICAL,
     Scenario,
     assign_scenario,
-    calibrate,
-    evaluate_gl,
+    inputs_are_essential,
 )
 
 
@@ -32,18 +30,24 @@ def mill_net():
     return build_network(firms, edge_blocks(edges))
 
 
+def essential(net, spec, firm, code):
+    """inputs_are_essential for one buyer and one supplier sector code of net."""
+    return bool(inputs_are_essential(net, spec, np.array([firm]),
+                                     np.array([net.sectors.index(code)]))[0])
+
+
 class TestAssignment:
     def test_lin_everything_linear(self):
         net = mill_net()
         spec = assign_scenario(net, Scenario.LIN)
         assert np.all(spec.essential_class == ESS_NONE)
-        assert not spec.input_is_essential(net.index_of["mill"], "0111")
+        assert not essential(net, spec, net.index_of["mill"], "0111")
 
     def test_leo_everything_essential(self):
         net = mill_net()
         spec = assign_scenario(net, Scenario.LEO)
         assert np.all(spec.essential_class == ESS_ALL)
-        assert spec.input_is_essential(net.index_of["shop"], "7022")
+        assert essential(net, spec, net.index_of["shop"], "7022")
 
     def test_mix_splits_by_buyer_industry(self):
         net = mill_net()
@@ -52,17 +56,17 @@ class TestAssignment:
         shop = net.index_of["shop"]
         assert spec.essential_class[mill] == ESS_ALL
         assert spec.essential_class[shop] == ESS_NONE
-        assert spec.input_is_essential(mill, "7022")
-        assert not spec.input_is_essential(shop, "0111")
+        assert essential(net, spec, mill, "7022")
+        assert not essential(net, spec, shop, "0111")
 
     def test_gl_splits_by_input_industry(self):
         net = mill_net()
         spec = assign_scenario(net, Scenario.GL)
         mill = net.index_of["mill"]
         assert spec.essential_class[mill] == ESS_PHYSICAL
-        assert spec.input_is_essential(mill, "0111")
-        assert not spec.input_is_essential(mill, "7022")
-        assert not spec.input_is_essential(mill, SENTINEL_SECTOR)
+        assert essential(net, spec, mill, "0111")
+        assert not essential(net, spec, mill, "7022")
+        assert not input_is_essential(spec, mill, SENTINEL_SECTOR)
 
     def test_sentinel_firm_counts_as_service(self):
         firms = [FirmRecord("u", ""), FirmRecord("v", "0111")]
@@ -75,7 +79,7 @@ class TestAssignment:
 class TestCalibration:
     def test_gl_coefficients(self):
         net = mill_net()
-        params = calibrate(net, assign_scenario(net, Scenario.GL))
+        params = reference_calibrate(net, assign_scenario(net, Scenario.GL))
         mill = net.index_of["mill"]
         assert params.x0[mill] == 100.0
         assert params.alpha[mill] == {"0111": 0.4}
@@ -84,19 +88,19 @@ class TestCalibration:
 
     def test_leo_beta_is_one(self):
         net = mill_net()
-        params = calibrate(net, assign_scenario(net, Scenario.LEO))
+        params = reference_calibrate(net, assign_scenario(net, Scenario.LEO))
         assert params.beta_tilde[net.index_of["mill"]] == 1.0
         assert set(params.alpha[net.index_of["mill"]]) == {"0111", "7022"}
 
     def test_lin_beta_is_zero_with_inputs(self):
         net = mill_net()
-        params = calibrate(net, assign_scenario(net, Scenario.LIN))
+        params = reference_calibrate(net, assign_scenario(net, Scenario.LIN))
         assert params.beta_tilde[net.index_of["mill"]] == 0.0
         assert params.alpha[net.index_of["mill"]] == {}
 
     def test_no_input_firm_defaults(self):
         net = mill_net()
-        params = calibrate(net, assign_scenario(net, Scenario.GL))
+        params = reference_calibrate(net, assign_scenario(net, Scenario.GL))
         wheat = net.index_of["wheat"]
         assert params.beta_tilde[wheat] == 1.0
         assert params.alpha[wheat] == {}
@@ -104,7 +108,7 @@ class TestCalibration:
     def test_zero_output_firm_keeps_empty_alpha(self):
         firms = [FirmRecord("s", "0111"), FirmRecord("sink", "1061")]
         net = build_network(firms, edge_blocks([("s", "sink", 8.0)]))
-        params = calibrate(net, assign_scenario(net, Scenario.LEO))
+        params = reference_calibrate(net, assign_scenario(net, Scenario.LEO))
         sink = net.index_of["sink"]
         assert params.x0[sink] == 0.0
         assert params.alpha[sink] == {}
@@ -115,20 +119,20 @@ class TestEvaluation:
     def test_reproduces_baseline_at_observed_inputs(self):
         net = mill_net()
         for scenario in Scenario:
-            params = calibrate(net, assign_scenario(net, scenario))
+            params = reference_calibrate(net, assign_scenario(net, scenario))
             mill = net.index_of["mill"]
             out = evaluate_gl(params, mill, {"0111": 40.0, "7022": 10.0})
             assert out == pytest.approx(100.0)
 
     def test_essential_shortage_caps_output(self):
         net = mill_net()
-        params = calibrate(net, assign_scenario(net, Scenario.GL))
+        params = reference_calibrate(net, assign_scenario(net, Scenario.GL))
         mill = net.index_of["mill"]
         assert evaluate_gl(params, mill, {"0111": 20.0, "7022": 10.0}) == pytest.approx(50.0)
 
     def test_non_essential_loss_scales_linearly(self):
         net = mill_net()
-        params = calibrate(net, assign_scenario(net, Scenario.GL))
+        params = reference_calibrate(net, assign_scenario(net, Scenario.GL))
         mill = net.index_of["mill"]
         assert evaluate_gl(params, mill, {"0111": 40.0, "7022": 0.0}) == pytest.approx(80.0)
         assert evaluate_gl(params, mill, {"0111": 40.0, "7022": 5.0}) == pytest.approx(90.0)
@@ -136,7 +140,7 @@ class TestEvaluation:
     def test_zero_output_firm_stays_zero(self):
         firms = [FirmRecord("s", "0111"), FirmRecord("sink", "1061")]
         net = build_network(firms, edge_blocks([("s", "sink", 8.0)]))
-        params = calibrate(net, assign_scenario(net, Scenario.LEO))
+        params = reference_calibrate(net, assign_scenario(net, Scenario.LEO))
         assert evaluate_gl(params, net.index_of["sink"], {"0111": 8.0}) == 0.0
 
     @settings(max_examples=50, deadline=None)
@@ -144,27 +148,8 @@ class TestEvaluation:
            dw=st.floats(0.0, 5.0), dc=st.floats(0.0, 5.0))
     def test_monotone_in_availability(self, w, c, dw, dc):
         net = mill_net()
-        params = calibrate(net, assign_scenario(net, Scenario.GL))
+        params = reference_calibrate(net, assign_scenario(net, Scenario.GL))
         mill = net.index_of["mill"]
         lo = evaluate_gl(params, mill, {"0111": w, "7022": c})
         hi = evaluate_gl(params, mill, {"0111": w + dw, "7022": c + dc})
         assert hi >= lo - 1e-12
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # tiny x0 makes alpha inf
-@settings(max_examples=150, deadline=None)
-@given(raw_network())
-@example(([FirmRecord("s1", "4711"), FirmRecord("s2", "2611"), FirmRecord("s3", "0111"),
-           FirmRecord("s4", "2611"), FirmRecord("s5", "2611"), FirmRecord("buyer", "1061")],
-          # sectors met out of code order, and sums that depend on their order
-          [("s1", "buyer", 0.1), ("s2", "buyer", 0.1), ("s3", "buyer", 0.3),
-           ("s4", "buyer", 0.2), ("s5", "buyer", 0.3)]))
-def test_calibrate_bit_equal_to_dict_loop(raw):
-    """calibrate against the per-firm dictionary loop it replaced, all scenarios."""
-    net = build_network(raw[0], edge_blocks(raw[1]))
-    for scenario in Scenario:
-        spec = assign_scenario(net, scenario)
-        params, ref = calibrate(net, spec), reference_calibrate(net, spec)
-        for name in ("x0", "beta_tilde", "input_total"):
-            assert_bits_equal(getattr(params, name), getattr(ref, name))
-        assert [float_items(r) for r in params.alpha] == [float_items(r) for r in ref.alpha]
