@@ -22,7 +22,6 @@ from .prodfun import (
 from .cascade import (
     CascadeResult,
     CascadeState,
-    ExogenousShock,
     ImpactMatrices,
     build_impact_matrices,
     rescale_for_coverage,

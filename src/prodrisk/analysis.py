@@ -64,8 +64,6 @@ class SectorShockReport:
     rel_dev holds ratios to the reference run.
     """
 
-    shocked_sector: str
-    magnitude: float
     sectors: tuple[str, ...]
     received_ref: np.ndarray
     received: np.ndarray
@@ -277,8 +275,6 @@ def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices, se
                 correlation[a, b] = _pearson(rel_dev[a, ref_pos], rel_dev[b, ref_pos])
 
     return SectorShockReport(
-        shocked_sector=sector,
-        magnitude=magnitude,
         sectors=tuple(net.sectors[s] for s in order),
         received_ref=received_ref[order_idx],
         received=received[:, order_idx],

@@ -96,33 +96,16 @@ class ImpactMatrices:
 
 
 @dataclass(frozen=True)
-class ExogenousShock:
-    """Per-firm cap on production imposed from outside the network."""
-
-    psi: np.ndarray
-
-    def __post_init__(self):
-        # always copy: the shock owns (and freezes) its vector, never the caller's
-        psi = np.array(self.psi, dtype=np.float64)
-        if psi.ndim != 1:
-            raise ValueError("psi must be a 1-d vector")
-        if not np.all((psi >= 0) & (psi <= 1)):  # also rejects NaN
-            raise ValueError("psi values must lie in [0, 1]")
-        psi.flags.writeable = False
-        object.__setattr__(self, "psi", psi)
-
-
-@dataclass(frozen=True)
 class CascadeState:
     """Snapshot of one iteration; its arrays are frozen.
 
-    sigma and pi_tilde are the substitution factors and per-group input
-    availabilities applied in the step that produced these levels; for the
-    initial state they are the no-shock values. pi_tilde is in the group
-    order of the matrices that produced the state (not down_op's row order).
+    A trace holds the state after iteration t at position t. sigma and
+    pi_tilde are the substitution factors and per-group input availabilities
+    applied in the step that produced these levels; for the initial state
+    they are the no-shock values. pi_tilde is in the group order of the
+    matrices that produced the state (not down_op's row order).
     """
 
-    t: int
     h_d: np.ndarray
     h_u: np.ndarray
     sigma: np.ndarray
@@ -287,8 +270,8 @@ def _sigma(s_out: np.ndarray, denom: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Substitution factors: own out-strength over surviving sector output, capped at 1.
 
     denom is the surviving output of each firm's sector. Where none survives,
-    x / 0 gives inf or nan, and fmin maps both to 1; callers silence the
-    division warnings.
+    x / 0 gives inf or nan, and where little does the ratio may overflow to
+    inf; fmin maps all of them to 1, and callers silence the warnings.
     """
     np.divide(s_out, denom, out=out)
     return np.fmin(out, 1.0, out=out)
@@ -434,7 +417,6 @@ class _RowSubset:
       - the sums of the sectors of changed_d, and q of the damaged firms
         (h_d < 1 somewhere) of those sectors, changed_d among them; where
         h_d == 1, q is +0.0 whatever sigma is, so no other firm's q moves;
-        without substitution, q == 1 - h_d of changed_d alone;
       - every group of every buyer of a firm whose q was recomputed, found
         through up_op's supplier -> buyer index;
       - the up_op rows of the suppliers of changed_u: the columns of their
@@ -467,16 +449,14 @@ class _RowSubset:
         slots = m.slots
         self.slot_start = np.cumsum([0, *slots.sizes, *[slots.tail_rows] * slots.tail_slots])
 
-    def start(self, h_d: np.ndarray, substitution: bool) -> "_RowSubset":
+    def start(self, h_d: np.ndarray) -> "_RowSubset":
         """Begin a block at all-ones levels h_d."""
         m = self.m
         n, w = h_d.shape
-        self.substitution = substitution
         self.q = self.q_buf[:n * w].reshape(n, w)
         self.q.fill(0.0)  # sigma * (1 - 1)
         self.sector = self.ws.sector[:m.sector_op.shape[0] * w].reshape(-1, w)
-        if substitution:
-            _spmm(m.sector_op, h_d, self.sector)
+        _spmm(m.sector_op, h_d, self.sector)
         self.damaged.fill(False)
         self.budget = _subset_budget(m, w)
         self.changed_d = self.changed_u = None
@@ -557,15 +537,12 @@ class _RowSubset:
         w = h_d.shape[1]
         rows, cols, vals = caps
         changed_d, changed_u = self.changed_d, self.changed_u
-        if self.substitution:
-            marked = self.sector_mark
-            marked[m.sector_of[changed_d]] = True
-            sectors = np.flatnonzero(marked)
-            damaged = np.flatnonzero(self.damaged)
-            q_rows = damaged[marked[m.sector_of[damaged]]]
-            marked[sectors] = False
-        else:
-            sectors, q_rows = changed_d[:0], changed_d
+        marked = self.sector_mark
+        marked[m.sector_of[changed_d]] = True
+        sectors = np.flatnonzero(marked)
+        damaged = np.flatnonzero(self.damaged)
+        q_rows = damaged[marked[m.sector_of[damaged]]]
+        marked[sectors] = False
         # the down_op nonzeros of changed_u's rows: their columns are the up_op rows to recompute
         slots = m.slots
         u_ranks = slots.rank[changed_u]
@@ -589,10 +566,9 @@ class _RowSubset:
         if len(q_rows):
             hq = np.take(h_d, q_rows, axis=0, out=compact(ws.levels[1], len(q_rows)), mode="clip")
             np.subtract(1.0, hq, out=hq)
-            if self.substitution:
-                sig = np.take(self.sector, m.sector_of[q_rows], axis=0,
-                              out=compact(ws.levels[2], len(q_rows)), mode="clip")
-                np.multiply(_sigma(m.s_out[q_rows, None], sig, sig), hq, out=hq)
+            sig = np.take(self.sector, m.sector_of[q_rows], axis=0,
+                          out=compact(ws.levels[2], len(q_rows)), mode="clip")
+            np.multiply(_sigma(m.s_out[q_rows, None], sig, sig), hq, out=hq)
             self.q[q_rows] = hq
 
         buyers, d_new, d_dec = slots.buyers[ranks], None, None
@@ -631,8 +607,8 @@ class _RowSubset:
 
 
 def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int,
-             epsilon: float, max_iter: int, substitution: bool = True,
-             trace: list | None = None, ws: _Workspace | None = None):
+             epsilon: float, max_iter: int, trace: list | None = None,
+             ws: _Workspace | None = None):
     """Run `width` cascades side by side as the columns of one (n, width) state.
 
     caps = (rows, cols, values) lists every production cap below 1: firm
@@ -642,7 +618,7 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     are taken there. Finished columns ride along until at least half of the
     live ones are done; then the live columns are compacted. All state lives
     in ws (a new workspace if none is given), which must be at least `width`
-    wide. substitution=False holds every substitution factor at 1.
+    wide.
 
     An iteration recomputes only the rows whose inputs changed in the one
     before, in place (_RowSubset); every other row keeps its bits and a
@@ -688,30 +664,28 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     done = np.zeros(width, dtype=bool)
     subset = None  # every row: traced, or no row subset pays at this size
     if trace is None and ws.subset is not None and _subset_budget(m, width) >= 0:
-        subset = ws.subset.start(h_d, substitution)
+        subset = ws.subset.start(h_d)
 
-    # _sigma divides by zero where a whole sector has stopped
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # _sigma divides by zero where a whole sector has stopped, and may overflow
+    # where little of it survives
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if trace is not None:
             ones = np.ones(n)
-            sigma0 = _sigma(m.s_out, (m.sector_op @ ones)[m.sector_of],
-                            np.empty(n)) if substitution else ones
-            trace.append(CascadeState(t=0, h_d=ones, h_u=ones, sigma=sigma0,
+            sigma0 = _sigma(m.s_out, (m.sector_op @ ones)[m.sector_of], np.empty(n))
+            trace.append(CascadeState(h_d=ones, h_u=ones, sigma=sigma0,
                                       pi_tilde=np.ones(m.n_groups)))
 
         for t in range(1, max_iter + 1):
             dec = None if subset is None else subset.step(h_d, h_u, (rows, cols, vals), done)
             if dec is None:
                 subset = None
-                if substitution:
-                    _spmm(m.sector_op, h_d, sector).take(m.sector_of, axis=0, out=work, mode="clip")
-                    sigma = _sigma(s_out, work, work)
+                _spmm(m.sector_op, h_d, sector).take(m.sector_of, axis=0, out=work, mode="clip")
+                sigma = _sigma(s_out, work, work)
                 # the per-firm weighted drop is folded before the product, so
                 # every edge costs one multiply-add per column; hd_new is free
                 # until the group maximum fills it
                 np.subtract(1.0, h_d, out=hd_new)
-                if substitution:
-                    np.multiply(sigma, hd_new, out=hd_new)
+                np.multiply(sigma, hd_new, out=hd_new)
                 _spmm(m.down_op, hd_new, y)
                 if trace is not None:
                     pi_tilde = _clip01(np.subtract(1.0, y[m.slots.rows, 0]))
@@ -730,9 +704,8 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
                     h[capped] = np.minimum(h[capped], vals)
 
                 if trace is not None:
-                    trace.append(CascadeState(t=t, h_d=hd_new[:, 0].copy(), h_u=hu_new[:, 0].copy(),
-                                              sigma=sigma[:, 0].copy() if substitution else sigma0,
-                                              pi_tilde=pi_tilde))
+                    trace.append(CascadeState(h_d=hd_new[:, 0].copy(), h_u=hu_new[:, 0].copy(),
+                                              sigma=sigma[:, 0].copy(), pi_tilde=pi_tilde))
                 np.subtract(h_d, hd_new, out=work)
                 np.subtract(h_u, hu_new, out=h_u)  # the old upstream levels are done with
                 np.maximum(work, h_u, out=work)
@@ -786,21 +759,31 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
 
     The substitution factors sigma are recomputed from the downstream levels
     every iteration; substitution=False holds them at 1, so a failed
-    supplier passes its whole drop to its buyers. net and params are not
-    read: they are passed through so every scoring entry point has the same
-    signature. This is the one-column case of the batch kernel.
+    supplier passes its whole drop to its buyers. It does so by giving every
+    firm a sector of its own, where sigma = s_out / fl(s_out * h_d) is at
+    least 1, or inf or nan where the product is 0, and so capped to exactly
+    1. net and params are not read: they are passed through so every scoring
+    entry point has the same signature. This is the one-column case of the
+    batch kernel.
     """
     if matrices.n == 0:
         raise ValueError("cannot run a cascade on an empty network")
-    psi = ExogenousShock(psi).psi
+    psi = np.asarray(psi, dtype=np.float64)
+    if psi.ndim != 1:
+        raise ValueError("psi must be a 1-d vector")
+    if not np.all((psi >= 0) & (psi <= 1)):  # also rejects NaN
+        raise ValueError("psi values must lie in [0, 1]")
     if len(psi) != matrices.n:
         raise ValueError(f"psi has length {len(psi)}, expected {matrices.n}")
+    if not substitution:
+        firms = np.arange(matrices.n)
+        matrices = dataclasses.replace(matrices, sector_of=firms, sector_op=sparse.csr_array(
+            (matrices.s_out, (firms, firms)), shape=(matrices.n, matrices.n)))
 
     capped = np.flatnonzero(psi < 1.0)
     trace: list[CascadeState] | None = [] if record_trace else None
     h_d, h_u, T, converged = _iterate(
-        matrices, (capped, np.zeros_like(capped), psi[capped]), 1, epsilon, max_iter,
-        substitution=substitution, trace=trace)
+        matrices, (capped, np.zeros_like(capped), psi[capped]), 1, epsilon, max_iter, trace=trace)
     h_d, h_u = h_d[0], h_u[0]
     h_final = np.minimum(h_d, h_u)
     for a in (h_final, h_d, h_u):

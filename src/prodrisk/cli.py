@@ -118,11 +118,12 @@ def _read_blocks(path, header: Sequence[str]
     before them are yielded.
 
     The file is read in blocks of about _BLOCK_BYTES, cut at a newline. A
-    block without a quote, CR or NUL byte, without a blank line or a line
-    longer than csv.field_size_limit(), and with the header's field count on
-    every line is what csv.reader reads as split on newlines and commas, so
-    it is split that way. From the first block that is not, the rest of the
-    file goes through csv.reader.
+    block without a quote, NUL byte or CR other than one right before a
+    newline, without a blank line or a line longer than
+    csv.field_size_limit(), and with the header's field count on every line
+    is what csv.reader reads as split on newlines and commas once each CRLF
+    is made a LF, so it is split that way. From the first block that is not,
+    the rest of the file goes through csv.reader.
     """
     p = Path(path)
     if not p.is_file():
@@ -141,6 +142,7 @@ def _read_blocks(path, header: Sequence[str]
                 buf += fh.readline()
                 if not buf.endswith(b"\n"):  # the last line has no newline
                     buf += b"\n"
+            buf = buf.replace(b"\r\n", b"\n")  # a CRLF line end reads as a LF one
             n_lines = _plain_lines(buf, k)
             if n_lines is None:
                 break
@@ -398,22 +400,22 @@ def _progress_printer():
 
 
 def cmd_esri(args) -> int:
+    if args.psi_file is not None and args.scenario == "all":
+        raise ValueError("--psi-file needs a single scenario, not 'all'")
     net = _load_network(args)
-    out = _out_dir(args)
 
     if args.psi_file is not None:
-        if args.scenario == "all":
-            raise ValueError("--psi-file needs a single scenario, not 'all'")
         total_out = _total_out(net.s_out)
-        params, matrices = _prepare(net, Scenario(args.scenario))
         psi = np.ones(net.n)
         for fid, value in _read_psi(args.psi_file).items():
             idx = net.index_of.get(fid)
             if idx is None:
                 raise DataError(f"{args.psi_file}: unknown firm_id {fid!r}")
             psi[idx] = value
+        params, matrices = _prepare(net, Scenario(args.scenario))
         result = run_cascade(net, matrices, params, psi,
                              epsilon=args.epsilon, max_iter=args.max_iter)
+        out = _out_dir(args)
         _write_csv(out / "h.csv", ["firm_id", "h_d", "h_u", "h"],
                    zip((f.firm_id for f in net.firms), map(repr, result.h_d_final.tolist()),
                        map(repr, result.h_u_final.tolist()), map(repr, result.h_final.tolist())))
@@ -441,6 +443,7 @@ def cmd_esri(args) -> int:
         suite = scenario_suite(net, epsilon=args.epsilon, max_iter=args.max_iter,
                                worker_count=args.workers, progress=progress)
         vectors = {scen.value: vec for scen, vec in suite.items()}
+        out = _out_dir(args)
         for name, vec in vectors.items():
             _write_csv(out / f"esri_{name}.csv", ESRI_HEADER, _esri_rows(vec))
     else:
@@ -449,6 +452,7 @@ def cmd_esri(args) -> int:
         vec = esri_all(net, matrices, params, epsilon=args.epsilon,
                        max_iter=args.max_iter, worker_count=args.workers, progress=progress)
         vectors = {scen.value: vec}
+        out = _out_dir(args)
         _write_csv(out / "esri.csv", ESRI_HEADER, _esri_rows(vec))
 
     any_vec = next(iter(vectors.values()))
@@ -516,9 +520,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sector_experiment(args) -> int:
-    net = _load_network(args)
-    _, matrices = _prepare(net, Scenario(args.scenario))
-
     scenarios: list[dict[str, float]] = []
     labels: list[str] = []
     for item in args.firm_shock or []:
@@ -534,6 +535,8 @@ def cmd_sector_experiment(args) -> int:
         scenarios.append({fid: 1.0 - fraction})
         labels.append(fid)
 
+    net = _load_network(args)
+    _, matrices = _prepare(net, Scenario(args.scenario))
     report = sector_shock_experiment(
         net, matrices, args.sector, args.magnitude, scenarios,
         labels=labels, epsilon=args.epsilon, max_iter=args.max_iter)
@@ -550,7 +553,7 @@ def cmd_sector_experiment(args) -> int:
     out = _out_dir(args)
     _write_csv(out / "sector_report.csv", header, rows)
 
-    print(f"sector {report.shocked_sector}: reference plus {k} scenario(s) "
+    print(f"sector {args.sector}: reference plus {k} scenario(s) "
           f"over {len(report.sectors)} sectors")
     if report.deviation_correlation is not None:
         for a in range(k):

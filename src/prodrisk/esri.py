@@ -29,9 +29,6 @@ class EsriVector:
     values: np.ndarray
     T: np.ndarray
     converged: np.ndarray
-    scenario: Scenario
-    epsilon: float
-    max_iter: int
     network_fingerprint: str
 
 
@@ -108,7 +105,8 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     The output is a pure function of (network, scenario, epsilon, max_iter);
     worker_count only changes wall time. Non-converged cascades are recorded
     per firm and the batch still completes. progress, if given, is called
-    with the number of finished firms after each chunk.
+    with the number of finished firms after each chunk. params is not read:
+    it is passed through as in run_cascade.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
@@ -142,9 +140,7 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
         a.flags.writeable = False
     return EsriVector(
         firm_ids=tuple(f.firm_id for f in net.firms),
-        values=values, T=T, converged=conv,
-        scenario=params.spec.scenario, epsilon=float(epsilon), max_iter=int(max_iter),
-        network_fingerprint=fingerprint(net),
+        values=values, T=T, converged=conv, network_fingerprint=fingerprint(net),
     )
 
 

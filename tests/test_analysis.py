@@ -32,9 +32,6 @@ def vec(ids, values):
         values=values,
         T=np.ones(n, dtype=np.int64),
         converged=np.ones(n, dtype=bool),
-        scenario=Scenario.GL,
-        epsilon=1e-2,
-        max_iter=1000,
         network_fingerprint="fixture",
     )
 

@@ -16,7 +16,6 @@ from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generat
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk import cascade
 from prodrisk.cascade import (
-    ExogenousShock,
     _group_max,
     _iterate,
     _RowSubset,
@@ -211,22 +210,13 @@ class TestImpactMatrices:
 
 class TestExogenousShock:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExogenousShock(np.array([0.5, 1.2]))
-        with pytest.raises(ValueError):
-            ExogenousShock(np.array([-0.1]))
-        with pytest.raises(ValueError):
-            ExogenousShock(np.array([np.nan, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            ExogenousShock(np.ones((2, 2)))
-
-    def test_owns_a_frozen_copy(self):
-        src = np.array([0.5, 1.0])
-        shock = ExogenousShock(src)
-        src[0] = 0.9
-        assert shock.psi[0] == 0.5
-        with pytest.raises(ValueError):
-            shock.psi[0] = 0.1
+        net = mill_net()
+        params, m = prepared(net, Scenario.GL)
+        for bad in (np.array([0.5, 1.2]), np.array([-0.1]), np.array([np.nan, 1.0, 1.0])):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                run_cascade(net, m, params, bad)
+        with pytest.raises(ValueError, match="1-d"):
+            run_cascade(net, m, params, np.ones((2, 2)))
 
     def test_run_does_not_touch_callers_array(self):
         net = mill_net()
@@ -428,8 +418,9 @@ class TestEngine:
                 assert (res.T, res.converged) == (ref["T"], ref["converged"])
                 assert len(res.trace) == len(ref["h_d"])
                 for t, state in enumerate(res.trace):
-                    for name in ("h_d", "h_u", "sigma"):
+                    for name in ("h_d", "h_u"):
                         assert np.max(np.abs(getattr(state, name) - ref[name][t])) <= 1e-9
+                    assert np.array_equal(state.sigma, ref["sigma"][t])
 
     def test_results_are_frozen(self):
         net = mill_net()
@@ -500,6 +491,8 @@ class TestRowSubset:
             assert sub.h_d_final.tobytes() == full.h_d_final.tobytes()
             assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
             assert (sub.T, sub.converged) == (full.T, full.converged)
+            # without substitution every firm is its own sector, whose sigma is 1.0
+            assert substitution or all(np.all(state.sigma == 1.0) for state in full.trace)
         assert sum(every_step_subset) > 20
 
     @pytest.mark.parametrize("scenario", list(Scenario))
@@ -587,6 +580,22 @@ def test_unshocked_step_is_bitwise_stationary(raw):
         for m in (plain, rescale_for_coverage(plain, net.firms)):
             res = run_cascade(net, m, None, np.ones(net.n), max_iter=1, record_trace=True)
             assert np.all(res.trace[1].h_u == 1.0) and np.all(res.trace[1].h_d == 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coverage_network(), st.data())
+def test_no_substitution_sigma_is_exactly_one(raw, data):
+    """Alone in its sector, a firm's sigma is s_out / fl(s_out * h_d) >= 1, or
+    inf or nan where the product is 0; the cap makes each one exactly 1.0."""
+    firms, edges = raw
+    net = build_network(firms, edge_blocks(edges))
+    psi = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=net.n, max_size=net.n)))
+    for scenario in (Scenario.GL, Scenario.LEO):
+        plain = build_impact_matrices(net, assign_scenario(net, scenario))
+        for m in (plain, rescale_for_coverage(plain, net.firms)):
+            res = run_cascade(net, m, None, psi, epsilon=1e-12, max_iter=20,
+                              record_trace=True, substitution=False)
+            assert all(np.all(state.sigma == 1.0) for state in res.trace)
 
 
 @settings(max_examples=500, deadline=None)

@@ -179,6 +179,20 @@ class TestBlockReader:
         if ref[1] is None:
             assert [list(map(repr, r)) for r in got[0]] == [list(map(repr, r)) for r in ref[0]]
 
+    def test_crlf_file_is_split_without_csv_reader(self, tmp_path, monkeypatch):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        write_csv(lf, cli.EDGES_HEADER,
+                  [["a", "b", "1.5"], ["b", "c", "2"], ["c", "a", "0.25"]] * 20)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+        want = list(block_rows(lf, cli.EDGES_HEADER)), list(edge_triples(lf))
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(cli.csv, "reader", no_reader)
+        assert (list(block_rows(crlf, cli.EDGES_HEADER)), list(edge_triples(crlf))) == want
+
 
 class TestGenerate:
     def test_row_counts_and_determinism(self, tmp_path, capsys):
@@ -350,13 +364,26 @@ class TestEsri:
         assert h_rows[0] == ["firm_id", "h_d", "h_u", "h"]
         assert float(h_rows[1][3]) == 0.0  # the failed firm itself
 
-    def test_psi_file_needs_single_scenario(self, tmp_path):
+    def test_psi_file_needs_single_scenario(self, tmp_path, capsys, monkeypatch):
         data = chain_dir(tmp_path)
         psi = tmp_path / "psi.csv"
         write_csv(psi, cli.PSI_HEADER, [["a", "0.5"]])
+        # rejected before any input is read or any directory is made
+        monkeypatch.setattr(cli, "_load_network", lambda args: pytest.fail("input read"))
         assert run("esri", "--firms", str(data / "firms.csv"),
                    "--edges", str(data / "edges.csv"), "--scenario", "all",
                    "--psi-file", str(psi), "--out-dir", str(tmp_path / "o")) == 1
+        assert "--psi-file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scenario", ["gl", "all"])
+    def test_zero_weight_network_writes_nothing(self, tmp_path, scenario):
+        data = chain_dir(tmp_path)
+        write_csv(data / "edges.csv", cli.EDGES_HEADER, [["a", "b", "0.0"]])
+        assert run("esri", "--firms", str(data / "firms.csv"),
+                   "--edges", str(data / "edges.csv"), "--scenario", scenario,
+                   "--out-dir", str(tmp_path / "o")) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_psi_file_unknown_firm(self, tmp_path):
         data = chain_dir(tmp_path)
@@ -570,6 +597,14 @@ class TestSectorExperiment:
         assert run(*base, "--firm-shock", "A") == 1
         assert run(*base, "--firm-shock", "A=lots") == 1
         assert run(*base, "--firm-shock", "A=1.5") == 1
+
+    def test_bad_shock_checked_before_input(self, tmp_path, capsys):
+        assert run("sector-experiment", "--firms", str(tmp_path / "missing.csv"),
+                   "--edges", str(tmp_path / "missing.csv"), "--sector", "2611",
+                   "--magnitude", "0.2", "--firm-shock", "A",
+                   "--out-dir", str(tmp_path / "o")) == 1
+        assert "--firm-shock" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCompareYears:

@@ -104,8 +104,6 @@ class TestBatch:
         net = sink_net()
         params, m = prepared(net, Scenario.MIX)
         vec = esri_all(net, m, params, epsilon=1e-3, max_iter=77)
-        assert vec.scenario is Scenario.MIX
-        assert vec.epsilon == 1e-3 and vec.max_iter == 77
         assert vec.firm_ids == tuple(f.firm_id for f in net.firms)
         assert vec.network_fingerprint == fingerprint(net)
 
