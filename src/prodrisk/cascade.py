@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
+from scipy.sparse._sputils import get_index_dtype
 
 from .netcore import ProductionNetwork, FirmRecord
 from .prodfun import ScenarioSpec, inputs_are_essential
@@ -77,7 +78,9 @@ class ImpactMatrices:
     is the demand share of each supplier not covered by observed buyers,
     held at full level during the iteration. sector_op sums
     out-strength-weighted levels per sector. Every row accumulates over
-    ascending column indices.
+    ascending column indices. The three operators, slots.rank and slots.rows
+    share one index type: int32 where scipy's index-dtype rule allows it for
+    the largest down_op the network could give, int64 beyond.
     """
 
     n: int
@@ -137,17 +140,24 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     i's share of j's sales.
     """
     n, n_sectors = net.n, len(net.sectors)
-    d_sup, lam_d, d_group, guniq = _downstream_entries(net, spec)
+    # down_op has a nonzero per edge, a row per group and under TAIL_ROWS pad rows per slot
+    idx = get_index_dtype(maxval=max(n, net.n_edges + TAIL_ROWS * (n_sectors + 1)))
+    # row pointer of the canonical edges as a supplier-major CSR
+    sup_ptr = np.searchsorted(net.sup, np.arange(n + 1)).astype(idx)
+    d_sup, lam_d, d_group, guniq = _downstream_entries(net, spec, sup_ptr)
     group_buyer = guniq // (n_sectors + 1)
     group_sector = guniq % (n_sectors + 1) - 1
     present_buyers, seg_starts = np.unique(group_buyer, return_index=True)
-    slots = _group_slots(present_buyers, seg_starts, np.bincount(d_group, minlength=len(guniq)), n)
+    slots = _group_slots(present_buyers, seg_starts, np.bincount(d_group, minlength=len(guniq)),
+                         n, idx)
 
     n_rows = sum(slots.sizes) + slots.tail_slots * slots.tail_rows
     down_op = sparse.csr_array((lam_d, (slots.rows[d_group], d_sup)), shape=(n_rows, n))
+    del d_sup, lam_d, d_group
     # upstream entries use the canonical (supplier, buyer) order directly
-    up_op = sparse.csr_array((net.w / net.s_out[net.sup], (net.sup, net.buy)), shape=(n, n))
-    sector_op = sparse.csr_array((net.s_out, (net.sector_of, np.arange(n))), shape=(n_sectors, n))
+    up_op = sparse.csr_array((net.w / net.s_out[net.sup], net.buy.astype(idx), sup_ptr), shape=(n, n))
+    sector_op = sparse.csr_array((net.s_out, (net.sector_of.astype(idx), np.arange(n, dtype=idx))),
+                                 shape=(n_sectors, n))
     for op in (down_op, up_op, sector_op):
         op.sort_indices()
     u_resid = _residual_demand(up_op)
@@ -162,53 +172,57 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     )
 
 
-def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec
+def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec, sup_ptr: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Downstream share and constraint group of every edge, by (buyer, supplier).
 
-    Returns the supplier, share and group index of each edge, and the sorted
-    group keys buyer * (n_sectors + 1) + (1 + sector, or 0 for the pooled
-    group). The edge-length temporaries are freed on return, before the
-    operators are compiled.
+    Returns the supplier (in sup_ptr's index type), share and group index of
+    each edge, and the sorted group keys buyer * (n_sectors + 1) + (1 +
+    sector, or 0 for the pooled group). The CSC transpose of the canonical
+    edges' supplier-major CSR, an O(nnz) counting sort, lists their positions
+    in (buyer, supplier) order. Edge-length temporaries are dropped once used.
     """
-    n_sectors = len(net.sectors)
-    d_ord = np.lexsort((net.sup, net.buy))
-    d_sup = net.sup[d_ord]
-    d_buy = net.buy[d_ord]
-    d_w = net.w[d_ord]
-    d_sector = net.sector_of[d_sup]
+    n, n_sectors, idx = net.n, len(net.sectors), sup_ptr.dtype
+    by_buyer = sparse.csr_array((np.arange(net.n_edges, dtype=idx), net.buy.astype(idx), sup_ptr),
+                                shape=(n, n)).tocsc()
+    d_sup = by_buyer.indices
+    d_buy = np.repeat(np.arange(n, dtype=idx), np.diff(by_buyer.indptr))
+    d_w = net.w[by_buyer.data]
+    del by_buyer
+    d_sector = net.sector_of.astype(idx)[d_sup]
     d_ess = inputs_are_essential(net, spec, d_buy, d_sector)
 
     # denominators of essential entries: same-sector input totals per buyer
-    pair_key = d_buy * n_sectors + d_sector
-    pair_uniq, pair_inv = np.unique(pair_key, return_inverse=True)
-    pair_sum = np.bincount(pair_inv, weights=d_w)
-    lam_d = np.where(d_ess, d_w / pair_sum[pair_inv], d_w / net.s_in[d_buy])
+    _, pair_inv = np.unique(d_buy * np.int64(n_sectors) + d_sector, return_inverse=True)
+    lam_d = np.where(d_ess, np.bincount(pair_inv, weights=d_w)[pair_inv], net.s_in[d_buy])
+    np.divide(d_w, lam_d, out=lam_d)
+    del pair_inv, d_w
 
     # constraint groups: one per (buyer, essential sector), one pooled per buyer
     gkey = d_buy * np.int64(n_sectors + 1) + np.where(d_ess, 1 + d_sector, 0)
+    del d_buy, d_sector, d_ess
     guniq, d_group = np.unique(gkey, return_inverse=True)
     return d_sup, lam_d, d_group, guniq
 
 
 def _group_slots(present_buyers: np.ndarray, seg_starts: np.ndarray, group_nnz: np.ndarray,
-                 n: int) -> GroupSlots:
+                 n: int, idx) -> GroupSlots:
     """Rank-slot layout of the constraint groups (see GroupSlots); group_nnz counts each one's edges."""
     n_groups = len(group_nnz)
     counts = np.diff(seg_starts, append=n_groups)
     k_max = int(counts.max()) if len(counts) else 0
     # in the smallest integer type that holds them, numpy radix-sorts the keys
     order = np.argsort((-counts).astype(np.min_scalar_type(-k_max)), kind="stable")
-    rank = np.argsort(order)  # position of each present buyer in that order
+    rank = np.argsort(order).astype(idx)  # position of each present buyer in that order
     sizes = np.searchsorted(-counts[order], -np.arange(k_max), side="left").tolist()
     head = next((k for k in range(1, k_max) if sizes[k] <= TAIL_ROWS), k_max)
     tail_rows = sizes[head] if head < k_max else 0
-    slot_start = np.cumsum([0] + sizes[:head] + [tail_rows] * (k_max - head - 1))
+    slot_start = np.cumsum([0] + sizes[:head] + [tail_rows] * (k_max - head - 1), dtype=idx)
     # group g is the k-th group of the buyer at rank p: row p of slot k
     buyer = np.repeat(np.arange(len(counts)), counts)
     rows = slot_start[np.arange(n_groups) - seg_starts[buyer]] + rank[buyer]
     in_deg = np.add.reduceat(group_nnz, seg_starts) if n_groups else group_nnz
-    firm_rank = np.full(n, -1)
+    firm_rank = np.full(n, -1, dtype=idx)
     firm_rank[present_buyers] = rank
     return GroupSlots(buyers=present_buyers[order], counts=counts[order], in_deg=in_deg[order],
                       rank=firm_rank, rows=rows, sizes=tuple(sizes[:head]),
@@ -426,9 +440,10 @@ class _RowSubset:
 
     damaged marks the firms whose h_d has moved in the block; mark and
     sector_mark are all-False scratch. ptr, idx and vals take the operator
-    rows that _gather copies out, in the index type all three operators
-    share: any rows of up_op, or as many nonzeros as the cost rule admits;
-    rows takes a list of down_op rows.
+    rows that _gather copies out: any rows of up_op, or as many nonzeros as
+    the cost rule admits; rows takes a list of down_op rows. These, ids and
+    every row list passed to _gather are in the operators' index type, so no
+    gather casts; ids[mask] lists a mask's set entries in that type.
     slot_start[k] is the first down_op row of slot k. Compact results and
     old levels go to the workspace's free level buffers.
     """
@@ -442,10 +457,12 @@ class _RowSubset:
         self.sector_mark = np.zeros(m.sector_op.shape[0], dtype=bool)
         # the up_op rows of q_rows are copied out before any count can decline a step
         nnz = max(n, m.up_op.nnz, int(_subset_budget(m, width)))
-        self.ptr = np.empty(max(n_rows, n) + 1, dtype=m.up_op.indices.dtype)
-        self.idx = np.empty(nnz, dtype=m.up_op.indices.dtype)
+        idx = m.up_op.indices.dtype
+        self.ptr = np.empty(max(n_rows, n) + 1, dtype=idx)
+        self.idx = np.empty(nnz, dtype=idx)
         self.vals = np.empty(nnz)
-        self.rows = np.empty(n_rows, dtype=np.intp)
+        self.rows = np.empty(n_rows, dtype=idx)
+        self.ids = np.arange(n, dtype=idx)  # no more sectors than firms
         slots = m.slots
         self.slot_start = np.cumsum([0, *slots.sizes, *[slots.tail_rows] * slots.tail_slots])
 
@@ -483,7 +500,7 @@ class _RowSubset:
         """The distinct columns with an entry in the given rows of op, ascending."""
         _, idx, _ = self._gather(op, rows)
         self.mark[idx] = True
-        found = np.flatnonzero(self.mark)
+        found = self.ids[self.mark]
         self.mark[found] = False
         return found
 
@@ -539,8 +556,8 @@ class _RowSubset:
         changed_d, changed_u = self.changed_d, self.changed_u
         marked = self.sector_mark
         marked[m.sector_of[changed_d]] = True
-        sectors = np.flatnonzero(marked)
-        damaged = np.flatnonzero(self.damaged)
+        sectors = self.ids[:len(marked)][marked]
+        damaged = self.ids[self.damaged]
         q_rows = damaged[marked[m.sector_of[damaged]]]
         marked[sectors] = False
         # the down_op nonzeros of changed_u's rows: their columns are the up_op rows to recompute
@@ -776,7 +793,7 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
     if len(psi) != matrices.n:
         raise ValueError(f"psi has length {len(psi)}, expected {matrices.n}")
     if not substitution:
-        firms = np.arange(matrices.n)
+        firms = np.arange(matrices.n, dtype=matrices.up_op.indices.dtype)
         matrices = dataclasses.replace(matrices, sector_of=firms, sector_op=sparse.csr_array(
             (matrices.s_out, (firms, firms)), shape=(matrices.n, matrices.n)))
 

@@ -402,12 +402,14 @@ def _progress_printer():
 def cmd_esri(args) -> int:
     if args.psi_file is not None and args.scenario == "all":
         raise ValueError("--psi-file needs a single scenario, not 'all'")
+    # a bad psi file fails before the network is read
+    shock = _read_psi(args.psi_file) if args.psi_file is not None else None
     net = _load_network(args)
 
-    if args.psi_file is not None:
+    if shock is not None:
         total_out = _total_out(net.s_out)
         psi = np.ones(net.n)
-        for fid, value in _read_psi(args.psi_file).items():
+        for fid, value in shock.items():
             idx = net.index_of.get(fid)
             if idx is None:
                 raise DataError(f"{args.psi_file}: unknown firm_id {fid!r}")

@@ -9,7 +9,8 @@ The network builder and the coverage rescaling at the end are the
 package's earlier per-edge and per-firm loops, kept as references for the
 columnar versions that replaced them. They fill the package's own result
 classes, so the two can be compared field by field. The row-by-row CSV
-reader of the command line is kept the same way, for its block reader.
+reader of the command line is kept the same way, for its block reader, and
+so is the impact-operator build that ordered the edges with np.lexsort.
 
 The generalized-Leontief production function (its calibration from the
 observed inputs and its evaluation) lives only here: the cascade reads the
@@ -28,11 +29,13 @@ from typing import Mapping
 
 import numpy as np
 
-from prodrisk.cascade import ImpactMatrices, _residual_demand, _scale_rows
+from scipy import sparse
+
+from prodrisk.cascade import ImpactMatrices, _group_slots, _residual_demand, _scale_rows
 from prodrisk.cli import EDGES_HEADER, FIRMS_HEADER, _parse_amount, _parse_income
 from prodrisk.netcore import (DataError, FirmRecord, NetworkError, ProductionNetwork,
                               normalize_nace4)
-from prodrisk.prodfun import ESS_ALL, ESS_NONE, ScenarioSpec
+from prodrisk.prodfun import ESS_ALL, ESS_NONE, ScenarioSpec, inputs_are_essential
 
 PHYS = {f"{p:02d}" for p in range(1, 46)}
 SENTINEL = "unclassified"
@@ -459,3 +462,54 @@ def reference_rescale_for_coverage(matrices: ImpactMatrices, firms) -> ImpactMat
     down_op = _scale_rows(matrices.down_op, row_fac)
     return dataclasses.replace(matrices, up_op=up_op, down_op=down_op,
                                u_resid=_residual_demand(up_op))
+
+
+def reference_downstream_entries(net, spec: ScenarioSpec):
+    """Downstream share and constraint group of every edge, by (buyer, supplier).
+
+    The earlier build: the edge order comes from np.lexsort, and every index
+    is int64. Returns the supplier, share and group index of each edge, and
+    the sorted group keys buyer * (n_sectors + 1) + (1 + sector, or 0 for the
+    pooled group).
+    """
+    n_sectors = len(net.sectors)
+    d_ord = np.lexsort((net.sup, net.buy))
+    d_sup = net.sup[d_ord]
+    d_buy = net.buy[d_ord]
+    d_w = net.w[d_ord]
+    d_sector = net.sector_of[d_sup]
+    d_ess = inputs_are_essential(net, spec, d_buy, d_sector)
+
+    # denominators of essential entries: same-sector input totals per buyer
+    pair_key = d_buy * n_sectors + d_sector
+    pair_uniq, pair_inv = np.unique(pair_key, return_inverse=True)
+    pair_sum = np.bincount(pair_inv, weights=d_w)
+    lam_d = np.where(d_ess, d_w / pair_sum[pair_inv], d_w / net.s_in[d_buy])
+
+    # constraint groups: one per (buyer, essential sector), one pooled per buyer
+    gkey = d_buy * np.int64(n_sectors + 1) + np.where(d_ess, 1 + d_sector, 0)
+    guniq, d_group = np.unique(gkey, return_inverse=True)
+    return d_sup, lam_d, d_group, guniq
+
+
+def reference_build_impact_matrices(net, spec: ScenarioSpec) -> ImpactMatrices:
+    """The earlier build_impact_matrices, with int64 coordinates for all three operators."""
+    n, n_sectors = net.n, len(net.sectors)
+    d_sup, lam_d, d_group, guniq = reference_downstream_entries(net, spec)
+    group_buyer = guniq // (n_sectors + 1)
+    group_sector = guniq % (n_sectors + 1) - 1
+    present_buyers, seg_starts = np.unique(group_buyer, return_index=True)
+    slots = _group_slots(present_buyers, seg_starts, np.bincount(d_group, minlength=len(guniq)),
+                         n, np.int64)
+    n_rows = sum(slots.sizes) + slots.tail_slots * slots.tail_rows
+    down_op = sparse.csr_array((lam_d, (slots.rows[d_group], d_sup)), shape=(n_rows, n))
+    up_op = sparse.csr_array((net.w / net.s_out[net.sup], (net.sup, net.buy)), shape=(n, n))
+    sector_op = sparse.csr_array((net.s_out, (net.sector_of, np.arange(n))), shape=(n_sectors, n))
+    for op in (down_op, up_op, sector_op):
+        op.sort_indices()
+    return ImpactMatrices(
+        n=n, s_out=net.s_out, s_in=net.s_in, sector_of=net.sector_of, n_groups=len(guniq),
+        group_buyer=group_buyer, group_sector=group_sector,
+        seg_starts=seg_starts, slots=slots, u_resid=_residual_demand(up_op),
+        down_op=down_op, up_op=up_op, sector_op=sector_op,
+    )

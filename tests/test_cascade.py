@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (dense_net, edge_blocks, reference_cascade,
+from reference import (dense_net, edge_blocks, reference_build_impact_matrices, reference_cascade,
                        reference_rescale_for_coverage, replaceability)
 from test_acceptance import _micro_fixture
 
@@ -108,7 +108,7 @@ class TestImpactMatrices:
         assert np.all(np.diff(m.down_op.indptr)[pads] == 0)
         assert np.array_equal(np.sort(slots.buyers), m.group_buyer[m.seg_starts])
 
-    def test_group_slots_count_each_buyers_groups_and_inputs(self):
+    def test_group_slots_count_each_buyers_groups_and_inputs(self, monkeypatch):
         m = leo_matrices()
         slots = m.slots
         present = m.group_buyer[m.seg_starts]
@@ -118,6 +118,21 @@ class TestImpactMatrices:
         assert np.array_equal(slots.in_deg, in_deg[slots.buyers])
         assert np.array_equal(slots.rank[slots.buyers], np.arange(len(slots.buyers)))
         assert np.all(np.delete(slots.rank, slots.buyers) == -1)
+        # one index type, int32 at this size, so no gather casts and csr_row_index
+        # never sees a mixed pair; the diagonal sector_op of a no-substitution run too
+        iterate, seen = cascade._iterate, []
+
+        def spy(mat, *args, **kwargs):
+            seen.append(mat)
+            return iterate(mat, *args, **kwargs)
+        monkeypatch.setattr(cascade, "_iterate", spy)
+        run_cascade(None, m, None, np.ones(m.n), substitution=False)
+        subset = _RowSubset(m, _Workspace(m, 16))
+        ops = (m.down_op, m.up_op, m.sector_op, seen[0].sector_op)
+        arrays = [a for op in ops for a in (op.indices, op.indptr)] + [
+            slots.rank, slots.rows, subset.ptr, subset.idx, subset.rows, subset.ids]
+        assert seen[0].sector_op.shape == (m.n, m.n)
+        assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("width", [1, 16])
@@ -596,6 +611,41 @@ def test_no_substitution_sigma_is_exactly_one(raw, data):
             res = run_cascade(net, m, None, psi, epsilon=1e-12, max_iter=20,
                               record_trace=True, substitution=False)
             assert all(np.all(state.sigma == 1.0) for state in res.trace)
+
+
+@st.composite
+def impact_network(draw):
+    """A small network; firms without edges, one sector or a single buyer are common."""
+    ids = [f"f{k}" for k in range(draw(st.integers(1, 12)))]
+    codes = draw(st.sampled_from([["2611"], ["0111", "2611", "4711", "9609"]]))
+    firms = [FirmRecord(fid, draw(st.sampled_from(codes))) for fid in ids]
+    buyers = draw(st.sampled_from([ids[:1], ids]))
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(buyers),
+                                    st.floats(1e-3, 1e3)), max_size=40))
+    return firms, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(impact_network())
+@example(([FirmRecord("a", "2611"), FirmRecord("b", "2611"), FirmRecord("c", "2611")],
+          [("a", "b", 1.0), ("c", "b", 2.0)]))
+@example(([FirmRecord("a", "0111"), FirmRecord("b", "4711")], []))
+def test_transposed_build_matches_lexsort_reference(raw):
+    """The CSC-transposed, int32 build gives the lexsort build's entries, positions and layout."""
+    firms, edges = raw
+    net = build_network(firms, edge_blocks(edges))
+    for scenario in Scenario:
+        spec = assign_scenario(net, scenario)
+        m, ref = build_impact_matrices(net, spec), reference_build_impact_matrices(net, spec)
+        for name in ("down_op", "up_op", "sector_op"):
+            op, ref_op = getattr(m, name), getattr(ref, name)
+            assert op.shape == ref_op.shape
+            assert op.data.tobytes() == ref_op.data.tobytes()
+            assert np.array_equal(op.indices, ref_op.indices)
+            assert np.array_equal(op.indptr, ref_op.indptr)
+        for name in ("group_buyer", "group_sector", "seg_starts", "u_resid"):
+            assert getattr(m, name).tobytes() == getattr(ref, name).tobytes()
+        assert np.array_equal(m.slots.rows, ref.slots.rows)
 
 
 @settings(max_examples=500, deadline=None)

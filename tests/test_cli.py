@@ -376,6 +376,20 @@ class TestEsri:
         assert "--psi-file" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("row", [None, ["a", "1.5"]])
+    def test_bad_psi_file_fails_before_the_network_is_read(self, tmp_path, capsys, monkeypatch,
+                                                           row):
+        data = chain_dir(tmp_path)
+        psi = tmp_path / "psi.csv"
+        if row is not None:
+            write_csv(psi, cli.PSI_HEADER, [row])
+        monkeypatch.setattr(cli, "_load_network", lambda args: pytest.fail("network read"))
+        code = run("esri", "--firms", str(data / "firms.csv"), "--edges", str(data / "edges.csv"),
+                   "--psi-file", str(psi), "--out-dir", str(tmp_path / "o"))
+        assert code == (1 if row is None else 2)  # no such file; psi outside [0, 1]
+        assert str(psi) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("scenario", ["gl", "all"])
     def test_zero_weight_network_writes_nothing(self, tmp_path, scenario):
         data = chain_dir(tmp_path)
