@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 from scipy.sparse._sputils import get_index_dtype
 
-from .netcore import ProductionNetwork, FirmRecord
+from .netcore import ProductionNetwork
 from .prodfun import ScenarioSpec, inputs_are_essential
 
 
@@ -247,12 +247,11 @@ def _scale_rows(op: sparse.csr_array, fac: np.ndarray) -> sparse.csr_array:
     return sparse.csr_array((data, op.indices, op.indptr), shape=op.shape)
 
 
-def _coverage_factor(observed: np.ndarray, reported: list) -> np.ndarray:
-    """min(1, observed / reported) per firm; 1 where the figure is None or 0.
+def _coverage_factor(observed: np.ndarray, reported: np.ndarray) -> np.ndarray:
+    """min(1, observed / reported) per firm; 1 where the figure is NaN (not reported) or 0.
 
     A tiny figure may overflow the ratio to inf, which the cap turns into 1.
     """
-    reported = np.array(reported, dtype=np.float64)  # None becomes NaN
     fac = np.ones(len(reported))
     ok = reported > 0
     with np.errstate(over="ignore"):
@@ -260,7 +259,7 @@ def _coverage_factor(observed: np.ndarray, reported: list) -> np.ndarray:
     return fac
 
 
-def rescale_for_coverage(matrices: ImpactMatrices, firms: "tuple[FirmRecord, ...]") -> ImpactMatrices:
+def rescale_for_coverage(matrices: ImpactMatrices, net: ProductionNetwork) -> ImpactMatrices:
     """Shrink impact entries where income statements report unobserved trade.
 
     Upstream entries reaching supplier i shrink by min(1, s_out_i / revenue_i)
@@ -270,8 +269,8 @@ def rescale_for_coverage(matrices: ImpactMatrices, firms: "tuple[FirmRecord, ...
     of i's true input basket is unobserved and assumed unshocked. Missing or
     zero figures leave entries unchanged.
     """
-    fac_u = _coverage_factor(matrices.s_out, [f.revenue for f in firms])
-    fac_d = _coverage_factor(matrices.s_in, [f.material_cost for f in firms])
+    fac_u = _coverage_factor(matrices.s_out, net.revenue)
+    fac_d = _coverage_factor(matrices.s_in, net.material_cost)
     up_op = _scale_rows(matrices.up_op, fac_u)
     row_fac = np.ones(matrices.down_op.shape[0])  # pad rows are empty
     row_fac[matrices.slots.rows] = fac_d[matrices.group_buyer]
@@ -440,12 +439,12 @@ class _RowSubset:
 
     damaged marks the firms whose h_d has moved in the block; mark and
     sector_mark are all-False scratch. ptr, idx and vals take the operator
-    rows that _gather copies out: any rows of up_op, or as many nonzeros as
-    the cost rule admits; rows takes a list of down_op rows. These, ids and
-    every row list passed to _gather are in the operators' index type, so no
-    gather casts; ids[mask] lists a mask's set entries in that type.
-    slot_start[k] is the first down_op row of slot k. Compact results and
-    old levels go to the workspace's free level buffers.
+    rows that _gather copies out: any rows of up_op or down_op, or as many
+    nonzeros as the cost rule admits; rows takes a list of down_op rows.
+    These, ids and every row list passed to _gather are in the operators'
+    index type, so no gather casts; ids[mask] lists a mask's set entries in
+    that type. slot_start[k] is the first down_op row of slot k. Compact
+    results and old levels go to the workspace's free level buffers.
     """
 
     def __init__(self, m: ImpactMatrices, ws: _Workspace):
@@ -455,7 +454,9 @@ class _RowSubset:
         self.damaged = np.zeros(n, dtype=bool)
         self.mark = np.zeros(n, dtype=bool)
         self.sector_mark = np.zeros(m.sector_op.shape[0], dtype=bool)
-        # the up_op rows of q_rows are copied out before any count can decline a step
+        # the up_op rows of q_rows and the down_op rows of changed_u's groups
+        # are copied out before the count can decline a step; down_op holds
+        # one entry per edge, as many as up_op
         nnz = max(n, m.up_op.nnz, int(_subset_budget(m, width)))
         idx = m.up_op.indices.dtype
         self.ptr = np.empty(max(n_rows, n) + 1, dtype=idx)
@@ -564,11 +565,8 @@ class _RowSubset:
         slots = m.slots
         u_ranks = slots.rank[changed_u]
         u_ranks = np.sort(u_ranks[u_ranks >= 0])
-        into_u = slots.in_deg[u_ranks].sum()
         ranks = np.sort(slots.rank[self._marked(m.up_op, q_rows)])
         nnz_down = slots.in_deg[ranks].sum()
-        if nnz_down + into_u > self.budget:
-            return None
         up_rows = self._marked(m.down_op, self._buyer_rows(u_ranks)[0])
         if nnz_down + _row_nnz(m.up_op.indptr, up_rows) > self.budget:
             return None

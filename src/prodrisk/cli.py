@@ -1,8 +1,8 @@
 """Command line: generate, filter, score, and analyze production networks.
 
 Every subcommand is deterministic for a fixed input and seed; reruns write
-byte-identical files. Exit codes: 0 success, 1 bad usage or parameters,
-2 unusable input data, 3 non-convergence under --strict.
+byte-identical files. Exit codes: 0 success, 1 bad usage, parameters or file
+access, 2 unusable input data, 3 non-convergence under --strict.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .netcore import (DataError, FirmRecord, NetworkError, SyntheticConfig,
+from .netcore import (DataError, NetworkError, SyntheticConfig,
                       TransactionEvent, build_network, filter_long_term_links,
                       generate_synthetic)
 from .prodfun import Scenario, assign_scenario, calibrate
@@ -73,12 +73,16 @@ def _fmt(x: float) -> str:
 
 
 def _out_dir(args) -> Path:
+    """The --out-dir path, which the writes create; ValueError when it or its
+    nearest existing ancestor is a file, so a long run fails before its work."""
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ValueError(f"--out-dir {args.out_dir}: not a directory")
     return out
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -101,6 +105,7 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -251,15 +256,15 @@ def _first_bad_row(path, lines: Sequence[int], columns, parsers) -> NoReturn:
     raise AssertionError("a column parser rejected a block whose rows all parse")
 
 
-def _read_firms(path) -> list[FirmRecord]:
+def _read_firms(path) -> list[tuple[str, str, float | None, float | None]]:
     incomes = ((_parse_income, "revenue"), (_parse_income, "material_cost"))
-    firms: list[FirmRecord] = []
+    firms: list[tuple] = []
     for lines, (ids, codes, revenues, costs) in _read_blocks(path, FIRMS_HEADER):
         try:
             figures = _incomes(revenues), _incomes(costs)
         except ValueError:
             _first_bad_row(path, lines, (revenues, costs), incomes)
-        firms += map(FirmRecord, ids, codes, *figures)
+        firms += zip(ids, codes, *figures)
     return firms
 
 
@@ -331,7 +336,7 @@ def _prepare(net, scenario: Scenario):
     """Params and impact matrices of one scenario."""
     spec = assign_scenario(net, scenario)
     params = calibrate(net, spec)
-    matrices = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
+    matrices = rescale_for_coverage(build_impact_matrices(net, spec), net)
     return params, matrices
 
 
@@ -343,10 +348,7 @@ def cmd_generate(args) -> int:
     firms, edges = generate_synthetic(config, args.seed)
     out = _out_dir(args)
     _write_csv(out / "firms.csv", FIRMS_HEADER,
-               ([f.firm_id, f.nace4,
-                 _fmt(f.revenue) if f.revenue is not None else "",
-                 _fmt(f.material_cost) if f.material_cost is not None else ""]
-                for f in firms))
+               ([fid, code, _fmt(revenue), _fmt(cost)] for fid, code, revenue, cost in firms))
     _write_csv(out / "edges.csv", EDGES_HEADER,
                ([sid, bid, _fmt(w)] for sid, bid, w in edges))
     print(f"wrote {len(firms)} firms and {len(edges)} edges to {out}")
@@ -402,6 +404,7 @@ def _progress_printer():
 def cmd_esri(args) -> int:
     if args.psi_file is not None and args.scenario == "all":
         raise ValueError("--psi-file needs a single scenario, not 'all'")
+    out = _out_dir(args)
     # a bad psi file fails before the network is read
     shock = _read_psi(args.psi_file) if args.psi_file is not None else None
     net = _load_network(args)
@@ -417,9 +420,8 @@ def cmd_esri(args) -> int:
         params, matrices = _prepare(net, Scenario(args.scenario))
         result = run_cascade(net, matrices, params, psi,
                              epsilon=args.epsilon, max_iter=args.max_iter)
-        out = _out_dir(args)
         _write_csv(out / "h.csv", ["firm_id", "h_d", "h_u", "h"],
-                   zip((f.firm_id for f in net.firms), map(repr, result.h_d_final.tolist()),
+                   zip(net.firm_ids, map(repr, result.h_d_final.tolist()),
                        map(repr, result.h_u_final.tolist()), map(repr, result.h_final.tolist())))
         loss = _loss_weighted(net.s_out, total_out, result.h_final)
         _write_json(out / "summary.json", {
@@ -445,7 +447,6 @@ def cmd_esri(args) -> int:
         suite = scenario_suite(net, epsilon=args.epsilon, max_iter=args.max_iter,
                                worker_count=args.workers, progress=progress)
         vectors = {scen.value: vec for scen, vec in suite.items()}
-        out = _out_dir(args)
         for name, vec in vectors.items():
             _write_csv(out / f"esri_{name}.csv", ESRI_HEADER, _esri_rows(vec))
     else:
@@ -454,7 +455,6 @@ def cmd_esri(args) -> int:
         vec = esri_all(net, matrices, params, epsilon=args.epsilon,
                        max_iter=args.max_iter, worker_count=args.workers, progress=progress)
         vectors = {scen.value: vec}
-        out = _out_dir(args)
         _write_csv(out / "esri.csv", ESRI_HEADER, _esri_rows(vec))
 
     any_vec = next(iter(vectors.values()))
@@ -537,6 +537,7 @@ def cmd_sector_experiment(args) -> int:
         scenarios.append({fid: 1.0 - fraction})
         labels.append(fid)
 
+    out = _out_dir(args)
     net = _load_network(args)
     _, matrices = _prepare(net, Scenario(args.scenario))
     report = sector_shock_experiment(
@@ -552,7 +553,6 @@ def cmd_sector_experiment(args) -> int:
         rows.append([sector, _fmt(report.received_ref[s])]
                     + [_fmt(report.received[i, s]) for i in range(k)]
                     + [_fmt(1.0)] + [_fmt(report.rel_dev[i, s]) for i in range(k)])
-    out = _out_dir(args)
     _write_csv(out / "sector_report.csv", header, rows)
 
     print(f"sector {args.sector}: reference plus {k} scenario(s) "
@@ -675,7 +675,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NetworkError, DataError) as exc:

@@ -105,8 +105,9 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     The output is a pure function of (network, scenario, epsilon, max_iter);
     worker_count only changes wall time. Non-converged cascades are recorded
     per firm and the batch still completes. progress, if given, is called
-    with the number of finished firms after each chunk. params is not read:
-    it is passed through as in run_cascade.
+    with the number of finished firms after each chunk; the firms run in
+    chunks of 64, and no more workers start than there are chunks. params
+    is not read: it is passed through as in run_cascade.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
@@ -120,12 +121,13 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     T = np.empty(n, dtype=np.int64)
     conv = np.empty(n, dtype=bool)
 
+    workers = min(worker_count, len(bounds))
     with contextlib.ExitStack() as stack:
         ranges = map(functools.partial(_run_range, ctx=ctx), bounds)
-        if worker_count > 1:
+        if workers > 1:
             # each worker receives the batch context once, when it starts
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=worker_count, initializer=_init_worker, initargs=(ctx,)))
+                max_workers=workers, initializer=_init_worker, initargs=(ctx,)))
             ranges = pool.map(_run_range, bounds)
         done = 0
         for lo, v, t, c in ranges:
@@ -139,7 +141,7 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     for a in (values, T, conv):
         a.flags.writeable = False
     return EsriVector(
-        firm_ids=tuple(f.firm_id for f in net.firms),
+        firm_ids=net.firm_ids,
         values=values, T=T, converged=conv, network_fingerprint=fingerprint(net),
     )
 
@@ -156,7 +158,7 @@ def scenario_suite(net: ProductionNetwork, epsilon: float = 1e-2, max_iter: int 
     for k, scenario in enumerate(scenarios):
         spec = assign_scenario(net, scenario)
         params = calibrate(net, spec)
-        matrices = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
+        matrices = rescale_for_coverage(build_impact_matrices(net, spec), net)
         report = None
         if progress is not None:
             def report(done, n, offset=k * net.n):

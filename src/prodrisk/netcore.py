@@ -14,8 +14,8 @@ from array import array
 from dataclasses import dataclass
 from datetime import date as _date
 from itertools import repeat
-from operator import attrgetter, is_not
-from typing import Iterable, Sequence
+from operator import is_not
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class DataError(Exception):
     """Raised when input data is structurally valid but unusable."""
 
 
-@dataclass(frozen=True)
-class FirmRecord:
+class FirmRecord(NamedTuple):
     """One firm: opaque id, industry code, optional income-statement data.
 
     revenue and material_cost are totals from outside the observed network;
@@ -82,27 +81,30 @@ def sector_is_physical(code: str) -> bool:
 class ProductionNetwork:
     """Immutable firm-level supplier-buyer graph.
 
-    Edges are stored as parallel arrays (supplier index, buyer index, weight)
-    in canonical order, sorted by (supplier, buyer). All arrays are read-only;
+    Firms are columns in index order: firm_ids, revenue and material_cost
+    (float64, NaN where not reported) and sector_of, an index into sectors.
+    Edges are parallel arrays (supplier index, buyer index, weight) in
+    canonical order, sorted by (supplier, buyer). All arrays are read-only;
     the object is safe to share across threads and forked processes.
     """
 
-    def __init__(self, firms: Sequence[FirmRecord], sup: np.ndarray, buy: np.ndarray,
-                 w: np.ndarray, self_loops_dropped: int = 0):
-        self.firms: tuple[FirmRecord, ...] = tuple(firms)
-        self.n: int = len(self.firms)
-        self.index_of: dict[str, int] = dict(zip(map(attrgetter("firm_id"), self.firms),
-                                                 range(self.n)))
+    def __init__(self, firm_ids: Sequence[str], index_of: dict[str, int], nace4: Sequence[str],
+                 revenue: np.ndarray, material_cost: np.ndarray, sup: np.ndarray,
+                 buy: np.ndarray, w: np.ndarray, self_loops_dropped: int = 0):
+        self.firm_ids: tuple[str, ...] = tuple(firm_ids)
+        self.n: int = len(self.firm_ids)
+        self.index_of = index_of  # firm id -> index
+        self.revenue = np.ascontiguousarray(revenue, dtype=np.float64)
+        self.material_cost = np.ascontiguousarray(material_cost, dtype=np.float64)
         self.sup = np.ascontiguousarray(sup, dtype=np.int64)
         self.buy = np.ascontiguousarray(buy, dtype=np.int64)
         self.w = np.ascontiguousarray(w, dtype=np.float64)
         self.self_loops_dropped = int(self_loops_dropped)
 
         # sector bookkeeping: stable sorted code list, integer code per firm
-        codes = list(map(attrgetter("nace4"), self.firms))
-        self.sectors: tuple[str, ...] = tuple(sorted(set(codes)))
+        self.sectors: tuple[str, ...] = tuple(sorted(set(nace4)))
         sector_id = dict(zip(self.sectors, range(len(self.sectors))))
-        self.sector_of = np.fromiter(map(sector_id.__getitem__, codes), dtype=np.int64,
+        self.sector_of = np.fromiter(map(sector_id.__getitem__, nace4), dtype=np.int64,
                                      count=self.n)
 
         # strengths, fixed accumulation order over the canonical edge arrays;
@@ -112,7 +114,8 @@ class ProductionNetwork:
         self.s_out = np.bincount(self.sup, weights=self.w,
                                  minlength=self.n).astype(np.float64, copy=False)
 
-        for a in (self.sup, self.buy, self.w, self.sector_of, self.s_in, self.s_out):
+        for a in (self.revenue, self.material_cost, self.sup, self.buy, self.w,
+                  self.sector_of, self.s_in, self.s_out):
             a.flags.writeable = False
         self._fingerprint: str | None = None  # filled in by fingerprint()
 
@@ -121,12 +124,13 @@ class ProductionNetwork:
         return int(self.sup.shape[0])
 
 
-def build_network(firms: Sequence[FirmRecord],
+def build_network(firms: Iterable[FirmRecord | tuple],
                   edge_blocks: Iterable[tuple[Sequence[str], Sequence[str], Sequence[float]]]
                   ) -> ProductionNetwork:
     """Validate firms and edge column blocks and assemble a ProductionNetwork.
 
-    Each block of edge_blocks is three equally long columns: supplier ids,
+    Each firm is a FirmRecord or a plain 4-tuple in its field order. Each
+    block of edge_blocks is three equally long columns: supplier ids,
     buyer ids and weights (a list or an array). A non-empty list of
     (supplier, buyer, weight) triples is the one block ``zip(*triples)``.
     Parallel edges are summed in input order, zero-weight edges dropped,
@@ -139,9 +143,8 @@ def build_network(firms: Sequence[FirmRecord],
     malformed industry code, and then on the first edge in input order with
     an unknown endpoint or a weight that is negative, NaN or infinite.
     """
-    firms = list(firms)
-    n = len(firms)
-    ids = list(map(attrgetter("firm_id"), firms))
+    ids, codes, revenue, cost = tuple(zip(*firms)) or ((), (), (), ())
+    n = len(ids)
     index = dict(zip(ids, range(n)))
     sup_col, buy_col, w_col = array("q"), array("q"), array("d")
     first_unknown = None
@@ -160,7 +163,8 @@ def build_network(firms: Sequence[FirmRecord],
         buy_col.frombytes(buy.tobytes())
         w_col.frombytes(w.tobytes())
 
-    firms = _checked_firms(firms, ids, duplicates=len(index) < n)
+    codes, revenue, cost = _checked_firms(ids, codes, revenue, cost,
+                                          duplicates=len(index) < n)
     sup = np.frombuffer(sup_col, dtype=np.int64)
     buy = np.frombuffer(buy_col, dtype=np.int64)
     w = np.frombuffer(w_col, dtype=np.float64)
@@ -169,7 +173,7 @@ def build_network(firms: Sequence[FirmRecord],
         e = int(np.argmax(bad))
         if sup[e] < 0 or buy[e] < 0:
             raise NetworkError(f"edge references unknown firm_id {first_unknown!r}")
-        raise NetworkError(f"edge ({firms[sup[e]].firm_id!r}, {firms[buy[e]].firm_id!r}) "
+        raise NetworkError(f"edge ({ids[sup[e]]!r}, {ids[buy[e]]!r}) "
                            f"has invalid weight {float(w[e])}")
 
     nonzero = w != 0
@@ -179,26 +183,26 @@ def build_network(firms: Sequence[FirmRecord],
     # adds the weights of each pair in input order
     keys, pair = np.unique(sup[keep] * n + buy[keep], return_inverse=True)
     merged = np.bincount(pair, weights=w[keep], minlength=len(keys))
-    return ProductionNetwork(firms, keys // n, keys % n, merged,
+    return ProductionNetwork(ids, index, codes, revenue, cost, keys // n, keys % n, merged,
                              self_loops_dropped=int(np.count_nonzero(nonzero & loop)))
 
 
-def _bad_figures(values: list) -> np.ndarray:
-    """Mask of income figures that are neither None nor finite and >= 0."""
+def _figures(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The figures as float64, None as NaN, and a mask of those neither None nor finite and >= 0."""
     given = np.fromiter(map(is_not, values, repeat(None)), dtype=bool, count=len(values))
     x = np.array(values, dtype=np.float64)  # None reads as NaN
-    return given & ~((x >= 0) & np.isfinite(x))
+    return x, given & ~((x >= 0) & np.isfinite(x))
 
 
-def _checked_firms(firms: list[FirmRecord], ids: list[str],
-                   duplicates: bool) -> list[FirmRecord]:
-    """The firms with normalized industry codes; NetworkError on the first bad one.
+def _checked_firms(ids: Sequence[str], codes: Sequence[str], revenue: Sequence, cost: Sequence,
+                   duplicates: bool) -> tuple[Sequence[str], np.ndarray, np.ndarray]:
+    """Normalized industry codes and float64 figures of the firm columns;
+    NetworkError on the first bad firm.
 
     A firm is checked for a duplicate id, then its revenue, material cost and
     code; normalize_nace4 runs once per distinct code.
     """
-    n = len(firms)
-    codes = list(map(attrgetter("nace4"), firms))
+    n = len(ids)
     normal: dict = {}
     errors: dict = {}
     for code in set(codes):
@@ -211,28 +215,23 @@ def _checked_firms(firms: list[FirmRecord], ids: list[str],
     if duplicates:  # the first firm of each id keeps its position
         first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
         dup = np.fromiter(map(first.__getitem__, ids), dtype=np.int64, count=n) != np.arange(n)
-    revenue = list(map(attrgetter("revenue"), firms))
-    cost = list(map(attrgetter("material_cost"), firms))
+    revenue_x, bad_revenue = _figures(revenue)
+    cost_x, bad_cost = _figures(cost)
     bad_code = np.fromiter(map(errors.__contains__, codes), dtype=bool, count=n)
-    bad = dup | _bad_figures(revenue) | _bad_figures(cost) | bad_code
+    bad = dup | bad_revenue | bad_cost | bad_code
     if bad.any():
         i = int(np.argmax(bad))
-        f = firms[i]
         if dup[i]:
-            raise NetworkError(f"duplicate firm_id {f.firm_id!r}")
-        for label, value in (("revenue", f.revenue), ("material_cost", f.material_cost)):
+            raise NetworkError(f"duplicate firm_id {ids[i]!r}")
+        for label, value in (("revenue", revenue[i]), ("material_cost", cost[i])):
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise NetworkError(
-                    f"firm {f.firm_id!r} has {label} {value!r}: expected None or finite and >= 0")
-        raise errors[f.nace4]
+                    f"firm {ids[i]!r} has {label} {value!r}: expected None or finite and >= 0")
+        raise errors[codes[i]]
 
-    renamed = {code for code, norm in normal.items() if norm != code}
-    if renamed:
-        for i in np.flatnonzero(np.fromiter(map(renamed.__contains__, codes),
-                                            dtype=bool, count=n)):
-            f = firms[i]
-            firms[i] = FirmRecord(f.firm_id, normal[f.nace4], f.revenue, f.material_cost)
-    return firms
+    if any(norm != code for code, norm in normal.items()):
+        codes = list(map(normal.__getitem__, codes))
+    return codes, revenue_x, cost_x
 
 
 def filter_long_term_links(events: Iterable[TransactionEvent]) -> list[tuple[str, str, float]]:
@@ -382,11 +381,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[list[FirmRec
                          f"{config.weight_mu} and weight_sigma {config.weight_sigma} give a "
                          "network whose total weight is zero, so no loss can be scored")
 
-    firms = [
-        FirmRecord(ids[i], codes[firm_sector[i]], revenue=float(revenue[i]),
-                   material_cost=float(material_cost[i]))
-        for i in range(n)
-    ]
+    firms = list(map(FirmRecord, ids, map(codes.__getitem__, firm_sector.tolist()),
+                     revenue.tolist(), material_cost.tolist()))
     edges = [(ids[usup[e]], ids[ubuy[e]], float(weight[e])) for e in range(len(uniq))]
     return firms, edges
 
@@ -412,9 +408,11 @@ _HASH_CHUNK = 1 << 16  # edges per hashed text block
 
 def _content_hash(net: ProductionNetwork) -> str:
     h = hashlib.sha256()
-    for f in net.firms:
-        h.update(f"{f.firm_id},{f.nace4},{f.revenue!r},{f.material_cost!r}\n".encode())
-    ids = np.array([f.firm_id for f in net.firms], dtype=object)
+    codes = np.array(net.sectors, dtype=object)[net.sector_of].tolist()
+    revenue, cost = (np.where(np.isnan(x), None, x).tolist()
+                     for x in (net.revenue, net.material_cost))
+    h.update("".join(map("{},{},{!r},{!r}\n".format, net.firm_ids, codes, revenue, cost)).encode())
+    ids = np.array(net.firm_ids, dtype=object)
     line = "{},{},np.float64({!r})\n".format
     for a in range(0, net.n_edges, _HASH_CHUNK):
         b = a + _HASH_CHUNK

@@ -83,10 +83,13 @@ def dense_net(net) -> DenseNet:
     """Rebuild the dense view from a package network object."""
     edges = []
     for e in range(net.n_edges):
-        edges.append((net.firms[net.sup[e]].firm_id,
-                      net.firms[net.buy[e]].firm_id,
+        edges.append((net.firm_ids[net.sup[e]],
+                      net.firm_ids[net.buy[e]],
                       float(net.w[e])))
-    return DenseNet(net.firms, edges)
+    firms = [FirmRecord(fid, net.sectors[k], *(None if math.isnan(x) else x for x in figures))
+             for fid, k, *figures in zip(net.firm_ids, net.sector_of,
+                                         net.revenue.tolist(), net.material_cost.tolist())]
+    return DenseNet(firms, edges)
 
 
 def impact_coefficients(dn: DenseNet, scenario: str):
@@ -330,7 +333,9 @@ def reference_build_network(firms, raw_edges) -> ProductionNetwork:
     sup = np.array([p[0] for p in pairs], dtype=np.int64)
     buy = np.array([p[1] for p in pairs], dtype=np.int64)
     w = np.array([acc[p] for p in pairs], dtype=np.float64)
-    return ProductionNetwork(cleaned, sup, buy, w, self_loops_dropped=self_loops)
+    return ProductionNetwork([f.firm_id for f in cleaned], index, [f.nace4 for f in cleaned],
+                             [f.revenue for f in cleaned], [f.material_cost for f in cleaned],
+                             sup, buy, w, self_loops_dropped=self_loops)
 
 
 def reference_input_matrix(net) -> list[dict[str, float]]:

@@ -44,7 +44,7 @@ _BOUND_SAMPLES: list[tuple[np.ndarray, np.ndarray]] = []
 def prepared(net, scenario):
     spec = assign_scenario(net, scenario)
     params = calibrate(net, spec)
-    matrices = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
+    matrices = rescale_for_coverage(build_impact_matrices(net, spec), net)
     return spec, params, matrices
 
 

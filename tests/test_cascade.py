@@ -40,7 +40,7 @@ def mill_net(revenue=None, material_cost=None):
 def prepared(net, scenario):
     spec = assign_scenario(net, scenario)
     params = calibrate(net, spec)
-    return params, rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
+    return params, rescale_for_coverage(build_impact_matrices(net, spec), net)
 
 
 def leo_matrices(scenario=Scenario.LEO):
@@ -152,7 +152,7 @@ class TestImpactMatrices:
         net = mill_net()
         m = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
         assert np.all(m.up_op.data == 1.0)   # every supplier has a single buyer
-        resid = {net.firms[i].firm_id: m.u_resid[i] for i in range(net.n)}
+        resid = {net.firm_ids[i]: m.u_resid[i] for i in range(net.n)}
         assert resid == {"wheat": 0.0, "consult": 0.0, "mill": 0.0, "shop": 1.0}
 
     def test_share_sums_bounded(self):
@@ -170,7 +170,7 @@ class TestImpactMatrices:
     def test_rescale_shrinks_receiver_side(self):
         net = mill_net(revenue=200.0, material_cost=100.0)
         plain = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
-        scaled = rescale_for_coverage(plain, net.firms)
+        scaled = rescale_for_coverage(plain, net)
         mill, shop = net.index_of["mill"], net.index_of["shop"]
         wheat = net.index_of["wheat"]
 
@@ -184,14 +184,14 @@ class TestImpactMatrices:
     def test_rescale_never_amplifies(self):
         net = mill_net(revenue=80.0, material_cost=20.0)  # below observed figures
         plain = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
-        scaled = rescale_for_coverage(plain, net.firms)
+        scaled = rescale_for_coverage(plain, net)
         assert np.all(scaled.down_op.data == plain.down_op.data)
         assert np.all(scaled.up_op.data == plain.up_op.data)
 
     def test_rescale_ignores_missing_figures(self):
         net = mill_net()
         plain = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
-        scaled = rescale_for_coverage(plain, net.firms)
+        scaled = rescale_for_coverage(plain, net)
         assert np.all(scaled.down_op.data == plain.down_op.data)
         assert np.all(scaled.u_resid == plain.u_resid)
 
@@ -209,14 +209,14 @@ class TestImpactMatrices:
 
         firms = [FirmRecord(f.firm_id, f.nace4, figure(f.revenue, observed.s_out[i]),
                             figure(f.material_cost, observed.s_in[i]))
-                 for i, f in enumerate(observed.firms)]
+                 for i, f in enumerate(firms)]
         net = build_network(firms, edge_blocks(edges))
         for scenario in Scenario:
             plain = build_impact_matrices(net, assign_scenario(net, scenario))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = rescale_for_coverage(plain, net.firms)
-            want = reference_rescale_for_coverage(plain, net.firms)
+                got = rescale_for_coverage(plain, net)
+            want = reference_rescale_for_coverage(plain, firms)
             for name in ("up_op", "down_op"):
                 assert getattr(got, name).data.tobytes() == getattr(want, name).data.tobytes()
             assert got.u_resid.tobytes() == want.u_resid.tobytes()
@@ -592,7 +592,7 @@ def test_unshocked_step_is_bitwise_stationary(raw):
     net = build_network(firms, edge_blocks(edges))
     for scenario in (Scenario.GL, Scenario.LEO):
         plain = build_impact_matrices(net, assign_scenario(net, scenario))
-        for m in (plain, rescale_for_coverage(plain, net.firms)):
+        for m in (plain, rescale_for_coverage(plain, net)):
             res = run_cascade(net, m, None, np.ones(net.n), max_iter=1, record_trace=True)
             assert np.all(res.trace[1].h_u == 1.0) and np.all(res.trace[1].h_d == 1.0)
 
@@ -607,7 +607,7 @@ def test_no_substitution_sigma_is_exactly_one(raw, data):
     psi = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=net.n, max_size=net.n)))
     for scenario in (Scenario.GL, Scenario.LEO):
         plain = build_impact_matrices(net, assign_scenario(net, scenario))
-        for m in (plain, rescale_for_coverage(plain, net.firms)):
+        for m in (plain, rescale_for_coverage(plain, net)):
             res = run_cascade(net, m, None, psi, epsilon=1e-12, max_iter=20,
                               record_trace=True, substitution=False)
             assert all(np.all(state.sigma == 1.0) for state in res.trace)

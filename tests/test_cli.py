@@ -5,7 +5,6 @@ import json
 import math
 import tempfile
 import tracemalloc
-from dataclasses import astuple
 from pathlib import Path
 from unittest import mock
 
@@ -170,8 +169,8 @@ class TestBlockReader:
                                 outcome_of(lambda: ((s, b, w.hex())
                                                     for s, b, w in reference_read_edges(path))))
                 else:
-                    got, ref = (outcome_of(lambda: map(astuple, cli._read_firms(path))),
-                                outcome_of(lambda: map(astuple, reference_read_firms(path))))
+                    got, ref = (outcome_of(lambda: map(tuple, cli._read_firms(path))),
+                                outcome_of(lambda: map(tuple, reference_read_firms(path))))
             finally:
                 csv.field_size_limit(old_limit)
         # the first bad row wins; rows before it are checked in blocks
@@ -273,11 +272,11 @@ class TestEsri:
         net = load_network(data_dir)
         spec = assign_scenario(net, Scenario.GL)
         params = calibrate(net, spec)
-        matrices = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
+        matrices = rescale_for_coverage(build_impact_matrices(net, spec), net)
         vec = esri_all(net, matrices, params)
         assert len(rows) == net.n + 1
         for i, (fid, value, t, conv) in enumerate(rows[1:]):
-            assert fid == net.firms[i].firm_id
+            assert fid == net.firm_ids[i]
             assert float(value) == vec.values[i]
             assert int(t) == vec.T[i]
             assert conv == ("true" if vec.converged[i] else "false")
@@ -619,6 +618,33 @@ class TestSectorExperiment:
                    "--out-dir", str(tmp_path / "o")) == 1
         assert "--firm-shock" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("esri",), ("esri", "--scenario", "all"),
+    ("sector-experiment", "--sector", "2611", "--magnitude", "0.2")])
+@pytest.mark.parametrize("below", [False, True])  # --out-dir is the file, or a path under it
+def test_out_dir_naming_a_file_fails_before_the_network_is_read(tmp_path, capsys, monkeypatch,
+                                                                  command, below):
+    data = chain_dir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    monkeypatch.setattr(cli, "_load_network", lambda args: pytest.fail("network read"))
+    out = taken / "sub" if below else taken
+    assert run(*command, "--firms", str(data / "firms.csv"), "--edges", str(data / "edges.csv"),
+               "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out-dir") and "Traceback" not in err
+    assert taken.read_text() == "kept\n"
+
+
+def test_out_dir_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert run("generate", "--n", "20", "--out-dir", str(taken)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err and "Traceback" not in err
+    assert taken.read_text() == "kept\n"
 
 
 class TestCompareYears:

@@ -24,14 +24,14 @@ from prodrisk.netcore import (
 )
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk.cascade import build_impact_matrices, rescale_for_coverage
-from prodrisk import netcore
+from prodrisk import esri, netcore
 from prodrisk.esri import BLOCK, esri_all, esri_single, scenario_suite
 
 
 def prepared(net, scenario):
     spec = assign_scenario(net, scenario)
     params = calibrate(net, spec)
-    return params, rescale_for_coverage(build_impact_matrices(net, spec), net.firms)
+    return params, rescale_for_coverage(build_impact_matrices(net, spec), net)
 
 
 def sink_net():
@@ -104,7 +104,7 @@ class TestBatch:
         net = sink_net()
         params, m = prepared(net, Scenario.MIX)
         vec = esri_all(net, m, params, epsilon=1e-3, max_iter=77)
-        assert vec.firm_ids == tuple(f.firm_id for f in net.firms)
+        assert vec.firm_ids == net.firm_ids
         assert vec.network_fingerprint == fingerprint(net)
 
     def test_results_frozen(self):
@@ -171,7 +171,7 @@ class TestBatch:
             "net = build_network(firms, [zip(*edges)])\n"
             "spec = assign_scenario(net, Scenario.GL)\n"
             "params = calibrate(net, spec)\n"
-            "m = rescale_for_coverage(build_impact_matrices(net, spec), net.firms)\n"
+            "m = rescale_for_coverage(build_impact_matrices(net, spec), net)\n"
             "one, two = (esri_all(net, m, params, worker_count=w) for w in (1, 2))\n"
             "for a, b in zip((one.values, one.T, one.converged), (two.values, two.T, two.converged)):\n"
             "    assert a.tobytes() == b.tobytes()\n"
@@ -184,6 +184,35 @@ class TestBatch:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == [method]
+
+    def test_pool_no_larger_than_the_batch(self, monkeypatch):
+        """A pool starts all its workers at once, so it gets at most one per chunk."""
+        made = []
+
+        class InProcessPool:  # runs the chunks here; starts no process
+            def __init__(self, max_workers, initializer, initargs):
+                made.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(esri, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(esri, "_worker_ctx", None)
+        for n_firms, pools in ((150, [3]), (64, []), (10, [])):
+            firms, edges = generate_synthetic(SyntheticConfig(n_firms=n_firms), seed=9)
+            net = build_network(firms, edge_blocks(edges))
+            params, m = prepared(net, Scenario.GL)
+            made.clear()
+            vec = esri_all(net, m, params, worker_count=8)
+            assert made == pools
+            assert vec.values.tobytes() == esri_all(net, m, params).values.tobytes()
 
     def test_invalid_worker_count(self):
         net = sink_net()
@@ -257,5 +286,5 @@ class TestSuite:
         prints = {v.network_fingerprint for v in out.values()}
         assert len(prints) == 1
         for vec in out.values():
-            assert vec.firm_ids == tuple(f.firm_id for f in net.firms)
+            assert vec.firm_ids == net.firm_ids
             assert np.all(vec.values >= 0.0) and np.all(vec.values <= 1.0)

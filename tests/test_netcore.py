@@ -68,7 +68,7 @@ class TestBuildNetwork:
         assert net.n == 4
         assert net.n_edges == 4
         assert float(np.sum(net.w)) == 11.0
-        assert net.firms[3].nace4 == SENTINEL_SECTOR
+        assert net.sectors[net.sector_of[3]] == SENTINEL_SECTOR
 
     def test_strength_identities(self):
         net = square_net()
@@ -113,11 +113,33 @@ class TestBuildNetwork:
         with pytest.raises(NetworkError, match=f"'b' has {field}"):
             build_network(firms, edge_blocks([("a", "b", 1.0)]))
 
+    def test_nan_figure_message(self):
+        firms = [FirmRecord("a"), FirmRecord("b", revenue=float("nan"))]
+        with pytest.raises(NetworkError) as err:
+            build_network(firms, [])
+        assert str(err.value) == "firm 'b' has revenue nan: expected None or finite and >= 0"
+
+    def test_records_and_plain_tuples_build_the_same_columns(self):
+        records = [FirmRecord("a", "0111", revenue=12.5), FirmRecord("b", " 4711 ", None, 0.0),
+                   FirmRecord("c", "", 1e16, None), FirmRecord("d")]
+        edges = [("a", "b", 1.0), ("c", "d", 2.0), ("d", "a", 0.5)]
+        nets = [build_network(firms, edge_blocks(edges))
+                for firms in (records, [tuple(f) for f in records])]
+        for net in nets:
+            assert net.firm_ids == ("a", "b", "c", "d")
+            assert net.sectors == ("0111", "4711", SENTINEL_SECTOR)
+            assert np.array_equal(np.isnan(net.revenue), [False, True, False, True])
+            assert np.array_equal(np.isnan(net.material_cost), [True, False, True, True])
+        one, two = nets
+        for name in ("revenue", "material_cost", "sector_of"):
+            assert_bits_equal(getattr(one, name), getattr(two, name))
+        assert fingerprint(one) == fingerprint(two)
+
     def test_missing_and_zero_income_figures_accepted(self):
         firms = [FirmRecord("a", revenue=None, material_cost=0.0),
                  FirmRecord("b", revenue=0.0, material_cost=None)]
         net = build_network(firms, edge_blocks([("a", "b", 1.0)]))
-        assert net.firms[0].material_cost == 0.0 and net.firms[1].revenue == 0.0
+        assert net.material_cost[0] == 0.0 and net.revenue[1] == 0.0
 
     def test_edgeless_network_has_float_strengths_and_no_cascade(self):
         net = build_network([FirmRecord("a", "0111"), FirmRecord("b", "7022")], [])
@@ -140,7 +162,7 @@ class TestBuildNetwork:
         net = square_net()
         assert net.sectors == ("0111", "4711", SENTINEL_SECTOR)
         assert np.flatnonzero(net.sector_of == net.sectors.index("0111")).tolist() == [0, 1]
-        assert [net.sectors[k] for k in net.sector_of] == [f.nace4 for f in net.firms]
+        assert [net.sectors[k] for k in net.sector_of] == ["0111", "0111", "4711", SENTINEL_SECTOR]
 
 
 class TestLongTermFilter:
@@ -216,9 +238,8 @@ class TestSyntheticGenerator:
         cfg = SyntheticConfig(n_firms=50, coverage=0.5)
         firms, edges = generate_synthetic(cfg, seed=3)
         net = build_network(firms, edge_blocks(edges))
-        for i, f in enumerate(net.firms):
-            assert f.revenue == pytest.approx(net.s_out[i] / 0.5)
-            assert f.material_cost == pytest.approx(net.s_in[i] / 0.5)
+        assert net.revenue == pytest.approx(net.s_out / 0.5)
+        assert net.material_cost == pytest.approx(net.s_in / 0.5)
 
     @pytest.mark.parametrize("field, value", [
         ("mean_out_degree", math.inf), ("weight_mu", math.nan), ("weight_sigma", math.inf)])
@@ -262,7 +283,7 @@ class TestFingerprint:
         net1 = square_net()
         net2 = square_net()
         assert fingerprint(net1) == fingerprint(net2)
-        firms = [FirmRecord(f.firm_id, f.nace4) for f in net1.firms]
+        firms = [FirmRecord(fid, net1.sectors[k]) for fid, k in zip(net1.firm_ids, net1.sector_of)]
         edges = [("a", "c", 3.0), ("b", "c", 1.0), ("c", "d", 2.0), ("d", "a", 5.5)]
         assert fingerprint(build_network(firms, edge_blocks(edges))) != fingerprint(net1)
 
@@ -356,8 +377,8 @@ class TestColumnarBuild:
         firms, edges = raw
         ref = reference_build_network(firms, edges)
         net = build_network(firms, cut_blocks(edges, cuts))
-        assert net.firms == ref.firms
-        for name in ("sup", "buy", "w", "s_in", "s_out", "sector_of"):
+        assert net.firm_ids == ref.firm_ids and net.sectors == ref.sectors
+        for name in ("revenue", "material_cost", "sup", "buy", "w", "s_in", "s_out", "sector_of"):
             assert_bits_equal(getattr(net, name), getattr(ref, name))
         assert net.self_loops_dropped == ref.self_loops_dropped
 
