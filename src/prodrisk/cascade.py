@@ -78,9 +78,13 @@ class ImpactMatrices:
     is the demand share of each supplier not covered by observed buyers,
     held at full level during the iteration. sector_op sums
     out-strength-weighted levels per sector. Every row accumulates over
-    ascending column indices. The three operators, slots.rank and slots.rows
-    share one index type: int32 where scipy's index-dtype rule allows it for
-    the largest down_op the network could give, int64 beyond.
+    ascending column indices. down_op and up_op are compiled from the
+    canonical (supplier, buyer) edges as they are: these list each buyer's
+    inputs by ascending supplier, and an essential group is one (buyer,
+    supplier sector) pair, whose input total is its entries' denominator.
+    The operators, slots.rank and slots.rows share one index type: int32
+    where scipy's index-dtype rule allows it for the largest down_op the
+    network could give, int64 beyond.
     """
 
     n: int
@@ -144,7 +148,7 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     idx = get_index_dtype(maxval=max(n, net.n_edges + TAIL_ROWS * (n_sectors + 1)))
     # row pointer of the canonical edges as a supplier-major CSR
     sup_ptr = np.searchsorted(net.sup, np.arange(n + 1)).astype(idx)
-    d_sup, lam_d, d_group, guniq = _downstream_entries(net, spec, sup_ptr)
+    d_sup, lam_d, d_group, guniq = _downstream_entries(net, spec, idx)
     group_buyer = guniq // (n_sectors + 1)
     group_sector = guniq % (n_sectors + 1) - 1
     present_buyers, seg_starts = np.unique(group_buyer, return_index=True)
@@ -154,7 +158,6 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     n_rows = sum(slots.sizes) + slots.tail_slots * slots.tail_rows
     down_op = sparse.csr_array((lam_d, (slots.rows[d_group], d_sup)), shape=(n_rows, n))
     del d_sup, lam_d, d_group
-    # upstream entries use the canonical (supplier, buyer) order directly
     up_op = sparse.csr_array((net.w / net.s_out[net.sup], net.buy.astype(idx), sup_ptr), shape=(n, n))
     sector_op = sparse.csr_array((net.s_out, (net.sector_of.astype(idx), np.arange(n, dtype=idx))),
                                  shape=(n_sectors, n))
@@ -172,36 +175,30 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     )
 
 
-def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec, sup_ptr: np.ndarray
+def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec, idx: np.dtype
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Downstream share and constraint group of every edge, by (buyer, supplier).
+    """Downstream share and constraint group of every edge, in canonical order.
 
-    Returns the supplier (in sup_ptr's index type), share and group index of
-    each edge, and the sorted group keys buyer * (n_sectors + 1) + (1 +
-    sector, or 0 for the pooled group). The CSC transpose of the canonical
-    edges' supplier-major CSR, an O(nnz) counting sort, lists their positions
-    in (buyer, supplier) order. Edge-length temporaries are dropped once used.
+    Returns the supplier (as idx), share and group index of each edge, and
+    the sorted group keys buyer * (n_sectors + 1) + (1 + sector, or 0 for the
+    pooled group). No reordering is needed: the canonical order lists each
+    buyer's inputs by ascending supplier, and an essential group is one
+    (buyer, supplier sector) pair, whose input total is its denominator.
     """
-    n, n_sectors, idx = net.n, len(net.sectors), sup_ptr.dtype
-    by_buyer = sparse.csr_array((np.arange(net.n_edges, dtype=idx), net.buy.astype(idx), sup_ptr),
-                                shape=(n, n)).tocsc()
-    d_sup = by_buyer.indices
-    d_buy = np.repeat(np.arange(n, dtype=idx), np.diff(by_buyer.indptr))
-    d_w = net.w[by_buyer.data]
-    del by_buyer
+    n_sectors = len(net.sectors)
+    d_sup, d_buy, d_w = net.sup.astype(idx), net.buy, net.w
     d_sector = net.sector_of.astype(idx)[d_sup]
     d_ess = inputs_are_essential(net, spec, d_buy, d_sector)
 
-    # denominators of essential entries: same-sector input totals per buyer
-    _, pair_inv = np.unique(d_buy * np.int64(n_sectors) + d_sector, return_inverse=True)
-    lam_d = np.where(d_ess, np.bincount(pair_inv, weights=d_w)[pair_inv], net.s_in[d_buy])
-    np.divide(d_w, lam_d, out=lam_d)
-    del pair_inv, d_w
-
     # constraint groups: one per (buyer, essential sector), one pooled per buyer
     gkey = d_buy * np.int64(n_sectors + 1) + np.where(d_ess, 1 + d_sector, 0)
-    del d_buy, d_sector, d_ess
+    del d_sector
     guniq, d_group = np.unique(gkey, return_inverse=True)
+    del gkey
+
+    # denominators: the group's input total if essential, else all of the buyer's inputs
+    lam_d = np.where(d_ess, np.bincount(d_group, weights=d_w)[d_group], net.s_in[d_buy])
+    np.divide(d_w, lam_d, out=lam_d)
     return d_sup, lam_d, d_group, guniq
 
 

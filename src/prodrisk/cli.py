@@ -522,6 +522,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sector_experiment(args) -> int:
+    if not args.magnitude <= 1.0:
+        raise ValueError(f"--magnitude {args.magnitude!r}: must lie in (0, 1]")
     scenarios: list[dict[str, float]] = []
     labels: list[str] = []
     for item in args.firm_shock or []:

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import multiprocessing
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -65,9 +69,22 @@ _worker_ctx: dict | None = None
 
 
 def _init_worker(ctx: dict) -> None:
-    """Pool initializer: keep the batch context for every range this worker runs."""
+    """Pool initializer: keep the batch context for every range this worker runs.
+
+    In a child process, a daemon thread also ends the worker once the
+    process that started it is gone, which a killed parent cannot do.
+    """
     global _worker_ctx
     _worker_ctx = ctx
+    if multiprocessing.parent_process() is not None:
+        threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
+
+
+def _exit_with_parent(ppid: int) -> None:
+    """Exit once the parent is no longer ppid: it died, and this process was re-parented."""
+    while os.getppid() == ppid:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 def _run_range(bounds: tuple[int, int], ctx: dict | None = None

@@ -630,8 +630,10 @@ def impact_network(draw):
 @example(([FirmRecord("a", "2611"), FirmRecord("b", "2611"), FirmRecord("c", "2611")],
           [("a", "b", 1.0), ("c", "b", 2.0)]))
 @example(([FirmRecord("a", "0111"), FirmRecord("b", "4711")], []))
-def test_transposed_build_matches_lexsort_reference(raw):
-    """The CSC-transposed, int32 build gives the lexsort build's entries, positions and layout."""
+# several head slots, each scenario followed by tail slots (gl 10, mix 17, leo 23 head slots)
+@example(generate_synthetic(SyntheticConfig(n_firms=2000, mean_out_degree=10, coverage=0.8), seed=5))
+def test_canonical_order_build_matches_lexsort_reference(raw):
+    """The canonical-order, int32 build gives the lexsort build's entries, positions and layout."""
     firms, edges = raw
     net = build_network(firms, edge_blocks(edges))
     for scenario in Scenario:

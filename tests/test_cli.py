@@ -619,6 +619,13 @@ class TestSectorExperiment:
         assert "--firm-shock" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_bad_magnitude_checked_before_input(self, tmp_path, capsys):
+        assert run("sector-experiment", "--firms", str(tmp_path / "missing.csv"),
+                   "--edges", str(tmp_path / "missing.csv"), "--sector", "2611",
+                   "--magnitude", "1.5", "--out-dir", str(tmp_path / "o")) == 1
+        assert "--magnitude" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("command", [
     ("esri",), ("esri", "--scenario", "all"),

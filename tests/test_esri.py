@@ -1,10 +1,14 @@
 """Per-firm index batches: values, determinism, bookkeeping."""
 
+import contextlib
 import multiprocessing
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,22 @@ def prepared(net, scenario):
     spec = assign_scenario(net, scenario)
     params = calibrate(net, spec)
     return params, rescale_for_coverage(build_impact_matrices(net, spec), net)
+
+
+def src_env() -> dict:
+    """The environment of a child Python that imports this prodrisk."""
+    src = str(Path(prodrisk.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def running(pid: int) -> bool:
+    """Is process pid alive and not a zombie?"""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def sink_net():
@@ -177,13 +197,51 @@ class TestBatch:
             "    assert a.tobytes() == b.tobytes()\n"
             "print(multiprocessing.get_start_method())\n"
         )
-        src = str(Path(prodrisk.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        done = subprocess.run([sys.executable, "-c", script, method], env=env,
+        done = subprocess.run([sys.executable, "-c", script, method], env=src_env(),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == [method]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """A worker whose parent was SIGKILLed ends by itself instead of waiting for tasks."""
+        script = tmp_path / "batch.py"
+        script.write_text(
+            "import multiprocessing, time\n"
+            "from prodrisk.netcore import SyntheticConfig, build_network, generate_synthetic\n"
+            "from prodrisk.prodfun import Scenario, assign_scenario, calibrate\n"
+            "from prodrisk.cascade import build_impact_matrices\n"
+            "from prodrisk.esri import esri_all\n"
+            "def report(done, total):\n"
+            "    print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+            "    time.sleep(300)\n"
+            "if __name__ == '__main__':\n"
+            "    firms, edges = generate_synthetic(SyntheticConfig(n_firms=300), seed=9)\n"
+            "    net = build_network(firms, [zip(*edges)])\n"
+            "    spec = assign_scenario(net, Scenario.GL)\n"
+            "    esri_all(net, build_impact_matrices(net, spec), calibrate(net, spec),\n"
+            "             worker_count=2, progress=report)\n"
+        )
+        proc = subprocess.Popen([sys.executable, str(script)], env=src_env(),
+                                stdout=subprocess.PIPE, text=True)
+        workers = []
+        try:
+            assert select.select([proc.stdout], [], [], 120)[0], "no progress report"
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(workers) == 2
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if running(pid)]
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in filter(running, workers):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_pool_no_larger_than_the_batch(self, monkeypatch):
         """A pool starts all its workers at once, so it gets at most one per chunk."""
