@@ -69,31 +69,28 @@ class ImpactMatrices:
     Essential inputs of one buyer form one constraint group per supplier
     sector; all non-essential inputs of a buyer share a single pooled group.
     Groups are numbered in buyer order, so the groups of each present buyer
-    form one contiguous segment starting at seg_starts; group_buyer,
-    group_sector and seg_starts are in this group order. down_op has one
+    form one contiguous segment starting at seg_starts. down_op has one
     column per supplier and one row per group, but its rows are in the
     rank-slot order the kernel reduces them in, with empty pad rows in the
     tail (see GroupSlots); slots.rows maps each group to its row. up_op maps
     (supplier, buyer) to the buyer's share of the supplier's sales; u_resid
     is the demand share of each supplier not covered by observed buyers,
-    held at full level during the iteration. sector_op sums
-    out-strength-weighted levels per sector. Every row accumulates over
-    ascending column indices. down_op and up_op are compiled from the
-    canonical (supplier, buyer) edges as they are: these list each buyer's
-    inputs by ascending supplier, and an essential group is one (buyer,
-    supplier sector) pair, whose input total is its entries' denominator.
-    The operators, slots.rank and slots.rows share one index type: int32
+    held at full level during the iteration. The shares of both operators
+    are shrunk for income-statement coverage (see build_impact_matrices).
+    sector_op sums out-strength-weighted levels per sector. Every row
+    accumulates over ascending column indices. down_op and up_op are
+    compiled from the canonical (supplier, buyer) edges as they are: these
+    list each buyer's inputs by ascending supplier, and an essential group
+    is one (buyer, supplier sector) pair, whose input total is its entries'
+    denominator. The operators, slots.rank and slots.rows share one index type: int32
     where scipy's index-dtype rule allows it for the largest down_op the
     network could give, int64 beyond.
     """
 
     n: int
     s_out: np.ndarray
-    s_in: np.ndarray
     sector_of: np.ndarray
     n_groups: int
-    group_buyer: np.ndarray
-    group_sector: np.ndarray     # sector id per group, -1 for the pooled group
     seg_starts: np.ndarray       # first group index per present buyer
     slots: GroupSlots
     u_resid: np.ndarray
@@ -136,12 +133,20 @@ class CascadeResult:
 
 
 def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactMatrices:
-    """Per-edge impact coefficients for one scenario.
+    """Per-edge impact coefficients for one scenario, shrunk for coverage.
 
     For an edge from supplier j to buyer i: if j's sector is essential for i,
     the downstream entry is j's share among i's same-sector inputs; otherwise
     it is j's share of all of i's inputs. The upstream entry is always buyer
     i's share of j's sales.
+
+    Where income statements report unobserved trade, each share shrinks as
+    it is formed. Upstream entries of supplier j shrink by min(1, s_out_j /
+    revenue_j), because part of j's true demand never shows up in the
+    network; the complement moves into u_resid and stays at full level.
+    Downstream entries of buyer i shrink by min(1, s_in_i /
+    material_cost_i), because part of i's true input basket is unobserved
+    and assumed unshocked. Missing or zero figures leave entries unchanged.
     """
     n, n_sectors = net.n, len(net.sectors)
     # down_op has a nonzero per edge, a row per group and under TAIL_ROWS pad rows per slot
@@ -149,28 +154,25 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     # row pointer of the canonical edges as a supplier-major CSR
     sup_ptr = np.searchsorted(net.sup, np.arange(n + 1)).astype(idx)
     d_sup, lam_d, d_group, guniq = _downstream_entries(net, spec, idx)
-    group_buyer = guniq // (n_sectors + 1)
-    group_sector = guniq % (n_sectors + 1) - 1
-    present_buyers, seg_starts = np.unique(group_buyer, return_index=True)
+    present_buyers, seg_starts = np.unique(guniq // (n_sectors + 1), return_index=True)
     slots = _group_slots(present_buyers, seg_starts, np.bincount(d_group, minlength=len(guniq)),
                          n, idx)
 
     n_rows = sum(slots.sizes) + slots.tail_slots * slots.tail_rows
     down_op = sparse.csr_array((lam_d, (slots.rows[d_group], d_sup)), shape=(n_rows, n))
     del d_sup, lam_d, d_group
-    up_op = sparse.csr_array((net.w / net.s_out[net.sup], net.buy.astype(idx), sup_ptr), shape=(n, n))
+    lam_u = net.w / net.s_out[net.sup]
+    lam_u *= _coverage_factor(net.s_out, net.revenue)[net.sup]
+    up_op = sparse.csr_array((lam_u, net.buy.astype(idx), sup_ptr), shape=(n, n))
     sector_op = sparse.csr_array((net.s_out, (net.sector_of.astype(idx), np.arange(n, dtype=idx))),
                                  shape=(n_sectors, n))
     for op in (down_op, up_op, sector_op):
         op.sort_indices()
-    u_resid = _residual_demand(up_op)
-    for a in (group_buyer, group_sector, seg_starts, slots.buyers, slots.counts, slots.in_deg,
-              slots.rank, slots.rows):
+    for a in (seg_starts, slots.buyers, slots.counts, slots.in_deg, slots.rank, slots.rows):
         a.flags.writeable = False
     return ImpactMatrices(
-        n=n, s_out=net.s_out, s_in=net.s_in, sector_of=net.sector_of, n_groups=len(guniq),
-        group_buyer=group_buyer, group_sector=group_sector,
-        seg_starts=seg_starts, slots=slots, u_resid=u_resid,
+        n=n, s_out=net.s_out, sector_of=net.sector_of, n_groups=len(guniq),
+        seg_starts=seg_starts, slots=slots, u_resid=_residual_demand(up_op),
         down_op=down_op, up_op=up_op, sector_op=sector_op,
     )
 
@@ -179,11 +181,12 @@ def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec, idx: np.dtyp
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Downstream share and constraint group of every edge, in canonical order.
 
-    Returns the supplier (as idx), share and group index of each edge, and
-    the sorted group keys buyer * (n_sectors + 1) + (1 + sector, or 0 for the
-    pooled group). No reordering is needed: the canonical order lists each
-    buyer's inputs by ascending supplier, and an essential group is one
-    (buyer, supplier sector) pair, whose input total is its denominator.
+    Returns the supplier (as idx), coverage-shrunk share and group index of
+    each edge, and the sorted group keys buyer * (n_sectors + 1) + (1 +
+    sector, or 0 for the pooled group). No reordering is needed: the
+    canonical order lists each buyer's inputs by ascending supplier, and an
+    essential group is one (buyer, supplier sector) pair, whose input total
+    is its denominator.
     """
     n_sectors = len(net.sectors)
     d_sup, d_buy, d_w = net.sup.astype(idx), net.buy, net.w
@@ -199,6 +202,7 @@ def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec, idx: np.dtyp
     # denominators: the group's input total if essential, else all of the buyer's inputs
     lam_d = np.where(d_ess, np.bincount(d_group, weights=d_w)[d_group], net.s_in[d_buy])
     np.divide(d_w, lam_d, out=lam_d)
+    lam_d *= _coverage_factor(net.s_in, net.material_cost)[d_buy]
     return d_sup, lam_d, d_group, guniq
 
 
@@ -238,12 +242,6 @@ def _residual_demand(up_op: sparse.csr_array) -> np.ndarray:
     return resid
 
 
-def _scale_rows(op: sparse.csr_array, fac: np.ndarray) -> sparse.csr_array:
-    """op with row r multiplied by fac[r]; shares the index arrays of op."""
-    data = op.data * np.repeat(fac, np.diff(op.indptr))
-    return sparse.csr_array((data, op.indices, op.indptr), shape=op.shape)
-
-
 def _coverage_factor(observed: np.ndarray, reported: np.ndarray) -> np.ndarray:
     """min(1, observed / reported) per firm; 1 where the figure is NaN (not reported) or 0.
 
@@ -257,23 +255,12 @@ def _coverage_factor(observed: np.ndarray, reported: np.ndarray) -> np.ndarray:
 
 
 def rescale_for_coverage(matrices: ImpactMatrices, net: ProductionNetwork) -> ImpactMatrices:
-    """Shrink impact entries where income statements report unobserved trade.
+    """Return matrices unchanged: build_impact_matrices already applies coverage.
 
-    Upstream entries reaching supplier i shrink by min(1, s_out_i / revenue_i)
-    because part of i's true demand never shows up in the network; the
-    complement moves into u_resid and stays at full level. Downstream entries
-    reaching buyer i shrink by min(1, s_in_i / material_cost_i) because part
-    of i's true input basket is unobserved and assumed unshocked. Missing or
-    zero figures leave entries unchanged.
+    The name stays until perfbench/job.py, which wraps it on the scoring
+    paths of cli and esri, no longer binds it, as with calibrate.
     """
-    fac_u = _coverage_factor(matrices.s_out, net.revenue)
-    fac_d = _coverage_factor(matrices.s_in, net.material_cost)
-    up_op = _scale_rows(matrices.up_op, fac_u)
-    row_fac = np.ones(matrices.down_op.shape[0])  # pad rows are empty
-    row_fac[matrices.slots.rows] = fac_d[matrices.group_buyer]
-    down_op = _scale_rows(matrices.down_op, row_fac)
-    return dataclasses.replace(matrices, up_op=up_op, down_op=down_op,
-                               u_resid=_residual_demand(up_op))
+    return matrices
 
 
 def _sigma(s_out: np.ndarray, denom: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -10,7 +10,10 @@ package's earlier per-edge and per-firm loops, kept as references for the
 columnar versions that replaced them. They fill the package's own result
 classes, so the two can be compared field by field. The row-by-row CSV
 reader of the command line is kept the same way, for its block reader, and
-so is the impact-operator build that ordered the edges with np.lexsort.
+so is the impact-operator build that ordered the edges with np.lexsort. That
+build leaves its shares unscaled and keeps each group's buyer and sector
+(ReferenceMatrices); the rescaling then scales the operators' rows in a
+second pass, where the package shrinks each share as it forms it.
 
 The generalized-Leontief production function (its calibration from the
 observed inputs and its evaluation) lives only here: the cascade reads the
@@ -31,7 +34,7 @@ import numpy as np
 
 from scipy import sparse
 
-from prodrisk.cascade import ImpactMatrices, _group_slots, _residual_demand, _scale_rows
+from prodrisk.cascade import ImpactMatrices, _group_slots, _residual_demand
 from prodrisk.cli import EDGES_HEADER, FIRMS_HEADER, _parse_amount, _parse_income
 from prodrisk.netcore import (DataError, FirmRecord, NetworkError, ProductionNetwork,
                               normalize_nace4)
@@ -450,8 +453,18 @@ def replaceability(h_d: np.ndarray, net) -> np.ndarray:
         return np.fmin(net.s_out / live[net.sector_of], 1.0)
 
 
-def reference_rescale_for_coverage(matrices: ImpactMatrices, firms) -> ImpactMatrices:
-    """Per-firm loop over the income figures, then the same row scaling."""
+def _scale_rows(op: sparse.csr_array, fac: np.ndarray) -> sparse.csr_array:
+    """op with row r multiplied by fac[r]; shares the index arrays of op."""
+    data = op.data * np.repeat(fac, np.diff(op.indptr))
+    return sparse.csr_array((data, op.indices, op.indptr), shape=op.shape)
+
+
+def reference_rescale_for_coverage(matrices: ReferenceMatrices, firms) -> ReferenceMatrices:
+    """Per-firm loop over the income figures, then a scaling of the operators' rows.
+
+    The package shrinks each share as it forms it; this is the earlier
+    second pass over the unscaled operators of reference_build_impact_matrices.
+    """
     n = matrices.n
     fac_u = np.ones(n)
     fac_d = np.ones(n)
@@ -462,7 +475,7 @@ def reference_rescale_for_coverage(matrices: ImpactMatrices, firms) -> ImpactMat
             fac_d[i] = min(1.0, matrices.s_in[i] / f.material_cost)
 
     up_op = _scale_rows(matrices.up_op, fac_u)
-    row_fac = np.ones(matrices.down_op.shape[0])
+    row_fac = np.ones(matrices.down_op.shape[0])  # pad rows are empty
     row_fac[matrices.slots.rows] = fac_d[matrices.group_buyer]
     down_op = _scale_rows(matrices.down_op, row_fac)
     return dataclasses.replace(matrices, up_op=up_op, down_op=down_op,
@@ -497,8 +510,25 @@ def reference_downstream_entries(net, spec: ScenarioSpec):
     return d_sup, lam_d, d_group, guniq
 
 
-def reference_build_impact_matrices(net, spec: ScenarioSpec) -> ImpactMatrices:
-    """The earlier build_impact_matrices, with int64 coordinates for all three operators."""
+@dataclass(frozen=True)
+class ReferenceMatrices(ImpactMatrices):
+    """ImpactMatrices with the per-group keys and in-strengths the package no longer keeps.
+
+    group_buyer and group_sector are in group order; group_sector is -1 for
+    a buyer's pooled group.
+    """
+
+    s_in: np.ndarray
+    group_buyer: np.ndarray
+    group_sector: np.ndarray
+
+
+def reference_build_impact_matrices(net, spec: ScenarioSpec) -> ReferenceMatrices:
+    """The earlier build_impact_matrices, with int64 coordinates for all three operators.
+
+    Its shares are not shrunk for coverage: reference_rescale_for_coverage
+    does that in a second pass.
+    """
     n, n_sectors = net.n, len(net.sectors)
     d_sup, lam_d, d_group, guniq = reference_downstream_entries(net, spec)
     group_buyer = guniq // (n_sectors + 1)
@@ -512,9 +542,9 @@ def reference_build_impact_matrices(net, spec: ScenarioSpec) -> ImpactMatrices:
     sector_op = sparse.csr_array((net.s_out, (net.sector_of, np.arange(n))), shape=(n_sectors, n))
     for op in (down_op, up_op, sector_op):
         op.sort_indices()
-    return ImpactMatrices(
-        n=n, s_out=net.s_out, s_in=net.s_in, sector_of=net.sector_of, n_groups=len(guniq),
-        group_buyer=group_buyer, group_sector=group_sector,
+    return ReferenceMatrices(
+        n=n, s_out=net.s_out, sector_of=net.sector_of, n_groups=len(guniq),
         seg_starts=seg_starts, slots=slots, u_resid=_residual_demand(up_op),
         down_op=down_op, up_op=up_op, sector_op=sector_op,
+        s_in=net.s_in, group_buyer=group_buyer, group_sector=group_sector,
     )

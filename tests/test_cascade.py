@@ -43,57 +43,67 @@ def prepared(net, scenario):
     return params, rescale_for_coverage(build_impact_matrices(net, spec), net)
 
 
+def both_builds(net, scenario):
+    """The package's impact matrices and the reference build, which keeps the group keys."""
+    spec = assign_scenario(net, scenario)
+    return build_impact_matrices(net, spec), reference_build_impact_matrices(net, spec)
+
+
 def leo_matrices(scenario=Scenario.LEO):
     """150 firms in 8 sectors: under leo, head folds and a padded tail."""
     firms, edges = generate_synthetic(
         SyntheticConfig(n_firms=150, n_sectors=8, mean_out_degree=6.0), seed=5)
-    net = build_network(firms, edge_blocks(edges))
-    return build_impact_matrices(net, assign_scenario(net, scenario))
+    return both_builds(build_network(firms, edge_blocks(edges)), scenario)
 
 
-def entry(matrices, sup, buy):
-    """Downstream coefficient of one edge and whether it is essential."""
-    for g in np.flatnonzero(matrices.group_buyer == buy):
+def entry(matrices, ref, sup, buy):
+    """Downstream coefficient of one edge and whether it is essential; ref gives the groups."""
+    for g in np.flatnonzero(ref.group_buyer == buy):
         row = matrices.down_op[[matrices.slots.rows[g]]]
         if sup in row.indices:
-            return row[0, sup], bool(matrices.group_sector[g] >= 0)
+            return row[0, sup], bool(ref.group_sector[g] >= 0)
     raise AssertionError("edge not found")
+
+
+def without_figures(firms):
+    """The same firms with no revenue or material cost reported."""
+    return [FirmRecord(f.firm_id, f.nace4) for f in firms]
 
 
 class TestImpactMatrices:
     def test_gl_edge_coefficients(self):
         net = mill_net()
-        spec = assign_scenario(net, Scenario.GL)
-        m = build_impact_matrices(net, spec)
+        m, ref = both_builds(net, Scenario.GL)
         wheat, consult = net.index_of["wheat"], net.index_of["consult"]
         mill, shop = net.index_of["mill"], net.index_of["shop"]
 
-        lam, ess = entry(m, wheat, mill)
+        lam, ess = entry(m, ref, wheat, mill)
         assert ess and lam == 1.0       # sole supplier within its sector
-        lam, ess = entry(m, consult, mill)
+        lam, ess = entry(m, ref, consult, mill)
         assert not ess and lam == 10.0 / 50.0
-        lam, ess = entry(m, mill, shop)
+        lam, ess = entry(m, ref, mill, shop)
         assert not ess and lam == 1.0   # service buyer pools everything
 
     def test_constraint_groups(self):
         net = mill_net()
-        m = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
+        m, ref = both_builds(net, Scenario.GL)
         mill = net.index_of["mill"]
-        mill_groups = {int(g) for g in np.flatnonzero(m.group_buyer == mill)}
+        mill_groups = {int(g) for g in np.flatnonzero(ref.group_buyer == mill)}
         assert len(mill_groups) == 2    # one essential sector plus the pool
-        sectors = {int(m.group_sector[g]) for g in mill_groups}
+        assert m.slots.counts[m.slots.rank[mill]] == 2
+        sectors = {int(ref.group_sector[g]) for g in mill_groups}
         assert -1 in sectors            # pooled group marker
-        assert len(m.group_buyer) == m.n_groups
+        assert len(ref.group_buyer) == m.n_groups
 
     def test_group_slots_hold_each_buyers_own_groups(self):
-        m = leo_matrices()
+        m, ref = leo_matrices()
         slots = m.slots
         assert len(slots.sizes) > 1 and slots.tail_slots > 0  # head folds and a padded tail
         # one row per group, each row used by at most one group
         assert len(slots.rows) == m.n_groups
         assert len(np.unique(slots.rows)) == m.n_groups
         row_buyer = np.full(m.down_op.shape[0], -1)
-        row_buyer[slots.rows] = m.group_buyer
+        row_buyer[slots.rows] = ref.group_buyer
         start = 0
         for size in list(slots.sizes) + [slots.tail_rows] * slots.tail_slots:
             part = row_buyer[start:start + size]
@@ -106,12 +116,12 @@ class TestImpactMatrices:
         pads = np.flatnonzero(row_buyer < 0)
         assert len(pads) > 0
         assert np.all(np.diff(m.down_op.indptr)[pads] == 0)
-        assert np.array_equal(np.sort(slots.buyers), m.group_buyer[m.seg_starts])
+        assert np.array_equal(np.sort(slots.buyers), ref.group_buyer[m.seg_starts])
 
     def test_group_slots_count_each_buyers_groups_and_inputs(self, monkeypatch):
-        m = leo_matrices()
+        m, ref = leo_matrices()
         slots = m.slots
-        present = m.group_buyer[m.seg_starts]
+        present = ref.group_buyer[m.seg_starts]
         counts = np.diff(m.seg_starts, append=m.n_groups)
         assert np.array_equal(slots.counts, counts[np.searchsorted(present, slots.buyers)])
         in_deg = np.bincount(m.up_op.indices, minlength=m.n)
@@ -137,7 +147,7 @@ class TestImpactMatrices:
     @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("width", [1, 16])
     def test_group_max_matches_reduceat(self, scenario, width):
-        m = leo_matrices(scenario)
+        m, ref = leo_matrices(scenario)
         slots = m.slots
         rng = np.random.default_rng(width)
         y = rng.random((m.down_op.shape[0], width))
@@ -146,7 +156,7 @@ class TestImpactMatrices:
         # one row per present buyer, in ascending buyer order
         expect = np.maximum.reduceat(y[slots.rows], m.seg_starts)
         got = _group_max(y, slots)
-        assert np.array_equal(got, expect[np.searchsorted(m.group_buyer[m.seg_starts], slots.buyers)])
+        assert np.array_equal(got, expect[np.searchsorted(ref.group_buyer[m.seg_starts], slots.buyers)])
 
     def test_upstream_shares_and_residual(self):
         net = mill_net()
@@ -159,18 +169,18 @@ class TestImpactMatrices:
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=40), seed=2)
         net = build_network(firms, edge_blocks(edges))
         for scenario in Scenario:
-            m = build_impact_matrices(net, assign_scenario(net, scenario))
+            m, ref = both_builds(net, scenario)
             for g, total in enumerate(m.down_op.sum(axis=1)[m.slots.rows]):
                 assert total <= 1.0 + 1e-9
-                if m.group_sector[g] >= 0:
+                if ref.group_sector[g] >= 0:
                     assert total == pytest.approx(1.0)
             per_sup = m.up_op @ np.ones(net.n)
             assert np.all(per_sup + m.u_resid <= 1.0 + 1e-9)
 
     def test_rescale_shrinks_receiver_side(self):
         net = mill_net(revenue=200.0, material_cost=100.0)
-        plain = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
-        scaled = rescale_for_coverage(plain, net)
+        scaled, ref = both_builds(net, Scenario.GL)
+        plain = build_impact_matrices(mill_net(), assign_scenario(net, Scenario.GL))
         mill, shop = net.index_of["mill"], net.index_of["shop"]
         wheat = net.index_of["wheat"]
 
@@ -178,22 +188,27 @@ class TestImpactMatrices:
         assert plain.up_op[mill, shop] == 1.0 and scaled.up_op[mill, shop] == 0.5
         assert scaled.u_resid[mill] == 0.5
         # mill reports twice the observed inputs: downstream impact halves
-        lam, _ = entry(scaled, wheat, mill)
-        assert lam == 0.5
+        assert entry(plain, ref, wheat, mill) == (1.0, True)
+        assert entry(scaled, ref, wheat, mill) == (0.5, True)
 
     def test_rescale_never_amplifies(self):
         net = mill_net(revenue=80.0, material_cost=20.0)  # below observed figures
-        plain = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
-        scaled = rescale_for_coverage(plain, net)
+        scaled = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
+        plain = build_impact_matrices(mill_net(), assign_scenario(net, Scenario.GL))
         assert np.all(scaled.down_op.data == plain.down_op.data)
         assert np.all(scaled.up_op.data == plain.up_op.data)
 
     def test_rescale_ignores_missing_figures(self):
-        net = mill_net()
-        plain = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
-        scaled = rescale_for_coverage(plain, net)
-        assert np.all(scaled.down_op.data == plain.down_op.data)
-        assert np.all(scaled.u_resid == plain.u_resid)
+        for net in (mill_net(), mill_net(revenue=0.0, material_cost=0.0)):
+            m, ref = both_builds(net, Scenario.GL)
+            assert m.down_op.data.tobytes() == ref.down_op.data.tobytes()
+            assert m.up_op.data.tobytes() == ref.up_op.data.tobytes()
+            assert m.u_resid.tobytes() == ref.u_resid.tobytes()
+
+    def test_rescale_for_coverage_returns_its_argument(self):
+        net = mill_net(revenue=200.0, material_cost=100.0)
+        m = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
+        assert rescale_for_coverage(m, net) is m
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")  # the reference's scalar loop
     def test_rescale_bit_equal_to_firm_loop(self):
@@ -212,10 +227,11 @@ class TestImpactMatrices:
                  for i, f in enumerate(firms)]
         net = build_network(firms, edge_blocks(edges))
         for scenario in Scenario:
-            plain = build_impact_matrices(net, assign_scenario(net, scenario))
+            spec = assign_scenario(net, scenario)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = rescale_for_coverage(plain, net)
+                got = build_impact_matrices(net, spec)
+            plain = reference_build_impact_matrices(net, spec)
             want = reference_rescale_for_coverage(plain, firms)
             for name in ("up_op", "down_op"):
                 assert getattr(got, name).data.tobytes() == getattr(want, name).data.tobytes()
@@ -320,7 +336,7 @@ class TestEngine:
             assert np.array_equal(nxt.pi_tilde,
                                   np.clip(1.0 - (m.down_op @ q)[m.slots.rows], 0.0, 1.0))
             # each buyer's level is the smallest availability over its groups
-            buyers = m.group_buyer[m.seg_starts]
+            buyers = np.sort(m.slots.buyers)
             hd = np.minimum.reduceat(nxt.pi_tilde, m.seg_starts)
             assert np.array_equal(nxt.h_d[buyers], np.minimum(hd, psi[buyers]))
 
@@ -582,17 +598,16 @@ def coverage_network(draw):
 @settings(max_examples=200, deadline=None)
 @given(coverage_network())
 def test_unshocked_step_is_bitwise_stationary(raw):
-    """One iteration from all-ones, before and after rescaling, leaves every row at 1.0.
+    """One iteration from all-ones, with and without coverage, leaves every row at 1.0.
 
     The upstream row of a supplier is clip(s + u_resid, 0, 1), where s is its
     observed share and u_resid = clip(1 - s, 0, 1) comes from the same matvec;
     the row-subset iterations rely on that sum being exactly 1.0.
     """
     firms, edges = raw
-    net = build_network(firms, edge_blocks(edges))
-    for scenario in (Scenario.GL, Scenario.LEO):
-        plain = build_impact_matrices(net, assign_scenario(net, scenario))
-        for m in (plain, rescale_for_coverage(plain, net)):
+    for net in (build_network(f, edge_blocks(edges)) for f in (firms, without_figures(firms))):
+        for scenario in (Scenario.GL, Scenario.LEO):
+            m = build_impact_matrices(net, assign_scenario(net, scenario))
             res = run_cascade(net, m, None, np.ones(net.n), max_iter=1, record_trace=True)
             assert np.all(res.trace[1].h_u == 1.0) and np.all(res.trace[1].h_d == 1.0)
 
@@ -603,11 +618,11 @@ def test_no_substitution_sigma_is_exactly_one(raw, data):
     """Alone in its sector, a firm's sigma is s_out / fl(s_out * h_d) >= 1, or
     inf or nan where the product is 0; the cap makes each one exactly 1.0."""
     firms, edges = raw
-    net = build_network(firms, edge_blocks(edges))
-    psi = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=net.n, max_size=net.n)))
-    for scenario in (Scenario.GL, Scenario.LEO):
-        plain = build_impact_matrices(net, assign_scenario(net, scenario))
-        for m in (plain, rescale_for_coverage(plain, net)):
+    n = len(firms)
+    psi = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    for net in (build_network(f, edge_blocks(edges)) for f in (firms, without_figures(firms))):
+        for scenario in (Scenario.GL, Scenario.LEO):
+            m = build_impact_matrices(net, assign_scenario(net, scenario))
             res = run_cascade(net, m, None, psi, epsilon=1e-12, max_iter=20,
                               record_trace=True, substitution=False)
             assert all(np.all(state.sigma == 1.0) for state in res.trace)
@@ -633,21 +648,67 @@ def impact_network(draw):
 # several head slots, each scenario followed by tail slots (gl 10, mix 17, leo 23 head slots)
 @example(generate_synthetic(SyntheticConfig(n_firms=2000, mean_out_degree=10, coverage=0.8), seed=5))
 def test_canonical_order_build_matches_lexsort_reference(raw):
-    """The canonical-order, int32 build gives the lexsort build's entries, positions and layout."""
+    """The canonical-order, int32 build gives the lexsort build's entries, positions and layout.
+
+    The reference pipeline is the lexsort build followed by the per-firm
+    coverage rescaling; figures are reported only by the 2000-firm example.
+    """
     firms, edges = raw
     net = build_network(firms, edge_blocks(edges))
     for scenario in Scenario:
         spec = assign_scenario(net, scenario)
-        m, ref = build_impact_matrices(net, spec), reference_build_impact_matrices(net, spec)
-        for name in ("down_op", "up_op", "sector_op"):
-            op, ref_op = getattr(m, name), getattr(ref, name)
-            assert op.shape == ref_op.shape
-            assert op.data.tobytes() == ref_op.data.tobytes()
-            assert np.array_equal(op.indices, ref_op.indices)
-            assert np.array_equal(op.indptr, ref_op.indptr)
-        for name in ("group_buyer", "group_sector", "seg_starts", "u_resid"):
-            assert getattr(m, name).tobytes() == getattr(ref, name).tobytes()
+        m = build_impact_matrices(net, spec)
+        ref = reference_rescale_for_coverage(reference_build_impact_matrices(net, spec), firms)
+        assert_same_operators(m, ref)
+        assert m.seg_starts.tobytes() == ref.seg_starts.tobytes()
         assert np.array_equal(m.slots.rows, ref.slots.rows)
+
+
+def assert_same_operators(m, ref):
+    """Equal shapes, positions and entry bytes in all three operators, and equal u_resid bytes."""
+    for name in ("down_op", "up_op", "sector_op"):
+        op, ref_op = getattr(m, name), getattr(ref, name)
+        assert op.shape == ref_op.shape
+        assert op.data.tobytes() == ref_op.data.tobytes()
+        assert np.array_equal(op.indices, ref_op.indices)
+        assert np.array_equal(op.indptr, ref_op.indptr)
+    assert m.u_resid.tobytes() == ref.u_resid.tobytes()
+
+
+@st.composite
+def reported_network(draw):
+    """A small network whose firms report income figures on either side of their strengths.
+
+    Each figure is missing, 0.0, 5e-324 (the ratio overflows to inf), below,
+    equal to or above the firm's observed strength, or 1e300.
+    """
+    firms, edges = draw(impact_network())
+    observed = build_network(firms, edge_blocks(edges))
+    kinds = st.sampled_from([None, 0.0, 5e-324, 0.5, 1.0, 3.0, 1e300])
+
+    def figure(strength):
+        kind = draw(kinds)
+        return kind * float(strength) if kind in (0.5, 1.0, 3.0) else kind
+
+    firms = [FirmRecord(f.firm_id, f.nace4, figure(observed.s_out[i]), figure(observed.s_in[i]))
+             for i, f in enumerate(firms)]
+    return firms, edges
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the reference's scalar loop
+@settings(max_examples=200, deadline=None)
+@given(reported_network())
+def test_build_applies_coverage_as_the_reference_pipeline(raw):
+    """Shares shrunk as they are formed equal the lexsort build rescaled row by row, bit for bit."""
+    firms, edges = raw
+    net = build_network(firms, edge_blocks(edges))
+    for scenario in Scenario:
+        spec = assign_scenario(net, scenario)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = build_impact_matrices(net, spec)
+        assert_same_operators(
+            m, reference_rescale_for_coverage(reference_build_impact_matrices(net, spec), firms))
 
 
 @settings(max_examples=500, deadline=None)
