@@ -180,16 +180,6 @@ def year_over_year(esri_a: EsriVector, esri_b: EsriVector) -> YearComparison:
     return YearComparison(raw, log_r, len(ia), len(ia) - kept)
 
 
-def _received_by_sector(net: ProductionNetwork, h_final: np.ndarray) -> np.ndarray:
-    """Fraction of each sector's out-strength lost at the fixed point."""
-    loss = net.s_out * (1.0 - h_final)
-    num = np.bincount(net.sector_of, weights=loss, minlength=len(net.sectors))
-    den = np.bincount(net.sector_of, weights=net.s_out, minlength=len(net.sectors))
-    out = np.zeros(len(net.sectors))
-    np.divide(num, den, out=out, where=den > 0)
-    return out
-
-
 def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices, sector: str,
                             magnitude: float, firm_scenarios: Sequence[Mapping[str, float]],
                             labels: Sequence[str] | None = None,
@@ -221,58 +211,45 @@ def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices, se
         if len(labels) != len(firm_scenarios):
             raise ValueError("need exactly one label per scenario")
 
-    psi_runs: list[np.ndarray] = []
-    for label, assignment in zip(labels, firm_scenarios):
-        psi = np.ones(net.n)
+    # row 0 is the sector-wide shock, row j the firm scenario labels[j - 1]
+    psi = np.ones((len(labels) + 1, net.n))
+    psi[0, member_idx] = 1.0 - magnitude
+    for label, assignment, shock in zip(labels, firm_scenarios, psi[1:]):
         for fid, p in assignment.items():
             idx = net.index_of.get(fid)
             if idx is None:
                 raise ValueError(f"{label}: unknown firm id {fid!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{label}: psi for {fid!r} must lie in [0, 1]")
-            psi[idx] = p
-        size = float(np.sum((1.0 - psi) * s_total))
+            shock[idx] = p
+        size = float(np.sum((1.0 - shock) * s_total))
         if abs(size - required) > 1e-9 * required or (required == 0.0 and size != 0.0):
             raise ValueError(
                 f"{label}: initial shock removes strength {size!r}, the experiment "
                 f"requires {required!r} (magnitude {magnitude} of sector {sector})")
-        psi_runs.append(psi)
 
-    psi_ref = np.ones(net.n)
-    psi_ref[member_idx] = 1.0 - magnitude
-
-    ref_res = run_cascade(net, matrices, None, psi_ref, epsilon=epsilon, max_iter=max_iter)
-    received_ref = _received_by_sector(net, ref_res.h_final)
-    converged = ref_res.converged
-
-    k = len(psi_runs)
+    # the fraction of each sector's out-strength lost at each run's fixed point
     n_sec = len(net.sectors)
-    received = np.empty((k, n_sec))
-    for row, psi in enumerate(psi_runs):
-        res = run_cascade(net, matrices, None, psi, epsilon=epsilon, max_iter=max_iter)
-        converged = converged and res.converged
-        received[row] = _received_by_sector(net, res.h_final)
+    out_total = np.bincount(net.sector_of, weights=net.s_out, minlength=n_sec)
+    received = np.zeros((len(psi), n_sec))
+    converged = []
+    for shock, row in zip(psi, received):
+        res = run_cascade(net, matrices, None, shock, epsilon=epsilon, max_iter=max_iter)
+        lost = np.bincount(net.sector_of, weights=net.s_out * (1.0 - res.h_final), minlength=n_sec)
+        np.divide(lost, out_total, out=row, where=out_total > 0)
+        converged.append(res.converged)
+    received_ref, received = received[0], received[1:]
 
     # ratio to the reference; an untouched sector staying untouched counts as 1
-    rel_dev = np.empty((k, n_sec))
     ref_pos = received_ref > 0
-    for row in range(k):
-        np.divide(received[row], received_ref, out=rel_dev[row], where=ref_pos)
-        rel_dev[row, ~ref_pos] = np.where(received[row, ~ref_pos] > 0, math.inf, 1.0)
-
-    if k > 0:
-        sort_key = rel_dev[0]
-    else:
-        sort_key = received_ref
+    rel_dev = np.divide(received, received_ref, out=np.where(received > 0, math.inf, 1.0),
+                        where=ref_pos)
+    sort_key = rel_dev[0] if len(rel_dev) else received_ref
     order = sorted(range(n_sec), key=lambda s: (-sort_key[s], net.sectors[s]))
     order_idx = np.asarray(order, dtype=np.intp)
-
-    correlation = None
-    if k > 0:
-        correlation = np.empty((k, k))
-        for a in range(k):
-            for b in range(k):
-                correlation[a, b] = _pearson(rel_dev[a, ref_pos], rel_dev[b, ref_pos])
+    deviations = rel_dev[:, ref_pos]
+    correlation = (np.array([[_pearson(a, b) for b in deviations] for a in deviations])
+                   if len(deviations) else None)
 
     return SectorShockReport(
         sectors=tuple(net.sectors[s] for s in order),
@@ -281,6 +258,6 @@ def sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices, se
         rel_dev=rel_dev[:, order_idx],
         labels=labels,
         deviation_correlation=correlation,
-        converged=converged,
+        converged=all(converged),
     )
 

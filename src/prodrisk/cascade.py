@@ -10,6 +10,7 @@ Both recursions are synchronous and monotone, so they always terminate.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -634,8 +635,8 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     one-column run, t = 0 included; a traced run recomputes every row from
     t = 1, as it records pi_tilde for every group.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be finite and > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if ws is None:

@@ -8,6 +8,7 @@ access, 2 unusable input data, 3 non-convergence under --strict.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import datetime
 import io
@@ -62,8 +63,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and > 0")
     return value
 
 
@@ -116,8 +117,9 @@ def _read_blocks(path, header: Sequence[str]
     """Blocks of rows of a CSV file with the given header, as (line numbers, columns).
 
     The header row is optional so hand-made fixtures stay minimal; when the
-    first row is not the header it must already be data. Blank rows are
-    skipped and an empty file is an empty table. Line numbers count the rows
+    first row is not the header it must already be data. One leading UTF-8
+    byte order mark, as spreadsheet programs write, is skipped. Blank rows
+    are skipped and an empty file is an empty table. Line numbers count the rows
     csv.reader makes of the file. A wrong field count is rejected with its
     line number; it and any other error of the file are raised once the rows
     before them are yielded.
@@ -147,6 +149,8 @@ def _read_blocks(path, header: Sequence[str]
                 buf += fh.readline()
                 if not buf.endswith(b"\n"):  # the last line has no newline
                     buf += b"\n"
+            if start == 0:
+                buf = buf.removeprefix(codecs.BOM_UTF8)
             buf = buf.replace(b"\r\n", b"\n")  # a CRLF line end reads as a LF one
             n_lines = _plain_lines(buf, k)
             if n_lines is None:
@@ -167,7 +171,8 @@ def _read_blocks(path, header: Sequence[str]
         rows: list[list[str]] = []
         try:
             for lineno, row in enumerate(
-                    csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline="")),
+                    csv.reader(io.TextIOWrapper(
+                        fh, encoding="utf-8-sig" if start == 0 else "utf-8", newline="")),
                     start=lineno + 1):
                 if not row or (lineno == 1 and row == header):
                     continue
@@ -608,7 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a synthetic firms.csv and edges.csv")
     g.add_argument("--n", type=_positive_int, required=True, help="number of firms")
     g.add_argument("--sectors", type=_positive_int, default=50)
-    g.add_argument("--mean-out-degree", type=_positive_float, default=5.0)
+    g.add_argument("--mean-out-degree", type=float, default=5.0)
     g.add_argument("--weight-mu", type=float, default=0.0)
     g.add_argument("--weight-sigma", type=float, default=1.0)
     g.add_argument("--share-physical", type=float, default=0.5,
@@ -641,9 +646,9 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--esri", required=True, help="esri.csv path")
     a.add_argument("--rel-tol", type=_positive_float, default=0.05,
                    help="relative tolerance of the plateau rule (default 0.05)")
-    a.add_argument("--x-min", type=_positive_float, default=None,
+    a.add_argument("--x-min", type=float, default=None,
                    help="tail window lower edge (default: smallest positive value)")
-    a.add_argument("--x-max", type=_positive_float, default=None,
+    a.add_argument("--x-max", type=float, default=None,
                    help="tail window upper edge (default: largest value)")
     a.add_argument("--thresholds", default=None,
                    help="comma-separated descending thresholds")

@@ -13,7 +13,10 @@ reader of the command line is kept the same way, for its block reader, and
 so is the impact-operator build that ordered the edges with np.lexsort. That
 build leaves its shares unscaled and keeps each group's buyer and sector
 (ReferenceMatrices); the rescaling then scales the operators' rows in a
-second pass, where the package shrinks each share as it forms it.
+second pass, where the package shrinks each share as it forms it. The
+sector shock experiment at the end is the earlier one, which ran its
+sector-wide shock apart from the firm scenarios; the package runs them all
+as the rows of one shock matrix.
 
 The generalized-Leontief production function (its calibration from the
 observed inputs and its evaluation) lives only here: the cascade reads the
@@ -28,13 +31,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from scipy import sparse
 
-from prodrisk.cascade import ImpactMatrices, _group_slots, _residual_demand
+from prodrisk.analysis import SectorShockReport, _pearson
+from prodrisk.cascade import ImpactMatrices, _group_slots, _residual_demand, run_cascade
 from prodrisk.cli import EDGES_HEADER, FIRMS_HEADER, _parse_amount, _parse_income
 from prodrisk.netcore import (DataError, FirmRecord, NetworkError, ProductionNetwork,
                               normalize_nace4)
@@ -547,4 +551,114 @@ def reference_build_impact_matrices(net, spec: ScenarioSpec) -> ReferenceMatrice
         seg_starts=seg_starts, slots=slots, u_resid=_residual_demand(up_op),
         down_op=down_op, up_op=up_op, sector_op=sector_op,
         s_in=net.s_in, group_buyer=group_buyer, group_sector=group_sector,
+    )
+
+
+def _received_by_sector(net: ProductionNetwork, h_final: np.ndarray) -> np.ndarray:
+    """Fraction of each sector's out-strength lost at the fixed point."""
+    loss = net.s_out * (1.0 - h_final)
+    num = np.bincount(net.sector_of, weights=loss, minlength=len(net.sectors))
+    den = np.bincount(net.sector_of, weights=net.s_out, minlength=len(net.sectors))
+    out = np.zeros(len(net.sectors))
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
+def reference_sector_shock_experiment(net: ProductionNetwork, matrices: ImpactMatrices,
+                                      sector: str, magnitude: float,
+                                      firm_scenarios: Sequence[Mapping[str, float]],
+                                      labels: Sequence[str] | None = None,
+                                      epsilon: float = 1e-2,
+                                      max_iter: int = 1000) -> SectorShockReport:
+    """The earlier sector_shock_experiment: the reference run on a path of its
+    own, and deviations and correlations one scenario at a time.
+
+    Compares a sector-wide shock against size-equivalent firm-level shocks.
+
+    The reference run shocks every firm of the sector by the given magnitude.
+    Each firm scenario maps firm ids to remaining capacities psi and must
+    remove the same total strength, magnitude times the sector's combined
+    in- plus out-strength, within 1e-9 relative; anything else is rejected
+    because the whole point is comparing equally sized shocks. The report
+    collects per-sector received shocks, their ratios to the reference, and
+    the correlation matrix of the scenario deviation vectors.
+    """
+    sector_id = net.sectors.index(sector) if sector in net.sectors else -1
+    member_idx = np.flatnonzero(net.sector_of == sector_id)
+    if not len(member_idx):
+        raise DataError(f"sector {sector!r} has no firms in this network")
+    if not 0.0 < magnitude <= 1.0:
+        raise ValueError("magnitude must lie in (0, 1]")
+
+    s_total = net.s_in + net.s_out
+    required = magnitude * float(np.sum(s_total[member_idx]))
+
+    if labels is None:
+        labels = tuple(f"scenario_{k + 1}" for k in range(len(firm_scenarios)))
+    else:
+        labels = tuple(labels)
+        if len(labels) != len(firm_scenarios):
+            raise ValueError("need exactly one label per scenario")
+
+    psi_runs: list[np.ndarray] = []
+    for label, assignment in zip(labels, firm_scenarios):
+        psi = np.ones(net.n)
+        for fid, p in assignment.items():
+            idx = net.index_of.get(fid)
+            if idx is None:
+                raise ValueError(f"{label}: unknown firm id {fid!r}")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{label}: psi for {fid!r} must lie in [0, 1]")
+            psi[idx] = p
+        size = float(np.sum((1.0 - psi) * s_total))
+        if abs(size - required) > 1e-9 * required or (required == 0.0 and size != 0.0):
+            raise ValueError(
+                f"{label}: initial shock removes strength {size!r}, the experiment "
+                f"requires {required!r} (magnitude {magnitude} of sector {sector})")
+        psi_runs.append(psi)
+
+    psi_ref = np.ones(net.n)
+    psi_ref[member_idx] = 1.0 - magnitude
+
+    ref_res = run_cascade(net, matrices, None, psi_ref, epsilon=epsilon, max_iter=max_iter)
+    received_ref = _received_by_sector(net, ref_res.h_final)
+    converged = ref_res.converged
+
+    k = len(psi_runs)
+    n_sec = len(net.sectors)
+    received = np.empty((k, n_sec))
+    for row, psi in enumerate(psi_runs):
+        res = run_cascade(net, matrices, None, psi, epsilon=epsilon, max_iter=max_iter)
+        converged = converged and res.converged
+        received[row] = _received_by_sector(net, res.h_final)
+
+    # ratio to the reference; an untouched sector staying untouched counts as 1
+    rel_dev = np.empty((k, n_sec))
+    ref_pos = received_ref > 0
+    for row in range(k):
+        np.divide(received[row], received_ref, out=rel_dev[row], where=ref_pos)
+        rel_dev[row, ~ref_pos] = np.where(received[row, ~ref_pos] > 0, math.inf, 1.0)
+
+    if k > 0:
+        sort_key = rel_dev[0]
+    else:
+        sort_key = received_ref
+    order = sorted(range(n_sec), key=lambda s: (-sort_key[s], net.sectors[s]))
+    order_idx = np.asarray(order, dtype=np.intp)
+
+    correlation = None
+    if k > 0:
+        correlation = np.empty((k, k))
+        for a in range(k):
+            for b in range(k):
+                correlation[a, b] = _pearson(rel_dev[a, ref_pos], rel_dev[b, ref_pos])
+
+    return SectorShockReport(
+        sectors=tuple(net.sectors[s] for s in order),
+        received_ref=received_ref[order_idx],
+        received=received[:, order_idx],
+        rel_dev=rel_dev[:, order_idx],
+        labels=labels,
+        deviation_correlation=correlation,
+        converged=converged,
     )

@@ -1,19 +1,22 @@
 """Statistics over risk vectors: profiles, tail fits, comparisons, experiments."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from reference import edge_blocks
+from reference import edge_blocks, reference_sector_shock_experiment
 
-from prodrisk.netcore import DataError, FirmRecord, build_network
+from prodrisk.netcore import (DataError, FirmRecord, SyntheticConfig, build_network,
+                              generate_synthetic)
 from prodrisk.prodfun import Scenario, assign_scenario
 from prodrisk.cascade import build_impact_matrices
 from prodrisk.esri import EsriVector
 from prodrisk.analysis import (
     DEFAULT_THRESHOLDS,
+    SectorShockReport,
     count_above_thresholds,
     detect_plateau,
     fit_powerlaw_mle,
@@ -227,3 +230,60 @@ class TestSectorShock:
         net, m = shock_fixture()
         with pytest.raises(ValueError, match="removes strength"):
             sector_shock_experiment(net, m, "2611", 0.2, [{"A": 0.9}])
+
+
+def assert_same_report(report, ref):
+    """Every field of two SectorShockReports, arrays bit for bit."""
+    for field in dataclasses.fields(SectorShockReport):
+        a, b = getattr(report, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def both_experiments(net, m, sector, magnitude, scenarios):
+    """The package's report and the reference's, checked field by field."""
+    report = sector_shock_experiment(net, m, sector, magnitude, scenarios)
+    assert_same_report(report, reference_sector_shock_experiment(
+        net, m, sector, magnitude, scenarios))
+    return report
+
+
+class TestSectorShockOracle:
+    """One shock matrix gives the reports of the earlier per-run path."""
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_untouched_sectors_and_no_scenario(self, scenario):
+        # D -> E lies apart from sector 2611's component, so only a shock on D reaches it
+        net = build_network(
+            [FirmRecord("P", "1001"), FirmRecord("A", "2611"), FirmRecord("B", "2611"),
+             FirmRecord("C1", "5001"), FirmRecord("C2", "6001"),
+             FirmRecord("D", "7001"), FirmRecord("E", "8001")],
+            edge_blocks([("P", "A", 20.0), ("A", "C1", 50.0), ("B", "C2", 30.0),
+                         ("D", "E", 100.0)]))
+        m = build_impact_matrices(net, assign_scenario(net, scenario))
+        report = both_experiments(net, m, "2611", 0.2, [])
+        assert report.received.shape == (0, len(net.sectors))
+        # sector 2611 carries 100 of combined strength: 20 must go, from A or from D
+        report = both_experiments(net, m, "2611", 0.2,
+                                  [{"D": 0.8}, {"A": 1.0 - 20.0 / 70.0}, {"B": 1.0 - 20.0 / 30.0}])
+        assert np.isinf(report.rel_dev[0]).any()
+        assert report.deviation_correlation.shape == (3, 3)
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_synthetic_network(self, scenario):
+        firms, edges = generate_synthetic(
+            SyntheticConfig(n_firms=300, n_sectors=12, mean_out_degree=5.0, coverage=0.8), seed=3)
+        net = build_network(firms, edge_blocks(edges))
+        m = build_impact_matrices(net, assign_scenario(net, scenario))
+        sector_id = int(np.bincount(net.sector_of).argmax())
+        s_total = net.s_in + net.s_out
+        required = 0.1 * float(s_total[net.sector_of == sector_id].sum())
+        big = [i for i in np.argsort(-s_total, kind="stable") if net.sector_of[i] != sector_id][:3]
+        assert s_total[big].min() >= required
+        scenarios = [{net.firm_ids[i]: 1.0 - required / s_total[i]} for i in big]
+        both_experiments(net, m, net.sectors[sector_id], 0.1, [])
+        report = both_experiments(net, m, net.sectors[sector_id], 0.1, scenarios)
+        assert report.received.shape == (3, len(net.sectors))

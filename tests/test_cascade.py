@@ -1,5 +1,6 @@
 """Impact matrices, shock validation and the propagation engine."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -24,6 +25,7 @@ from prodrisk.cascade import (
     rescale_for_coverage,
     run_cascade,
 )
+from prodrisk.esri import esri_all
 
 
 def mill_net(revenue=None, material_cost=None):
@@ -238,6 +240,30 @@ class TestImpactMatrices:
             assert got.u_resid.tobytes() == want.u_resid.tobytes()
             assert not np.array_equal(got.up_op.data, plain.up_op.data)
 
+    def test_int64_build_scores_the_same_bits(self, monkeypatch):
+        """The int64 operators of a network past int32's reach score as the int32 ones."""
+        firms, edges = generate_synthetic(
+            SyntheticConfig(n_firms=300, n_sectors=12, mean_out_degree=6.0, coverage=0.8), seed=4)
+        net = build_network(firms, edge_blocks(edges))
+        narrow = {scenario: prepared(net, scenario) for scenario in Scenario}
+        monkeypatch.setattr(cascade, "get_index_dtype", lambda *args, **kwargs: np.int64)
+        psi = np.ones(net.n)
+        psi[[3, 40, 41, 250]] = (0.0, 0.5, 0.25, 0.9)
+        for scenario in Scenario:
+            params, m32 = narrow[scenario]
+            _, m64 = prepared(net, scenario)
+            for m, idx in ((m32, np.int32), (m64, np.int64)):
+                for op in (m.down_op, m.up_op, m.sector_op):
+                    assert op.indices.dtype == idx and op.indptr.dtype == idx
+                assert m.slots.rank.dtype == idx and m.slots.rows.dtype == idx
+            a, b = esri_all(net, m32, params), esri_all(net, m64, params)
+            for name in ("values", "T", "converged"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (scenario, name)
+            a, b = (run_cascade(net, m, params, psi) for m in (m32, m64))
+            for name in ("h_final", "h_d_final", "h_u_final"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (scenario, name)
+            assert (a.T, a.converged) == (b.T, b.converged)
+
 
 class TestExogenousShock:
     def test_validation(self):
@@ -399,8 +425,9 @@ class TestEngine:
         net = mill_net()
         params, m = prepared(net, Scenario.GL)
         good = np.ones(net.n)
-        with pytest.raises(ValueError, match="epsilon"):
-            run_cascade(net, m, params, good, epsilon=0.0)
+        for epsilon in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                run_cascade(net, m, params, good, epsilon=epsilon)
         with pytest.raises(ValueError, match="max_iter"):
             run_cascade(net, m, params, good, max_iter=0)
         with pytest.raises(ValueError, match="length"):

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line, in process via main()."""
 
+import codecs
 import csv
 import json
 import math
@@ -39,6 +40,12 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def with_bom(path, target=None):
+    """Write path's bytes behind a UTF-8 byte order mark, to target or in place."""
+    (target or path).write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return target or path
 
 
 def read_json(path):
@@ -191,6 +198,30 @@ class TestBlockReader:
 
         monkeypatch.setattr(cli.csv, "reader", no_reader)
         assert (list(block_rows(crlf, cli.EDGES_HEADER)), list(edge_triples(crlf))) == want
+
+    @pytest.mark.parametrize("size", [1, 64])
+    def test_bom_file_is_split_without_csv_reader(self, tmp_path, monkeypatch, size):
+        plain = tmp_path / "plain.csv"
+        write_csv(plain, cli.EDGES_HEADER, [["a", "b", "1.5"], ["b", "c", "2"]] * 20)
+        bom = with_bom(plain, tmp_path / "bom.csv")
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", size)
+        want = list(block_rows(plain, cli.EDGES_HEADER)), list(edge_triples(plain))
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(cli.csv, "reader", no_reader)
+        assert (list(block_rows(bom, cli.EDGES_HEADER)), list(edge_triples(bom))) == want
+
+    @pytest.mark.parametrize("text", ['supplier_id,buyer_id,weight\n"a",b,1\nb,c,2\n',
+                                      'a,b,1\n' * 40 + '"b",c,2\n'])
+    def test_bom_file_read_by_csv_reader(self, tmp_path, monkeypatch, text):
+        """From its first block (the BOM is skipped) or from a later one (no BOM left)."""
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+        bom = with_bom(plain, tmp_path / "bom.csv")
+        assert list(block_rows(bom, cli.EDGES_HEADER)) == list(block_rows(plain, cli.EDGES_HEADER))
 
 
 class TestGenerate:
@@ -405,6 +436,47 @@ class TestEsri:
         assert run("esri", "--firms", str(data / "firms.csv"),
                    "--edges", str(data / "edges.csv"),
                    "--psi-file", str(psi), "--out-dir", str(tmp_path / "o")) == 2
+
+    def test_bom_files_score_the_same_bytes(self, data_dir, tmp_path):
+        psi = tmp_path / "psi.csv"
+        write_csv(psi, cli.PSI_HEADER, [[read_rows(data_dir / "firms.csv")[3][0], "0.25"]])
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for name in ("firms.csv", "edges.csv"):
+            with_bom(data_dir / name, bom / name)
+        with_bom(psi, bom / "psi.csv")
+        for src, psi_file in ((data_dir, psi), (bom, bom / "psi.csv")):
+            inputs = ("--firms", str(src / "firms.csv"), "--edges", str(src / "edges.csv"))
+            assert run("esri", *inputs, "--out-dir", str(src / "batch")) == 0
+            assert run("esri", *inputs, "--psi-file", str(psi_file),
+                       "--out-dir", str(src / "shock")) == 0
+        for name in ("batch/esri.csv", "batch/summary.json", "shock/h.csv", "shock/summary.json"):
+            assert (bom / name).read_bytes() == (data_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("table", ["firms", "edges"])
+    def test_bom_file_names_the_bad_line(self, tmp_path, capsys, table):
+        data = chain_dir(tmp_path)
+        if table == "firms":
+            write_csv(data / "firms.csv", cli.FIRMS_HEADER,
+                      [["a", "0111", "0.0", ""], ["b", "4711", "x", ""]])
+        else:
+            write_csv(data / "edges.csv", cli.EDGES_HEADER, [["b", "a", "0.0"], ["a", "b", "x"]])
+        with_bom(data / f"{table}.csv")
+        assert run("esri", "--firms", str(data / "firms.csv"),
+                   "--edges", str(data / "edges.csv"),
+                   "--out-dir", str(tmp_path / "o")) == 2
+        assert f"{table}.csv line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["esri", "sector-experiment"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_bad_epsilon_is_a_usage_error(self, tmp_path, capsys, command, value):
+        data = chain_dir(tmp_path)
+        extra = ["--sector", "0111", "--magnitude", "0.2"] if command == "sector-experiment" else []
+        assert run_usage_error(command, "--firms", str(data / "firms.csv"),
+                               "--edges", str(data / "edges.csv"), *extra,
+                               "--epsilon", value, "--out-dir", str(tmp_path / "o")) == 1
+        assert "--epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("revenue,cost", [("nan", ""), ("inf", ""), ("", "-5")])
     def test_bad_income_figures_are_data_errors(self, tmp_path, capsys, revenue, cost):

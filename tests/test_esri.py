@@ -1,6 +1,7 @@
 """Per-firm index batches: values, determinism, bookkeeping."""
 
 import contextlib
+import math
 import multiprocessing
 import os
 import select
@@ -277,6 +278,13 @@ class TestBatch:
         params, m = prepared(net, Scenario.GL)
         with pytest.raises(ValueError, match="worker_count"):
             esri_all(net, m, params, worker_count=0)
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        net = sink_net()
+        params, m = prepared(net, Scenario.GL)
+        with pytest.raises(ValueError, match="epsilon"):
+            esri_all(net, m, params, epsilon=epsilon)
 
 
 class TestBlocks:
