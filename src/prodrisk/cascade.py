@@ -106,9 +106,9 @@ class CascadeState:
 
     A trace holds the state after iteration t at position t. sigma and
     pi_tilde are the substitution factors and per-group input availabilities
-    applied in the step that produced these levels; for the initial state
-    they are the no-shock values. pi_tilde is in the group order of the
-    matrices that produced the state (not down_op's row order).
+    applied in the step that produced these levels, the no-shock values in
+    states 0 and 1 (iteration 1 only sets the caps); pi_tilde is in the
+    group order of the matrices that produced the state, not down_op's rows.
     """
 
     h_d: np.ndarray
@@ -407,10 +407,10 @@ def _clip01(a: np.ndarray) -> np.ndarray:
 class _RowSubset:
     """Iterations of a block that recompute only the rows whose inputs changed.
 
-    One instance per workspace holds the buffers; start() begins a block,
-    whose levels step() then updates in place. changed_d and changed_u hold
-    the firms whose h_d and h_u changed in the last iteration in a live
-    column. Between iterations, q == sigma * (1 - h_d) and sector ==
+    One instance per workspace holds the buffers; start() begins a block after
+    iteration 1, the caps, and step() runs the rest in place. changed_d and
+    changed_u hold the firms whose h_d and h_u changed in the last iteration
+    in a live column. Between iterations, q == sigma * (1 - h_d) and sector ==
     sector_op @ h_d hold for the current levels, so an iteration recomputes:
       - the sums of the sectors of changed_d, and q of the damaged firms
         (h_d < 1 somewhere) of those sectors, changed_d among them; where
@@ -452,8 +452,8 @@ class _RowSubset:
         slots = m.slots
         self.slot_start = np.cumsum([0, *slots.sizes, *[slots.tail_rows] * slots.tail_slots])
 
-    def start(self, h_d: np.ndarray) -> "_RowSubset":
-        """Begin a block at all-ones levels h_d."""
+    def start(self, h_d: np.ndarray, firms: np.ndarray) -> "_RowSubset":
+        """Begin a block at all-ones levels h_d, whose iteration 1 moves only the capped firms."""
         m = self.m
         n, w = h_d.shape
         self.q = self.q_buf[:n * w].reshape(n, w)
@@ -462,7 +462,8 @@ class _RowSubset:
         _spmm(m.sector_op, h_d, self.sector)
         self.damaged.fill(False)
         self.budget = _subset_budget(m, w)
-        self.changed_d = self.changed_u = None
+        self.changed_d = self.changed_u = firms
+        self.damaged[firms] = True
         return self
 
     def _gather(self, op: sparse.csr_array, rows: np.ndarray):
@@ -505,37 +506,12 @@ class _RowSubset:
             start += c
         return rows, in_slot
 
-    def _first(self, h_d: np.ndarray, h_u: np.ndarray, caps) -> np.ndarray:
-        """Iteration 1 from all-ones levels: only the capped rows move.
-
-        From all-ones, q = sigma * 0 = +0.0, every downstream product is 0 and
-        h_d = clip(1 - 0) = 1. Upstream, the product is the observed share s
-        that u_resid = clip(1 - s, 0, 1) was formed from by the same matvec,
-        and clip(s + clip(1 - s, 0, 1), 0, 1) is exactly 1.0 under
-        round-to-nearest: for s >= 0.5, 1 - s is exact (Sterbenz); for
-        s < 0.5 its rounding error e is at most 2**-54, and 1 + e rounds back
-        to 1.0; for s > 1 the remainder is 0 and the clip gives 1. So every
-        uncapped row stays at 1.0 bit for bit, as the full iteration leaves it.
-        """
-        rows, cols, vals = caps
-        capped = rows * h_d.shape[1] + cols
-        for h in (h_d.reshape(-1), h_u.reshape(-1)):
-            h[capped] = np.minimum(h[capped], vals)
-        level = h_d.reshape(-1)[capped]
-        dec = np.zeros(h_d.shape[1])
-        np.maximum.at(dec, cols, 1.0 - level)
-        self.changed_d = self.changed_u = np.unique(rows[level != 1.0])
-        self.damaged[self.changed_d] = True
-        return dec
-
     def step(self, h_d: np.ndarray, h_u: np.ndarray, caps, done: np.ndarray) -> np.ndarray | None:
         """One iteration in place; the per-column largest decrement.
 
         Returns None, with nothing changed, when the rows to recompute hold
         more nonzeros than the cost rule admits (_subset_budget).
         """
-        if self.changed_d is None:
-            return self._first(h_d, h_u, caps)
         m, ws = self.m, self.ws
         w = h_d.shape[1]
         rows, cols, vals = caps
@@ -620,20 +596,21 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     in ws (a new workspace if none is given), which must be at least `width`
     wide.
 
-    An iteration recomputes only the rows whose inputs changed in the one
-    before, in place (_RowSubset); every other row keeps its bits and a
-    decrement of exactly 0, so T, converged, finishing and compaction are
-    those of recomputing every row. Once the rows to recompute pass the cost
-    rule (_subset_budget), or the block is compacted, every row is recomputed
-    from then on: each operator is applied whole, as a sparse x dense product
-    into the successor buffers. Either way every row accumulates in the same
-    order as a matvec, so a column's result is bit-identical whatever block
-    it runs in and whichever rows are recomputed.
+    Iteration 1 only sets the caps (see below). Each later one recomputes
+    only the rows whose inputs changed in the one before, in place
+    (_RowSubset); every other row keeps its bits and a decrement of exactly
+    0, so T, converged, finishing and compaction are those of recomputing
+    every row. Once the rows to recompute pass the cost rule
+    (_subset_budget), or the block is compacted, every row is recomputed
+    from then on: each operator is applied whole, as a sparse x dense
+    product into the successor buffers. Either way every row accumulates in
+    the same order as a matvec, so a column's result is bit-identical
+    whatever block it runs in and whichever rows are recomputed.
 
     Returns (h_d, h_u, T, converged), with one row of h_d and h_u per column.
     A list passed as trace receives the CascadeState of every iteration of a
     one-column run, t = 0 included; a traced run recomputes every row from
-    t = 1, as it records pi_tilde for every group.
+    t = 2, as it records pi_tilde for every group.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and > 0")
@@ -664,7 +641,19 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     done = np.zeros(width, dtype=bool)
     subset = None  # every row: traced, or no row subset pays at this size
     if trace is None and ws.subset is not None and _subset_budget(m, width) >= 0:
-        subset = ws.subset.start(h_d)
+        subset = ws.subset.start(h_d, np.unique(rows))
+
+    # Iteration 1 only sets the caps: from all-ones levels, q = sigma * 0 = +0.0,
+    # every downstream product is 0 and h_d = clip(1 - 0) = 1. Upstream, the
+    # product is the observed share s that u_resid = clip(1 - s, 0, 1) was formed
+    # from by the same matvec, and clip(s + clip(1 - s, 0, 1), 0, 1) is exactly 1.0
+    # under round-to-nearest: for s >= 0.5, 1 - s is exact (Sterbenz); for s < 0.5
+    # its rounding error e is at most 2**-54, and 1 + e rounds back to 1.0; for
+    # s > 1 the remainder is 0 and the clip gives 1. So no uncapped level moves.
+    for h in (h_d.reshape(-1), h_u.reshape(-1)):
+        h[capped] = vals
+    dec = np.zeros(width)
+    np.maximum.at(dec, cols, 1.0 - vals)
 
     # _sigma divides by zero where a whole sector has stopped, and may overflow
     # where little of it survives
@@ -672,11 +661,13 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
         if trace is not None:
             ones = np.ones(n)
             sigma0 = _sigma(m.s_out, (m.sector_op @ ones)[m.sector_of], np.empty(n))
-            trace.append(CascadeState(h_d=ones, h_u=ones, sigma=sigma0,
-                                      pi_tilde=np.ones(m.n_groups)))
+            state0 = CascadeState(h_d=ones, h_u=ones, sigma=sigma0, pi_tilde=np.ones(m.n_groups))
+            trace.extend([state0, dataclasses.replace(state0, h_d=h_d[:, 0].copy(),
+                                                      h_u=h_u[:, 0].copy())])
 
         for t in range(1, max_iter + 1):
-            dec = None if subset is None else subset.step(h_d, h_u, (rows, cols, vals), done)
+            if t > 1:
+                dec = None if subset is None else subset.step(h_d, h_u, (rows, cols, vals), done)
             if dec is None:
                 subset = None
                 _spmm(m.sector_op, h_d, sector).take(m.sector_of, axis=0, out=work, mode="clip")

@@ -120,17 +120,17 @@ def _read_blocks(path, header: Sequence[str]
     first row is not the header it must already be data. One leading UTF-8
     byte order mark, as spreadsheet programs write, is skipped. Blank rows
     are skipped and an empty file is an empty table. Line numbers count the rows
-    csv.reader makes of the file. A wrong field count is rejected with its
-    line number; it and any other error of the file are raised once the rows
-    before them are yielded.
+    csv.reader makes of the file. A wrong field count or a byte that is not
+    UTF-8 is rejected with its line number; it and any other error of the
+    file are raised once the rows before them are yielded.
 
     The file is read in blocks of about _BLOCK_BYTES, cut at a newline. A
     block without a quote, NUL byte or CR other than one right before a
     newline, without a blank line or a line longer than
     csv.field_size_limit(), and with the header's field count on every line
     is what csv.reader reads as split on newlines and commas once each CRLF
-    is made a LF, so it is split that way. From the first block that is not,
-    the rest of the file goes through csv.reader.
+    is made a LF, so a block that is also UTF-8 is split that way. From the
+    first block that is not, the rest of the file goes through csv.reader.
     """
     p = Path(path)
     if not p.is_file():
@@ -152,10 +152,14 @@ def _read_blocks(path, header: Sequence[str]
             if start == 0:
                 buf = buf.removeprefix(codecs.BOM_UTF8)
             buf = buf.replace(b"\r\n", b"\n")  # a CRLF line end reads as a LF one
+            try:
+                text = buf.decode("utf-8")
+            except UnicodeDecodeError:  # csv.reader finds the row of the bad byte
+                break
             n_lines = _plain_lines(buf, k)
             if n_lines is None:
                 break
-            fields = buf.decode("utf-8").replace("\n", ",").split(",")
+            fields = text.replace("\n", ",").split(",")
             del fields[-1]  # after the final newline
             skip = lineno == 0 and fields[:k] == header
             if skip:
@@ -171,19 +175,23 @@ def _read_blocks(path, header: Sequence[str]
         rows: list[list[str]] = []
         try:
             for lineno, row in enumerate(
-                    csv.reader(io.TextIOWrapper(
-                        fh, encoding="utf-8-sig" if start == 0 else "utf-8", newline="")),
+                    csv.reader(io.TextIOWrapper(fh, encoding="utf-8-sig" if start == 0 else "utf-8",
+                                                errors="surrogateescape", newline="")),
                     start=lineno + 1):
                 if not row or (lineno == 1 and row == header):
                     continue
                 if len(row) != k:
                     raise DataError(f"{path} line {lineno}: expected {k} fields, got {len(row)}")
+                try:
+                    ",".join(row).encode("utf-8")  # an undecodable byte is a lone surrogate here
+                except UnicodeEncodeError:
+                    raise DataError(f"{path} line {lineno}: not UTF-8 text") from None
                 lines.append(lineno)
                 rows.append(row)
                 if len(rows) == rows_per_block:
                     yield lines, list(zip(*rows))
                     lines, rows = [], []
-        except (DataError, csv.Error, UnicodeDecodeError):
+        except (DataError, csv.Error):
             if rows:
                 yield lines, list(zip(*rows))
             raise

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ def prepared(net, scenario):
     spec = assign_scenario(net, scenario)
     params = calibrate(net, spec)
     return params, rescale_for_coverage(build_impact_matrices(net, spec), net)
+
+
+def kernel_matrices(m, substitution):
+    """The matrices run_cascade hands the kernel: without substitution, one sector per firm."""
+    if substitution:
+        return m
+    seen = []
+    iterate = cascade._iterate
+
+    def spy(mat, *args, **kwargs):
+        seen.append(mat)
+        return iterate(mat, *args, **kwargs)
+    with mock.patch.object(cascade, "_iterate", spy):
+        run_cascade(None, m, None, np.ones(m.n), max_iter=1, substitution=False)
+    return seen[0]
 
 
 def both_builds(net, scenario):
@@ -120,7 +136,7 @@ class TestImpactMatrices:
         assert np.all(np.diff(m.down_op.indptr)[pads] == 0)
         assert np.array_equal(np.sort(slots.buyers), ref.group_buyer[m.seg_starts])
 
-    def test_group_slots_count_each_buyers_groups_and_inputs(self, monkeypatch):
+    def test_group_slots_count_each_buyers_groups_and_inputs(self):
         m, ref = leo_matrices()
         slots = m.slots
         present = ref.group_buyer[m.seg_starts]
@@ -132,18 +148,12 @@ class TestImpactMatrices:
         assert np.all(np.delete(slots.rank, slots.buyers) == -1)
         # one index type, int32 at this size, so no gather casts and csr_row_index
         # never sees a mixed pair; the diagonal sector_op of a no-substitution run too
-        iterate, seen = cascade._iterate, []
-
-        def spy(mat, *args, **kwargs):
-            seen.append(mat)
-            return iterate(mat, *args, **kwargs)
-        monkeypatch.setattr(cascade, "_iterate", spy)
-        run_cascade(None, m, None, np.ones(m.n), substitution=False)
+        diagonal = kernel_matrices(m, substitution=False).sector_op
         subset = _RowSubset(m, _Workspace(m, 16))
-        ops = (m.down_op, m.up_op, m.sector_op, seen[0].sector_op)
+        ops = (m.down_op, m.up_op, m.sector_op, diagonal)
         arrays = [a for op in ops for a in (op.indices, op.indptr)] + [
             slots.rank, slots.rows, subset.ptr, subset.idx, subset.rows, subset.ids]
-        assert seen[0].sector_op.shape == (m.n, m.n)
+        assert diagonal.shape == (m.n, m.n)
         assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
 
     @pytest.mark.parametrize("scenario", list(Scenario))
@@ -623,23 +633,6 @@ def coverage_network(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(coverage_network())
-def test_unshocked_step_is_bitwise_stationary(raw):
-    """One iteration from all-ones, with and without coverage, leaves every row at 1.0.
-
-    The upstream row of a supplier is clip(s + u_resid, 0, 1), where s is its
-    observed share and u_resid = clip(1 - s, 0, 1) comes from the same matvec;
-    the row-subset iterations rely on that sum being exactly 1.0.
-    """
-    firms, edges = raw
-    for net in (build_network(f, edge_blocks(edges)) for f in (firms, without_figures(firms))):
-        for scenario in (Scenario.GL, Scenario.LEO):
-            m = build_impact_matrices(net, assign_scenario(net, scenario))
-            res = run_cascade(net, m, None, np.ones(net.n), max_iter=1, record_trace=True)
-            assert np.all(res.trace[1].h_u == 1.0) and np.all(res.trace[1].h_d == 1.0)
-
-
-@settings(max_examples=200, deadline=None)
 @given(coverage_network(), st.data())
 def test_no_substitution_sigma_is_exactly_one(raw, data):
     """Alone in its sector, a firm's sigma is s_out / fl(s_out * h_d) >= 1, or
@@ -736,6 +729,46 @@ def test_build_applies_coverage_as_the_reference_pipeline(raw):
             m = build_impact_matrices(net, spec)
         assert_same_operators(
             m, reference_rescale_for_coverage(reference_build_impact_matrices(net, spec), firms))
+
+
+def whole_operator_step(m, width):
+    """One iteration of every row from all-ones levels, with the kernel's own helpers.
+
+    Returns the (n, width) downstream and upstream levels it gives.
+    """
+    n = m.n
+    h = np.ones((n, width))
+    sector = cascade._spmm(m.sector_op, h, np.empty((m.sector_op.shape[0], width)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sigma = cascade._sigma(m.s_out[:, None], sector[m.sector_of], np.empty((n, width)))
+    y = cascade._spmm(m.down_op, sigma * (1.0 - h), np.empty((m.down_op.shape[0], width)))
+    top = _group_max(y, m.slots)
+    h_d = np.ones((n, width))
+    h_d[m.slots.buyers] = cascade._clip01(1.0 - top)
+    h_u = cascade._spmm(m.up_op, h, np.empty((n, width)))
+    return h_d, cascade._clip01(h_u + m.u_resid[:, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(reported_network(), coverage_network()))
+def test_unshocked_step_is_bitwise_stationary(raw):
+    """One whole-operator iteration from all-ones leaves every level at exactly 1.0.
+
+    The kernel takes iteration 1 from the caps alone and relies on this: the
+    upstream row of a supplier is clip(s + u_resid, 0, 1), where s is its
+    observed share and u_resid = clip(1 - s, 0, 1) comes from the same
+    matvec; every downstream product is of sigma * 0. Checked with and
+    without income figures, in every scenario, with and without
+    substitution, one column and a block of 16.
+    """
+    firms, edges = raw
+    for net in (build_network(f, edge_blocks(edges)) for f in (firms, without_figures(firms))):
+        for scenario in Scenario:
+            m = build_impact_matrices(net, assign_scenario(net, scenario))
+            for substitution in (True, False):
+                for width in (1, 16):
+                    h_d, h_u = whole_operator_step(kernel_matrices(m, substitution), width)
+                    assert np.all(h_d == 1.0) and np.all(h_u == 1.0)
 
 
 @settings(max_examples=500, deadline=None)

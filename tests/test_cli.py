@@ -48,6 +48,21 @@ def with_bom(path, target=None):
     return target or path
 
 
+def with_bad_byte(path, line, quote=False):
+    """Make the first byte of a line (1-based) of path 0xff, which UTF-8 never holds.
+
+    quote=True also quotes the first field of line 2, so csv.reader reads
+    the file from its first block.
+    """
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1][1:]
+    if quote:
+        first, rest = lines[1].split(b",", 1)
+        lines[1] = b'"' + first + b'",' + rest
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -223,6 +238,19 @@ class TestBlockReader:
         bom = with_bom(plain, tmp_path / "bom.csv")
         assert list(block_rows(bom, cli.EDGES_HEADER)) == list(block_rows(plain, cli.EDGES_HEADER))
 
+
+    @pytest.mark.parametrize("line", [3, 30], ids=["first_block", "later_block"])
+    @pytest.mark.parametrize("quote", [False, True], ids=["fast_path", "csv_reader"])
+    def test_non_utf8_byte_names_its_row(self, tmp_path, monkeypatch, quote, line):
+        """The rows before the bad byte's row are read, then its line is named."""
+        path = tmp_path / "edges.csv"
+        rows = [[f"f{i}", f"f{i + 1}", "1.0"] for i in range(40)]
+        write_csv(path, cli.EDGES_HEADER, rows)
+        with_bad_byte(path, line, quote)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+        got, err = outcome_of(lambda: block_rows(path, cli.EDGES_HEADER))
+        assert err == ("DataError", f"{path} line {line}: not UTF-8 text")
+        assert got == [(k, rows[k - 2]) for k in range(2, line)]
 
 class TestGenerate:
     def test_row_counts_and_determinism(self, tmp_path, capsys):
@@ -466,6 +494,24 @@ class TestEsri:
                    "--edges", str(data / "edges.csv"),
                    "--out-dir", str(tmp_path / "o")) == 2
         assert f"{table}.csv line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [3, 30], ids=["first_block", "later_block"])
+    @pytest.mark.parametrize("quote", [False, True], ids=["fast_path", "csv_reader"])
+    @pytest.mark.parametrize("table", ["firms", "edges", "psi"])
+    def test_non_utf8_file_names_the_bad_line(self, tmp_path, capsys, monkeypatch,
+                                              table, quote, line):
+        ids = [f"f{i}" for i in range(40)]
+        write_csv(tmp_path / "firms.csv", cli.FIRMS_HEADER,
+                  [[fid, ("0111", "4711")[i % 2], "", ""] for i, fid in enumerate(ids)])
+        write_csv(tmp_path / "edges.csv", cli.EDGES_HEADER,
+                  [[a, b, "1.0"] for a, b in zip(ids, ids[1:])])
+        write_csv(tmp_path / "psi.csv", cli.PSI_HEADER, [[fid, "0.5"] for fid in ids])
+        bad = with_bad_byte(tmp_path / f"{table}.csv", line, quote)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+        assert run("esri", "--firms", str(tmp_path / "firms.csv"),
+                   "--edges", str(tmp_path / "edges.csv"), "--psi-file", str(tmp_path / "psi.csv"),
+                   "--out-dir", str(tmp_path / "o")) == 2
+        assert f"{bad} line {line}: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["esri", "sector-experiment"])
     @pytest.mark.parametrize("value", ["inf", "nan", "0"])

@@ -315,6 +315,18 @@ class TestBlocks:
         if max_iter == 2:
             assert not np.all(vec.converged)  # some columns retire at the cap
 
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_first_iteration_is_the_failed_firms_share(self, net, scenario):
+        """Iteration 1 fails firm i alone, so its index is s_out[i] / sum(s_out) exactly."""
+        params, m = prepared(net, scenario)
+        share = net.s_out / net.s_out.sum()
+        vec = esri_all(net, m, params, max_iter=1)
+        assert vec.values.tobytes() == share.tobytes()
+        assert np.all(vec.T == 1) and not np.any(vec.converged)
+        vec = esri_all(net, m, params, epsilon=1.0, max_iter=1)
+        assert vec.values.tobytes() == share.tobytes()
+        assert np.all(vec.T == 1) and np.all(vec.converged)
+
     def test_columns_of_one_block_converge_at_different_T(self, net):
         params, m = prepared(net, Scenario.GL)
         vec = esri_all(net, m, params, epsilon=1e-4)
