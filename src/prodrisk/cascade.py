@@ -386,20 +386,6 @@ def _spmm(op: sparse.csr_array, x: np.ndarray, out: np.ndarray, part=None) -> np
     return out
 
 
-def _cap_rows(h: np.ndarray, keys: np.ndarray, cap_keys: np.ndarray, cols: np.ndarray,
-              vals: np.ndarray) -> None:
-    """Apply the caps to a compact block whose row p holds the state row keyed keys[p].
-
-    keys ascend; cap_keys are the keys of the capped state rows, and caps of
-    rows outside the block are skipped.
-    """
-    pos = np.searchsorted(keys, cap_keys)
-    hit = pos < len(keys)
-    hit[hit] = keys[pos[hit]] == cap_keys[hit]
-    p, c = pos[hit], cols[hit]
-    h[p, c] = np.minimum(h[p, c], vals[hit])
-
-
 def _clip01(a: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
 
@@ -408,10 +394,12 @@ class _RowSubset:
     """Iterations of a block that recompute only the rows whose inputs changed.
 
     One instance per workspace holds the buffers; start() begins a block after
-    iteration 1, the caps, and step() runs the rest in place. changed_d and
-    changed_u hold the firms whose h_d and h_u changed in the last iteration
-    in a live column. Between iterations, q == sigma * (1 - h_d) and sector ==
-    sector_op @ h_d hold for the current levels, so an iteration recomputes:
+    iteration 1, the caps, and step() runs the rest in place: it writes the
+    uncapped levels of the rows it recomputes, and _iterate caps them.
+    changed_d and changed_u hold the firms whose capped h_d and h_u fell in
+    the last iteration in a live column. Between iterations, q == sigma *
+    (1 - h_d) and sector == sector_op @ h_d hold for the current levels, so
+    an iteration recomputes:
       - the sums of the sectors of changed_d, and q of the damaged firms
         (h_d < 1 somewhere) of those sectors, changed_d among them; where
         h_d == 1, q is +0.0 whatever sigma is, so no other firm's q moves;
@@ -506,15 +494,14 @@ class _RowSubset:
             start += c
         return rows, in_slot
 
-    def step(self, h_d: np.ndarray, h_u: np.ndarray, caps, done: np.ndarray) -> np.ndarray | None:
-        """One iteration in place; the per-column largest decrement.
+    def step(self, h_d: np.ndarray, h_u: np.ndarray, done: np.ndarray) -> np.ndarray | None:
+        """One iteration in place, before the caps; the per-column largest decrement.
 
         Returns None, with nothing changed, when the rows to recompute hold
         more nonzeros than the cost rule admits (_subset_budget).
         """
         m, ws = self.m, self.ws
         w = h_d.shape[1]
-        rows, cols, vals = caps
         changed_d, changed_u = self.changed_d, self.changed_u
         marked = self.sector_mark
         marked[m.sector_of[changed_d]] = True
@@ -554,7 +541,6 @@ class _RowSubset:
             # ranks[:in_slot[k]] have a row in slot k
             d_new, _ = _fold_slots(y, len(ranks), in_slot[1:].tolist())
             _clip01(np.subtract(1.0, d_new, out=d_new))
-            _cap_rows(d_new, ranks, slots.rank[rows], cols, vals)
             d_dec = np.take(h_d, buyers, axis=0, out=compact(ws.levels[1], len(ranks)), mode="clip")
             np.subtract(d_dec, d_new, out=d_dec)
 
@@ -563,7 +549,6 @@ class _RowSubset:
             u_new = _spmm(m.up_op, h_u, compact(ws.levels[4], len(up_rows)),
                           self._gather(m.up_op, up_rows))
             _clip01(np.add(u_new, m.u_resid[up_rows, None], out=u_new))
-            _cap_rows(u_new, up_rows, rows, cols, vals)
             u_dec = np.take(h_u, up_rows, axis=0, out=compact(ws.levels[2], len(up_rows)), mode="clip")
             np.subtract(u_dec, u_new, out=u_dec)
 
@@ -574,7 +559,7 @@ class _RowSubset:
                 moved.append(at)
                 continue
             diff[:, done] = 0.0  # a finished column's levels no longer matter
-            moved.append(at[(diff != 0.0).any(axis=1)])
+            moved.append(at[(diff > 0.0).any(axis=1)])
             np.maximum(dec, _column_max(diff), out=dec)
             h[at] = new
         self.changed_d, self.changed_u = moved
@@ -603,9 +588,11 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     every row. Once the rows to recompute pass the cost rule
     (_subset_budget), or the block is compacted, every row is recomputed
     from then on: each operator is applied whole, as a sparse x dense
-    product into the successor buffers. Either way every row accumulates in
-    the same order as a matvec, so a column's result is bit-identical
-    whatever block it runs in and whichever rows are recomputed.
+    product into the successor buffers. Either way the step writes uncapped
+    levels, and one statement caps them after it, every iteration. Every
+    row accumulates in the same order as a matvec, so a column's result is
+    bit-identical whatever block it runs in and whichever rows are
+    recomputed.
 
     Returns (h_d, h_u, T, converged), with one row of h_d and h_u per column.
     A list passed as trace receives the CascadeState of every iteration of a
@@ -643,31 +630,21 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     if trace is None and ws.subset is not None and _subset_budget(m, width) >= 0:
         subset = ws.subset.start(h_d, np.unique(rows))
 
-    # Iteration 1 only sets the caps: from all-ones levels, q = sigma * 0 = +0.0,
-    # every downstream product is 0 and h_d = clip(1 - 0) = 1. Upstream, the
-    # product is the observed share s that u_resid = clip(1 - s, 0, 1) was formed
-    # from by the same matvec, and clip(s + clip(1 - s, 0, 1), 0, 1) is exactly 1.0
-    # under round-to-nearest: for s >= 0.5, 1 - s is exact (Sterbenz); for s < 0.5
-    # its rounding error e is at most 2**-54, and 1 + e rounds back to 1.0; for
-    # s > 1 the remainder is 0 and the clip gives 1. So no uncapped level moves.
-    for h in (h_d.reshape(-1), h_u.reshape(-1)):
-        h[capped] = vals
     dec = np.zeros(width)
-    np.maximum.at(dec, cols, 1.0 - vals)
+    np.maximum.at(dec, cols, 1.0 - vals)  # iteration 1 (see the caps below)
 
     # _sigma divides by zero where a whole sector has stopped, and may overflow
     # where little of it survives
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if trace is not None:
             ones = np.ones(n)
-            sigma0 = _sigma(m.s_out, (m.sector_op @ ones)[m.sector_of], np.empty(n))
-            state0 = CascadeState(h_d=ones, h_u=ones, sigma=sigma0, pi_tilde=np.ones(m.n_groups))
-            trace.extend([state0, dataclasses.replace(state0, h_d=h_d[:, 0].copy(),
-                                                      h_u=h_u[:, 0].copy())])
+            sigma = _sigma(m.s_out, (m.sector_op @ ones)[m.sector_of], np.empty(n))[:, None]
+            pi_tilde = np.ones(m.n_groups)
+            trace.append(CascadeState(h_d=ones, h_u=ones, sigma=sigma[:, 0], pi_tilde=pi_tilde))
 
         for t in range(1, max_iter + 1):
             if t > 1:
-                dec = None if subset is None else subset.step(h_d, h_u, (rows, cols, vals), done)
+                dec = None if subset is None else subset.step(h_d, h_u, done)
             if dec is None:
                 subset = None
                 _spmm(m.sector_op, h_d, sector).take(m.sector_of, axis=0, out=work, mode="clip")
@@ -691,18 +668,32 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
                 # upstream: demand-weighted buyer levels plus the unobserved remainder
                 _spmm(m.up_op, h_u, hu_new)
                 _clip01(np.add(hu_new, u_resid, out=hu_new))
-                for h in (hd_new.reshape(-1), hu_new.reshape(-1)):
-                    h[capped] = np.minimum(h[capped], vals)
 
-                if trace is not None:
-                    trace.append(CascadeState(h_d=hd_new[:, 0].copy(), h_u=hu_new[:, 0].copy(),
-                                              sigma=sigma[:, 0].copy(), pi_tilde=pi_tilde))
-                np.subtract(h_d, hd_new, out=work)
-                np.subtract(h_u, hu_new, out=h_u)  # the old upstream levels are done with
-                np.maximum(work, h_u, out=work)
-                dec = _column_max(work)
+                # the old levels are done with, and work still holds sigma
+                np.subtract(h_d, hd_new, out=h_d)
+                np.subtract(h_u, hu_new, out=h_u)
+                dec = _column_max(np.maximum(h_d, h_u, out=h_d))
                 h_d, hd_new, h_u, hu_new = hd_new, h_d, hu_new, h_u
                 flats[0], flats[1], flats[3], flats[4] = flats[1], flats[0], flats[4], flats[3]
+
+            # The caps, once per iteration, after the step. Iteration 1 runs no step, as
+            # none would move an uncapped level: from all-ones levels q = sigma * 0 = +0.0,
+            # so every downstream product is 0 and h_d = clip(1 - 0) = 1; upstream, the
+            # product is the observed share s that u_resid = clip(1 - s, 0, 1) was formed
+            # from by the same matvec, and clip(s + clip(1 - s, 0, 1), 0, 1) is exactly
+            # 1.0 under round-to-nearest (for s >= 0.5, 1 - s is exact by Sterbenz; for
+            # s < 0.5 its rounding error e is at most 2**-54, and 1 + e rounds back to
+            # 1.0; for s > 1 the remainder is 0). So this sets the caps (min(1, v) = v),
+            # and a column's decrement is its largest 1 - v. Later steps take theirs
+            # before the caps, exactly, as levels never rise: a cap that binds at t held
+            # the level at t - 1, so its true decrement is 0 and its uncapped one < 0.
+            # That changes no comparison with epsilon > 0, and _RowSubset counts a row
+            # as moved only where its level fell.
+            for h in (h_d.reshape(-1), h_u.reshape(-1)):
+                h[capped] = np.minimum(h[capped], vals)
+            if trace is not None:
+                trace.append(CascadeState(h_d=h_d[:, 0].copy(), h_u=h_u[:, 0].copy(),
+                                          sigma=sigma[:, 0].copy(), pi_tilde=pi_tilde))
 
             ok = dec <= epsilon
             if t < max_iter and not ok.any():
@@ -773,8 +764,9 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
 
     capped = np.flatnonzero(psi < 1.0)
     trace: list[CascadeState] | None = [] if record_trace else None
-    h_d, h_u, T, converged = _iterate(
-        matrices, (capped, np.zeros_like(capped), psi[capped]), 1, epsilon, max_iter, trace=trace)
+    # + 0.0 turns a -0.0 cap into +0.0, so it writes the levels a 0 cap does
+    h_d, h_u, T, converged = _iterate(matrices, (capped, np.zeros_like(capped), psi[capped] + 0.0),
+                                      1, epsilon, max_iter, trace=trace)
     h_d, h_u = h_d[0], h_u[0]
     h_final = np.minimum(h_d, h_u)
     for a in (h_final, h_d, h_u):

@@ -120,9 +120,10 @@ def _read_blocks(path, header: Sequence[str]
     first row is not the header it must already be data. One leading UTF-8
     byte order mark, as spreadsheet programs write, is skipped. Blank rows
     are skipped and an empty file is an empty table. Line numbers count the rows
-    csv.reader makes of the file. A wrong field count or a byte that is not
-    UTF-8 is rejected with its line number; it and any other error of the
-    file are raised once the rows before them are yielded.
+    csv.reader makes of the file. A wrong field count, a byte that is not
+    UTF-8 or a row csv.reader rejects (such as one with a field longer than
+    csv.field_size_limit()) raises a DataError with its line number, once
+    the rows before it are yielded.
 
     The file is read in blocks of about _BLOCK_BYTES, cut at a newline. A
     block without a quote, NUL byte or CR other than one right before a
@@ -191,9 +192,11 @@ def _read_blocks(path, header: Sequence[str]
                 if len(rows) == rows_per_block:
                     yield lines, list(zip(*rows))
                     lines, rows = [], []
-        except (DataError, csv.Error):
+        except (DataError, csv.Error) as exc:
             if rows:
                 yield lines, list(zip(*rows))
+            if isinstance(exc, csv.Error):  # csv.reader made rows up to lineno, not the next
+                raise DataError(f"{path} line {lineno + 1}: {exc}") from None
             raise
         if rows:
             yield lines, list(zip(*rows))

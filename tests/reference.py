@@ -270,21 +270,26 @@ def edge_blocks(triples, cuts=()):
 
 def reference_read_table(path, header):
     """Rows of a CSV file with the given header, as (line number, fields),
-    one csv.reader row at a time; the header row is optional."""
+    one csv.reader row at a time; the header row is optional. A row
+    csv.reader rejects is a DataError naming its line."""
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"{path}: no such file")
     header = list(header)
     with open(p, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if lineno == 1 and row == header:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
-            yield lineno, row
+        lineno = 0
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue
+                if lineno == 1 and row == header:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
+        except csv.Error as exc:
+            raise DataError(f"{path} line {lineno + 1}: {exc}") from None
 
 
 def reference_read_firms(path) -> list[FirmRecord]:

@@ -294,6 +294,25 @@ class TestExogenousShock:
         assert psi[0] == 0.0 and psi.flags.writeable
         psi[0] = 1.0  # stays writable for reuse
 
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_negative_zero_cap_scores_as_zero(self, record_trace):
+        """A -0.0 entry of psi is the 0 cap: same bytes, no sign bit anywhere."""
+        net = subset_net()
+        params, m = prepared(net, Scenario.GL)
+        firms = [0, 57, 131]
+        runs = []
+        for zero in (0.0, -0.0):
+            psi = np.ones(net.n)
+            psi[firms] = zero
+            runs.append(run_cascade(net, m, params, psi, record_trace=record_trace))
+        plus, minus = runs
+        assert (minus.T, minus.converged) == (plus.T, plus.converged)
+        pairs = [(getattr(plus, k), getattr(minus, k)) for k in ("h_final", "h_d_final", "h_u_final")]
+        for x, y in zip(plus.trace or (), minus.trace or ()):
+            pairs += [(x.h_d, y.h_d), (x.h_u, y.h_u)]
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes() and not np.signbit(b).any()
+
 
 class TestReplaceability:
     def test_worked_example(self):
@@ -546,6 +565,63 @@ def subset_shocks(n):
 
 class TestRowSubset:
     """Recomputing only the rows whose inputs changed leaves every bit as it is."""
+
+    @pytest.mark.parametrize("scenario", [Scenario.GL, Scenario.LEO])
+    def test_moved_sets_are_the_firms_whose_capped_level_fell(self, every_step_subset,
+                                                              monkeypatch, scenario):
+        """A step leaves in changed_d and changed_u exactly the firms whose level fell
+        once capped, in a live column; a binding cap, whose uncapped level the step
+        wrote above it, is not a move.
+
+        A wrong moved set changes no bit, only the work, so the levels at the next
+        step's entry are the check.
+        """
+        net = subset_net()
+        params, m = prepared(net, scenario)
+        steps = []
+        step = _RowSubset.step
+
+        def spy(self, h_d, h_u, done):
+            before = h_d.copy(), h_u.copy(), done.copy()
+            dec = step(self, h_d, h_u, done)
+            steps.append((before, None if dec is None else (
+                np.sort(self.changed_d), np.sort(self.changed_u), h_d.copy(), h_u.copy())))
+            return dec
+
+        monkeypatch.setattr(_RowSubset, "step", spy)
+        rng = np.random.default_rng(3)
+        runs = []
+        for _ in range(4):
+            psi = np.ones(net.n)
+            psi[rng.choice(net.n, 6, replace=False)] = 0.3
+            psi[rng.choice(net.n, 2, replace=False)] = 0.0
+            steps.clear()
+            run_cascade(net, m, params, psi, epsilon=1e-7)
+            capped = np.flatnonzero(psi < 1.0)
+            runs.append((list(steps), capped, np.zeros_like(capped), psi[capped]))
+        for _ in range(2):  # 16 columns of one 0 cap and three 0.3 caps each
+            rows = np.concatenate([rng.choice(net.n, 4, replace=False) for _ in range(16)])
+            cols = np.repeat(np.arange(16), 4)
+            vals = np.tile([0.0, 0.3, 0.3, 0.3], 16)
+            steps.clear()
+            _iterate(m, (rows, cols, vals), 16, 1e-4, 1000)
+            runs.append((list(steps), rows, cols, vals))
+
+        pairs = binding = 0
+        for run_steps, rows, cols, vals in runs:
+            for (before, after), (entry, _) in zip(run_steps, run_steps[1:]):
+                if after is None:
+                    continue
+                (h_d, h_u, done), (changed_d, changed_u, raw_d, raw_u) = before, after
+                live = ~done
+                fell_d = np.flatnonzero((entry[0] < h_d)[:, live].any(axis=1))
+                fell_u = np.flatnonzero((entry[1] < h_u)[:, live].any(axis=1))
+                assert changed_d.tolist() == fell_d.tolist()
+                assert changed_u.tolist() == fell_u.tolist()
+                binding += int(np.count_nonzero((raw_d[rows, cols] > vals) & live[cols])
+                               + np.count_nonzero((raw_u[rows, cols] > vals) & live[cols]))
+                pairs += 1
+        assert pairs > 10 and binding > 10
 
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-7])
     @pytest.mark.parametrize("scenario", list(Scenario))

@@ -63,6 +63,24 @@ def with_bad_byte(path, line, quote=False):
     return path
 
 
+def with_long_field(path, line):
+    """Make the first field of a line (1-based) of path a 200,000-character id,
+    longer than csv.field_size_limit() allows by default."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"x" * 200_000 + lines[line - 1][lines[line - 1].index(b","):]
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+def write_tables(out):
+    """firms.csv, edges.csv and psi.csv of a 40-firm chain, which esri scores."""
+    ids = [f"f{i}" for i in range(40)]
+    write_csv(out / "firms.csv", cli.FIRMS_HEADER,
+              [[fid, ("0111", "4711")[i % 2], "", ""] for i, fid in enumerate(ids)])
+    write_csv(out / "edges.csv", cli.EDGES_HEADER, [[a, b, "1.0"] for a, b in zip(ids, ids[1:])])
+    write_csv(out / "psi.csv", cli.PSI_HEADER, [[fid, "0.5"] for fid in ids])
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -143,7 +161,7 @@ def outcome_of(read):
     try:
         for item in read():
             got.append(item)
-    except (ValueError, cli.DataError, csv.Error) as exc:
+    except (ValueError, cli.DataError) as exc:
         return got, (type(exc).__name__, str(exc))
     return got, None
 
@@ -251,6 +269,20 @@ class TestBlockReader:
         got, err = outcome_of(lambda: block_rows(path, cli.EDGES_HEADER))
         assert err == ("DataError", f"{path} line {line}: not UTF-8 text")
         assert got == [(k, rows[k - 2]) for k in range(2, line)]
+
+    @pytest.mark.parametrize("line", [3, 30], ids=["first_block", "later_block"])
+    def test_long_field_names_its_row(self, tmp_path, monkeypatch, line):
+        """The rows before the over-long field's row are read, then its line is named."""
+        path = tmp_path / "edges.csv"
+        rows = [[f"f{i}", f"f{i + 1}", "1.0"] for i in range(40)]
+        write_csv(path, cli.EDGES_HEADER, rows)
+        with_long_field(path, line)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+        got, err = outcome_of(lambda: block_rows(path, cli.EDGES_HEADER))
+        limit = csv.field_size_limit()
+        assert err == ("DataError", f"{path} line {line}: field larger than field limit ({limit})")
+        assert got == [(k, rows[k - 2]) for k in range(2, line)]
+
 
 class TestGenerate:
     def test_row_counts_and_determinism(self, tmp_path, capsys):
@@ -500,18 +532,37 @@ class TestEsri:
     @pytest.mark.parametrize("table", ["firms", "edges", "psi"])
     def test_non_utf8_file_names_the_bad_line(self, tmp_path, capsys, monkeypatch,
                                               table, quote, line):
-        ids = [f"f{i}" for i in range(40)]
-        write_csv(tmp_path / "firms.csv", cli.FIRMS_HEADER,
-                  [[fid, ("0111", "4711")[i % 2], "", ""] for i, fid in enumerate(ids)])
-        write_csv(tmp_path / "edges.csv", cli.EDGES_HEADER,
-                  [[a, b, "1.0"] for a, b in zip(ids, ids[1:])])
-        write_csv(tmp_path / "psi.csv", cli.PSI_HEADER, [[fid, "0.5"] for fid in ids])
+        write_tables(tmp_path)
         bad = with_bad_byte(tmp_path / f"{table}.csv", line, quote)
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
         assert run("esri", "--firms", str(tmp_path / "firms.csv"),
                    "--edges", str(tmp_path / "edges.csv"), "--psi-file", str(tmp_path / "psi.csv"),
                    "--out-dir", str(tmp_path / "o")) == 2
         assert f"{bad} line {line}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [3, 30], ids=["first_block", "later_block"])
+    @pytest.mark.parametrize("table", ["firms", "edges", "psi"])
+    def test_long_field_names_the_bad_line(self, tmp_path, capsys, monkeypatch, table, line):
+        write_tables(tmp_path)
+        bad = with_long_field(tmp_path / f"{table}.csv", line)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+        assert run("esri", "--firms", str(tmp_path / "firms.csv"),
+                   "--edges", str(tmp_path / "edges.csv"), "--psi-file", str(tmp_path / "psi.csv"),
+                   "--out-dir", str(tmp_path / "o")) == 2
+        assert f"{bad} line {line}: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_zero_psi_writes_the_zero_bytes(self, data_dir, tmp_path):
+        ids = [row[0] for row in read_rows(data_dir / "firms.csv")[1:4]]
+        inputs = ("--firms", str(data_dir / "firms.csv"), "--edges", str(data_dir / "edges.csv"))
+        for zero in ("0", "-0"):
+            psi = tmp_path / f"psi{zero}.csv"
+            write_csv(psi, cli.PSI_HEADER, [[ids[0], zero], [ids[1], "0.5"], [ids[2], zero]])
+            assert run("esri", *inputs, "--psi-file", str(psi),
+                       "--out-dir", str(tmp_path / zero)) == 0
+        for name in ("h.csv", "summary.json"):
+            assert (tmp_path / "-0" / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+        assert b"-0.0" not in (tmp_path / "-0" / "h.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ["esri", "sector-experiment"])
     @pytest.mark.parametrize("value", ["inf", "nan", "0"])
