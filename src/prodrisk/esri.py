@@ -23,6 +23,7 @@ from .netcore import DataError, ProductionNetwork, fingerprint
 from .prodfun import Scenario, ProductionParams, assign_scenario, calibrate
 from .cascade import (ImpactMatrices, CascadeResult, _Workspace, _iterate,
                       build_impact_matrices, rescale_for_coverage, run_cascade)
+from .kernel import load
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,8 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     conv = np.empty(n, dtype=bool)
 
     workers = min(worker_count, len(bounds))
+    # before any worker starts: forked ones inherit the kernel, spawned ones find it cached
+    load()
     with contextlib.ExitStack() as stack:
         ranges = map(functools.partial(_run_range, ctx=ctx), bounds)
         if workers > 1:

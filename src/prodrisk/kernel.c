@@ -1,0 +1,347 @@
+/* The cascade iteration of prodrisk.cascade, compiled.
+ *
+ * Levels, q and products are (rows, W) row-major blocks of W columns, one
+ * column per cascade. Every function takes its width W at run time and
+ * dispatches to a copy compiled for that constant width, 1 to 16; a width
+ * outside that range returns -1 and touches nothing. Row lists are intptr_t
+ * (numpy's intp); a NULL list means rows 0 .. k - 1.
+ *
+ * The results are numpy's and scipy's bit for bit, as long as this file is
+ * compiled without -ffast-math and with -ffp-contract=off: every sum starts
+ * at 0.0 and adds its terms in stored column order, as scipy's csr_matvec
+ * and csr_matvecs do on a zeroed output; maxima and minima follow numpy's
+ * NaN rule; sigma is fmin(s_out / sector sum, 1).
+ *
+ * The functions that read the operators come in two copies, for int32
+ * (suffix _i32) and int64 (_i64) index arrays: the second half of this file
+ * includes itself once per index type.
+ */
+#ifndef IDX
+
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+#include <string.h>
+
+/* The operators of one ImpactMatrices. Index arrays are of the copy's
+ * index type; group_ptr[i] .. group_ptr[i + 1] are firm i's rows of
+ * down_op, its constraint groups. */
+typedef struct {
+    int64_t n, n_sectors;
+    const void *sector_ptr, *sector_idx;
+    const double *sector_val;
+    const int64_t *sector_of;
+    const double *s_out;
+    const void *group_ptr, *down_ptr, *down_idx;
+    const double *down_val;
+    const void *up_ptr, *up_idx;
+    const double *up_val, *u_resid;
+} Ops;
+
+#define MAX_WIDTH 16
+#define INLINE static inline __attribute__((always_inline))
+
+/* numpy's maximum and minimum: a NaN in either argument wins */
+#define MAX(a, b) (((a) >= (b) || isnan(a)) ? (a) : (b))
+#define MIN(a, b) (((a) <= (b) || isnan(a)) ? (a) : (b))
+
+/* Two lanes of a row at a time, in GCC's vector extension; each lane's
+ * arithmetic and comparisons are those of a double. */
+typedef double v2 __attribute__((vector_size(16)));
+typedef int64_t m2 __attribute__((vector_size(16)));
+
+INLINE v2 load2(const double *p)
+{
+    v2 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+INLINE void store2(double *p, v2 v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* MAX and MIN on each of two lanes */
+INLINE v2 max2(v2 a, v2 b)
+{
+    const m2 keep = (a >= b) | (a != a);
+    return (v2)((keep & (m2)a) | (~keep & (m2)b));
+}
+
+INLINE v2 min2(v2 a, v2 b)
+{
+    const m2 keep = (a <= b) | (a != a);
+    return (v2)((keep & (m2)a) | (~keep & (m2)b));
+}
+
+/* CALL(w) is defined around each use: the call for the constant width w */
+#define DISPATCH(W)                                                                  \
+    switch (W) {                                                                     \
+    case 1: CALL(1); return 0;    case 2: CALL(2); return 0;                         \
+    case 3: CALL(3); return 0;    case 4: CALL(4); return 0;                         \
+    case 5: CALL(5); return 0;    case 6: CALL(6); return 0;                         \
+    case 7: CALL(7); return 0;    case 8: CALL(8); return 0;                         \
+    case 9: CALL(9); return 0;    case 10: CALL(10); return 0;                       \
+    case 11: CALL(11); return 0;  case 12: CALL(12); return 0;                       \
+    case 13: CALL(13); return 0;  case 14: CALL(14); return 0;                       \
+    case 15: CALL(15); return 0;  case 16: CALL(16); return 0;                       \
+    }                                                                                \
+    return -1;
+
+INLINE double clip01(double v)
+{
+    v = MAX(v, 0.0);
+    return MIN(v, 1.0);
+}
+
+/* The same for a lone lane (odd widths, width 1 above all): on two lanes
+ * the comparisons compile to selects, where the scalar code above would
+ * branch on data. The loops over lane pairs vectorize without this. */
+INLINE double max1(double a, double b)
+{
+    return max2((v2){a, a}, (v2){b, b})[0];
+}
+
+INLINE double clip1(double v)
+{
+    const v2 w = {v, v};
+    return min2(max2(w, (v2){0.0, 0.0}), (v2){1.0, 1.0})[0];
+}
+
+/* row = MAX(row, x), lane by lane */
+INLINE void max_row(double *row, const double *x, const int W)
+{
+    for (int v = 0; v < W / 2; v++)
+        store2(row + 2 * v, max2(load2(row + 2 * v), load2(x + 2 * v)));
+    if (W & 1)
+        row[W - 1] = max1(row[W - 1], x[W - 1]);
+}
+
+/* q[i] = sigma_i * (1 - h_d[i]) of the listed firms, sigma_i = fmin(s_out_i /
+ * sector[sector of i], 1); sigma, if given, receives column 0's sigma_i. */
+INLINE void q_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const double *sector,
+                     const double *h_d, double *q, double *sigma, const int W)
+{
+    for (int64_t t = 0; t < k; t++) {
+        const int64_t i = rows ? rows[t] : t;
+        const double *sec = sector + o->sector_of[i] * W;
+        for (int c = 0; c < W; c++) {
+            const double x = o->s_out[i] / sec[c];
+            const double s = x < 1.0 ? x : 1.0; /* fmin(x, 1.0): NaN gives 1 */
+            if (c == 0 && sigma)
+                sigma[i] = s;
+            q[i * W + c] = s * (1.0 - h_d[i * W + c]);
+        }
+    }
+}
+
+int q_rows(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *sector,
+           const double *h_d, double *q, double *sigma)
+{
+#define CALL(w) q_rows_w(o, rows, k, sector, h_d, q, sigma, w)
+    DISPATCH(W)
+#undef CALL
+}
+
+/* For each listed row r of h: its decrement d = h[r] - new[t], 0 in a done
+ * column; dec = max(dec, d) per column; h[r] = new[t]. The rows where some d
+ * > 0 are written to moved, in order (moved may be rows); returns their count. */
+INLINE int64_t apply_rows_w(const intptr_t *rows, int64_t k, double *h, const double *new,
+                            const uint8_t *done, double *dec, intptr_t *moved, const int W)
+{
+    int64_t n_moved = 0;
+    for (int64_t t = 0; t < k; t++) {
+        const intptr_t r = rows[t];
+        int fell = 0;
+        for (int c = 0; c < W; c++) {
+            const double d = done[c] ? 0.0 : h[r * W + c] - new[t * W + c];
+            fell |= d > 0.0;
+            dec[c] = MAX(dec[c], d);
+            h[r * W + c] = new[t * W + c];
+        }
+        if (fell)
+            moved[n_moved++] = r;
+    }
+    return n_moved;
+}
+
+int64_t apply_rows(int W, const intptr_t *rows, int64_t k, double *h, const double *new,
+                   const uint8_t *done, double *dec, intptr_t *moved)
+{
+#define CALL(w) return apply_rows_w(rows, k, h, new, done, dec, moved, w)
+    DISPATCH(W)
+#undef CALL
+}
+
+/* dec = per column, the maximum of h_d - hd_new and h_u - hu_new over all n rows */
+INLINE void largest_decrement_w(int64_t n, const double *h_d, const double *h_u,
+                                const double *hd_new, const double *hu_new, double *dec,
+                                const int W)
+{
+    for (int64_t i = 0; i < n; i++)
+        for (int c = 0; c < W; c++) {
+            const double d = h_d[i * W + c] - hd_new[i * W + c];
+            const double u = h_u[i * W + c] - hu_new[i * W + c];
+            const double m = MAX(d, u);
+            dec[c] = i == 0 ? m : MAX(dec[c], m);
+        }
+}
+
+#define IDX int32_t
+#define FN(name) name##_i32
+#include __FILE__
+#undef IDX
+#undef FN
+
+#define IDX int64_t
+#define FN(name) name##_i64
+#include __FILE__
+#undef IDX
+#undef FN
+
+#else /* IDX: the functions that read index arrays */
+
+/* out = row r of the CSR (ptr, idx, val) times x */
+INLINE void FN(csr_row)(const IDX *ptr, const IDX *idx, const double *val, int64_t r,
+                        const double *x, double *out, const int W)
+{
+    v2 acc[MAX_WIDTH / 2];
+    double last = 0.0;
+    for (int v = 0; v < W / 2; v++)
+        acc[v] = (v2){0.0, 0.0};
+    for (IDX jj = ptr[r]; jj < ptr[r + 1]; jj++) {
+        const double a = val[jj];
+        const v2 a2 = {a, a};
+        const double *xj = x + (int64_t)idx[jj] * W;
+        for (int v = 0; v < W / 2; v++)
+            acc[v] += a2 * load2(xj + 2 * v);
+        if (W & 1)
+            last += a * xj[W - 1];
+    }
+    for (int v = 0; v < W / 2; v++)
+        store2(out + 2 * v, acc[v]);
+    if (W & 1)
+        out[W - 1] = last;
+}
+
+/* sector[s] = sector_op row s times h_d, for the listed sectors */
+INLINE void FN(sector_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const double *h_d,
+                              double *sector, const int W)
+{
+    for (int64_t t = 0; t < k; t++) {
+        const int64_t s = rows ? rows[t] : t;
+        FN(csr_row)(o->sector_ptr, o->sector_idx, o->sector_val, s, h_d, sector + s * W, W);
+    }
+}
+
+int FN(sector_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *h_d,
+                    double *sector)
+{
+#define CALL(w) FN(sector_rows_w)(o, rows, k, h_d, sector, w)
+    DISPATCH(W)
+#undef CALL
+}
+
+/* out[t] = clip(1 - the largest down_op product over the groups of firm
+ * rows[t], 0, 1), or 1 for a firm with no groups; pi, if given, receives
+ * column 0's clip(1 - product, 0, 1) of every group. The minimum of clip(1
+ * - y) over the groups is clip(1 - max y) bit for bit: both maps are
+ * monotone. */
+INLINE void FN(down_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const double *q,
+                            double *out, double *pi, const int W)
+{
+    const IDX *gp = o->group_ptr;
+    for (int64_t t = 0; t < k; t++) {
+        const int64_t i = rows ? rows[t] : t;
+        double top[MAX_WIDTH], y[MAX_WIDTH];
+        const IDX g0 = gp[i], g1 = gp[i + 1];
+        if (g0 == g1) {
+            for (int c = 0; c < W; c++)
+                out[t * W + c] = 1.0;
+            continue;
+        }
+        FN(csr_row)(o->down_ptr, o->down_idx, o->down_val, g0, q, top, W);
+        if (pi)
+            pi[g0] = clip01(1.0 - top[0]);
+        for (IDX g = g0 + 1; g < g1; g++) {
+            FN(csr_row)(o->down_ptr, o->down_idx, o->down_val, g, q, y, W);
+            if (pi)
+                pi[g] = clip01(1.0 - y[0]);
+            max_row(top, y, W);
+        }
+        for (int c = 0; c < (W & ~1); c++)
+            out[t * W + c] = clip01(1.0 - top[c]);
+        if (W & 1)
+            out[t * W + W - 1] = clip1(1.0 - top[W - 1]);
+    }
+}
+
+int FN(down_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *q,
+                  double *out, double *pi)
+{
+#define CALL(w) FN(down_rows_w)(o, rows, k, q, out, pi, w)
+    DISPATCH(W)
+#undef CALL
+}
+
+/* out[t] = clip(up_op row r times h_u + u_resid[r], 0, 1), r = rows[t] */
+INLINE void FN(up_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const double *h_u,
+                          double *out, const int W)
+{
+    for (int64_t t = 0; t < k; t++) {
+        const int64_t r = rows ? rows[t] : t;
+        FN(csr_row)(o->up_ptr, o->up_idx, o->up_val, r, h_u, out + t * W, W);
+        for (int c = 0; c < (W & ~1); c++)
+            out[t * W + c] = clip01(out[t * W + c] + o->u_resid[r]);
+        if (W & 1)
+            out[t * W + W - 1] = clip1(out[t * W + W - 1] + o->u_resid[r]);
+    }
+}
+
+int FN(up_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *h_u,
+                double *out)
+{
+#define CALL(w) FN(up_rows_w)(o, rows, k, h_u, out, w)
+    DISPATCH(W)
+#undef CALL
+}
+
+/* One iteration of every row: the sector sums, q, the new levels hd_new and
+ * hu_new, and per column the largest decrement over both recursions. sector
+ * and q are scratch; sigma (n) and pi (one per group), if given, receive
+ * column 0's substitution factors and group availabilities. */
+int FN(whole)(const Ops *o, int W, const double *h_d, const double *h_u, double *hd_new,
+              double *hu_new, double *q, double *sector, double *dec, double *sigma, double *pi)
+{
+    if (W < 1 || W > MAX_WIDTH)
+        return -1;
+    FN(sector_rows)(o, W, NULL, o->n_sectors, h_d, sector);
+    q_rows(o, W, NULL, o->n, sector, h_d, q, sigma);
+    FN(down_rows)(o, W, NULL, o->n, q, hd_new, pi);
+    FN(up_rows)(o, W, NULL, o->n, h_u, hu_new);
+#define CALL(w) largest_decrement_w(o->n, h_d, h_u, hd_new, hu_new, dec, w)
+    DISPATCH(W)
+#undef CALL
+}
+
+/* mark[c] = 1 for every column c with an entry in the listed rows of the CSR
+ * structure (ptr, idx); nothing is copied. Returns the sum of count_ptr[c + 1]
+ * - count_ptr[c] over the columns this call marks, and stops after the row
+ * that takes the sum past limit. */
+int64_t FN(mark)(const IDX *ptr, const IDX *idx, const intptr_t *rows, int64_t k, uint8_t *mark,
+                 const IDX *count_ptr, int64_t limit)
+{
+    int64_t total = 0;
+    for (int64_t t = 0; t < k && total <= limit; t++)
+        for (IDX jj = ptr[rows[t]]; jj < ptr[rows[t] + 1]; jj++) {
+            const IDX c = idx[jj];
+            if (!mark[c]) {
+                mark[c] = 1;
+                total += count_ptr[c + 1] - count_ptr[c];
+            }
+        }
+    return total;
+}
+
+#endif /* IDX */

@@ -18,6 +18,9 @@ sector shock experiment at the end is the earlier one, which ran its
 sector-wide shock apart from the firm scenarios; the package runs them all
 as the rows of one shock matrix.
 
+reference_whole_step is the numpy iteration of every row that the
+compiled kernel replaced, kept as the oracle its bytes are checked against.
+
 The generalized-Leontief production function (its calibration from the
 observed inputs and its evaluation) lives only here: the cascade reads the
 firms' production functions only through the impact operators, so the
@@ -38,7 +41,7 @@ import numpy as np
 from scipy import sparse
 
 from prodrisk.analysis import SectorShockReport, _pearson
-from prodrisk.cascade import ImpactMatrices, _group_slots, _residual_demand, run_cascade
+from prodrisk.cascade import ImpactMatrices, _residual_demand, run_cascade
 from prodrisk.cli import EDGES_HEADER, FIRMS_HEADER, _parse_amount, _parse_income
 from prodrisk.netcore import (DataError, FirmRecord, NetworkError, ProductionNetwork,
                               normalize_nace4)
@@ -484,9 +487,7 @@ def reference_rescale_for_coverage(matrices: ReferenceMatrices, firms) -> Refere
             fac_d[i] = min(1.0, matrices.s_in[i] / f.material_cost)
 
     up_op = _scale_rows(matrices.up_op, fac_u)
-    row_fac = np.ones(matrices.down_op.shape[0])  # pad rows are empty
-    row_fac[matrices.slots.rows] = fac_d[matrices.group_buyer]
-    down_op = _scale_rows(matrices.down_op, row_fac)
+    down_op = _scale_rows(matrices.down_op, fac_d[matrices.group_buyer])
     return dataclasses.replace(matrices, up_op=up_op, down_op=down_op,
                                u_resid=_residual_demand(up_op))
 
@@ -542,21 +543,45 @@ def reference_build_impact_matrices(net, spec: ScenarioSpec) -> ReferenceMatrice
     d_sup, lam_d, d_group, guniq = reference_downstream_entries(net, spec)
     group_buyer = guniq // (n_sectors + 1)
     group_sector = guniq % (n_sectors + 1) - 1
-    present_buyers, seg_starts = np.unique(group_buyer, return_index=True)
-    slots = _group_slots(present_buyers, seg_starts, np.bincount(d_group, minlength=len(guniq)),
-                         n, np.int64)
-    n_rows = sum(slots.sizes) + slots.tail_slots * slots.tail_rows
-    down_op = sparse.csr_array((lam_d, (slots.rows[d_group], d_sup)), shape=(n_rows, n))
+    _, seg_starts = np.unique(group_buyer, return_index=True)
+    group_ptr = np.searchsorted(group_buyer, np.arange(n + 1))
+    down_op = sparse.csr_array((lam_d, (d_group, d_sup)), shape=(len(guniq), n))
     up_op = sparse.csr_array((net.w / net.s_out[net.sup], (net.sup, net.buy)), shape=(n, n))
     sector_op = sparse.csr_array((net.s_out, (net.sector_of, np.arange(n))), shape=(n_sectors, n))
     for op in (down_op, up_op, sector_op):
         op.sort_indices()
     return ReferenceMatrices(
         n=n, s_out=net.s_out, sector_of=net.sector_of, n_groups=len(guniq),
-        seg_starts=seg_starts, slots=slots, u_resid=_residual_demand(up_op),
+        seg_starts=seg_starts, group_ptr=group_ptr, u_resid=_residual_demand(up_op),
         down_op=down_op, up_op=up_op, sector_op=sector_op,
         s_in=net.s_in, group_buyer=group_buyer, group_sector=group_sector,
     )
+
+
+def _clip01(a: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(a, 0.0), 1.0)
+
+
+def reference_whole_step(m: ImpactMatrices, h_d: np.ndarray, h_u: np.ndarray):
+    """One iteration of every row in numpy and scipy calls: the step kernel.c replaced.
+
+    h_d and h_u are (n, width) levels. Returns the new levels hd_new and
+    hu_new, each column's largest decrement over both recursions, and
+    column 0's sigma (per firm) and pi_tilde (per group). The products are
+    scipy's, which sum from 0.0 in stored column order; each buyer's group
+    maximum is np.maximum.reduceat over its contiguous groups. The compiled
+    kernel must give these arrays bit for bit.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sigma = np.fmin(m.s_out[:, None] / (m.sector_op @ h_d)[m.sector_of], 1.0)
+    y = m.down_op @ (sigma * (1.0 - h_d))
+    hd_new = np.ones_like(h_d)
+    buyers = np.flatnonzero(np.diff(m.group_ptr))
+    if len(buyers):
+        hd_new[buyers] = _clip01(1.0 - np.maximum.reduceat(y, m.seg_starts, axis=0))
+    hu_new = _clip01(m.up_op @ h_u + m.u_resid[:, None])
+    dec = np.maximum(h_d - hd_new, h_u - hu_new).max(axis=0)
+    return hd_new, hu_new, dec, sigma[:, 0], _clip01(1.0 - y[:, 0])
 
 
 def _received_by_sector(net: ProductionNetwork, h_final: np.ndarray) -> np.ndarray:

@@ -11,14 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (dense_net, edge_blocks, reference_build_impact_matrices, reference_cascade,
-                       reference_rescale_for_coverage, replaceability)
+                       reference_rescale_for_coverage, reference_whole_step, replaceability)
 from test_acceptance import _micro_fixture
 
 from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generate_synthetic
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk import cascade
 from prodrisk.cascade import (
-    _group_max,
     _iterate,
     _RowSubset,
     _Workspace,
@@ -27,6 +26,7 @@ from prodrisk.cascade import (
     run_cascade,
 )
 from prodrisk.esri import esri_all
+from prodrisk.kernel import addr
 
 
 def mill_net(revenue=None, material_cost=None):
@@ -68,7 +68,7 @@ def both_builds(net, scenario):
 
 
 def leo_matrices(scenario=Scenario.LEO):
-    """150 firms in 8 sectors: under leo, head folds and a padded tail."""
+    """150 firms in 8 sectors: under leo, buyers with up to eight groups."""
     firms, edges = generate_synthetic(
         SyntheticConfig(n_firms=150, n_sectors=8, mean_out_degree=6.0), seed=5)
     return both_builds(build_network(firms, edge_blocks(edges)), scenario)
@@ -77,7 +77,7 @@ def leo_matrices(scenario=Scenario.LEO):
 def entry(matrices, ref, sup, buy):
     """Downstream coefficient of one edge and whether it is essential; ref gives the groups."""
     for g in np.flatnonzero(ref.group_buyer == buy):
-        row = matrices.down_op[[matrices.slots.rows[g]]]
+        row = matrices.down_op[[g]]
         if sup in row.indices:
             return row[0, sup], bool(ref.group_sector[g] >= 0)
     raise AssertionError("edge not found")
@@ -108,67 +108,61 @@ class TestImpactMatrices:
         mill = net.index_of["mill"]
         mill_groups = {int(g) for g in np.flatnonzero(ref.group_buyer == mill)}
         assert len(mill_groups) == 2    # one essential sector plus the pool
-        assert m.slots.counts[m.slots.rank[mill]] == 2
+        assert m.group_ptr[mill + 1] - m.group_ptr[mill] == 2
         sectors = {int(ref.group_sector[g]) for g in mill_groups}
         assert -1 in sectors            # pooled group marker
         assert len(ref.group_buyer) == m.n_groups
 
-    def test_group_slots_hold_each_buyers_own_groups(self):
+    def test_groups_are_contiguous_per_buyer(self):
         m, ref = leo_matrices()
-        slots = m.slots
-        assert len(slots.sizes) > 1 and slots.tail_slots > 0  # head folds and a padded tail
-        # one row per group, each row used by at most one group
-        assert len(slots.rows) == m.n_groups
-        assert len(np.unique(slots.rows)) == m.n_groups
-        row_buyer = np.full(m.down_op.shape[0], -1)
-        row_buyer[slots.rows] = ref.group_buyer
-        start = 0
-        for size in list(slots.sizes) + [slots.tail_rows] * slots.tail_slots:
-            part = row_buyer[start:start + size]
-            # row p of every slot belongs to buyer p, so maxima stay per buyer
-            filled = part >= 0
-            assert np.array_equal(part[filled], slots.buyers[:size][filled])
-            start += size
-        assert start == m.down_op.shape[0]
-        # pad rows (no group) store nothing
-        pads = np.flatnonzero(row_buyer < 0)
-        assert len(pads) > 0
-        assert np.all(np.diff(m.down_op.indptr)[pads] == 0)
-        assert np.array_equal(np.sort(slots.buyers), ref.group_buyer[m.seg_starts])
+        # one down_op row per group, in group order, none of them empty
+        assert m.down_op.shape == (m.n_groups, m.n)
+        assert np.all(np.diff(m.down_op.indptr) > 0)
+        # firm i's groups are group_ptr[i] to group_ptr[i + 1]
+        assert np.array_equal(np.repeat(np.arange(m.n), np.diff(m.group_ptr)), ref.group_buyer)
+        buyers = np.flatnonzero(np.diff(m.group_ptr))
+        assert np.array_equal(m.group_ptr[buyers], m.seg_starts)
+        assert np.array_equal(buyers, ref.group_buyer[m.seg_starts])
+        assert np.diff(m.group_ptr).max() > 2  # several groups for some buyer
 
-    def test_group_slots_count_each_buyers_groups_and_inputs(self):
+    def test_group_ptr_counts_each_buyers_groups_and_inputs(self):
         m, ref = leo_matrices()
-        slots = m.slots
-        present = ref.group_buyer[m.seg_starts]
-        counts = np.diff(m.seg_starts, append=m.n_groups)
-        assert np.array_equal(slots.counts, counts[np.searchsorted(present, slots.buyers)])
-        in_deg = np.bincount(m.up_op.indices, minlength=m.n)
-        assert np.array_equal(slots.in_deg, in_deg[slots.buyers])
-        assert np.array_equal(slots.rank[slots.buyers], np.arange(len(slots.buyers)))
-        assert np.all(np.delete(slots.rank, slots.buyers) == -1)
-        # one index type, int32 at this size, so no gather casts and csr_row_index
-        # never sees a mixed pair; the diagonal sector_op of a no-substitution run too
-        diagonal = kernel_matrices(m, substitution=False).sector_op
+        counts = np.bincount(ref.group_buyer, minlength=m.n)
+        assert np.array_equal(np.diff(m.group_ptr), counts)
+        # a buyer's in-degree is the nonzeros of its contiguous down_op rows
         subset = _RowSubset(m, _Workspace(m, 16))
+        in_deg = np.bincount(m.up_op.indices, minlength=m.n)
+        assert np.array_equal(np.diff(subset.in_ptr), in_deg)
+        # one index type, int32 at this size, which the kernel reads without a
+        # cast; the diagonal sector_op of a no-substitution run too
+        diagonal = kernel_matrices(m, substitution=False).sector_op
         ops = (m.down_op, m.up_op, m.sector_op, diagonal)
-        arrays = [a for op in ops for a in (op.indices, op.indptr)] + [
-            slots.rank, slots.rows, subset.ptr, subset.idx, subset.rows, subset.ids]
+        arrays = [a for op in ops for a in (op.indices, op.indptr)] + [m.group_ptr, subset.in_ptr]
         assert diagonal.shape == (m.n, m.n)
         assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("width", [1, 16])
     def test_group_max_matches_reduceat(self, scenario, width):
+        """The kernel's downstream rows: clip(1 - the largest product over each buyer's groups)."""
         m, ref = leo_matrices(scenario)
-        slots = m.slots
         rng = np.random.default_rng(width)
-        y = rng.random((m.down_op.shape[0], width))
-        # what down_op leaves in its empty pad rows
-        y[np.diff(m.down_op.indptr) == 0] = 0.0
-        # one row per present buyer, in ascending buyer order
-        expect = np.maximum.reduceat(y[slots.rows], m.seg_starts)
-        got = _group_max(y, slots)
-        assert np.array_equal(got, expect[np.searchsorted(ref.group_buyer[m.seg_starts], slots.buyers)])
+        q = rng.random((m.n, width))
+        y = m.down_op @ q
+        expect = np.ones((m.n, width))
+        buyers = np.flatnonzero(np.diff(m.group_ptr))
+        top = np.maximum.reduceat(y, m.seg_starts)
+        expect[buyers] = np.minimum(np.maximum(1.0 - top, 0.0), 1.0)
+        k = _Workspace(m, width).kernel
+        got = np.empty((m.n, width))
+        assert k.down_rows(k.ref, width, None, m.n, addr(q), addr(got), None) == 0
+        assert np.array_equal(got, expect)
+        # over a row list in its order, firms without groups among them
+        rows = rng.permutation(m.n)[:m.n // 2]
+        got = np.empty((len(rows), width))
+        k.down_rows(k.ref, width, addr(rows), len(rows), addr(q), addr(got), None)
+        assert np.array_equal(got, expect[rows])
+        assert np.any(np.diff(m.group_ptr)[rows] == 0)
 
     def test_upstream_shares_and_residual(self):
         net = mill_net()
@@ -182,7 +176,7 @@ class TestImpactMatrices:
         net = build_network(firms, edge_blocks(edges))
         for scenario in Scenario:
             m, ref = both_builds(net, scenario)
-            for g, total in enumerate(m.down_op.sum(axis=1)[m.slots.rows]):
+            for g, total in enumerate(m.down_op.sum(axis=1)):
                 assert total <= 1.0 + 1e-9
                 if ref.group_sector[g] >= 0:
                     assert total == pytest.approx(1.0)
@@ -265,7 +259,7 @@ class TestImpactMatrices:
             for m, idx in ((m32, np.int32), (m64, np.int64)):
                 for op in (m.down_op, m.up_op, m.sector_op):
                     assert op.indices.dtype == idx and op.indptr.dtype == idx
-                assert m.slots.rank.dtype == idx and m.slots.rows.dtype == idx
+                assert m.group_ptr.dtype == idx
             a, b = esri_all(net, m32, params), esri_all(net, m64, params)
             for name in ("values", "T", "converged"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (scenario, name)
@@ -389,9 +383,9 @@ class TestEngine:
         for prev, nxt in zip(res.trace, res.trace[1:]):
             q = nxt.sigma * (1.0 - prev.h_d)
             assert np.array_equal(nxt.pi_tilde,
-                                  np.clip(1.0 - (m.down_op @ q)[m.slots.rows], 0.0, 1.0))
+                                  np.clip(1.0 - m.down_op @ q, 0.0, 1.0))
             # each buyer's level is the smallest availability over its groups
-            buyers = np.sort(m.slots.buyers)
+            buyers = np.flatnonzero(np.diff(m.group_ptr))
             hd = np.minimum.reduceat(nxt.pi_tilde, m.seg_starts)
             assert np.array_equal(nxt.h_d[buyers], np.minimum(hd, psi[buyers]))
 
@@ -651,9 +645,9 @@ class TestRowSubset:
             assert (sub.T, sub.converged) == (full.T, full.converged)
 
     def test_declined_steps_fit_their_buffers(self, every_step_subset, monkeypatch):
-        """A step copies out the up_op rows of every moved q before its counts can decline it.
+        """A step marks the up_op rows of every moved q before its counts can decline it.
 
-        Under a budget far below up_op's nonzeros, those rows must still fit.
+        Under a budget far below up_op's nonzeros, declined steps change no bit.
         """
         net = subset_net()
         params, m = prepared(net, Scenario.GL)
@@ -690,6 +684,66 @@ class TestRowSubset:
                 assert h_u[j].tobytes() == full.h_u_final.tobytes()
                 assert (T[j], conv[j]) == (full.T, full.converged)
         assert sum(every_step_subset) > 5
+
+
+def mid_cascade_states(m, width, seed, at=(2, 4, 7)):
+    """Levels of `width` cascades at the iterations `at`, run with the numpy step.
+
+    Each column caps two random firms at 0 or 0.3; column 0 also stops every
+    firm of the smallest sector, whose surviving output is then 0.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, m.n, size=2 * width)
+    cols = np.repeat(np.arange(width), 2)
+    vals = rng.choice([0.0, 0.3], size=2 * width)
+    counts = np.bincount(m.sector_of)
+    dead = np.flatnonzero(m.sector_of == np.flatnonzero(counts)[np.argmin(counts[counts > 0])])
+    rows = np.concatenate([rows, dead])
+    cols = np.concatenate([cols, np.zeros(len(dead), dtype=int)])
+    vals = np.concatenate([vals, np.zeros(len(dead))])
+    h_d, h_u = np.ones((m.n, width)), np.ones((m.n, width))
+    states = []
+    for t in range(1, max(at) + 1):
+        if t > 1:
+            h_d, h_u = reference_whole_step(m, h_d, h_u)[:2]
+        for h in (h_d, h_u):
+            h[rows, cols] = np.minimum(h[rows, cols], vals)
+        if t in at:
+            states.append((h_d.copy(), h_u.copy()))
+    return states
+
+
+class TestKernelStep:
+    """The compiled whole-operator step against the numpy step it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("substitution", [True, False])
+    @pytest.mark.parametrize("idx", [np.int32, np.int64])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_matches_numpy_step(self, monkeypatch, scenario, idx, substitution):
+        net = subset_net()
+        monkeypatch.setattr(cascade, "get_index_dtype", lambda *args, **kwargs: idx)
+        m = kernel_matrices(build_impact_matrices(net, assign_scenario(net, scenario)),
+                            substitution)
+        assert m.up_op.indices.dtype == idx and m.group_ptr.dtype == idx
+        moved = 0
+        for width in range(1, 17):
+            for h_d, h_u in mid_cascade_states(m, width, seed=width):
+                want = reference_whole_step(m, h_d, h_u)
+                got = kernel_step(m, h_d, h_u, traced=True)
+                for name, a, b in zip(("hd_new", "hu_new", "dec", "sigma", "pi_tilde"), got, want):
+                    assert np.array_equal(a, b), (width, name)
+                    assert a.tobytes() == b.tobytes(), (width, name)
+                moved += np.count_nonzero(got[2] > 0)
+        assert moved > 50  # the states are mid-cascade: levels still fall
+
+    def test_width_outside_the_kernel_is_refused(self):
+        m = prepared(subset_net(), Scenario.GL)[1]
+        k = _Workspace(m, 16).kernel
+        h = np.ones(m.n * 17)
+        for width in (0, 17):
+            assert k.whole(k.ref, width, *[addr(h)] * 7, None, None) == -1
+        with pytest.raises(ValueError, match="1 to 16"):
+            _Workspace(m, 17)
 
 
 @st.composite
@@ -741,7 +795,7 @@ def impact_network(draw):
 @example(([FirmRecord("a", "2611"), FirmRecord("b", "2611"), FirmRecord("c", "2611")],
           [("a", "b", 1.0), ("c", "b", 2.0)]))
 @example(([FirmRecord("a", "0111"), FirmRecord("b", "4711")], []))
-# several head slots, each scenario followed by tail slots (gl 10, mix 17, leo 23 head slots)
+# buyers with many groups: up to 26 in gl and 50 in mix and leo
 @example(generate_synthetic(SyntheticConfig(n_firms=2000, mean_out_degree=10, coverage=0.8), seed=5))
 def test_canonical_order_build_matches_lexsort_reference(raw):
     """The canonical-order, int32 build gives the lexsort build's entries, positions and layout.
@@ -757,7 +811,7 @@ def test_canonical_order_build_matches_lexsort_reference(raw):
         ref = reference_rescale_for_coverage(reference_build_impact_matrices(net, spec), firms)
         assert_same_operators(m, ref)
         assert m.seg_starts.tobytes() == ref.seg_starts.tobytes()
-        assert np.array_equal(m.slots.rows, ref.slots.rows)
+        assert np.array_equal(m.group_ptr, ref.group_ptr)
 
 
 def assert_same_operators(m, ref):
@@ -807,22 +861,22 @@ def test_build_applies_coverage_as_the_reference_pipeline(raw):
             m, reference_rescale_for_coverage(reference_build_impact_matrices(net, spec), firms))
 
 
-def whole_operator_step(m, width):
-    """One iteration of every row from all-ones levels, with the kernel's own helpers.
+def kernel_step(m, h_d, h_u, traced=False):
+    """One whole-operator iteration of the compiled kernel from the (n, width) levels h_d, h_u.
 
-    Returns the (n, width) downstream and upstream levels it gives.
+    Returns hd_new, hu_new and the per-column largest decrement, then, if
+    traced, column 0's sigma and pi_tilde.
     """
-    n = m.n
-    h = np.ones((n, width))
-    sector = cascade._spmm(m.sector_op, h, np.empty((m.sector_op.shape[0], width)))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sigma = cascade._sigma(m.s_out[:, None], sector[m.sector_of], np.empty((n, width)))
-    y = cascade._spmm(m.down_op, sigma * (1.0 - h), np.empty((m.down_op.shape[0], width)))
-    top = _group_max(y, m.slots)
-    h_d = np.ones((n, width))
-    h_d[m.slots.buyers] = cascade._clip01(1.0 - top)
-    h_u = cascade._spmm(m.up_op, h, np.empty((n, width)))
-    return h_d, cascade._clip01(h_u + m.u_resid[:, None])
+    width = h_d.shape[1]
+    ws = _Workspace(m, width)
+    k = ws.kernel
+    h_d, h_u = np.ascontiguousarray(h_d), np.ascontiguousarray(h_u)
+    hd_new, hu_new, q, dec = (np.empty_like(h_d), np.empty_like(h_u), np.empty_like(h_d),
+                              np.empty(width))
+    extra = (np.empty(m.n), np.empty(m.n_groups)) if traced else ()
+    assert k.whole(k.ref, width, *map(addr, (h_d, h_u, hd_new, hu_new, q, ws.sector, dec)),
+                   *(map(addr, extra) if traced else (None, None))) == 0
+    return (hd_new, hu_new, dec, *extra)
 
 
 @settings(max_examples=200, deadline=None)
@@ -843,7 +897,8 @@ def test_unshocked_step_is_bitwise_stationary(raw):
             m = build_impact_matrices(net, assign_scenario(net, scenario))
             for substitution in (True, False):
                 for width in (1, 16):
-                    h_d, h_u = whole_operator_step(kernel_matrices(m, substitution), width)
+                    ones = np.ones((m.n, width))
+                    h_d, h_u, _ = kernel_step(kernel_matrices(m, substitution), ones, ones)
                     assert np.all(h_d == 1.0) and np.all(h_u == 1.0)
 
 
