@@ -9,6 +9,7 @@ Both recursions are synchronous and monotone, so they always terminate.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse._sputils import get_index_dtype
 
-from .kernel import MAX_WIDTH, Kernel, addr
+from .kernel import MAX_WIDTH, Block, Kernel, addr
 from .netcore import ProductionNetwork
 from .prodfun import ScenarioSpec, inputs_are_essential
 
@@ -225,138 +226,63 @@ def _subset_budget(m: ImpactMatrices, width: int) -> float:
 class _Workspace:
     """Every buffer of a block of up to `width` columns, for blocks run one after another.
 
-    A run takes no memory of its own beyond small per-column vectors and
-    index lists, so a worker that scores many blocks touches the same pages
-    throughout instead of faulting in fresh ones every iteration. The result
-    rows out_d and out_u are overwritten by the next block. ptrs holds the
-    addresses of the level buffers, which the compiled kernel is handed.
-    subset holds the buffers of the row-subset iterations, where the cost
-    rule admits any at this width.
+    A run takes no memory of its own beyond small per-column vectors, so a
+    thread that scores many blocks touches the same pages throughout instead
+    of faulting in fresh ones every iteration. The result rows out_d and
+    out_u are overwritten by the next block. block is the state the compiled
+    kernel runs (kernel.c's Block): the addresses of the level buffers (h_d,
+    h_u, each with its successor, and q), the sector sums, the decrement, the
+    per-column flags, and the firm marks and row lists of the row-subset
+    steps. A workspace serves one thread at a time; the kernel calls release
+    the GIL, so workspaces on different threads run their blocks in parallel.
     """
 
     def __init__(self, m: ImpactMatrices, width: int):
         if not 1 <= width <= MAX_WIDTH:
             raise ValueError(f"a block holds 1 to {MAX_WIDTH} columns, not {width}")
-        n = m.n
-        self.width = width
+        n, n_sectors = m.n, m.sector_op.shape[0]
+        self.m = m
         self.kernel = Kernel(m)
-        # h_d, its successor, q, h_u, its successor
-        self.levels = [np.empty(n * width) for _ in range(5)]
-        self.ptrs = [addr(a) for a in self.levels]
-        self.sector = np.empty(m.sector_op.shape[0] * width)
+        levels = [np.empty(n * width) for _ in range(5)]  # h_d, hd_new, h_u, hu_new, q
+        self.levels = {addr(a): a for a in levels}
         self.dec = np.empty(width)
-        self.scratch = addr(self.sector), addr(self.dec)
+        self.done = np.zeros(width, dtype=bool)
         self.out_d, self.out_u = np.empty((width, n)), np.empty((width, n))
-        self.subset = _RowSubset(m, self) if _subset_budget(m, width) >= 0 else None
-
-
-class _RowSubset:
-    """Iterations of a block that recompute only the rows whose inputs changed.
-
-    One instance per workspace holds the buffers; start() begins a block after
-    iteration 1, the caps, and step() runs the rest in place: it writes the
-    uncapped levels of the rows it recomputes, and _iterate caps them.
-    changed_d and changed_u hold the firms whose capped h_d and h_u fell in
-    the last iteration in a live column. Between iterations, q_buf holds q =
-    sigma * (1 - h_d) and the workspace's sector buffer sector_op @ h_d, for
-    the current levels, so an iteration recomputes:
-      - the sums of the sectors of changed_d, and q of the damaged firms
-        (h_d < 1 somewhere) of those sectors, changed_d among them; where
-        h_d == 1, q is +0.0 whatever sigma is, so no other firm's q moves;
-      - every group of every buyer of a firm whose q was recomputed, found
-        through up_op's supplier -> buyer index;
-      - the up_op rows of the suppliers of changed_u: the columns of their
-        down_op rows.
-    A row computed again from bitwise-equal inputs gives the same bits, so
-    every other row keeps its value, and its decrement is exactly 0.
-
-    damaged marks the firms whose h_d has moved in the block; mark and
-    sector_mark are all-False scratch. in_ptr[i] to in_ptr[i + 1] are the
-    down_op nonzeros of firm i's groups, so with down_op's column indices it
-    is the (buyer, supplier) structure. Every row list is np.intp, as the
-    kernel reads them. The new levels of a step go to the workspace's
-    successor buffers, free while row subsets run: no whole step has
-    swapped them yet.
-    """
-
-    def __init__(self, m: ImpactMatrices, ws: _Workspace):
-        n, width = m.n, ws.width
-        self.m, self.ws, self.k = m, ws, ws.kernel
-        self.q_buf = np.empty(n * width)
-        self.damaged = np.zeros(n, dtype=bool)
-        self.mark = np.zeros(n, dtype=bool)
-        self.sector_mark = np.zeros(m.sector_op.shape[0], dtype=bool)
         self.in_ptr = m.down_op.indptr[m.group_ptr]
-        # the addresses of the fixed arrays: (indptr, indices) pairs, the
-        # pointer that counts a marked column's nonzeros, and scratch
-        self.up_cols = addr(m.up_op.indptr), addr(m.up_op.indices), addr(self.in_ptr)
-        self.down_cols = addr(self.in_ptr), addr(m.down_op.indices), addr(m.up_op.indptr)
-        self.q_p, self.sector_p, self.mark_p = map(addr, (self.q_buf, ws.sector, self.mark))
+        flags = [np.zeros(k, dtype=bool) for k in (n, n, n_sectors)]
+        rows = [np.empty(k, dtype=np.intp) for k in (n,) * 5 + (n_sectors,)]
+        self._held = {  # the block points into these
+            **dict(zip(("h_d", "hd_new", "h_u", "hu_new", "q"), levels)),
+            **dict(zip(("damaged", "mark", "sector_mark"), flags)),
+            **dict(zip(("changed_d", "changed_u", "rows_d", "rows_u", "rows_q", "rows_s"), rows)),
+            "sector": np.empty(n_sectors * width), "col_of": np.empty(width, dtype=np.intp),
+            "dec": self.dec, "done": self.done, "out_d": self.out_d, "out_u": self.out_u,
+            "in_ptr": self.in_ptr}
+        self.block = Block(budget=-1, **{name: addr(a) for name, a in self._held.items()})
+        self.ref = ctypes.addressof(self.block)
 
-    def start(self, h_d: np.ndarray, firms: np.ndarray) -> "_RowSubset":
-        """Begin a block at all-ones levels h_d, whose iteration 1 moves only the capped firms."""
-        k = self.k
-        n, w = h_d.shape
-        self.q_buf[:n * w].fill(0.0)  # q = sigma * (1 - 1)
-        k.sector_rows(k.ref, w, None, self.m.sector_op.shape[0], addr(h_d), self.sector_p)
-        self.damaged.fill(False)
-        self.budget = _subset_budget(self.m, w)
-        self.changed_d = self.changed_u = firms.astype(np.intp)
-        self.damaged[firms] = True
-        return self
+    def begin(self, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int, epsilon: float,
+              max_iter: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+        """Point the block at a new run of `width` columns (see _iterate); its T and converged."""
+        rows, cols, vals = caps
+        # the kernel compacts the caps in place, so they are copies, held here
+        self._caps = (np.asarray(rows * width + cols, dtype=np.intp),
+                      np.array(vals, dtype=np.float64))
+        self._out = np.empty(width, dtype=np.int64), np.empty(width, dtype=bool)
+        b = self.block
+        b.w, b.max_iter, b.epsilon, b.budget, b.n_caps = width, max_iter, epsilon, budget, len(rows)
+        b.cap_at, b.cap_val, b.T, b.converged = map(addr, self._caps + self._out)
+        b.sigma = b.pi = None
+        return self._out
 
-    def _marked(self, cols: tuple[int, int, int], rows: np.ndarray, limit: int
-                ) -> tuple[np.ndarray, int]:
-        """The distinct columns with an entry in the given rows of a CSR, ascending; their nonzeros.
+    def step(self, t: int) -> int:
+        """Iteration t of the block in one kernel call (kernel.c's step); the live columns left."""
+        return self.kernel.step(self.kernel.ref, self.ref, t)
 
-        cols = (indptr, indices, count_ptr) addresses; a column's nonzeros
-        are its count_ptr range. Once their sum passes limit, marking stops
-        and the columns found are incomplete.
-        """
-        nnz = self.k.mark(*cols[:2], addr(rows), len(rows), self.mark_p, cols[2], limit)
-        found = np.flatnonzero(self.mark)
-        self.mark[found] = False
-        return found, nnz
-
-    def step(self, h_d: np.ndarray, h_u: np.ndarray, done: np.ndarray) -> np.ndarray | None:
-        """One iteration in place, before the caps; the per-column largest decrement.
-
-        Returns None, with nothing changed, when the rows to recompute hold
-        more nonzeros than the cost rule admits (_subset_budget); that is
-        decided while their rows are marked, before any product.
-        """
-        m, ws, k = self.m, self.ws, self.k
-        w = h_d.shape[1]
-        marked = self.sector_mark
-        marked[m.sector_of[self.changed_d]] = True
-        sectors = np.flatnonzero(marked)
-        damaged = np.flatnonzero(self.damaged)
-        q_rows = damaged[marked[m.sector_of[damaged]]]
-        marked[sectors] = False
-        # the buyers of the moved q, and the suppliers of changed_u: the up_op rows to recompute
-        budget = int(self.budget)
-        buyers, nnz_down = self._marked(self.up_cols, q_rows, budget)
-        if nnz_down > budget:
-            return None
-        up_rows, nnz_up = self._marked(self.down_cols, self.changed_u, budget - nnz_down)
-        if nnz_down + nnz_up > budget:
-            return None
-
-        h_d_p, h_u_p = addr(h_d), addr(h_u)
-        k.sector_rows(k.ref, w, addr(sectors), len(sectors), h_d_p, self.sector_p)
-        k.q_rows(k.ref, w, addr(q_rows), len(q_rows), self.sector_p, h_d_p, self.q_p, None)
-        k.down_rows(k.ref, w, addr(buyers), len(buyers), self.q_p, ws.ptrs[1], None)
-        k.up_rows(k.ref, w, addr(up_rows), len(up_rows), h_u_p, ws.ptrs[4])
-        # a finished column's levels no longer matter: its decrement counts as 0
-        dec = np.zeros(w)
-        moved = []
-        for rows, h_p, new_p in ((buyers, h_d_p, ws.ptrs[1]), (up_rows, h_u_p, ws.ptrs[4])):
-            rows_p = addr(rows)
-            n_moved = k.apply_rows(w, rows_p, len(rows), h_p, new_p, addr(done), addr(dec), rows_p)
-            moved.append(rows[:n_moved])
-        self.changed_d, self.changed_u = moved
-        self.damaged[self.changed_d] = True
-        return dec
+    def state(self, w: int) -> list[np.ndarray]:
+        """The current levels h_d and h_u, as (n, w) views."""
+        n = self.m.n
+        return [self.levels[p][:n * w].reshape(n, w) for p in (self.block.h_d, self.block.h_u)]
 
 
 def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int,
@@ -373,17 +299,32 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     in ws (a new workspace if none is given), which must be at least `width`
     wide.
 
-    Iteration 1 only sets the caps (see below). Each later one recomputes
-    only the rows whose inputs changed in the one before, in place
-    (_RowSubset); every other row keeps its bits and a decrement of exactly
-    0, so T, converged, finishing and compaction are those of recomputing
-    every row. Once the rows to recompute pass the cost rule
-    (_subset_budget), or the block is compacted, every row is recomputed
-    from then on, in one call of the compiled kernel (kernel.c) that writes
-    the successor buffers. Either way the step writes uncapped levels, and
-    one statement caps them after it, every iteration. Every row accumulates
-    in the same order as a matvec, so a column's result is bit-identical
-    whatever block it runs in and whichever rows are recomputed.
+    Each iteration is one call of the compiled kernel (kernel.c's step),
+    which also applies the caps and finishes and compacts columns. Iteration
+    1 only sets the caps (see below). Each later one recomputes only the rows
+    whose inputs changed in the one before, in place; every other row keeps
+    its bits and a decrement of exactly 0, so T, converged, finishing and
+    compaction are those of recomputing every row. Once the rows to recompute
+    pass the cost rule (_subset_budget), or the block is compacted, every row
+    is recomputed from then on, into the successor buffers. Either way the
+    step writes uncapped levels and takes its decrement from them, and the
+    caps follow. Every row accumulates in the same order as a matvec, so a
+    column's result is bit-identical whatever block it runs in and whichever
+    rows are recomputed.
+
+    Iteration 1 runs no step, as none would move an uncapped level: from
+    all-ones levels q = sigma * 0 = +0.0, so every downstream product is 0
+    and h_d = clip(1 - 0) = 1; upstream, the product is the observed share s
+    that u_resid = clip(1 - s, 0, 1) was formed from by a matvec of the same
+    order, and clip(s + clip(1 - s, 0, 1), 0, 1) is exactly 1.0 under
+    round-to-nearest (for s >= 0.5, 1 - s is exact by Sterbenz; for s < 0.5
+    its rounding error e is at most 2**-54, and 1 + e rounds back to 1.0; for
+    s > 1 the remainder is 0). So it sets the caps (min(1, v) = v), and a
+    column's decrement is its largest 1 - v. Later steps take theirs before
+    the caps, exactly, as levels never rise: a cap that binds at t held the
+    level at t - 1, so its true decrement is 0 and its uncapped one < 0. That
+    changes no comparison with epsilon > 0, and a row-subset step counts a
+    row as moved only where its level fell.
 
     Returns (h_d, h_u, T, converged), with one row of h_d and h_u per column.
     A list passed as trace receives the CascadeState of every iteration of a
@@ -396,33 +337,12 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
         raise ValueError("max_iter must be >= 1")
     if ws is None:
         ws = _Workspace(m, width)
-    k = ws.kernel
-    n = m.n
-    rows, cols, vals = caps
-    capped = rows * width + cols  # flat positions in the (n, width) state
-    order = [0, 1, 2, 3, 4]  # which workspace level buffer holds h_d, hd_new, q, h_u, hu_new
-
-    def views(w):
-        """The state at width w; after a compaction the same memory is viewed narrower."""
-        return [ws.levels[s][:n * w].reshape(n, w) for s in order]
-
-    w = width
-    h_d, hd_new, _, h_u, hu_new = views(w)
-    h_d.fill(1.0)
-    h_u.fill(1.0)
-    out_d, out_u = ws.out_d[:width], ws.out_u[:width]
-    T = np.full(width, max_iter, dtype=np.int64)
-    converged = np.zeros(width, dtype=bool)
-    col_of = np.arange(width)
-    done = np.zeros(width, dtype=bool)
-    subset = None  # every row: traced, or no row subset pays at this size
-    if trace is None and ws.subset is not None and _subset_budget(m, width) >= 0:
-        subset = ws.subset.start(h_d, np.unique(rows))
-
-    dec = np.zeros(width)
-    np.maximum.at(dec, cols, 1.0 - vals)  # iteration 1 (see the caps below)
-    traced = traced_p = None, None
+    budget = _subset_budget(m, width)
+    # every row: traced, or no row subset pays at this size
+    T, converged = ws.begin(caps, width, epsilon, max_iter,
+                            int(budget) if trace is None and budget >= 0 else -1)
     if trace is not None:
+        n = m.n
         ones = np.ones(n)
         # a whole sector that has stopped divides by zero, which fmin maps to 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -430,70 +350,19 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
         pi_tilde = np.ones(m.n_groups)
         trace.append(CascadeState(h_d=ones, h_u=ones, sigma=sigma, pi_tilde=pi_tilde))
         traced = np.empty(n), np.empty(m.n_groups)
-        traced_p = tuple(map(addr, traced))
+        ws.block.sigma, ws.block.pi = map(addr, traced)
 
     for t in range(1, max_iter + 1):
-        if t > 1:
-            dec = None if subset is None else subset.step(h_d, h_u, done)
-        if dec is None:
-            subset = None
-            p = [ws.ptrs[s] for s in order]
-            k.whole(k.ref, w, p[0], p[3], p[1], p[4], p[2], *ws.scratch, *traced_p)
-            dec = ws.dec[:w]
-            h_d, hd_new, h_u, hu_new = hd_new, h_d, hu_new, h_u
-            order[0], order[1], order[3], order[4] = order[1], order[0], order[4], order[3]
-            if trace is not None:
-                sigma, pi_tilde = (a.copy() for a in traced)
-
-        # The caps, once per iteration, after the step. Iteration 1 runs no step, as
-        # none would move an uncapped level: from all-ones levels q = sigma * 0 = +0.0,
-        # so every downstream product is 0 and h_d = clip(1 - 0) = 1; upstream, the
-        # product is the observed share s that u_resid = clip(1 - s, 0, 1) was formed
-        # from by a matvec of the same order, and clip(s + clip(1 - s, 0, 1), 0, 1) is
-        # exactly 1.0 under round-to-nearest (for s >= 0.5, 1 - s is exact by Sterbenz;
-        # for s < 0.5 its rounding error e is at most 2**-54, and 1 + e rounds back to
-        # 1.0; for s > 1 the remainder is 0). So this sets the caps (min(1, v) = v),
-        # and a column's decrement is its largest 1 - v. Later steps take theirs
-        # before the caps, exactly, as levels never rise: a cap that binds at t held
-        # the level at t - 1, so its true decrement is 0 and its uncapped one < 0.
-        # That changes no comparison with epsilon > 0, and _RowSubset counts a row
-        # as moved only where its level fell.
-        for h in (h_d.reshape(-1), h_u.reshape(-1)):
-            h[capped] = np.minimum(h[capped], vals)
+        live = ws.step(t)
         if trace is not None:
+            if t > 1:
+                sigma, pi_tilde = (a.copy() for a in traced)
+            h_d, h_u = ws.state(1)  # a finished one-column run is never compacted
             trace.append(CascadeState(h_d=h_d[:, 0].copy(), h_u=h_u[:, 0].copy(),
                                       sigma=sigma, pi_tilde=pi_tilde))
-
-        ok = dec <= epsilon
-        if t < max_iter and not ok.any():
-            continue
-        finished = ~done if t == max_iter else ~done & ok
-        for j in np.flatnonzero(finished):
-            c = col_of[j]
-            out_d[c], out_u[c] = h_d[:, j], h_u[:, j]
-            if ok[j]:
-                T[c], converged[c] = t, True
-        done |= finished
-        n_done = np.count_nonzero(done)
-        if n_done == w:
+        if not live:
             break
-        if 2 * n_done >= w:
-            keep = np.flatnonzero(~done)
-            pos = np.full(w, -1)
-            pos[keep] = np.arange(len(keep))
-            w = len(keep)
-            # the successor buffers are free: the live columns move there
-            for src, dst in ((h_d, 1), (h_u, 4)):
-                np.take(src, keep, axis=1, out=ws.levels[order[dst]][:n * w].reshape(n, w),
-                        mode="clip")
-            order[0], order[1], order[3], order[4] = order[1], order[0], order[4], order[3]
-            h_d, hd_new, _, h_u, hu_new = views(w)
-            live = pos[cols] >= 0
-            rows, cols, vals = rows[live], pos[cols[live]], vals[live]
-            capped = rows * w + cols
-            col_of, done = col_of[keep], done[keep]
-            subset = None  # its q and sector sums are not compacted
-    return out_d, out_u, T, converged
+    return ws.out_d[:width], ws.out_u[:width], T, converged
 
 
 def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,

@@ -644,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--firms", required=True, help="firms.csv path")
     e.add_argument("--edges", required=True, help="edges.csv path")
     e.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes for the batch (default 1)")
+                   help="worker threads for the batch (default 1)")
     e.add_argument("--progress", action="store_true",
                    help="report firms done, rate and ETA on stderr after every chunk")
     e.add_argument("--psi-file", default=None,

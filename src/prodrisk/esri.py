@@ -9,12 +9,8 @@ for any worker count because each cascade uses a fixed accumulation order.
 from __future__ import annotations
 
 import contextlib
-import functools
-import multiprocessing
-import os
 import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,41 +61,16 @@ def esri_single(net: ProductionNetwork, matrices: ImpactMatrices, params: Produc
 # single-firm shocks per kernel call: the columns of one (n, BLOCK) state
 BLOCK = 16
 
-# the batch context of a pool worker, set once by its initializer
-_worker_ctx: dict | None = None
 
+def _run_range(ws: _Workspace, bounds: tuple[int, int], total_out: float, epsilon: float,
+               max_iter: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Run the cascades of one firm-index range in workspace ws, BLOCK at a time.
 
-def _init_worker(ctx: dict) -> None:
-    """Pool initializer: keep the batch context for every range this worker runs.
-
-    In a child process, a daemon thread also ends the worker once the
-    process that started it is gone, which a killed parent cannot do.
+    A block's values are one reduction over its rows; each row's sum is that
+    of _loss_weighted on the row alone.
     """
-    global _worker_ctx
-    _worker_ctx = ctx
-    if multiprocessing.parent_process() is not None:
-        threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
-
-
-def _exit_with_parent(ppid: int) -> None:
-    """Exit once the parent is no longer ppid: it died, and this process was re-parented."""
-    while os.getppid() == ppid:
-        time.sleep(0.5)
-    os._exit(1)
-
-
-def _run_range(bounds: tuple[int, int], ctx: dict | None = None
-               ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Run the cascades of one firm-index range, BLOCK at a time; ctx defaults to the worker's."""
     lo, hi = bounds
-    ctx = ctx or _worker_ctx
-    m: ImpactMatrices = ctx["matrices"]
-    total_out: float = ctx["total_out"]
-    # one workspace per process, made by its first range, serves all its blocks
-    ws = ctx.get("workspace")
-    if ws is None:
-        ws = ctx["workspace"] = _Workspace(m, BLOCK)
-
+    m = ws.m
     values = np.empty(hi - lo)
     T = np.empty(hi - lo, dtype=np.int64)
     conv = np.empty(hi - lo, dtype=bool)
@@ -107,48 +78,55 @@ def _run_range(bounds: tuple[int, int], ctx: dict | None = None
         stop = min(start + BLOCK, hi)
         firms = np.arange(start, stop)
         h_d, h_u, t, c = _iterate(m, (firms, firms - start, np.zeros(len(firms))), len(firms),
-                                  ctx["epsilon"], ctx["max_iter"], ws=ws)
+                                  epsilon, max_iter, ws=ws)
         block = slice(start - lo, stop - lo)
         T[block], conv[block] = t, c
-        values[block] = [_loss_weighted(m.s_out, total_out, np.minimum(hd, hu))
-                         for hd, hu in zip(h_d, h_u)]
+        # s_out * (1 - min(h_d, h_u)), in place in the workspace's result rows
+        h = np.minimum(h_d, h_u, out=h_d)
+        np.subtract(1.0, h, out=h)
+        h *= m.s_out
+        values[block] = np.sum(h, axis=1) / total_out
     return lo, values, T, conv
 
 
 def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: ProductionParams,
              epsilon: float = 1e-2, max_iter: int = 1000, worker_count: int = 1,
              progress=None) -> EsriVector:
-    """Index of every firm, optionally across worker processes.
+    """Index of every firm, optionally on a pool of worker threads.
 
     The output is a pure function of (network, scenario, epsilon, max_iter);
     worker_count only changes wall time. Non-converged cascades are recorded
     per firm and the batch still completes. progress, if given, is called
     with the number of finished firms after each chunk; the firms run in
-    chunks of 64, and no more workers start than there are chunks. params
-    is not read: it is passed through as in run_cascade.
+    chunks of 64, and the pool has no more threads than there are chunks. The
+    threads share the operators, each runs its chunks in a workspace of its
+    own, and the kernel calls release the GIL. params is not read: it is
+    passed through as in run_cascade.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
     n = net.n
     chunk = 64
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    ctx = {"matrices": matrices, "total_out": _total_out(net.s_out),
-           "epsilon": epsilon, "max_iter": max_iter}
+    total_out = _total_out(net.s_out)
+    local = threading.local()
+
+    def run(lo_hi):
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = _Workspace(matrices, BLOCK)
+        return _run_range(ws, lo_hi, total_out, epsilon, max_iter)
 
     values = np.empty(n)
     T = np.empty(n, dtype=np.int64)
     conv = np.empty(n, dtype=bool)
 
     workers = min(worker_count, len(bounds))
-    # before any worker starts: forked ones inherit the kernel, spawned ones find it cached
-    load()
+    load()  # built once, before any thread needs it
     with contextlib.ExitStack() as stack:
-        ranges = map(functools.partial(_run_range, ctx=ctx), bounds)
+        ranges = map(run, bounds)
         if workers > 1:
-            # each worker receives the batch context once, when it starts
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(ctx,)))
-            ranges = pool.map(_run_range, bounds)
+            ranges = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map(run, bounds)
         done = 0
         for lo, v, t, c in ranges:
             values[lo:lo + len(v)] = v

@@ -15,6 +15,12 @@
  * The functions that read the operators come in two copies, for int32
  * (suffix _i32) and int64 (_i64) index arrays: the second half of this file
  * includes itself once per index type.
+ *
+ * prodrisk.cascade runs each iteration of a block of cascades as one call
+ * of step: the iteration, the caps, and the finishing and compaction of
+ * columns (finish). finish, whole and down_rows are also exported for the
+ * tests. The calls go through ctypes, which releases the GIL for the whole
+ * call, so blocks on different threads run in parallel.
  */
 #ifndef IDX
 
@@ -38,8 +44,50 @@ typedef struct {
     const double *up_val, *u_resid;
 } Ops;
 
+/* One block of cascades between calls, held by prodrisk.cascade._Workspace.
+ * The levels are (n, w) blocks of the w live columns; a whole step writes
+ * hd_new and hu_new and swaps each pair of pointers. cap_at lists the flat
+ * positions row * w + col of the production caps, cap_val their values.
+ * Column j stops at its first iteration whose decrement is at most epsilon,
+ * or at max_iter; done marks the stopped columns, which ride along until
+ * the block is compacted, and col_of[j] is column j's place among the
+ * block's first width columns: its row of out_d and out_u (rows of n), T
+ * and converged. budget is the most down_op and up_op nonzeros a
+ * row-subset step may recompute; below 0, every step recomputes every row.
+ * Between row-subset steps, q and sector hold q = sigma (1 - h_d) and the
+ * sector sums of the levels the last step started from, damaged marks the
+ * firms whose h_d has moved in the block, and changed_d and changed_u list,
+ * ascending, the firms whose capped h_d and h_u fell in the last step in a
+ * live column. rows_d, rows_u, rows_q (n each) and rows_s (one per sector)
+ * are the lists of a step; mark and sector_mark are all 0 between calls.
+ * in_ptr[i] .. in_ptr[i + 1] are the down_op nonzeros of firm i's groups, of
+ * the copy's index type: with down_op's column indices, the (buyer,
+ * supplier) structure. ran records what the last step ran (STEP_*). */
+typedef struct {
+    int64_t w, max_iter;
+    double epsilon;
+    double *h_d, *hd_new, *h_u, *hu_new, *q, *sector, *dec;
+    int64_t n_caps;
+    intptr_t *cap_at;
+    double *cap_val;
+    uint8_t *done;
+    intptr_t *col_of;
+    double *out_d, *out_u;
+    int64_t *T;
+    uint8_t *converged;
+    double *sigma, *pi;
+    int64_t budget;
+    uint8_t *damaged, *mark, *sector_mark;
+    const void *in_ptr;
+    intptr_t *changed_d, *changed_u, *rows_d, *rows_u, *rows_q, *rows_s;
+    int64_t n_changed_d, n_changed_u, ran;
+} Block;
+
+enum { STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE };
+
 #define MAX_WIDTH 16
 #define INLINE static inline __attribute__((always_inline))
+#define SWAP(a, b) do { __typeof__(a) swap_ = (a); (a) = (b); (b) = swap_; } while (0)
 
 /* numpy's maximum and minimum: a NaN in either argument wins */
 #define MAX(a, b) (((a) >= (b) || isnan(a)) ? (a) : (b))
@@ -136,8 +184,8 @@ INLINE void q_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const double
     }
 }
 
-int q_rows(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *sector,
-           const double *h_d, double *q, double *sigma)
+static int q_rows(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *sector,
+                  const double *h_d, double *q, double *sigma)
 {
 #define CALL(w) q_rows_w(o, rows, k, sector, h_d, q, sigma, w)
     DISPATCH(W)
@@ -166,8 +214,8 @@ INLINE int64_t apply_rows_w(const intptr_t *rows, int64_t k, double *h, const do
     return n_moved;
 }
 
-int64_t apply_rows(int W, const intptr_t *rows, int64_t k, double *h, const double *new,
-                   const uint8_t *done, double *dec, intptr_t *moved)
+static int64_t apply_rows(int W, const intptr_t *rows, int64_t k, double *h, const double *new,
+                          const uint8_t *done, double *dec, intptr_t *moved)
 {
 #define CALL(w) return apply_rows_w(rows, k, h, new, done, dec, moved, w)
     DISPATCH(W)
@@ -186,6 +234,99 @@ INLINE void largest_decrement_w(int64_t n, const double *h_d, const double *h_u,
             const double m = MAX(d, u);
             dec[c] = i == 0 ? m : MAX(dec[c], m);
         }
+}
+
+/* The marked entries of mark[0 .. k) to list, ascending, each cleared; returns their count */
+static int64_t collect(uint8_t *mark, int64_t k, intptr_t *list)
+{
+    int64_t found = 0;
+    for (int64_t i = 0; i < k; i++)
+        if (mark[i]) {
+            list[found++] = i;
+            mark[i] = 0;
+        }
+    return found;
+}
+
+/* The caps: each capped level becomes MIN(level, cap), numpy's minimum */
+static void apply_caps(Block *b)
+{
+    for (int64_t k = 0; k < b->n_caps; k++) {
+        const intptr_t p = b->cap_at[k];
+        const double v = b->cap_val[k];
+        b->h_d[p] = MIN(b->h_d[p], v);
+        b->h_u[p] = MIN(b->h_u[p], v);
+    }
+}
+
+/* The live columns of a block move to the successor buffers, which hold
+ * the levels from then on; their caps, col_of and done flags move with
+ * them, and every later step recomputes every row: q and the sector sums
+ * are not compacted. */
+static void compact(Block *b, int64_t n)
+{
+    const int64_t w = b->w;
+    int64_t keep[MAX_WIDTH], pos[MAX_WIDTH], n_keep = 0, n_caps = 0;
+    for (int64_t j = 0; j < w; j++) {
+        pos[j] = b->done[j] ? -1 : n_keep;
+        if (!b->done[j])
+            keep[n_keep++] = j;
+    }
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t k = 0; k < n_keep; k++) {
+            b->hd_new[i * n_keep + k] = b->h_d[i * w + keep[k]];
+            b->hu_new[i * n_keep + k] = b->h_u[i * w + keep[k]];
+        }
+    SWAP(b->h_d, b->hd_new);
+    SWAP(b->h_u, b->hu_new);
+    for (int64_t k = 0; k < b->n_caps; k++) {
+        const int64_t col = pos[b->cap_at[k] % w];
+        if (col >= 0) {
+            b->cap_at[n_caps] = b->cap_at[k] / w * n_keep + col;
+            b->cap_val[n_caps++] = b->cap_val[k];
+        }
+    }
+    b->n_caps = n_caps;
+    for (int64_t k = 0; k < n_keep; k++) {
+        b->col_of[k] = b->col_of[keep[k]];
+        b->done[k] = 0;
+    }
+    b->w = n_keep;
+    b->budget = -1;
+}
+
+/* After iteration t: each live column whose decrement is at most epsilon,
+ * or every live one at t = max_iter, stops. Its levels go to its rows of
+ * out_d and out_u, and T = t there, with converged set if its decrement is
+ * at most epsilon. Stopped columns ride along until at least half of the
+ * block has stopped; then the block is compacted. Returns the number of
+ * live columns, or -1 for a width outside 1 .. MAX_WIDTH. */
+int64_t finish(Block *b, int64_t n, int64_t t)
+{
+    const int64_t w = b->w;
+    int64_t fin[MAX_WIDTH], n_fin = 0, n_done = 0;
+    if (w < 1 || w > MAX_WIDTH)
+        return -1;
+    for (int64_t j = 0; j < w; j++) {
+        const int ok = b->dec[j] <= b->epsilon;
+        if (!b->done[j] && (ok || t >= b->max_iter)) {
+            fin[n_fin++] = j;
+            b->done[j] = 1;
+            b->T[b->col_of[j]] = t;
+            b->converged[b->col_of[j]] = ok;
+        }
+        n_done += b->done[j];
+    }
+    if (!n_fin)
+        return w - n_done;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t f = 0; f < n_fin; f++) {
+            b->out_d[b->col_of[fin[f]] * n + i] = b->h_d[i * w + fin[f]];
+            b->out_u[b->col_of[fin[f]] * n + i] = b->h_u[i * w + fin[f]];
+        }
+    if (n_done < w && 2 * n_done >= w)
+        compact(b, n);
+    return w - n_done;
 }
 
 #define IDX int32_t
@@ -235,8 +376,8 @@ INLINE void FN(sector_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, con
     }
 }
 
-int FN(sector_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *h_d,
-                    double *sector)
+static int FN(sector_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k,
+                           const double *h_d, double *sector)
 {
 #define CALL(w) FN(sector_rows_w)(o, rows, k, h_d, sector, w)
     DISPATCH(W)
@@ -299,8 +440,8 @@ INLINE void FN(up_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const d
     }
 }
 
-int FN(up_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *h_u,
-                double *out)
+static int FN(up_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *h_u,
+                       double *out)
 {
 #define CALL(w) FN(up_rows_w)(o, rows, k, h_u, out, w)
     DISPATCH(W)
@@ -329,8 +470,8 @@ int FN(whole)(const Ops *o, int W, const double *h_d, const double *h_u, double 
  * structure (ptr, idx); nothing is copied. Returns the sum of count_ptr[c + 1]
  * - count_ptr[c] over the columns this call marks, and stops after the row
  * that takes the sum past limit. */
-int64_t FN(mark)(const IDX *ptr, const IDX *idx, const intptr_t *rows, int64_t k, uint8_t *mark,
-                 const IDX *count_ptr, int64_t limit)
+static int64_t FN(mark)(const IDX *ptr, const IDX *idx, const intptr_t *rows, int64_t k,
+                        uint8_t *mark, const IDX *count_ptr, int64_t limit)
 {
     int64_t total = 0;
     for (int64_t t = 0; t < k && total <= limit; t++)
@@ -342,6 +483,122 @@ int64_t FN(mark)(const IDX *ptr, const IDX *idx, const intptr_t *rows, int64_t k
             }
         }
     return total;
+}
+
+/* Iteration 1 of a block: all-ones levels, whose step would move no
+ * uncapped level (see prodrisk.cascade._iterate), so each column's
+ * decrement is its largest 1 - cap; the caps follow in step. Every column
+ * is live and in its own place. A block that may run row-subset steps
+ * starts them here: the sector sums of the all-ones levels, q = sigma (1 -
+ * 1) = +0.0, and the capped firms as the damaged and changed ones. */
+static void FN(start)(const Ops *o, Block *b)
+{
+    const int64_t n = o->n, w = b->w;
+    for (int64_t p = 0; p < n * w; p++)
+        b->h_d[p] = b->h_u[p] = 1.0;
+    for (int64_t c = 0; c < w; c++) {
+        b->dec[c] = 0.0;
+        b->done[c] = 0;
+        b->col_of[c] = c;
+    }
+    for (int64_t k = 0; k < b->n_caps; k++) {
+        double *d = b->dec + b->cap_at[k] % w;
+        *d = MAX(*d, 1.0 - b->cap_val[k]);
+    }
+    if (b->budget < 0)
+        return;
+    FN(sector_rows)(o, w, NULL, o->n_sectors, b->h_d, b->sector);
+    memset(b->q, 0, n * w * sizeof *b->q);
+    memset(b->damaged, 0, n);
+    for (int64_t k = 0; k < b->n_caps; k++)
+        b->damaged[b->cap_at[k] / w] = 1;
+    b->n_changed_d = b->n_changed_u = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (b->damaged[i])
+            b->changed_d[b->n_changed_d++] = b->changed_u[b->n_changed_u++] = i;
+}
+
+/* One iteration, before the caps, that recomputes only the rows whose
+ * inputs changed in the last one, in place:
+ *   - the sums of the sectors of changed_d, and q of the damaged firms (h_d
+ *     < 1 somewhere) of those sectors, changed_d among them; where h_d == 1,
+ *     q is +0.0 whatever sigma is, so no other firm's q moves;
+ *   - every group of every buyer of a firm whose q was recomputed, found
+ *     through up_op's supplier -> buyer index;
+ *   - the up_op rows of the suppliers of changed_u: the columns of their
+ *     down_op rows.
+ * A row computed again from bitwise-equal inputs gives the same bits, so
+ * every other row keeps its value, and its decrement is exactly 0; a done
+ * column's decrement counts as 0. Returns 0, with nothing changed, when the
+ * rows to recompute hold more nonzeros than the budget; that is decided
+ * while their rows are marked, before any product. The new rows go to the
+ * successor buffers, free while row subsets run. */
+static int FN(rows_step)(const Ops *o, Block *b)
+{
+    const int64_t n = o->n, w = b->w, budget = b->budget;
+    const int64_t *sector_of = o->sector_of;
+    for (int64_t k = 0; k < b->n_changed_d; k++)
+        b->sector_mark[sector_of[b->changed_d[k]]] = 1;
+    int64_t n_q = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (b->damaged[i] && b->sector_mark[sector_of[i]])
+            b->rows_q[n_q++] = i;
+    const int64_t n_s = collect(b->sector_mark, o->n_sectors, b->rows_s);
+
+    /* the buyers of the moved q, and the suppliers of changed_u: the rows to recompute */
+    const int64_t nnz_down = FN(mark)(o->up_ptr, o->up_idx, b->rows_q, n_q, b->mark, b->in_ptr,
+                                      budget);
+    const int64_t n_d = collect(b->mark, n, b->rows_d);
+    if (nnz_down > budget)
+        return 0;
+    const int64_t nnz_up = FN(mark)(b->in_ptr, o->down_idx, b->changed_u, b->n_changed_u, b->mark,
+                                    o->up_ptr, budget - nnz_down);
+    const int64_t n_u = collect(b->mark, n, b->rows_u);
+    if (nnz_down + nnz_up > budget)
+        return 0;
+
+    FN(sector_rows)(o, w, b->rows_s, n_s, b->h_d, b->sector);
+    q_rows(o, w, b->rows_q, n_q, b->sector, b->h_d, b->q, NULL);
+    FN(down_rows)(o, w, b->rows_d, n_d, b->q, b->hd_new, NULL);
+    FN(up_rows)(o, w, b->rows_u, n_u, b->h_u, b->hu_new);
+    for (int64_t c = 0; c < w; c++)
+        b->dec[c] = 0.0;
+    const int64_t moved_d = apply_rows(w, b->rows_d, n_d, b->h_d, b->hd_new, b->done, b->dec,
+                                       b->rows_d);
+    const int64_t moved_u = apply_rows(w, b->rows_u, n_u, b->h_u, b->hu_new, b->done, b->dec,
+                                       b->rows_u);
+    SWAP(b->changed_d, b->rows_d);
+    SWAP(b->changed_u, b->rows_u);
+    b->n_changed_d = moved_d, b->n_changed_u = moved_u;
+    for (int64_t k = 0; k < moved_d; k++)
+        b->damaged[b->changed_d[k]] = 1;
+    return 1;
+}
+
+/* Iteration t of the block: at t = 1 its start; later a row-subset step
+ * while the budget allows, else a whole step; then the caps, then finish.
+ * dec receives each column's largest decrement, taken before the caps, and
+ * ran what ran (STEP_*). Returns the number of live columns left, or -1 for
+ * a width outside 1 .. MAX_WIDTH. */
+int64_t FN(step)(const Ops *o, Block *b, int64_t t)
+{
+    if (b->w < 1 || b->w > MAX_WIDTH)
+        return -1;
+    if (t == 1) {
+        FN(start)(o, b);
+        b->ran = STEP_CAPS;
+    } else if (b->budget >= 0 && FN(rows_step)(o, b)) {
+        b->ran = STEP_ROWS;
+    } else {
+        b->ran = b->budget >= 0 ? STEP_DECLINED : STEP_WHOLE;
+        b->budget = -1;
+        FN(whole)(o, b->w, b->h_d, b->h_u, b->hd_new, b->hu_new, b->q, b->sector, b->dec,
+                  b->sigma, b->pi);
+        SWAP(b->h_d, b->hd_new);
+        SWAP(b->h_u, b->hu_new);
+    }
+    apply_caps(b);
+    return finish(b, o->n, t);
 }
 
 #endif /* IDX */

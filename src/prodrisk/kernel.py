@@ -16,7 +16,7 @@ import ctypes
 import hashlib
 import os
 import sysconfig
-from ctypes import c_int, c_int64, c_void_p
+from ctypes import c_double, c_int, c_int64, c_void_p
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ COMPILER = "cc"
 # must give the bits of numpy's and scipy's separate multiplies and adds
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 MAX_WIDTH = 16
+# what a step ran (Block.ran), as kernel.c's enum numbers it
+STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE = range(4)
 
 _lib = None
 
@@ -102,13 +104,10 @@ def load() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
         p = c_void_p
         for sfx in ("i32", "i64"):
+            _declare(lib, f"step_{sfx}", c_int64, [p, p, c_int64])
             _declare(lib, f"whole_{sfx}", c_int, [p, c_int] + [p] * 9)
-            for name in ("sector_rows", "up_rows"):
-                _declare(lib, f"{name}_{sfx}", c_int, [p, c_int, p, c_int64, p, p])
             _declare(lib, f"down_rows_{sfx}", c_int, [p, c_int, p, c_int64, p, p, p])
-            _declare(lib, f"mark_{sfx}", c_int64, [p, p, p, c_int64, p, p, c_int64])
-        _declare(lib, "q_rows", c_int, [p, c_int, p, c_int64, p, p, p, p])
-        _declare(lib, "apply_rows", c_int64, [c_int, p, c_int64, p, p, p, p, p])
+        _declare(lib, "finish", c_int64, [p, c_int64, c_int64])
         _lib = lib
     return _lib
 
@@ -130,6 +129,20 @@ class Ops(ctypes.Structure):
                 ("u_resid", c_void_p)]
 
 
+class Block(ctypes.Structure):
+    """One block of cascades between kernel calls, as kernel.c's Block reads it."""
+
+    _fields_ = [("w", c_int64), ("max_iter", c_int64), ("epsilon", c_double)] + [
+        (name, c_void_p) for name in ("h_d", "hd_new", "h_u", "hu_new", "q", "sector", "dec")] + [
+        ("n_caps", c_int64)] + [
+        (name, c_void_p) for name in ("cap_at", "cap_val", "done", "col_of", "out_d", "out_u",
+                                      "T", "converged", "sigma", "pi")] + [
+        ("budget", c_int64)] + [
+        (name, c_void_p) for name in ("damaged", "mark", "sector_mark", "in_ptr", "changed_d",
+                                      "changed_u", "rows_d", "rows_u", "rows_q", "rows_s")] + [
+        ("n_changed_d", c_int64), ("n_changed_u", c_int64), ("ran", c_int64)]
+
+
 def addr(a: np.ndarray | None) -> int | None:
     """Address of a's first element; None (NULL) for None or an empty array.
 
@@ -149,7 +162,9 @@ class Kernel:
     """The compiled steps, bound to the operators of one ImpactMatrices.
 
     Every operator, group_ptr and the operators' index pointers share one
-    index type, int32 or int64, which picks the copy of the kernel.
+    index type, int32 or int64, which picks the copy of the kernel. step and
+    finish run a Block (see kernel.c); whole and down_rows are exposed for
+    the tests.
     """
 
     def __init__(self, m):
@@ -173,10 +188,7 @@ class Kernel:
                         m.up_op.indptr, m.up_op.indices, m.up_op.data, m.u_resid)))
         self.ref = ctypes.addressof(self.ops)
         sfx = "i32" if idx == np.int32 else "i64"
+        self.step = getattr(lib, f"step_{sfx}")
         self.whole = getattr(lib, f"whole_{sfx}")
-        self.sector_rows = getattr(lib, f"sector_rows_{sfx}")
         self.down_rows = getattr(lib, f"down_rows_{sfx}")
-        self.up_rows = getattr(lib, f"up_rows_{sfx}")
-        self.mark = getattr(lib, f"mark_{sfx}")
-        self.q_rows = lib.q_rows
-        self.apply_rows = lib.apply_rows
+        self.finish = lib.finish

@@ -19,7 +19,9 @@ sector-wide shock apart from the firm scenarios; the package runs them all
 as the rows of one shock matrix.
 
 reference_whole_step is the numpy iteration of every row that the
-compiled kernel replaced, kept as the oracle its bytes are checked against.
+compiled kernel replaced, kept as the oracle its bytes are checked against;
+so are reference_subset_step, the numpy row-subset step, and
+reference_finish, the numpy finishing and compaction of a block's columns.
 
 The generalized-Leontief production function (its calibration from the
 observed inputs and its evaluation) lives only here: the cascade reads the
@@ -562,6 +564,22 @@ def _clip01(a: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(a, 0.0), 1.0)
 
 
+def _downstream(m: ImpactMatrices, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every firm's clip(1 - its largest downstream product), 1 without groups; the products."""
+    y = m.down_op @ q
+    hd_new = np.ones_like(q)
+    buyers = np.flatnonzero(np.diff(m.group_ptr))
+    if len(buyers):
+        hd_new[buyers] = _clip01(1.0 - np.maximum.reduceat(y, m.seg_starts, axis=0))
+    return hd_new, y
+
+
+def _sigma(m: ImpactMatrices, sector: np.ndarray, firms) -> np.ndarray:
+    """fmin(s_out / the sector sum, 1) of the given firms, from (n_sectors, width) sums."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.fmin(m.s_out[firms, None] / sector[m.sector_of[firms]], 1.0)
+
+
 def reference_whole_step(m: ImpactMatrices, h_d: np.ndarray, h_u: np.ndarray):
     """One iteration of every row in numpy and scipy calls: the step kernel.c replaced.
 
@@ -572,16 +590,127 @@ def reference_whole_step(m: ImpactMatrices, h_d: np.ndarray, h_u: np.ndarray):
     maximum is np.maximum.reduceat over its contiguous groups. The compiled
     kernel must give these arrays bit for bit.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sigma = np.fmin(m.s_out[:, None] / (m.sector_op @ h_d)[m.sector_of], 1.0)
-    y = m.down_op @ (sigma * (1.0 - h_d))
-    hd_new = np.ones_like(h_d)
-    buyers = np.flatnonzero(np.diff(m.group_ptr))
-    if len(buyers):
-        hd_new[buyers] = _clip01(1.0 - np.maximum.reduceat(y, m.seg_starts, axis=0))
+    sigma = _sigma(m, m.sector_op @ h_d, slice(None))
+    hd_new, y = _downstream(m, sigma * (1.0 - h_d))
     hu_new = _clip01(m.up_op @ h_u + m.u_resid[:, None])
     dec = np.maximum(h_d - hd_new, h_u - hu_new).max(axis=0)
     return hd_new, hu_new, dec, sigma[:, 0], _clip01(1.0 - y[:, 0])
+
+
+@dataclass
+class SubsetState:
+    """The state a row-subset step starts from (the compiled kernel's Block, in numpy).
+
+    h_d and h_u are the (n, width) capped levels; q and sector hold q and
+    the sector sums of the levels the last step started from; damaged marks
+    the firms whose h_d has moved; changed_d and changed_u list, ascending,
+    the firms whose levels fell in the last step in a live column; done marks
+    the finished columns.
+    """
+
+    h_d: np.ndarray
+    h_u: np.ndarray
+    q: np.ndarray
+    sector: np.ndarray
+    damaged: np.ndarray
+    changed_d: np.ndarray
+    changed_u: np.ndarray
+    done: np.ndarray
+
+
+def subset_counts(m: ImpactMatrices, s: SubsetState) -> tuple[int, int]:
+    """The down_op and up_op nonzeros a row-subset step from s recomputes."""
+    in_ptr = m.down_op.indptr[m.group_ptr]
+    return (int(np.diff(in_ptr)[_q_buyers(m, s)[2]].sum()),
+            int(np.diff(m.up_op.indptr)[_suppliers(m, in_ptr, s.changed_u)].sum()))
+
+
+def _q_buyers(m: ImpactMatrices, s: SubsetState):
+    """The sectors of changed_d, the damaged firms in them, and the buyers of those firms."""
+    sectors = np.unique(m.sector_of[s.changed_d]).astype(np.intp)
+    q_rows = np.flatnonzero(s.damaged & np.isin(m.sector_of, sectors))
+    buyers = np.unique(m.up_op[q_rows].indices).astype(np.intp)
+    return sectors, q_rows, buyers
+
+
+def _suppliers(m: ImpactMatrices, in_ptr: np.ndarray, buyers: np.ndarray) -> np.ndarray:
+    """The distinct suppliers of the given buyers, ascending."""
+    nz = [m.down_op.indices[in_ptr[b]:in_ptr[b + 1]] for b in buyers]
+    return np.unique(np.concatenate(nz) if nz else np.empty(0, np.intp)).astype(np.intp)
+
+
+def reference_subset_step(m: ImpactMatrices, s: SubsetState, budget: int, caps=None):
+    """The row-subset step of the compiled kernel in numpy and scipy calls, on a copy of s.
+
+    This is the numpy glue of the earlier row-subset step: it recomputes the
+    sums of the sectors of changed_d, q of the damaged firms of those sectors,
+    every buyer of those firms and the up_op rows of the suppliers of
+    changed_u, and nothing else. It declines, returning None, where those
+    rows hold more than budget nonzeros of down_op and up_op together.
+    Otherwise it returns the state after the step and the caps (flat
+    positions, values), with changed_d and changed_u the firms whose level
+    fell in a live column, and each column's largest decrement, 0 in a done
+    column.
+    """
+    if sum(subset_counts(m, s)) > budget:
+        return None
+    s = SubsetState(*(np.copy(a) for a in dataclasses.astuple(s)))
+    sectors, q_rows, buyers = _q_buyers(m, s)
+    up_rows = _suppliers(m, m.down_op.indptr[m.group_ptr], s.changed_u)
+    s.sector[sectors] = m.sector_op[sectors] @ s.h_d
+    s.q[q_rows] = _sigma(m, s.sector, q_rows) * (1.0 - s.h_d[q_rows])
+    hd_rows = _downstream(m, s.q)[0][buyers]
+    hu_rows = _clip01(m.up_op[up_rows] @ s.h_u + m.u_resid[up_rows, None])
+    live = ~s.done
+    dec = np.zeros(s.h_d.shape[1])
+    moved = []
+    for h, rows, new in ((s.h_d, buyers, hd_rows), (s.h_u, up_rows, hu_rows)):
+        d = np.where(live, h[rows] - new, 0.0)
+        if len(rows):
+            dec = np.maximum(dec, d.max(axis=0))
+        moved.append(rows[(d > 0.0).any(axis=1)])
+        h[rows] = new
+    s.changed_d, s.changed_u = moved
+    s.damaged[s.changed_d] = True
+    if caps is not None:
+        at, vals = caps
+        for h in (s.h_d.reshape(-1), s.h_u.reshape(-1)):
+            h[at] = np.minimum(h[at], vals)
+    return s, dec
+
+
+def reference_finish(h_d, h_u, dec, done, col_of, T, converged, out_d, out_u, caps, t, max_iter,
+                     epsilon):
+    """The numpy finishing and compaction of the earlier cascade loop, after iteration t.
+
+    A live column stops where its decrement is at most epsilon, or at t =
+    max_iter: its levels go to its rows of out_d and out_u, and its T and
+    converged flag to its place in T and converged (which start at max_iter
+    and False), all in place. Once at least half of the columns are done,
+    the live ones are compacted. Returns the levels, col_of, done and caps
+    (rows, cols, values) after that.
+    """
+    rows, cols, vals = caps
+    w = h_d.shape[1]
+    ok = dec <= epsilon
+    if t < max_iter and not ok.any():
+        return h_d, h_u, col_of, done, caps
+    finished = ~done if t == max_iter else ~done & ok
+    for j in np.flatnonzero(finished):
+        c = col_of[j]
+        out_d[c], out_u[c] = h_d[:, j], h_u[:, j]
+        if ok[j]:
+            T[c], converged[c] = t, True
+    done = done | finished
+    n_done = np.count_nonzero(done)
+    if n_done == w or 2 * n_done < w:
+        return h_d, h_u, col_of, done, caps
+    keep = np.flatnonzero(~done)
+    pos = np.full(w, -1)
+    pos[keep] = np.arange(len(keep))
+    live = pos[cols] >= 0
+    return (np.take(h_d, keep, axis=1), np.take(h_u, keep, axis=1), col_of[keep], done[keep],
+            (rows[live], pos[cols[live]], vals[live]))
 
 
 def _received_by_sector(net: ProductionNetwork, h_final: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Impact matrices, shock validation and the propagation engine."""
 
+import ctypes
 import math
 import tracemalloc
 import warnings
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (dense_net, edge_blocks, reference_build_impact_matrices, reference_cascade,
-                       reference_rescale_for_coverage, reference_whole_step, replaceability)
+from reference import (SubsetState, dense_net, edge_blocks, reference_build_impact_matrices,
+                       reference_cascade, reference_finish, reference_rescale_for_coverage,
+                       reference_subset_step, reference_whole_step, replaceability, subset_counts)
 from test_acceptance import _micro_fixture
 
 from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generate_synthetic
@@ -19,14 +21,13 @@ from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk import cascade
 from prodrisk.cascade import (
     _iterate,
-    _RowSubset,
     _Workspace,
     build_impact_matrices,
     rescale_for_coverage,
     run_cascade,
 )
 from prodrisk.esri import esri_all
-from prodrisk.kernel import addr
+from prodrisk.kernel import STEP_DECLINED, STEP_ROWS, addr
 
 
 def mill_net(revenue=None, material_cost=None):
@@ -130,14 +131,14 @@ class TestImpactMatrices:
         counts = np.bincount(ref.group_buyer, minlength=m.n)
         assert np.array_equal(np.diff(m.group_ptr), counts)
         # a buyer's in-degree is the nonzeros of its contiguous down_op rows
-        subset = _RowSubset(m, _Workspace(m, 16))
+        in_ptr = _Workspace(m, 16).in_ptr
         in_deg = np.bincount(m.up_op.indices, minlength=m.n)
-        assert np.array_equal(np.diff(subset.in_ptr), in_deg)
+        assert np.array_equal(np.diff(in_ptr), in_deg)
         # one index type, int32 at this size, which the kernel reads without a
         # cast; the diagonal sector_op of a no-substitution run too
         diagonal = kernel_matrices(m, substitution=False).sector_op
         ops = (m.down_op, m.up_op, m.sector_op, diagonal)
-        arrays = [a for op in ops for a in (op.indices, op.indptr)] + [m.group_ptr, subset.in_ptr]
+        arrays = [a for op in ops for a in (op.indices, op.indptr)] + [m.group_ptr, in_ptr]
         assert diagonal.shape == (m.n, m.n)
         assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
 
@@ -517,19 +518,21 @@ class TestEngine:
 def every_step_subset(monkeypatch):
     """Cost constants under which every iteration recomputes only the changed rows.
 
-    Returns a list that receives one entry per row-subset step that ran.
+    Returns a list that receives one entry per row-subset step tried: True
+    where it ran, False where the cost rule declined it.
     """
     for name in ("LOAD_COST", "GATHER_COST", "STEP_COST"):
         monkeypatch.setattr(cascade, name, 0)
     ran = []
-    step = _RowSubset.step
+    step = _Workspace.step
 
-    def counted(self, *args):
-        dec = step(self, *args)
-        ran.append(dec is not None)
-        return dec
+    def counted(self, t):
+        live = step(self, t)
+        if self.block.ran in (STEP_ROWS, STEP_DECLINED):
+            ran.append(self.block.ran == STEP_ROWS)
+        return live
 
-    monkeypatch.setattr(_RowSubset, "step", counted)
+    monkeypatch.setattr(_Workspace, "step", counted)
     return ran
 
 
@@ -564,25 +567,27 @@ class TestRowSubset:
     def test_moved_sets_are_the_firms_whose_capped_level_fell(self, every_step_subset,
                                                               monkeypatch, scenario):
         """A step leaves in changed_d and changed_u exactly the firms whose level fell
-        once capped, in a live column; a binding cap, whose uncapped level the step
-        wrote above it, is not a move.
+        once capped, in a live column; a binding cap, whose uncapped level lies
+        above it, is not a move.
 
         A wrong moved set changes no bit, only the work, so the levels at the next
-        step's entry are the check.
+        step's entry are the check. A cap binds where the whole step from the
+        entry levels (reference_whole_step) gives an uncapped level above it.
         """
         net = subset_net()
         params, m = prepared(net, scenario)
         steps = []
-        step = _RowSubset.step
+        step = _Workspace.step
 
-        def spy(self, h_d, h_u, done):
-            before = h_d.copy(), h_u.copy(), done.copy()
-            dec = step(self, h_d, h_u, done)
-            steps.append((before, None if dec is None else (
-                np.sort(self.changed_d), np.sort(self.changed_u), h_d.copy(), h_u.copy())))
-            return dec
+        def spy(self, t):
+            w = self.block.w
+            before = *(h.copy() for h in self.state(w)), self.done[:w].copy()
+            live = step(self, t)
+            steps.append((before, (changed(self), *reference_whole_step(m, *before[:2])[:2])
+                          if self.block.ran == STEP_ROWS else None))
+            return live
 
-        monkeypatch.setattr(_RowSubset, "step", spy)
+        monkeypatch.setattr(_Workspace, "step", spy)
         rng = np.random.default_rng(3)
         runs = []
         for _ in range(4):
@@ -604,9 +609,9 @@ class TestRowSubset:
         pairs = binding = 0
         for run_steps, rows, cols, vals in runs:
             for (before, after), (entry, _) in zip(run_steps, run_steps[1:]):
-                if after is None:
+                if after is None or entry[0].shape != before[0].shape:  # compacted between
                     continue
-                (h_d, h_u, done), (changed_d, changed_u, raw_d, raw_u) = before, after
+                (h_d, h_u, done), ((changed_d, changed_u), raw_d, raw_u) = before, after
                 live = ~done
                 fell_d = np.flatnonzero((entry[0] < h_d)[:, live].any(axis=1))
                 fell_u = np.flatnonzero((entry[1] < h_u)[:, live].any(axis=1))
@@ -686,12 +691,8 @@ class TestRowSubset:
         assert sum(every_step_subset) > 5
 
 
-def mid_cascade_states(m, width, seed, at=(2, 4, 7)):
-    """Levels of `width` cascades at the iterations `at`, run with the numpy step.
-
-    Each column caps two random firms at 0 or 0.3; column 0 also stops every
-    firm of the smallest sector, whose surviving output is then 0.
-    """
+def mid_cascade_caps(m, width, seed):
+    """The caps (rows, cols, values) of mid_cascade_states, one per capped level: its lowest."""
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, m.n, size=2 * width)
     cols = np.repeat(np.arange(width), 2)
@@ -701,6 +702,19 @@ def mid_cascade_states(m, width, seed, at=(2, 4, 7)):
     rows = np.concatenate([rows, dead])
     cols = np.concatenate([cols, np.zeros(len(dead), dtype=int)])
     vals = np.concatenate([vals, np.zeros(len(dead))])
+    key = cols * m.n + rows
+    order = np.lexsort((vals, key))  # by level, its lowest cap first
+    first = order[np.unique(key[order], return_index=True)[1]]
+    return rows[first], cols[first], vals[first]
+
+
+def mid_cascade_states(m, width, seed, at=(2, 4, 7)):
+    """Levels of `width` cascades at the iterations `at`, run with the numpy step.
+
+    Each column caps two random firms at 0 or 0.3; column 0 also stops every
+    firm of the smallest sector, whose surviving output is then 0.
+    """
+    rows, cols, vals = mid_cascade_caps(m, width, seed)
     h_d, h_u = np.ones((m.n, width)), np.ones((m.n, width))
     states = []
     for t in range(1, max(at) + 1):
@@ -742,8 +756,161 @@ class TestKernelStep:
         h = np.ones(m.n * 17)
         for width in (0, 17):
             assert k.whole(k.ref, width, *[addr(h)] * 7, None, None) == -1
+            ws = _Workspace(m, 16)
+            ws.block.w = width
+            assert k.step(k.ref, ws.ref, 2) == -1
+            assert k.finish(ws.ref, m.n, 2) == -1
         with pytest.raises(ValueError, match="1 to 16"):
             _Workspace(m, 17)
+
+
+def view(address, count, dtype=np.float64):
+    """The count elements of dtype at address: one of the buffers a kernel Block points to."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer((ctypes.c_char * (count * dtype.itemsize)).from_address(address),
+                         dtype=dtype)
+
+
+def changed(ws):
+    """Copies of the workspace's changed_d and changed_u lists."""
+    b = ws.block
+    return [view(getattr(b, name), getattr(b, "n_" + name), np.intp).copy()
+            for name in ("changed_d", "changed_u")]
+
+
+def subset_states(m, width, seed):
+    """Row-subset steps' starting states mid-cascade, from iterations (t, t + 1) of the numpy step.
+
+    The levels are those after t + 1; q and the sector sums those of the
+    levels after t; changed_d and changed_u the firms whose levels fell from
+    t to t + 1 in a live column; damaged every firm with h_d < 1; and a
+    random half of the columns is done, never all of them.
+    """
+    rng = np.random.default_rng(seed)
+    states = mid_cascade_states(m, width, seed, at=(2, 3, 4, 5, 7, 8))
+    for (hd0, hu0), (h_d, h_u) in zip(states[::2], states[1::2]):
+        done = rng.random(width) < 0.5
+        done[rng.integers(width)] = False
+        sector = m.sector_op @ hd0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = np.fmin(m.s_out[:, None] / sector[m.sector_of], 1.0) * (1.0 - hd0)
+        yield SubsetState(
+            h_d=h_d, h_u=h_u, q=q, sector=sector, damaged=(h_d < 1.0).any(axis=1),
+            changed_d=np.flatnonzero(((h_d < hd0) & ~done).any(axis=1)),
+            changed_u=np.flatnonzero(((h_u < hu0) & ~done).any(axis=1)), done=done)
+
+
+def load_block(ws, s, budget, caps):
+    """Point the workspace's block at the state s, with the given budget and caps.
+
+    Its epsilon is -1, so no column finishes.
+    """
+    b = ws.block
+    n, w = s.h_d.shape
+    ws.begin(caps, w, -1.0, 10 ** 9, budget)
+    for name in ("h_d", "h_u", "q", "sector"):
+        view(getattr(b, name), n * w if name != "sector" else s.sector.size)[:] = \
+            getattr(s, name).reshape(-1)
+    view(b.damaged, n, bool)[:] = s.damaged
+    view(b.done, w, bool)[:] = s.done
+    for name in ("changed_d", "changed_u"):
+        rows = getattr(s, name)
+        view(getattr(b, name), len(rows), np.intp)[:] = rows
+        setattr(b, "n_" + name, len(rows))
+
+
+class TestKernelGlue:
+    """The compiled row-subset step, caps, finishing and compaction against their numpy oracles."""
+
+    @pytest.mark.parametrize("idx", [np.int32, np.int64])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_step_matches_the_numpy_step(self, monkeypatch, scenario, idx):
+        """Levels, decrements, moved rows, q, sector sums and declined steps, byte for byte."""
+        net = subset_net()
+        monkeypatch.setattr(cascade, "get_index_dtype", lambda *args, **kwargs: idx)
+        m = build_impact_matrices(net, assign_scenario(net, scenario))
+        assert m.up_op.indices.dtype == idx and _Workspace(m, 1).in_ptr.dtype == idx
+        kinds = []
+        for width in range(1, 17):
+            ws = _Workspace(m, width)
+            rows, cols, vals = mid_cascade_caps(m, width, seed=width)
+            at = rows * width + cols
+            for s in subset_states(m, width, seed=width):
+                nnz_down, nnz_up = subset_counts(m, s)
+                for budget in {nnz_down + nnz_up, nnz_down + nnz_up - 1, nnz_down, nnz_down - 1,
+                               10 ** 9} - {-1}:
+                    load_block(ws, s, budget, (rows, cols, vals))
+                    assert ws.step(2) == np.count_nonzero(~s.done)  # none finishes
+                    kind = ws.block.ran
+                    kinds.append(kind)
+                    got_d, got_u = ws.state(width)
+                    dec = ws.dec[:width]
+                    want = reference_subset_step(m, s, budget, caps=(at, vals))
+                    if want is None:
+                        assert kind == STEP_DECLINED and ws.block.budget == -1
+                        hd_new, hu_new, want_dec = reference_whole_step(m, s.h_d, s.h_u)[:3]
+                        for h in (hd_new.reshape(-1), hu_new.reshape(-1)):
+                            h[at] = np.minimum(h[at], vals)
+                        pairs = [(got_d, hd_new), (got_u, hu_new), (dec, want_dec)]
+                    else:
+                        assert kind == STEP_ROWS
+                        r, want_dec = want
+                        b = ws.block
+                        pairs = [(got_d, r.h_d), (got_u, r.h_u), (dec, want_dec),
+                                 *zip(changed(ws), (r.changed_d, r.changed_u)),
+                                 (view(b.damaged, m.n, bool), r.damaged),
+                                 (view(b.q, m.n * width), r.q.reshape(-1)),
+                                 (view(b.sector, r.sector.size), r.sector.reshape(-1))]
+                    for a, e in pairs:
+                        assert a.dtype == e.dtype and a.tobytes() == e.tobytes(), (width, budget)
+        assert kinds.count(STEP_ROWS) > 50 and kinds.count(STEP_DECLINED) > 50
+
+    def test_finish_matches_the_numpy_finish(self):
+        """Columns stop, go to their out rows and are compacted as in the numpy loop.
+
+        As in a run, fewer than half of a block's columns are done on entry.
+        """
+        m = prepared(subset_net(), Scenario.GL)[1]
+        n, rng = m.n, np.random.default_rng(2)
+        ws = _Workspace(m, 16)
+        b = ws.block
+        compacted = 0
+        for w in [w for w in range(1, 17) for _ in range(6)]:
+            h_d, h_u = rng.random((n, w)), rng.random((n, w))
+            dec = rng.choice([0.0, 5e-3, 1e-2, 2e-2, 0.5], size=w)
+            done = np.zeros(w, dtype=bool)
+            done[rng.permutation(w)[:rng.integers(0, (w + 1) // 2)]] = True
+            col_of = rng.permutation(16)[:w]
+            caps = rng.permutation(n)[:3 * w], rng.integers(0, w, 3 * w), rng.random(3 * w)
+            t, max_iter = [(5, 9), (9, 9)][rng.integers(2)]
+            T0, conv0 = np.full(16, max_iter), np.zeros(16, dtype=bool)
+            out0 = rng.random((2, 16, n))
+            want_T, want_conv, want_out = T0.copy(), conv0.copy(), out0.copy()
+            want_d, want_u, want_col_of, want_done, (rows, cols, vals) = reference_finish(
+                h_d, h_u, dec, done, col_of, want_T, want_conv, *want_out, caps, t, max_iter, 1e-2)
+
+            ws.begin(caps, w, 1e-2, max_iter, 7)
+            T, conv = T0.copy(), conv0.copy()  # col_of places columns among 16
+            b.T, b.converged = addr(T), addr(conv)
+            ws.out_d[:], ws.out_u[:] = out0
+            for name, a in (("h_d", h_d), ("h_u", h_u)):
+                view(getattr(b, name), a.size)[:] = a.reshape(-1)
+            ws.dec[:w], ws.done[:w] = dec, done
+            view(b.col_of, w, np.intp)[:] = col_of
+            live = ws.kernel.finish(ws.ref, n, t)
+
+            w2 = want_d.shape[1]
+            compacted += w2 < w
+            assert live == np.count_nonzero(~want_done)
+            assert (b.w, b.budget) == (w2, -1 if w2 < w else 7)
+            got = [*ws.state(w2), view(b.col_of, w2, np.intp), ws.done[:w2],
+                   view(b.cap_at, b.n_caps, np.intp), view(b.cap_val, b.n_caps), T, conv,
+                   ws.out_d, ws.out_u]
+            expect = [want_d, want_u, want_col_of, want_done, rows * w2 + cols, vals, want_T,
+                      want_conv, *want_out]
+            for a, e in zip(got, expect):
+                assert a.dtype == e.dtype and a.tobytes() == e.tobytes(), w
+        assert compacted > 10
 
 
 @st.composite
@@ -873,8 +1040,9 @@ def kernel_step(m, h_d, h_u, traced=False):
     h_d, h_u = np.ascontiguousarray(h_d), np.ascontiguousarray(h_u)
     hd_new, hu_new, q, dec = (np.empty_like(h_d), np.empty_like(h_u), np.empty_like(h_d),
                               np.empty(width))
+    sector = np.empty((m.sector_op.shape[0], width))
     extra = (np.empty(m.n), np.empty(m.n_groups)) if traced else ()
-    assert k.whole(k.ref, width, *map(addr, (h_d, h_u, hd_new, hu_new, q, ws.sector, dec)),
+    assert k.whole(k.ref, width, *map(addr, (h_d, h_u, hd_new, hu_new, q, sector, dec)),
                    *(map(addr, extra) if traced else (None, None))) == 0
     return (hd_new, hu_new, dec, *extra)
 

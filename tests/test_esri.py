@@ -1,15 +1,11 @@
 """Per-firm index batches: values, determinism, bookkeeping."""
 
-import contextlib
 import math
-import multiprocessing
 import os
-import select
-import signal
 import subprocess
 import sys
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +24,7 @@ from prodrisk.netcore import (
     generate_synthetic,
 )
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
-from prodrisk.cascade import build_impact_matrices, rescale_for_coverage
+from prodrisk.cascade import _Workspace, build_impact_matrices, rescale_for_coverage
 from prodrisk import esri, netcore
 from prodrisk.esri import BLOCK, esri_all, esri_single, scenario_suite
 
@@ -44,15 +40,6 @@ def src_env() -> dict:
     src = str(Path(prodrisk.__file__).parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-
-
-def running(pid: int) -> bool:
-    """Is process pid alive and not a zombie?"""
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
 
 
 def sink_net():
@@ -177,93 +164,66 @@ class TestBatch:
             assert np.array_equal(got[scenario].T, vec.T)
             assert np.array_equal(got[scenario].converged, vec.converged)
 
-    @pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
-                                        if m in multiprocessing.get_all_start_methods()])
-    def test_pool_under_start_method(self, method):
-        """Workers that start from a fresh import get the batch from their initializer."""
+    def test_piped_script_under_spawn(self):
+        """A script read from stdin scores with threads under spawn: no worker re-imports it."""
         script = (
-            "import multiprocessing, sys\n"
-            "from prodrisk.netcore import SyntheticConfig, build_network, generate_synthetic\n"
-            "from prodrisk.prodfun import Scenario, assign_scenario, calibrate\n"
-            "from prodrisk.cascade import build_impact_matrices, rescale_for_coverage\n"
-            "from prodrisk.esri import esri_all\n"
-            "multiprocessing.set_start_method(sys.argv[1])\n"
-            "firms, edges = generate_synthetic(SyntheticConfig(n_firms=150), seed=9)\n"
-            "net = build_network(firms, [zip(*edges)])\n"
-            "spec = assign_scenario(net, Scenario.GL)\n"
-            "params = calibrate(net, spec)\n"
-            "m = rescale_for_coverage(build_impact_matrices(net, spec), net)\n"
-            "one, two = (esri_all(net, m, params, worker_count=w) for w in (1, 2))\n"
-            "for a, b in zip((one.values, one.T, one.converged), (two.values, two.T, two.converged)):\n"
-            "    assert a.tobytes() == b.tobytes()\n"
-            "print(multiprocessing.get_start_method())\n"
-        )
-        done = subprocess.run([sys.executable, "-c", script, method], env=src_env(),
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == [method]
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
-    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
-        """A worker whose parent was SIGKILLed ends by itself instead of waiting for tasks."""
-        script = tmp_path / "batch.py"
-        script.write_text(
-            "import multiprocessing, time\n"
+            "import multiprocessing\n"
             "from prodrisk.netcore import SyntheticConfig, build_network, generate_synthetic\n"
             "from prodrisk.prodfun import Scenario, assign_scenario, calibrate\n"
             "from prodrisk.cascade import build_impact_matrices\n"
             "from prodrisk.esri import esri_all\n"
-            "def report(done, total):\n"
-            "    print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
-            "    time.sleep(300)\n"
-            "if __name__ == '__main__':\n"
-            "    firms, edges = generate_synthetic(SyntheticConfig(n_firms=300), seed=9)\n"
-            "    net = build_network(firms, [zip(*edges)])\n"
-            "    spec = assign_scenario(net, Scenario.GL)\n"
-            "    esri_all(net, build_impact_matrices(net, spec), calibrate(net, spec),\n"
-            "             worker_count=2, progress=report)\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "firms, edges = generate_synthetic(SyntheticConfig(n_firms=300), seed=9)\n"
+            "net = build_network(firms, [zip(*edges)])\n"
+            "spec = assign_scenario(net, Scenario.GL)\n"
+            "m = build_impact_matrices(net, spec)\n"
+            "one, two = (esri_all(net, m, calibrate(net, spec), worker_count=w) for w in (1, 2))\n"
+            "for name in ('values', 'T', 'converged'):\n"
+            "    assert getattr(one, name).tobytes() == getattr(two, name).tobytes()\n"
+            "print(multiprocessing.get_start_method(), len(multiprocessing.active_children()))\n"
         )
-        proc = subprocess.Popen([sys.executable, str(script)], env=src_env(),
-                                stdout=subprocess.PIPE, text=True)
-        workers = []
-        try:
-            assert select.select([proc.stdout], [], [], 120)[0], "no progress report"
-            workers = [int(pid) for pid in proc.stdout.readline().split()]
-            assert len(workers) == 2
-            proc.kill()
-            proc.wait()
-            deadline = time.monotonic() + 5
-            while any(map(running, workers)) and time.monotonic() < deadline:
-                time.sleep(0.1)
-            assert not [pid for pid in workers if running(pid)]
-        finally:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
-            for pid in filter(running, workers):
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
+        done = subprocess.run([sys.executable, "-"], input=script, env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["spawn", "0"]
+
+    def test_error_in_one_range_is_raised(self, monkeypatch):
+        """A range that fails on a pool thread fails the batch with its error, without a hang."""
+        firms, edges = generate_synthetic(SyntheticConfig(n_firms=400), seed=3)
+        net = build_network(firms, edge_blocks(edges))
+        params, m = prepared(net, Scenario.GL)
+        run_range = esri._run_range
+
+        def failing(ws, bounds, *args):
+            if bounds[0] == 128:
+                raise RuntimeError("range 128 failed")
+            return run_range(ws, bounds, *args)
+
+        monkeypatch.setattr(esri, "_run_range", failing)
+        got = []
+
+        def score():
+            try:
+                esri_all(net, m, params, worker_count=2)
+            except Exception as exc:
+                got.append(exc)
+
+        thread = threading.Thread(target=score, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert [str(e) for e in got] == ["range 128 failed"]
 
     def test_pool_no_larger_than_the_batch(self, monkeypatch):
-        """A pool starts all its workers at once, so it gets at most one per chunk."""
+        """A pool gets at most one thread per chunk, and none for a single chunk."""
         made = []
 
-        class InProcessPool:  # runs the chunks here; starts no process
-            def __init__(self, max_workers, initializer, initargs):
+        class Recorder(ThreadPoolExecutor):
+            def __init__(self, max_workers):
                 made.append(max_workers)
-                initializer(*initargs)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(esri, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(esri, "_worker_ctx", None)
+        monkeypatch.setattr(esri, "ThreadPoolExecutor", Recorder)
         for n_firms, pools in ((150, [3]), (64, []), (10, [])):
             firms, edges = generate_synthetic(SyntheticConfig(n_firms=n_firms), seed=9)
             net = build_network(firms, edge_blocks(edges))
@@ -334,6 +294,23 @@ class TestBlocks:
         for firm in range(BLOCK):
             value, res = esri_single(net, m, params, firm, epsilon=1e-4)
             assert (value, res.T) == (vec.values[firm], vec.T[firm])
+
+
+class TestLosses:
+    @pytest.mark.parametrize("n_firms", [7, 100, 3001, 20001])
+    def test_block_values_are_the_per_row_losses(self, n_firms):
+        """A block's values, taken in one reduction over its rows, are each row's
+        _loss_weighted, which esri_single reports, bit for bit."""
+        firms, edges = generate_synthetic(SyntheticConfig(n_firms=n_firms), seed=6)
+        net = build_network(firms, edge_blocks(edges))
+        params, m = prepared(net, Scenario.GL)
+        total_out = esri._total_out(net.s_out)
+        lo = max(0, n_firms // 2 - 10)
+        hi = min(n_firms, lo + 20)
+        _, values, _, _ = esri._run_range(_Workspace(m, BLOCK), (lo, hi), total_out, 1e-2, 1000)
+        for k, firm in enumerate(range(lo, hi)):
+            value, res = esri_single(net, m, params, firm)
+            assert values[k] == value == esri._loss_weighted(net.s_out, total_out, res.h_final)
 
 
 class TestSuite:
