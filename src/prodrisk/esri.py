@@ -8,7 +8,6 @@ for any worker count because each cascade uses a fixed accumulation order.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -123,18 +122,20 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
 
     workers = min(worker_count, len(bounds))
     load()  # built once, before any thread needs it
-    with contextlib.ExitStack() as stack:
-        ranges = map(run, bounds)
-        if workers > 1:
-            ranges = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map(run, bounds)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
         done = 0
-        for lo, v, t, c in ranges:
+        for lo, v, t, c in pool.map(run, bounds) if pool else map(run, bounds):
             values[lo:lo + len(v)] = v
             T[lo:lo + len(v)] = t
             conv[lo:lo + len(v)] = c
             done += len(v)
             if progress is not None:
                 progress(done, n)
+    finally:
+        if pool is not None:
+            # after an error here (a failed chunk, Ctrl-C), the chunks not yet started never run
+            pool.shutdown(cancel_futures=True)
 
     for a in (values, T, conv):
         a.flags.writeable = False

@@ -214,6 +214,23 @@ class TestBatch:
         assert not thread.is_alive()
         assert [str(e) for e in got] == ["range 128 failed"]
 
+    def test_interrupted_batch_starts_no_more_chunks(self, monkeypatch):
+        """An error raised in the calling thread, as from progress or Ctrl-C, ends the batch
+        once the chunks already running finish."""
+        firms, edges = generate_synthetic(SyntheticConfig(n_firms=64 * 40), seed=3)
+        net = build_network(firms, edge_blocks(edges))
+        params, m = prepared(net, Scenario.LIN)
+        run_range = esri._run_range
+        ran = []
+        monkeypatch.setattr(esri, "_run_range", lambda *args: ran.append(1) or run_range(*args))
+
+        def stop(done, total):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            esri_all(net, m, params, worker_count=2, progress=stop)
+        assert len(ran) <= 4
+
     def test_pool_no_larger_than_the_batch(self, monkeypatch):
         """A pool gets at most one thread per chunk, and none for a single chunk."""
         made = []
