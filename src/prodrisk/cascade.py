@@ -9,7 +9,6 @@ Both recursions are synchronous and monotone, so they always terminate.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse._sputils import get_index_dtype
 
-from .kernel import MAX_WIDTH, Block, Kernel, addr
+from .kernel import Workspace
 from .netcore import ProductionNetwork
 from .prodfun import ScenarioSpec, inputs_are_essential
 
@@ -223,71 +222,22 @@ def _subset_budget(m: ImpactMatrices, width: int) -> float:
     return (full - STEP_COST) / (width + LOAD_COST + GATHER_COST)
 
 
-class _Workspace:
-    """Every buffer of a block of up to `width` columns, for blocks run one after another.
+def _factors(m: ImpactMatrices, h_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma and pi_tilde of a step from the downstream levels h_d.
 
-    A run takes no memory of its own beyond small per-column vectors, so a
-    thread that scores many blocks touches the same pages throughout instead
-    of faulting in fresh ones every iteration. The result rows out_d and
-    out_u are overwritten by the next block. block is the state the compiled
-    kernel runs (kernel.c's Block): the addresses of the level buffers (h_d,
-    h_u, each with its successor, and q), the sector sums, the decrement, the
-    per-column flags, and the firm marks and row lists of the row-subset
-    steps. A workspace serves one thread at a time; the kernel calls release
-    the GIL, so workspaces on different threads run their blocks in parallel.
+    sigma = fmin(s_out / the sector sum, 1) per firm, and pi_tilde = clip(1 -
+    down_op @ (sigma (1 - h_d)), 0, 1) per group: the factors a step from
+    h_d applies, in the kernel's summation order. A whole sector that has
+    stopped divides by zero, which fmin maps to 1.
     """
-
-    def __init__(self, m: ImpactMatrices, width: int):
-        if not 1 <= width <= MAX_WIDTH:
-            raise ValueError(f"a block holds 1 to {MAX_WIDTH} columns, not {width}")
-        n, n_sectors = m.n, m.sector_op.shape[0]
-        self.m = m
-        self.kernel = Kernel(m)
-        levels = [np.empty(n * width) for _ in range(5)]  # h_d, hd_new, h_u, hu_new, q
-        self.levels = {addr(a): a for a in levels}
-        self.dec = np.empty(width)
-        self.done = np.zeros(width, dtype=bool)
-        self.out_d, self.out_u = np.empty((width, n)), np.empty((width, n))
-        self.in_ptr = m.down_op.indptr[m.group_ptr]
-        flags = [np.zeros(k, dtype=bool) for k in (n, n, n_sectors)]
-        rows = [np.empty(k, dtype=np.intp) for k in (n,) * 5 + (n_sectors,)]
-        self._held = {  # the block points into these
-            **dict(zip(("h_d", "hd_new", "h_u", "hu_new", "q"), levels)),
-            **dict(zip(("damaged", "mark", "sector_mark"), flags)),
-            **dict(zip(("changed_d", "changed_u", "rows_d", "rows_u", "rows_q", "rows_s"), rows)),
-            "sector": np.empty(n_sectors * width), "col_of": np.empty(width, dtype=np.intp),
-            "dec": self.dec, "done": self.done, "out_d": self.out_d, "out_u": self.out_u,
-            "in_ptr": self.in_ptr}
-        self.block = Block(budget=-1, **{name: addr(a) for name, a in self._held.items()})
-        self.ref = ctypes.addressof(self.block)
-
-    def begin(self, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int, epsilon: float,
-              max_iter: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-        """Point the block at a new run of `width` columns (see _iterate); its T and converged."""
-        rows, cols, vals = caps
-        # the kernel compacts the caps in place, so they are copies, held here
-        self._caps = (np.asarray(rows * width + cols, dtype=np.intp),
-                      np.array(vals, dtype=np.float64))
-        self._out = np.empty(width, dtype=np.int64), np.empty(width, dtype=bool)
-        b = self.block
-        b.w, b.max_iter, b.epsilon, b.budget, b.n_caps = width, max_iter, epsilon, budget, len(rows)
-        b.cap_at, b.cap_val, b.T, b.converged = map(addr, self._caps + self._out)
-        b.sigma = b.pi = None
-        return self._out
-
-    def step(self, t: int) -> int:
-        """Iteration t of the block in one kernel call (kernel.c's step); the live columns left."""
-        return self.kernel.step(self.kernel.ref, self.ref, t)
-
-    def state(self, w: int) -> list[np.ndarray]:
-        """The current levels h_d and h_u, as (n, w) views."""
-        n = self.m.n
-        return [self.levels[p][:n * w].reshape(n, w) for p in (self.block.h_d, self.block.h_u)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sigma = np.fmin(m.s_out / (m.sector_op @ h_d)[m.sector_of], 1.0)
+    return sigma, np.clip(1.0 - m.down_op @ (sigma * (1.0 - h_d)), 0.0, 1.0)
 
 
 def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int,
              epsilon: float, max_iter: int, trace: list | None = None,
-             ws: _Workspace | None = None):
+             ws: Workspace | None = None):
     """Run `width` cascades side by side as the columns of one (n, width) state.
 
     caps = (rows, cols, values) lists every production cap below 1: firm
@@ -328,38 +278,31 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
 
     Returns (h_d, h_u, T, converged), with one row of h_d and h_u per column.
     A list passed as trace receives the CascadeState of every iteration of a
-    one-column run, t = 0 included; a traced run recomputes every row from
-    t = 2, as it records pi_tilde for every group.
+    one-column run, t = 0 included. A traced run takes the same steps as an
+    untraced one; state t's sigma and pi_tilde are those of a step from
+    state t - 1's h_d (_factors), state 0's those of all-ones levels.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if max_iter > 2**63 - 1:  # the kernel's int64 Block.max_iter
+        raise ValueError("max_iter must be < 2**63")
     if ws is None:
-        ws = _Workspace(m, width)
+        ws = Workspace(m, width)
     budget = _subset_budget(m, width)
-    # every row: traced, or no row subset pays at this size
-    T, converged = ws.begin(caps, width, epsilon, max_iter,
-                            int(budget) if trace is None and budget >= 0 else -1)
+    # below 0, no row subset pays at this size: every row, every step
+    T, converged = ws.begin(caps, width, epsilon, max_iter, int(budget) if budget >= 0 else -1)
     if trace is not None:
-        n = m.n
-        ones = np.ones(n)
-        # a whole sector that has stopped divides by zero, which fmin maps to 1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sigma = np.fmin(m.s_out / (m.sector_op @ ones)[m.sector_of], 1.0)
-        pi_tilde = np.ones(m.n_groups)
-        trace.append(CascadeState(h_d=ones, h_u=ones, sigma=sigma, pi_tilde=pi_tilde))
-        traced = np.empty(n), np.empty(m.n_groups)
-        ws.block.sigma, ws.block.pi = map(addr, traced)
+        ones = np.ones(m.n)
+        trace.append(CascadeState(ones, ones, *_factors(m, ones)))
 
     for t in range(1, max_iter + 1):
         live = ws.step(t)
         if trace is not None:
-            if t > 1:
-                sigma, pi_tilde = (a.copy() for a in traced)
             h_d, h_u = ws.state(1)  # a finished one-column run is never compacted
-            trace.append(CascadeState(h_d=h_d[:, 0].copy(), h_u=h_u[:, 0].copy(),
-                                      sigma=sigma, pi_tilde=pi_tilde))
+            trace.append(CascadeState(h_d[:, 0].copy(), h_u[:, 0].copy(),
+                                      *_factors(m, trace[-1].h_d)))
         if not live:
             break
     return ws.out_d[:width], ws.out_u[:width], T, converged

@@ -8,6 +8,7 @@ for any worker count because each cascade uses a fixed accumulation order.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,9 +17,9 @@ import numpy as np
 
 from .netcore import DataError, ProductionNetwork, fingerprint
 from .prodfun import Scenario, ProductionParams, assign_scenario, calibrate
-from .cascade import (ImpactMatrices, CascadeResult, _Workspace, _iterate,
-                      build_impact_matrices, rescale_for_coverage, run_cascade)
-from .kernel import load
+from .cascade import (ImpactMatrices, CascadeResult, _iterate, build_impact_matrices,
+                      rescale_for_coverage, run_cascade)
+from .kernel import Workspace, load
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def esri_single(net: ProductionNetwork, matrices: ImpactMatrices, params: Produc
 BLOCK = 16
 
 
-def _run_range(ws: _Workspace, bounds: tuple[int, int], total_out: float, epsilon: float,
+def _run_range(ws: Workspace, bounds: tuple[int, int], total_out: float, epsilon: float,
                max_iter: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Run the cascades of one firm-index range in workspace ws, BLOCK at a time.
 
@@ -97,10 +98,10 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     worker_count only changes wall time. Non-converged cascades are recorded
     per firm and the batch still completes. progress, if given, is called
     with the number of finished firms after each chunk; the firms run in
-    chunks of 64, and the pool has no more threads than there are chunks. The
-    threads share the operators, each runs its chunks in a workspace of its
-    own, and the kernel calls release the GIL. params is not read: it is
-    passed through as in run_cascade.
+    chunks of 64, and the pool has no more threads than there are chunks or
+    CPUs (os.cpu_count()). The threads share the operators, each runs its
+    chunks in a workspace of its own, and the kernel calls release the GIL.
+    params is not read: it is passed through as in run_cascade.
     """
     if worker_count < 1:
         raise ValueError("worker_count must be >= 1")
@@ -113,14 +114,14 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     def run(lo_hi):
         ws = getattr(local, "ws", None)
         if ws is None:
-            ws = local.ws = _Workspace(matrices, BLOCK)
+            ws = local.ws = Workspace(matrices, BLOCK)
         return _run_range(ws, lo_hi, total_out, epsilon, max_iter)
 
     values = np.empty(n)
     T = np.empty(n, dtype=np.int64)
     conv = np.empty(n, dtype=bool)
 
-    workers = min(worker_count, len(bounds))
+    workers = min(worker_count, len(bounds), os.cpu_count() or 1)
     load()  # built once, before any thread needs it
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

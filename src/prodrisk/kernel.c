@@ -18,9 +18,10 @@
  *
  * prodrisk.cascade runs each iteration of a block of cascades as one call
  * of step: the iteration, the caps, and the finishing and compaction of
- * columns (finish). finish, whole and down_rows are also exported for the
- * tests. The calls go through ctypes, which releases the GIL for the whole
- * call, so blocks on different threads run in parallel.
+ * columns (finish). step and finish are the library's only exports; finish
+ * is exported for the tests. The calls go through ctypes, which releases
+ * the GIL for the whole call, so blocks on different threads run in
+ * parallel.
  */
 #ifndef IDX
 
@@ -44,7 +45,7 @@ typedef struct {
     const double *up_val, *u_resid;
 } Ops;
 
-/* One block of cascades between calls, held by prodrisk.cascade._Workspace.
+/* One block of cascades between calls, held by prodrisk.kernel.Workspace.
  * The levels are (n, w) blocks of the w live columns; a whole step writes
  * hd_new and hu_new and swaps each pair of pointers. cap_at lists the flat
  * positions row * w + col of the production caps, cap_val their values.
@@ -75,7 +76,6 @@ typedef struct {
     double *out_d, *out_u;
     int64_t *T;
     uint8_t *converged;
-    double *sigma, *pi;
     int64_t budget;
     uint8_t *damaged, *mark, *sector_mark;
     const void *in_ptr;
@@ -167,9 +167,9 @@ INLINE void max_row(double *row, const double *x, const int W)
 }
 
 /* q[i] = sigma_i * (1 - h_d[i]) of the listed firms, sigma_i = fmin(s_out_i /
- * sector[sector of i], 1); sigma, if given, receives column 0's sigma_i. */
+ * sector[sector of i], 1) */
 INLINE void q_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const double *sector,
-                     const double *h_d, double *q, double *sigma, const int W)
+                     const double *h_d, double *q, const int W)
 {
     for (int64_t t = 0; t < k; t++) {
         const int64_t i = rows ? rows[t] : t;
@@ -177,17 +177,15 @@ INLINE void q_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const double
         for (int c = 0; c < W; c++) {
             const double x = o->s_out[i] / sec[c];
             const double s = x < 1.0 ? x : 1.0; /* fmin(x, 1.0): NaN gives 1 */
-            if (c == 0 && sigma)
-                sigma[i] = s;
             q[i * W + c] = s * (1.0 - h_d[i * W + c]);
         }
     }
 }
 
 static int q_rows(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *sector,
-                  const double *h_d, double *q, double *sigma)
+                  const double *h_d, double *q)
 {
-#define CALL(w) q_rows_w(o, rows, k, sector, h_d, q, sigma, w)
+#define CALL(w) q_rows_w(o, rows, k, sector, h_d, q, w)
     DISPATCH(W)
 #undef CALL
 }
@@ -385,12 +383,11 @@ static int FN(sector_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k,
 }
 
 /* out[t] = clip(1 - the largest down_op product over the groups of firm
- * rows[t], 0, 1), or 1 for a firm with no groups; pi, if given, receives
- * column 0's clip(1 - product, 0, 1) of every group. The minimum of clip(1
- * - y) over the groups is clip(1 - max y) bit for bit: both maps are
+ * rows[t], 0, 1), or 1 for a firm with no groups. The minimum of clip(1 -
+ * y) over the groups is clip(1 - max y) bit for bit: both maps are
  * monotone. */
 INLINE void FN(down_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const double *q,
-                            double *out, double *pi, const int W)
+                            double *out, const int W)
 {
     const IDX *gp = o->group_ptr;
     for (int64_t t = 0; t < k; t++) {
@@ -403,12 +400,8 @@ INLINE void FN(down_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const
             continue;
         }
         FN(csr_row)(o->down_ptr, o->down_idx, o->down_val, g0, q, top, W);
-        if (pi)
-            pi[g0] = clip01(1.0 - top[0]);
         for (IDX g = g0 + 1; g < g1; g++) {
             FN(csr_row)(o->down_ptr, o->down_idx, o->down_val, g, q, y, W);
-            if (pi)
-                pi[g] = clip01(1.0 - y[0]);
             max_row(top, y, W);
         }
         for (int c = 0; c < (W & ~1); c++)
@@ -418,10 +411,10 @@ INLINE void FN(down_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const
     }
 }
 
-int FN(down_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *q,
-                  double *out, double *pi)
+static int FN(down_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *q,
+                         double *out)
 {
-#define CALL(w) FN(down_rows_w)(o, rows, k, q, out, pi, w)
+#define CALL(w) FN(down_rows_w)(o, rows, k, q, out, w)
     DISPATCH(W)
 #undef CALL
 }
@@ -449,17 +442,13 @@ static int FN(up_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, con
 }
 
 /* One iteration of every row: the sector sums, q, the new levels hd_new and
- * hu_new, and per column the largest decrement over both recursions. sector
- * and q are scratch; sigma (n) and pi (one per group), if given, receive
- * column 0's substitution factors and group availabilities. */
-int FN(whole)(const Ops *o, int W, const double *h_d, const double *h_u, double *hd_new,
-              double *hu_new, double *q, double *sector, double *dec, double *sigma, double *pi)
+ * hu_new, and per column the largest decrement over both recursions. */
+static int FN(whole)(const Ops *o, int W, const double *h_d, const double *h_u, double *hd_new,
+                     double *hu_new, double *q, double *sector, double *dec)
 {
-    if (W < 1 || W > MAX_WIDTH)
-        return -1;
     FN(sector_rows)(o, W, NULL, o->n_sectors, h_d, sector);
-    q_rows(o, W, NULL, o->n, sector, h_d, q, sigma);
-    FN(down_rows)(o, W, NULL, o->n, q, hd_new, pi);
+    q_rows(o, W, NULL, o->n, sector, h_d, q);
+    FN(down_rows)(o, W, NULL, o->n, q, hd_new);
     FN(up_rows)(o, W, NULL, o->n, h_u, hu_new);
 #define CALL(w) largest_decrement_w(o->n, h_d, h_u, hd_new, hu_new, dec, w)
     DISPATCH(W)
@@ -558,8 +547,8 @@ static int FN(rows_step)(const Ops *o, Block *b)
         return 0;
 
     FN(sector_rows)(o, w, b->rows_s, n_s, b->h_d, b->sector);
-    q_rows(o, w, b->rows_q, n_q, b->sector, b->h_d, b->q, NULL);
-    FN(down_rows)(o, w, b->rows_d, n_d, b->q, b->hd_new, NULL);
+    q_rows(o, w, b->rows_q, n_q, b->sector, b->h_d, b->q);
+    FN(down_rows)(o, w, b->rows_d, n_d, b->q, b->hd_new);
     FN(up_rows)(o, w, b->rows_u, n_u, b->h_u, b->hu_new);
     for (int64_t c = 0; c < w; c++)
         b->dec[c] = 0.0;
@@ -592,8 +581,7 @@ int64_t FN(step)(const Ops *o, Block *b, int64_t t)
     } else {
         b->ran = b->budget >= 0 ? STEP_DECLINED : STEP_WHOLE;
         b->budget = -1;
-        FN(whole)(o, b->w, b->h_d, b->h_u, b->hd_new, b->hu_new, b->q, b->sector, b->dec,
-                  b->sigma, b->pi);
+        FN(whole)(o, b->w, b->h_d, b->h_u, b->hd_new, b->hu_new, b->q, b->sector, b->dec);
         SWAP(b->h_d, b->hd_new);
         SWAP(b->h_u, b->hu_new);
     }

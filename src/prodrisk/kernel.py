@@ -7,7 +7,8 @@ hashes the source, the compiler name, the flags and the platform;
 processes that build at once each load a whole library. A cached library
 whose digest does not match (say, one cut short) is built again. Loading a
 cached library starts no process. Without the compiler, load() raises
-FileNotFoundError naming it.
+FileNotFoundError naming it. Workspace, the only Python mirror of kernel.c's
+Ops and Block, runs the library on one ImpactMatrices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import ctypes
 import hashlib
 import os
 import sysconfig
-from ctypes import c_double, c_int, c_int64, c_void_p
+from ctypes import c_double, c_int64, c_void_p
 from pathlib import Path
 
 import numpy as np
@@ -105,8 +106,6 @@ def load() -> ctypes.CDLL:
         p = c_void_p
         for sfx in ("i32", "i64"):
             _declare(lib, f"step_{sfx}", c_int64, [p, p, c_int64])
-            _declare(lib, f"whole_{sfx}", c_int, [p, c_int] + [p] * 9)
-            _declare(lib, f"down_rows_{sfx}", c_int, [p, c_int, p, c_int64, p, p, p])
         _declare(lib, "finish", c_int64, [p, c_int64, c_int64])
         _lib = lib
     return _lib
@@ -136,7 +135,7 @@ class Block(ctypes.Structure):
         (name, c_void_p) for name in ("h_d", "hd_new", "h_u", "hu_new", "q", "sector", "dec")] + [
         ("n_caps", c_int64)] + [
         (name, c_void_p) for name in ("cap_at", "cap_val", "done", "col_of", "out_d", "out_u",
-                                      "T", "converged", "sigma", "pi")] + [
+                                      "T", "converged")] + [
         ("budget", c_int64)] + [
         (name, c_void_p) for name in ("damaged", "mark", "sector_mark", "in_ptr", "changed_d",
                                       "changed_u", "rows_d", "rows_u", "rows_q", "rows_s")] + [
@@ -158,16 +157,26 @@ def addr(a: np.ndarray | None) -> int | None:
         return a.ctypes.data
 
 
-class Kernel:
-    """The compiled steps, bound to the operators of one ImpactMatrices.
+class Workspace:
+    """The compiled step on one ImpactMatrices, and every buffer of a block of up to width columns.
 
-    Every operator, group_ptr and the operators' index pointers share one
-    index type, int32 or int64, which picks the copy of the kernel. step and
-    finish run a Block (see kernel.c); whole and down_rows are exposed for
-    the tests.
+    Blocks run in it one after another. Every operator, group_ptr and the
+    operators' index pointers share one index type, int32 or int64, which
+    picks the copy of the kernel. A run takes no memory of its own beyond
+    small per-column vectors, so a thread that scores many blocks touches the
+    same pages throughout instead of faulting in fresh ones every iteration.
+    The result rows out_d and out_u are overwritten by the next block. block
+    is the state the kernel runs (kernel.c's Block): the addresses of the
+    level buffers (h_d, h_u, each with its successor, and q), the sector
+    sums, the decrement, the per-column flags, and the firm marks and row
+    lists of the row-subset steps. A workspace serves one thread at a time;
+    the kernel calls release the GIL, so workspaces on different threads run
+    their blocks in parallel.
     """
 
-    def __init__(self, m):
+    def __init__(self, m, width: int):
+        if not 1 <= width <= MAX_WIDTH:
+            raise ValueError(f"a block holds 1 to {MAX_WIDTH} columns, not {width}")
         lib = load()
         idx = m.up_op.indices.dtype
         ops = (m.sector_op, m.down_op, m.up_op)
@@ -178,17 +187,54 @@ class Kernel:
         if any(a.dtype != np.float64 for a in floats) or not all(
                 a.flags.c_contiguous for a in floats + index_arrays):
             raise TypeError("the operators must hold contiguous float64 values and indices")
-        # the structure points into these arrays, kept alive with it
-        self._m, self._sector_of = m, np.ascontiguousarray(m.sector_of, dtype=np.int64)
-        self.ops = Ops(
-            m.n, m.sector_op.shape[0],
+        n, n_sectors = m.n, m.sector_op.shape[0]
+        self.m = m
+        # the structures point into these arrays, kept alive with them
+        self._sector_of = np.ascontiguousarray(m.sector_of, dtype=np.int64)
+        self._ops = Ops(
+            n, n_sectors,
             *map(addr, (m.sector_op.indptr, m.sector_op.indices, m.sector_op.data,
                         self._sector_of, m.s_out, m.group_ptr,
                         m.down_op.indptr, m.down_op.indices, m.down_op.data,
                         m.up_op.indptr, m.up_op.indices, m.up_op.data, m.u_resid)))
-        self.ref = ctypes.addressof(self.ops)
-        sfx = "i32" if idx == np.int32 else "i64"
-        self.step = getattr(lib, f"step_{sfx}")
-        self.whole = getattr(lib, f"whole_{sfx}")
-        self.down_rows = getattr(lib, f"down_rows_{sfx}")
-        self.finish = lib.finish
+        self._step = getattr(lib, "step_i32" if idx == np.int32 else "step_i64")
+        levels = [np.empty(n * width) for _ in range(5)]  # h_d, hd_new, h_u, hu_new, q
+        self.levels = {addr(a): a for a in levels}
+        self.dec = np.empty(width)
+        self.done = np.zeros(width, dtype=bool)
+        self.out_d, self.out_u = np.empty((width, n)), np.empty((width, n))
+        self.in_ptr = m.down_op.indptr[m.group_ptr]
+        flags = [np.zeros(k, dtype=bool) for k in (n, n, n_sectors)]
+        rows = [np.empty(k, dtype=np.intp) for k in (n,) * 5 + (n_sectors,)]
+        self._held = {  # the block points into these
+            **dict(zip(("h_d", "hd_new", "h_u", "hu_new", "q"), levels)),
+            **dict(zip(("damaged", "mark", "sector_mark"), flags)),
+            **dict(zip(("changed_d", "changed_u", "rows_d", "rows_u", "rows_q", "rows_s"), rows)),
+            "sector": np.empty(n_sectors * width), "col_of": np.empty(width, dtype=np.intp),
+            "dec": self.dec, "done": self.done, "out_d": self.out_d, "out_u": self.out_u,
+            "in_ptr": self.in_ptr}
+        self.block = Block(budget=-1, **{name: addr(a) for name, a in self._held.items()})
+        self.ref = ctypes.addressof(self.block)
+        self._ops_ref = ctypes.addressof(self._ops)
+
+    def begin(self, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int, epsilon: float,
+              max_iter: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+        """Point the block at a new run of `width` columns; its T and converged."""
+        rows, cols, vals = caps
+        # the kernel compacts the caps in place, so they are copies, held here
+        self._caps = (np.asarray(rows * width + cols, dtype=np.intp),
+                      np.array(vals, dtype=np.float64))
+        self._out = np.empty(width, dtype=np.int64), np.empty(width, dtype=bool)
+        b = self.block
+        b.w, b.max_iter, b.epsilon, b.budget, b.n_caps = width, max_iter, epsilon, budget, len(rows)
+        b.cap_at, b.cap_val, b.T, b.converged = map(addr, self._caps + self._out)
+        return self._out
+
+    def step(self, t: int) -> int:
+        """Iteration t of the block in one kernel call (kernel.c's step); the live columns left."""
+        return self._step(self._ops_ref, self.ref, t)
+
+    def state(self, w: int) -> list[np.ndarray]:
+        """The current levels h_d and h_u, as (n, w) views."""
+        n = self.m.n
+        return [self.levels[p][:n * w].reshape(n, w) for p in (self.block.h_d, self.block.h_u)]

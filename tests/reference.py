@@ -564,14 +564,14 @@ def _clip01(a: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(a, 0.0), 1.0)
 
 
-def _downstream(m: ImpactMatrices, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every firm's clip(1 - its largest downstream product), 1 without groups; the products."""
+def _downstream(m: ImpactMatrices, q: np.ndarray) -> np.ndarray:
+    """Every firm's clip(1 - its largest downstream product), 1 without groups."""
     y = m.down_op @ q
     hd_new = np.ones_like(q)
     buyers = np.flatnonzero(np.diff(m.group_ptr))
     if len(buyers):
         hd_new[buyers] = _clip01(1.0 - np.maximum.reduceat(y, m.seg_starts, axis=0))
-    return hd_new, y
+    return hd_new
 
 
 def _sigma(m: ImpactMatrices, sector: np.ndarray, firms) -> np.ndarray:
@@ -584,17 +584,18 @@ def reference_whole_step(m: ImpactMatrices, h_d: np.ndarray, h_u: np.ndarray):
     """One iteration of every row in numpy and scipy calls: the step kernel.c replaced.
 
     h_d and h_u are (n, width) levels. Returns the new levels hd_new and
-    hu_new, each column's largest decrement over both recursions, and
-    column 0's sigma (per firm) and pi_tilde (per group). The products are
+    hu_new, each column's largest decrement over both recursions, q = sigma
+    (1 - h_d) and the (n_sectors, width) sector sums. The products are
     scipy's, which sum from 0.0 in stored column order; each buyer's group
     maximum is np.maximum.reduceat over its contiguous groups. The compiled
     kernel must give these arrays bit for bit.
     """
-    sigma = _sigma(m, m.sector_op @ h_d, slice(None))
-    hd_new, y = _downstream(m, sigma * (1.0 - h_d))
+    sector = m.sector_op @ h_d
+    q = _sigma(m, sector, slice(None)) * (1.0 - h_d)
+    hd_new = _downstream(m, q)
     hu_new = _clip01(m.up_op @ h_u + m.u_resid[:, None])
     dec = np.maximum(h_d - hd_new, h_u - hu_new).max(axis=0)
-    return hd_new, hu_new, dec, sigma[:, 0], _clip01(1.0 - y[:, 0])
+    return hd_new, hu_new, dec, q, sector
 
 
 @dataclass
@@ -659,7 +660,7 @@ def reference_subset_step(m: ImpactMatrices, s: SubsetState, budget: int, caps=N
     up_rows = _suppliers(m, m.down_op.indptr[m.group_ptr], s.changed_u)
     s.sector[sectors] = m.sector_op[sectors] @ s.h_d
     s.q[q_rows] = _sigma(m, s.sector, q_rows) * (1.0 - s.h_d[q_rows])
-    hd_rows = _downstream(m, s.q)[0][buyers]
+    hd_rows = _downstream(m, s.q)[buyers]
     hu_rows = _clip01(m.up_op[up_rows] @ s.h_u + m.u_resid[up_rows, None])
     live = ~s.done
     dec = np.zeros(s.h_d.shape[1])

@@ -18,16 +18,15 @@ from test_acceptance import _micro_fixture
 
 from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generate_synthetic
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
-from prodrisk import cascade
+from prodrisk import cascade, kernel
 from prodrisk.cascade import (
     _iterate,
-    _Workspace,
     build_impact_matrices,
     rescale_for_coverage,
     run_cascade,
 )
 from prodrisk.esri import esri_all
-from prodrisk.kernel import STEP_DECLINED, STEP_ROWS, addr
+from prodrisk.kernel import STEP_DECLINED, STEP_ROWS, STEP_WHOLE, Workspace, addr
 
 
 def mill_net(revenue=None, material_cost=None):
@@ -131,7 +130,7 @@ class TestImpactMatrices:
         counts = np.bincount(ref.group_buyer, minlength=m.n)
         assert np.array_equal(np.diff(m.group_ptr), counts)
         # a buyer's in-degree is the nonzeros of its contiguous down_op rows
-        in_ptr = _Workspace(m, 16).in_ptr
+        in_ptr = Workspace(m, 16).in_ptr
         in_deg = np.bincount(m.up_op.indices, minlength=m.n)
         assert np.array_equal(np.diff(in_ptr), in_deg)
         # one index type, int32 at this size, which the kernel reads without a
@@ -141,29 +140,6 @@ class TestImpactMatrices:
         arrays = [a for op in ops for a in (op.indices, op.indptr)] + [m.group_ptr, in_ptr]
         assert diagonal.shape == (m.n, m.n)
         assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
-
-    @pytest.mark.parametrize("scenario", list(Scenario))
-    @pytest.mark.parametrize("width", [1, 16])
-    def test_group_max_matches_reduceat(self, scenario, width):
-        """The kernel's downstream rows: clip(1 - the largest product over each buyer's groups)."""
-        m, ref = leo_matrices(scenario)
-        rng = np.random.default_rng(width)
-        q = rng.random((m.n, width))
-        y = m.down_op @ q
-        expect = np.ones((m.n, width))
-        buyers = np.flatnonzero(np.diff(m.group_ptr))
-        top = np.maximum.reduceat(y, m.seg_starts)
-        expect[buyers] = np.minimum(np.maximum(1.0 - top, 0.0), 1.0)
-        k = _Workspace(m, width).kernel
-        got = np.empty((m.n, width))
-        assert k.down_rows(k.ref, width, None, m.n, addr(q), addr(got), None) == 0
-        assert np.array_equal(got, expect)
-        # over a row list in its order, firms without groups among them
-        rows = rng.permutation(m.n)[:m.n // 2]
-        got = np.empty((len(rows), width))
-        k.down_rows(k.ref, width, addr(rows), len(rows), addr(q), addr(got), None)
-        assert np.array_equal(got, expect[rows])
-        assert np.any(np.diff(m.group_ptr)[rows] == 0)
 
     def test_upstream_shares_and_residual(self):
         net = mill_net()
@@ -399,7 +375,7 @@ class TestEngine:
         cols = np.arange(width)
         caps = (cols, cols, np.zeros(width))
         fresh_d, fresh_u, fresh_T, _ = _iterate(m, caps, width, 1e-2, 1000)
-        ws = _Workspace(m, width)
+        ws = Workspace(m, width)
         _iterate(m, (cols[:5], cols[:5], np.zeros(5)), 5, 1e-2, 1000, ws=ws)
         tracemalloc.start()
         try:
@@ -454,6 +430,11 @@ class TestEngine:
                 run_cascade(net, m, params, good, epsilon=epsilon)
         with pytest.raises(ValueError, match="max_iter"):
             run_cascade(net, m, params, good, max_iter=0)
+        # the kernel holds max_iter in an int64, which a larger one would wrap
+        for max_iter in (2**63, 2**64 + 1):
+            with pytest.raises(ValueError, match="max_iter"):
+                run_cascade(net, m, params, good, max_iter=max_iter)
+        assert run_cascade(net, m, params, good, max_iter=2**63 - 1).converged
         with pytest.raises(ValueError, match="length"):
             run_cascade(net, m, params, np.ones(net.n + 1))
         empty = build_network([], [])
@@ -524,7 +505,7 @@ def every_step_subset(monkeypatch):
     for name in ("LOAD_COST", "GATHER_COST", "STEP_COST"):
         monkeypatch.setattr(cascade, name, 0)
     ran = []
-    step = _Workspace.step
+    step = Workspace.step
 
     def counted(self, t):
         live = step(self, t)
@@ -532,8 +513,14 @@ def every_step_subset(monkeypatch):
             ran.append(self.block.ran == STEP_ROWS)
         return live
 
-    monkeypatch.setattr(_Workspace, "step", counted)
+    monkeypatch.setattr(Workspace, "step", counted)
     return ran
+
+
+def all_rows(*args, **kwargs):
+    """run_cascade recomputing every row at every iteration: the reference of a row-subset run."""
+    with mock.patch.object(cascade, "_subset_budget", lambda m, width: -1):
+        return run_cascade(*args, **kwargs)
 
 
 def subset_net():
@@ -577,7 +564,7 @@ class TestRowSubset:
         net = subset_net()
         params, m = prepared(net, scenario)
         steps = []
-        step = _Workspace.step
+        step = Workspace.step
 
         def spy(self, t):
             w = self.block.w
@@ -587,7 +574,7 @@ class TestRowSubset:
                           if self.block.ran == STEP_ROWS else None))
             return live
 
-        monkeypatch.setattr(_Workspace, "step", spy)
+        monkeypatch.setattr(Workspace, "step", spy)
         rng = np.random.default_rng(3)
         runs = []
         for _ in range(4):
@@ -629,8 +616,8 @@ class TestRowSubset:
         params, m = prepared(net, scenario)
         for psi, substitution in subset_shocks(net.n):
             sub = run_cascade(net, m, params, psi, epsilon=epsilon, substitution=substitution)
-            full = run_cascade(net, m, params, psi, epsilon=epsilon, substitution=substitution,
-                               record_trace=True)  # every row, every iteration
+            full = all_rows(net, m, params, psi, epsilon=epsilon, substitution=substitution,
+                            record_trace=True)
             assert sub.h_d_final.tobytes() == full.h_d_final.tobytes()
             assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
             assert (sub.T, sub.converged) == (full.T, full.converged)
@@ -644,7 +631,7 @@ class TestRowSubset:
         params, m = prepared(net, scenario)
         for psi, substitution in subset_shocks(net.n):
             sub = run_cascade(net, m, params, psi, substitution=substitution)
-            full = run_cascade(net, m, params, psi, substitution=substitution, record_trace=True)
+            full = all_rows(net, m, params, psi, substitution=substitution)
             assert sub.h_d_final.tobytes() == full.h_d_final.tobytes()
             assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
             assert (sub.T, sub.converged) == (full.T, full.converged)
@@ -663,7 +650,7 @@ class TestRowSubset:
             psi = np.ones(net.n)
             psi[rng.choice(net.n, net.n // 2, replace=False)] = 0.5
             sub = run_cascade(net, m, params, psi)
-            full = run_cascade(net, m, params, psi, record_trace=True)
+            full = all_rows(net, m, params, psi)
             assert sub.h_d_final.tobytes() == full.h_d_final.tobytes()
             assert sub.h_u_final.tobytes() == full.h_u_final.tobytes()
             assert (sub.T, sub.converged) == (full.T, full.converged)
@@ -675,7 +662,7 @@ class TestRowSubset:
         """Columns retire, ride along and are compacted while rows are skipped."""
         net = subset_net()
         params, m = prepared(net, scenario)
-        ws = _Workspace(m, 16)
+        ws = Workspace(m, 16)
         for start in (0, 144, 288):
             firms = np.arange(start, min(start + 16, net.n))
             h_d, h_u, T, conv = _iterate(m, (firms, firms - start, np.zeros(len(firms))),
@@ -683,12 +670,28 @@ class TestRowSubset:
             for j, firm in enumerate(firms):
                 psi = np.ones(net.n)
                 psi[firm] = 0.0
-                full = run_cascade(net, m, params, psi, epsilon=1e-4, max_iter=max_iter,
-                                   record_trace=True)
+                full = all_rows(net, m, params, psi, epsilon=1e-4, max_iter=max_iter)
                 assert h_d[j].tobytes() == full.h_d_final.tobytes()
                 assert h_u[j].tobytes() == full.h_u_final.tobytes()
                 assert (T[j], conv[j]) == (full.T, full.converged)
         assert sum(every_step_subset) > 5
+
+    def test_traced_run_takes_row_subset_steps(self, every_step_subset):
+        """A trace records the steps scoring takes, and the states of recomputing every row."""
+        net = subset_net()
+        for scenario in (Scenario.GL, Scenario.LEO):
+            params, m = prepared(net, scenario)
+            for psi, substitution in subset_shocks(net.n):
+                before = sum(every_step_subset)
+                got = run_cascade(net, m, params, psi, epsilon=1e-7, substitution=substitution,
+                                  record_trace=True)
+                assert sum(every_step_subset) > before
+                want = all_rows(net, m, params, psi, epsilon=1e-7, substitution=substitution,
+                                record_trace=True)
+                assert len(got.trace) == len(want.trace)
+                for a, b in zip(got.trace, want.trace):
+                    for name in ("h_d", "h_u", "sigma", "pi_tilde"):
+                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def mid_cascade_caps(m, width, seed):
@@ -743,8 +746,8 @@ class TestKernelStep:
         for width in range(1, 17):
             for h_d, h_u in mid_cascade_states(m, width, seed=width):
                 want = reference_whole_step(m, h_d, h_u)
-                got = kernel_step(m, h_d, h_u, traced=True)
-                for name, a, b in zip(("hd_new", "hu_new", "dec", "sigma", "pi_tilde"), got, want):
+                got = kernel_step(m, h_d, h_u)
+                for name, a, b in zip(("hd_new", "hu_new", "dec", "q", "sector"), got, want):
                     assert np.array_equal(a, b), (width, name)
                     assert a.tobytes() == b.tobytes(), (width, name)
                 moved += np.count_nonzero(got[2] > 0)
@@ -752,16 +755,13 @@ class TestKernelStep:
 
     def test_width_outside_the_kernel_is_refused(self):
         m = prepared(subset_net(), Scenario.GL)[1]
-        k = _Workspace(m, 16).kernel
-        h = np.ones(m.n * 17)
         for width in (0, 17):
-            assert k.whole(k.ref, width, *[addr(h)] * 7, None, None) == -1
-            ws = _Workspace(m, 16)
+            ws = Workspace(m, 16)
             ws.block.w = width
-            assert k.step(k.ref, ws.ref, 2) == -1
-            assert k.finish(ws.ref, m.n, 2) == -1
+            assert ws.step(2) == -1
+            assert kernel.load().finish(ws.ref, m.n, 2) == -1
         with pytest.raises(ValueError, match="1 to 16"):
-            _Workspace(m, 17)
+            Workspace(m, 17)
 
 
 def view(address, count, dtype=np.float64):
@@ -829,10 +829,10 @@ class TestKernelGlue:
         net = subset_net()
         monkeypatch.setattr(cascade, "get_index_dtype", lambda *args, **kwargs: idx)
         m = build_impact_matrices(net, assign_scenario(net, scenario))
-        assert m.up_op.indices.dtype == idx and _Workspace(m, 1).in_ptr.dtype == idx
+        assert m.up_op.indices.dtype == idx and Workspace(m, 1).in_ptr.dtype == idx
         kinds = []
         for width in range(1, 17):
-            ws = _Workspace(m, width)
+            ws = Workspace(m, width)
             rows, cols, vals = mid_cascade_caps(m, width, seed=width)
             at = rows * width + cols
             for s in subset_states(m, width, seed=width):
@@ -872,7 +872,7 @@ class TestKernelGlue:
         """
         m = prepared(subset_net(), Scenario.GL)[1]
         n, rng = m.n, np.random.default_rng(2)
-        ws = _Workspace(m, 16)
+        ws = Workspace(m, 16)
         b = ws.block
         compacted = 0
         for w in [w for w in range(1, 17) for _ in range(6)]:
@@ -897,7 +897,7 @@ class TestKernelGlue:
                 view(getattr(b, name), a.size)[:] = a.reshape(-1)
             ws.dec[:w], ws.done[:w] = dec, done
             view(b.col_of, w, np.intp)[:] = col_of
-            live = ws.kernel.finish(ws.ref, n, t)
+            live = kernel.load().finish(ws.ref, n, t)
 
             w2 = want_d.shape[1]
             compacted += w2 < w
@@ -1028,23 +1028,25 @@ def test_build_applies_coverage_as_the_reference_pipeline(raw):
             m, reference_rescale_for_coverage(reference_build_impact_matrices(net, spec), firms))
 
 
-def kernel_step(m, h_d, h_u, traced=False):
+def kernel_step(m, h_d, h_u):
     """One whole-operator iteration of the compiled kernel from the (n, width) levels h_d, h_u.
 
-    Returns hd_new, hu_new and the per-column largest decrement, then, if
-    traced, column 0's sigma and pi_tilde.
+    Runs step at t = 2 on a block with budget -1 and no caps, as load_block
+    sets it up. Returns copies of hd_new, hu_new, the per-column largest
+    decrement, q and the (n_sectors, width) sector sums.
     """
-    width = h_d.shape[1]
-    ws = _Workspace(m, width)
-    k = ws.kernel
-    h_d, h_u = np.ascontiguousarray(h_d), np.ascontiguousarray(h_u)
-    hd_new, hu_new, q, dec = (np.empty_like(h_d), np.empty_like(h_u), np.empty_like(h_d),
-                              np.empty(width))
-    sector = np.empty((m.sector_op.shape[0], width))
-    extra = (np.empty(m.n), np.empty(m.n_groups)) if traced else ()
-    assert k.whole(k.ref, width, *map(addr, (h_d, h_u, hd_new, hu_new, q, sector, dec)),
-                   *(map(addr, extra) if traced else (None, None))) == 0
-    return (hd_new, hu_new, dec, *extra)
+    n, width = h_d.shape
+    ws = Workspace(m, width)
+    none = np.empty(0, dtype=np.intp)
+    sector = np.zeros((m.sector_op.shape[0], width))
+    load_block(ws, SubsetState(h_d=h_d, h_u=h_u, q=np.zeros_like(h_d), sector=sector,
+                               damaged=np.zeros(n, dtype=bool), changed_d=none, changed_u=none,
+                               done=np.zeros(width, dtype=bool)), -1, (none, none, np.empty(0)))
+    assert ws.step(2) == width and ws.block.ran == STEP_WHOLE  # no column finishes
+    b = ws.block
+    return (*(h.copy() for h in ws.state(width)), ws.dec[:width].copy(),
+            view(b.q, n * width).reshape(n, width).copy(),
+            view(b.sector, sector.size).reshape(sector.shape).copy())
 
 
 @settings(max_examples=200, deadline=None)
@@ -1066,7 +1068,7 @@ def test_unshocked_step_is_bitwise_stationary(raw):
             for substitution in (True, False):
                 for width in (1, 16):
                     ones = np.ones((m.n, width))
-                    h_d, h_u, _ = kernel_step(kernel_matrices(m, substitution), ones, ones)
+                    h_d, h_u = kernel_step(kernel_matrices(m, substitution), ones, ones)[:2]
                     assert np.all(h_d == 1.0) and np.all(h_u == 1.0)
 
 

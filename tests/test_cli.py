@@ -430,6 +430,15 @@ class TestEsri:
         assert "did not converge" in capsys.readouterr().err
         assert run(*args, "--strict") == 3
 
+    def test_max_iter_beyond_int64_writes_nothing(self, data_dir, tmp_path, capsys):
+        """2**64 + 1 would wrap to 1 in the kernel's int64 and score every firm at T = 1."""
+        out = tmp_path / "o"
+        assert run("esri", "--firms", str(data_dir / "firms.csv"),
+                   "--edges", str(data_dir / "edges.csv"), "--max-iter", str(2**64 + 1),
+                   "--out-dir", str(out)) == 1
+        assert "max_iter" in capsys.readouterr().err
+        assert not (out / "esri.csv").exists()
+
     def test_psi_file_matches_batch_value(self, tmp_path, capsys):
         data = chain_dir(tmp_path)
         psi = tmp_path / "psi.csv"

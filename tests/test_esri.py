@@ -24,7 +24,8 @@ from prodrisk.netcore import (
     generate_synthetic,
 )
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
-from prodrisk.cascade import _Workspace, build_impact_matrices, rescale_for_coverage
+from prodrisk.cascade import build_impact_matrices, rescale_for_coverage
+from prodrisk.kernel import Workspace
 from prodrisk import esri, netcore
 from prodrisk.esri import BLOCK, esri_all, esri_single, scenario_suite
 
@@ -232,7 +233,8 @@ class TestBatch:
         assert len(ran) <= 4
 
     def test_pool_no_larger_than_the_batch(self, monkeypatch):
-        """A pool gets at most one thread per chunk, and none for a single chunk."""
+        """A pool gets at most one thread per chunk and per CPU, and none for a single
+        chunk or CPU."""
         made = []
 
         class Recorder(ThreadPoolExecutor):
@@ -241,7 +243,9 @@ class TestBatch:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(esri, "ThreadPoolExecutor", Recorder)
-        for n_firms, pools in ((150, [3]), (64, []), (10, [])):
+        for n_firms, cpus, pools in ((150, 4, [3]), (150, 2, [2]), (150, 1, []),
+                                     (150, None, []), (64, 4, []), (10, 4, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
             firms, edges = generate_synthetic(SyntheticConfig(n_firms=n_firms), seed=9)
             net = build_network(firms, edge_blocks(edges))
             params, m = prepared(net, Scenario.GL)
@@ -324,7 +328,7 @@ class TestLosses:
         total_out = esri._total_out(net.s_out)
         lo = max(0, n_firms // 2 - 10)
         hi = min(n_firms, lo + 20)
-        _, values, _, _ = esri._run_range(_Workspace(m, BLOCK), (lo, hi), total_out, 1e-2, 1000)
+        _, values, _, _ = esri._run_range(Workspace(m, BLOCK), (lo, hi), total_out, 1e-2, 1000)
         for k, firm in enumerate(range(lo, hi)):
             value, res = esri_single(net, m, params, firm)
             assert values[k] == value == esri._loss_weighted(net.s_out, total_out, res.h_final)
