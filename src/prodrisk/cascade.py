@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse._sputils import get_index_dtype
 
 from .kernel import Workspace
-from .netcore import ProductionNetwork
+from .netcore import DataError, ProductionNetwork
 from .prodfun import ScenarioSpec, inputs_are_essential
 
 
@@ -52,9 +51,7 @@ class ImpactMatrices:
     compiled from the canonical (supplier, buyer) edges as they are: these
     list each buyer's inputs by ascending supplier, and an essential group
     is one (buyer, supplier sector) pair, whose input total is its entries'
-    denominator. The operators and group_ptr share one index type: int32
-    where scipy's index-dtype rule allows it for the network's size, int64
-    beyond.
+    denominator. The operators' indices and group_ptr are int32, the kernel's.
     """
 
     n: int
@@ -117,13 +114,19 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     Downstream entries of buyer i shrink by min(1, s_in_i /
     material_cost_i), because part of i's true input basket is unobserved
     and assumed unshocked. Missing or zero figures leave entries unchanged.
+
+    Raises DataError, before forming any array, for a network with more
+    firms or edges than int32 indices can count.
     """
-    n, n_sectors = net.n, len(net.sectors)
     # down_op has a nonzero per edge and a row per group, at most one per edge
-    idx = get_index_dtype(maxval=max(n, net.n_edges))
+    limit = np.iinfo(np.int32).max
+    if max(net.n, net.n_edges) > limit:
+        raise DataError(f"a network of {net.n} firms and {net.n_edges} edges is too large: "
+                        f"the operators' int32 indices count at most {limit}")
+    n, n_sectors, idx = net.n, len(net.sectors), np.int32
     # row pointer of the canonical edges as a supplier-major CSR
     sup_ptr = np.searchsorted(net.sup, np.arange(n + 1)).astype(idx)
-    d_sup, lam_d, d_group, guniq = _downstream_entries(net, spec, idx)
+    d_sup, lam_d, d_group, guniq = _downstream_entries(net, spec)
     group_buyer = guniq // (n_sectors + 1)
     _, seg_starts = np.unique(group_buyer, return_index=True)
     group_ptr = np.searchsorted(group_buyer, np.arange(n + 1)).astype(idx)
@@ -146,11 +149,11 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     )
 
 
-def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec, idx: np.dtype
+def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Downstream share and constraint group of every edge, in canonical order.
 
-    Returns the supplier (as idx), coverage-shrunk share and group index of
+    Returns the supplier (as int32), coverage-shrunk share and group index of
     each edge, and the sorted group keys buyer * (n_sectors + 1) + (1 +
     sector, or 0 for the pooled group). No reordering is needed: the
     canonical order lists each buyer's inputs by ascending supplier, and an
@@ -158,8 +161,8 @@ def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec, idx: np.dtyp
     is its denominator.
     """
     n_sectors = len(net.sectors)
-    d_sup, d_buy, d_w = net.sup.astype(idx), net.buy, net.w
-    d_sector = net.sector_of.astype(idx)[d_sup]
+    d_sup, d_buy, d_w = net.sup.astype(np.int32), net.buy, net.w
+    d_sector = net.sector_of.astype(np.int32)[d_sup]
     d_ess = inputs_are_essential(net, spec, d_buy, d_sector)
 
     # constraint groups: one per (buyer, essential sector), one pooled per buyer
@@ -340,7 +343,7 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
     if len(psi) != matrices.n:
         raise ValueError(f"psi has length {len(psi)}, expected {matrices.n}")
     if not substitution:
-        firms = np.arange(matrices.n, dtype=matrices.up_op.indices.dtype)
+        firms = np.arange(matrices.n, dtype=np.int32)
         matrices = dataclasses.replace(matrices, sector_of=firms, sector_op=sparse.csr_array(
             (matrices.s_out, (firms, firms)), shape=(matrices.n, matrices.n)))
 

@@ -12,9 +12,8 @@
  * and csr_matvecs do on a zeroed output; maxima and minima follow numpy's
  * NaN rule; sigma is fmin(s_out / sector sum, 1).
  *
- * The functions that read the operators come in two copies, for int32
- * (suffix _i32) and int64 (_i64) index arrays: the second half of this file
- * includes itself once per index type.
+ * The operators' column indices and row pointers are int32, as
+ * prodrisk.cascade builds them.
  *
  * prodrisk.cascade runs each iteration of a block of cascades as one call
  * of step: the iteration, the caps, and the finishing and compaction of
@@ -23,25 +22,22 @@
  * the GIL for the whole call, so blocks on different threads run in
  * parallel.
  */
-#ifndef IDX
-
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
-/* The operators of one ImpactMatrices. Index arrays are of the copy's
- * index type; group_ptr[i] .. group_ptr[i + 1] are firm i's rows of
- * down_op, its constraint groups. */
+/* The operators of one ImpactMatrices; group_ptr[i] .. group_ptr[i + 1]
+ * are firm i's rows of down_op, its constraint groups. */
 typedef struct {
     int64_t n, n_sectors;
-    const void *sector_ptr, *sector_idx;
+    const int32_t *sector_ptr, *sector_idx;
     const double *sector_val;
     const int64_t *sector_of;
     const double *s_out;
-    const void *group_ptr, *down_ptr, *down_idx;
+    const int32_t *group_ptr, *down_ptr, *down_idx;
     const double *down_val;
-    const void *up_ptr, *up_idx;
+    const int32_t *up_ptr, *up_idx;
     const double *up_val, *u_resid;
 } Ops;
 
@@ -61,9 +57,9 @@ typedef struct {
  * ascending, the firms whose capped h_d and h_u fell in the last step in a
  * live column. rows_d, rows_u, rows_q (n each) and rows_s (one per sector)
  * are the lists of a step; mark and sector_mark are all 0 between calls.
- * in_ptr[i] .. in_ptr[i + 1] are the down_op nonzeros of firm i's groups, of
- * the copy's index type: with down_op's column indices, the (buyer,
- * supplier) structure. ran records what the last step ran (STEP_*). */
+ * in_ptr[i] .. in_ptr[i + 1] are the down_op nonzeros of firm i's groups:
+ * with down_op's column indices, the (buyer, supplier) structure. ran
+ * records what the last step ran (STEP_*). */
 typedef struct {
     int64_t w, max_iter;
     double epsilon;
@@ -78,7 +74,7 @@ typedef struct {
     uint8_t *converged;
     int64_t budget;
     uint8_t *damaged, *mark, *sector_mark;
-    const void *in_ptr;
+    const int32_t *in_ptr;
     intptr_t *changed_d, *changed_u, *rows_d, *rows_u, *rows_q, *rows_s;
     int64_t n_changed_d, n_changed_u, ran;
 } Block;
@@ -327,29 +323,15 @@ int64_t finish(Block *b, int64_t n, int64_t t)
     return w - n_done;
 }
 
-#define IDX int32_t
-#define FN(name) name##_i32
-#include __FILE__
-#undef IDX
-#undef FN
-
-#define IDX int64_t
-#define FN(name) name##_i64
-#include __FILE__
-#undef IDX
-#undef FN
-
-#else /* IDX: the functions that read index arrays */
-
 /* out = row r of the CSR (ptr, idx, val) times x */
-INLINE void FN(csr_row)(const IDX *ptr, const IDX *idx, const double *val, int64_t r,
-                        const double *x, double *out, const int W)
+INLINE void csr_row(const int32_t *ptr, const int32_t *idx, const double *val, int64_t r,
+                    const double *x, double *out, const int W)
 {
     v2 acc[MAX_WIDTH / 2];
     double last = 0.0;
     for (int v = 0; v < W / 2; v++)
         acc[v] = (v2){0.0, 0.0};
-    for (IDX jj = ptr[r]; jj < ptr[r + 1]; jj++) {
+    for (int32_t jj = ptr[r]; jj < ptr[r + 1]; jj++) {
         const double a = val[jj];
         const v2 a2 = {a, a};
         const double *xj = x + (int64_t)idx[jj] * W;
@@ -365,19 +347,19 @@ INLINE void FN(csr_row)(const IDX *ptr, const IDX *idx, const double *val, int64
 }
 
 /* sector[s] = sector_op row s times h_d, for the listed sectors */
-INLINE void FN(sector_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const double *h_d,
-                              double *sector, const int W)
+INLINE void sector_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const double *h_d,
+                          double *sector, const int W)
 {
     for (int64_t t = 0; t < k; t++) {
         const int64_t s = rows ? rows[t] : t;
-        FN(csr_row)(o->sector_ptr, o->sector_idx, o->sector_val, s, h_d, sector + s * W, W);
+        csr_row(o->sector_ptr, o->sector_idx, o->sector_val, s, h_d, sector + s * W, W);
     }
 }
 
-static int FN(sector_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k,
-                           const double *h_d, double *sector)
+static int sector_rows(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *h_d,
+                       double *sector)
 {
-#define CALL(w) FN(sector_rows_w)(o, rows, k, h_d, sector, w)
+#define CALL(w) sector_rows_w(o, rows, k, h_d, sector, w)
     DISPATCH(W)
 #undef CALL
 }
@@ -386,22 +368,22 @@ static int FN(sector_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k,
  * rows[t], 0, 1), or 1 for a firm with no groups. The minimum of clip(1 -
  * y) over the groups is clip(1 - max y) bit for bit: both maps are
  * monotone. */
-INLINE void FN(down_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const double *q,
-                            double *out, const int W)
+INLINE void down_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const double *q,
+                        double *out, const int W)
 {
-    const IDX *gp = o->group_ptr;
+    const int32_t *gp = o->group_ptr;
     for (int64_t t = 0; t < k; t++) {
         const int64_t i = rows ? rows[t] : t;
         double top[MAX_WIDTH], y[MAX_WIDTH];
-        const IDX g0 = gp[i], g1 = gp[i + 1];
+        const int32_t g0 = gp[i], g1 = gp[i + 1];
         if (g0 == g1) {
             for (int c = 0; c < W; c++)
                 out[t * W + c] = 1.0;
             continue;
         }
-        FN(csr_row)(o->down_ptr, o->down_idx, o->down_val, g0, q, top, W);
-        for (IDX g = g0 + 1; g < g1; g++) {
-            FN(csr_row)(o->down_ptr, o->down_idx, o->down_val, g, q, y, W);
+        csr_row(o->down_ptr, o->down_idx, o->down_val, g0, q, top, W);
+        for (int32_t g = g0 + 1; g < g1; g++) {
+            csr_row(o->down_ptr, o->down_idx, o->down_val, g, q, y, W);
             max_row(top, y, W);
         }
         for (int c = 0; c < (W & ~1); c++)
@@ -411,21 +393,21 @@ INLINE void FN(down_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const
     }
 }
 
-static int FN(down_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *q,
-                         double *out)
+static int down_rows(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *q,
+                     double *out)
 {
-#define CALL(w) FN(down_rows_w)(o, rows, k, q, out, w)
+#define CALL(w) down_rows_w(o, rows, k, q, out, w)
     DISPATCH(W)
 #undef CALL
 }
 
 /* out[t] = clip(up_op row r times h_u + u_resid[r], 0, 1), r = rows[t] */
-INLINE void FN(up_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const double *h_u,
-                          double *out, const int W)
+INLINE void up_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const double *h_u,
+                      double *out, const int W)
 {
     for (int64_t t = 0; t < k; t++) {
         const int64_t r = rows ? rows[t] : t;
-        FN(csr_row)(o->up_ptr, o->up_idx, o->up_val, r, h_u, out + t * W, W);
+        csr_row(o->up_ptr, o->up_idx, o->up_val, r, h_u, out + t * W, W);
         for (int c = 0; c < (W & ~1); c++)
             out[t * W + c] = clip01(out[t * W + c] + o->u_resid[r]);
         if (W & 1)
@@ -433,23 +415,23 @@ INLINE void FN(up_rows_w)(const Ops *o, const intptr_t *rows, int64_t k, const d
     }
 }
 
-static int FN(up_rows)(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *h_u,
-                       double *out)
+static int up_rows(const Ops *o, int W, const intptr_t *rows, int64_t k, const double *h_u,
+                   double *out)
 {
-#define CALL(w) FN(up_rows_w)(o, rows, k, h_u, out, w)
+#define CALL(w) up_rows_w(o, rows, k, h_u, out, w)
     DISPATCH(W)
 #undef CALL
 }
 
 /* One iteration of every row: the sector sums, q, the new levels hd_new and
  * hu_new, and per column the largest decrement over both recursions. */
-static int FN(whole)(const Ops *o, int W, const double *h_d, const double *h_u, double *hd_new,
-                     double *hu_new, double *q, double *sector, double *dec)
+static int whole(const Ops *o, int W, const double *h_d, const double *h_u, double *hd_new,
+                 double *hu_new, double *q, double *sector, double *dec)
 {
-    FN(sector_rows)(o, W, NULL, o->n_sectors, h_d, sector);
+    sector_rows(o, W, NULL, o->n_sectors, h_d, sector);
     q_rows(o, W, NULL, o->n, sector, h_d, q);
-    FN(down_rows)(o, W, NULL, o->n, q, hd_new);
-    FN(up_rows)(o, W, NULL, o->n, h_u, hu_new);
+    down_rows(o, W, NULL, o->n, q, hd_new);
+    up_rows(o, W, NULL, o->n, h_u, hu_new);
 #define CALL(w) largest_decrement_w(o->n, h_d, h_u, hd_new, hu_new, dec, w)
     DISPATCH(W)
 #undef CALL
@@ -459,13 +441,13 @@ static int FN(whole)(const Ops *o, int W, const double *h_d, const double *h_u, 
  * structure (ptr, idx); nothing is copied. Returns the sum of count_ptr[c + 1]
  * - count_ptr[c] over the columns this call marks, and stops after the row
  * that takes the sum past limit. */
-static int64_t FN(mark)(const IDX *ptr, const IDX *idx, const intptr_t *rows, int64_t k,
-                        uint8_t *mark, const IDX *count_ptr, int64_t limit)
+static int64_t mark_columns(const int32_t *ptr, const int32_t *idx, const intptr_t *rows,
+                            int64_t k, uint8_t *mark, const int32_t *count_ptr, int64_t limit)
 {
     int64_t total = 0;
     for (int64_t t = 0; t < k && total <= limit; t++)
-        for (IDX jj = ptr[rows[t]]; jj < ptr[rows[t] + 1]; jj++) {
-            const IDX c = idx[jj];
+        for (int32_t jj = ptr[rows[t]]; jj < ptr[rows[t] + 1]; jj++) {
+            const int32_t c = idx[jj];
             if (!mark[c]) {
                 mark[c] = 1;
                 total += count_ptr[c + 1] - count_ptr[c];
@@ -480,7 +462,7 @@ static int64_t FN(mark)(const IDX *ptr, const IDX *idx, const intptr_t *rows, in
  * is live and in its own place. A block that may run row-subset steps
  * starts them here: the sector sums of the all-ones levels, q = sigma (1 -
  * 1) = +0.0, and the capped firms as the damaged and changed ones. */
-static void FN(start)(const Ops *o, Block *b)
+static void start(const Ops *o, Block *b)
 {
     const int64_t n = o->n, w = b->w;
     for (int64_t p = 0; p < n * w; p++)
@@ -496,7 +478,7 @@ static void FN(start)(const Ops *o, Block *b)
     }
     if (b->budget < 0)
         return;
-    FN(sector_rows)(o, w, NULL, o->n_sectors, b->h_d, b->sector);
+    sector_rows(o, w, NULL, o->n_sectors, b->h_d, b->sector);
     memset(b->q, 0, n * w * sizeof *b->q);
     memset(b->damaged, 0, n);
     for (int64_t k = 0; k < b->n_caps; k++)
@@ -522,7 +504,7 @@ static void FN(start)(const Ops *o, Block *b)
  * rows to recompute hold more nonzeros than the budget; that is decided
  * while their rows are marked, before any product. The new rows go to the
  * successor buffers, free while row subsets run. */
-static int FN(rows_step)(const Ops *o, Block *b)
+static int rows_step(const Ops *o, Block *b)
 {
     const int64_t n = o->n, w = b->w, budget = b->budget;
     const int64_t *sector_of = o->sector_of;
@@ -535,21 +517,21 @@ static int FN(rows_step)(const Ops *o, Block *b)
     const int64_t n_s = collect(b->sector_mark, o->n_sectors, b->rows_s);
 
     /* the buyers of the moved q, and the suppliers of changed_u: the rows to recompute */
-    const int64_t nnz_down = FN(mark)(o->up_ptr, o->up_idx, b->rows_q, n_q, b->mark, b->in_ptr,
-                                      budget);
+    const int64_t nnz_down = mark_columns(o->up_ptr, o->up_idx, b->rows_q, n_q, b->mark,
+                                          b->in_ptr, budget);
     const int64_t n_d = collect(b->mark, n, b->rows_d);
     if (nnz_down > budget)
         return 0;
-    const int64_t nnz_up = FN(mark)(b->in_ptr, o->down_idx, b->changed_u, b->n_changed_u, b->mark,
-                                    o->up_ptr, budget - nnz_down);
+    const int64_t nnz_up = mark_columns(b->in_ptr, o->down_idx, b->changed_u, b->n_changed_u,
+                                        b->mark, o->up_ptr, budget - nnz_down);
     const int64_t n_u = collect(b->mark, n, b->rows_u);
     if (nnz_down + nnz_up > budget)
         return 0;
 
-    FN(sector_rows)(o, w, b->rows_s, n_s, b->h_d, b->sector);
+    sector_rows(o, w, b->rows_s, n_s, b->h_d, b->sector);
     q_rows(o, w, b->rows_q, n_q, b->sector, b->h_d, b->q);
-    FN(down_rows)(o, w, b->rows_d, n_d, b->q, b->hd_new);
-    FN(up_rows)(o, w, b->rows_u, n_u, b->h_u, b->hu_new);
+    down_rows(o, w, b->rows_d, n_d, b->q, b->hd_new);
+    up_rows(o, w, b->rows_u, n_u, b->h_u, b->hu_new);
     for (int64_t c = 0; c < w; c++)
         b->dec[c] = 0.0;
     const int64_t moved_d = apply_rows(w, b->rows_d, n_d, b->h_d, b->hd_new, b->done, b->dec,
@@ -569,19 +551,19 @@ static int FN(rows_step)(const Ops *o, Block *b)
  * dec receives each column's largest decrement, taken before the caps, and
  * ran what ran (STEP_*). Returns the number of live columns left, or -1 for
  * a width outside 1 .. MAX_WIDTH. */
-int64_t FN(step)(const Ops *o, Block *b, int64_t t)
+int64_t step(const Ops *o, Block *b, int64_t t)
 {
     if (b->w < 1 || b->w > MAX_WIDTH)
         return -1;
     if (t == 1) {
-        FN(start)(o, b);
+        start(o, b);
         b->ran = STEP_CAPS;
-    } else if (b->budget >= 0 && FN(rows_step)(o, b)) {
+    } else if (b->budget >= 0 && rows_step(o, b)) {
         b->ran = STEP_ROWS;
     } else {
         b->ran = b->budget >= 0 ? STEP_DECLINED : STEP_WHOLE;
         b->budget = -1;
-        FN(whole)(o, b->w, b->h_d, b->h_u, b->hd_new, b->hu_new, b->q, b->sector, b->dec);
+        whole(o, b->w, b->h_d, b->h_u, b->hd_new, b->hu_new, b->q, b->sector, b->dec);
         SWAP(b->h_d, b->hd_new);
         SWAP(b->h_u, b->hu_new);
     }
@@ -589,4 +571,3 @@ int64_t FN(step)(const Ops *o, Block *b, int64_t t)
     return finish(b, o->n, t);
 }
 
-#endif /* IDX */

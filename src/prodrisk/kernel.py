@@ -3,12 +3,13 @@
 The source is compiled with the C compiler COMPILER and FLAGS into
 ``kernel-<key>.so`` under the cache directory (see cache_dir), where the key
 hashes the source, the compiler name, the flags and the platform;
-``kernel-<key>.sha256`` records the library's digest. A build goes to a temporary file that is renamed into place, so
-processes that build at once each load a whole library. A cached library
-whose digest does not match (say, one cut short) is built again. Loading a
-cached library starts no process. Without the compiler, load() raises
-FileNotFoundError naming it. Workspace, the only Python mirror of kernel.c's
-Ops and Block, runs the library on one ImpactMatrices.
+``kernel-<key>.sha256`` records the library's digest. A build goes to a
+temporary file that is renamed into place, so processes that build at once
+each load a whole library. A cached library whose digest does not match
+(say, one cut short) is built again. Loading a cached library starts no
+process. Without the compiler, load() raises FileNotFoundError naming it.
+Workspace, the only Python mirror of kernel.c's Ops and Block, runs the
+library on one ImpactMatrices.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ def _build(path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lib_tmp, digest_tmp = temp(), temp()
     try:
-        # an absolute path, which the source's #include __FILE__ needs
-        done = subprocess.run([compiler, *FLAGS, "-o", lib_tmp, str(SOURCE.resolve())],
+        done = subprocess.run([compiler, *FLAGS, "-o", lib_tmp, str(SOURCE)],
                               capture_output=True, text=True)
         if done.returncode:
             raise OSError(f"{COMPILER} could not compile {SOURCE}: {done.stderr.strip()}")
@@ -103,10 +103,8 @@ def load() -> ctypes.CDLL:
         if not _is_whole(path):  # not built yet, or damaged
             _build(path)
         lib = ctypes.CDLL(str(path))
-        p = c_void_p
-        for sfx in ("i32", "i64"):
-            _declare(lib, f"step_{sfx}", c_int64, [p, p, c_int64])
-        _declare(lib, "finish", c_int64, [p, c_int64, c_int64])
+        _declare(lib, "step", c_int64, [c_void_p, c_void_p, c_int64])
+        _declare(lib, "finish", c_int64, [c_void_p, c_int64, c_int64])
         _lib = lib
     return _lib
 
@@ -160,29 +158,27 @@ def addr(a: np.ndarray | None) -> int | None:
 class Workspace:
     """The compiled step on one ImpactMatrices, and every buffer of a block of up to width columns.
 
-    Blocks run in it one after another. Every operator, group_ptr and the
-    operators' index pointers share one index type, int32 or int64, which
-    picks the copy of the kernel. A run takes no memory of its own beyond
-    small per-column vectors, so a thread that scores many blocks touches the
-    same pages throughout instead of faulting in fresh ones every iteration.
-    The result rows out_d and out_u are overwritten by the next block. block
-    is the state the kernel runs (kernel.c's Block): the addresses of the
-    level buffers (h_d, h_u, each with its successor, and q), the sector
-    sums, the decrement, the per-column flags, and the firm marks and row
-    lists of the row-subset steps. A workspace serves one thread at a time;
-    the kernel calls release the GIL, so workspaces on different threads run
-    their blocks in parallel.
+    Blocks run in it one after another, on int32 operator indices and
+    group_ptr. A run takes no memory of its own beyond small per-column
+    vectors, so a thread that scores many blocks touches the same pages
+    throughout instead of faulting in fresh ones every iteration. The result
+    rows out_d and out_u are overwritten by the next block. block is the
+    state the kernel runs (kernel.c's Block): the addresses of the level
+    buffers (h_d, h_u, each with its successor, and q), the sector sums, the
+    decrement, the per-column flags, and the firm marks and row lists of the
+    row-subset steps. A workspace serves one thread at a time; the kernel
+    calls release the GIL, so workspaces on different threads run their
+    blocks in parallel.
     """
 
     def __init__(self, m, width: int):
         if not 1 <= width <= MAX_WIDTH:
             raise ValueError(f"a block holds 1 to {MAX_WIDTH} columns, not {width}")
         lib = load()
-        idx = m.up_op.indices.dtype
         ops = (m.sector_op, m.down_op, m.up_op)
         index_arrays = [m.group_ptr] + [a for op in ops for a in (op.indptr, op.indices)]
-        if {a.dtype for a in index_arrays} != {idx} or idx not in (np.int32, np.int64):
-            raise TypeError("the operators must share one index type, int32 or int64")
+        if any(a.dtype != np.int32 for a in index_arrays):
+            raise TypeError("the operators' indices and group_ptr must be int32")
         floats = [m.s_out, m.u_resid] + [op.data for op in ops]
         if any(a.dtype != np.float64 for a in floats) or not all(
                 a.flags.c_contiguous for a in floats + index_arrays):
@@ -197,7 +193,7 @@ class Workspace:
                         self._sector_of, m.s_out, m.group_ptr,
                         m.down_op.indptr, m.down_op.indices, m.down_op.data,
                         m.up_op.indptr, m.up_op.indices, m.up_op.data, m.u_resid)))
-        self._step = getattr(lib, "step_i32" if idx == np.int32 else "step_i64")
+        self._step = lib.step
         levels = [np.empty(n * width) for _ in range(5)]  # h_d, hd_new, h_u, hu_new, q
         self.levels = {addr(a): a for a in levels}
         self.dec = np.empty(width)

@@ -1,9 +1,11 @@
 """Impact matrices, shock validation and the propagation engine."""
 
 import ctypes
+import dataclasses
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,8 @@ from reference import (SubsetState, dense_net, edge_blocks, reference_build_impa
                        reference_subset_step, reference_whole_step, replaceability, subset_counts)
 from test_acceptance import _micro_fixture
 
-from prodrisk.netcore import FirmRecord, SyntheticConfig, build_network, generate_synthetic
+from prodrisk.netcore import (DataError, FirmRecord, SyntheticConfig, build_network,
+                              generate_synthetic)
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
 from prodrisk import cascade, kernel
 from prodrisk.cascade import (
@@ -25,7 +28,6 @@ from prodrisk.cascade import (
     rescale_for_coverage,
     run_cascade,
 )
-from prodrisk.esri import esri_all
 from prodrisk.kernel import STEP_DECLINED, STEP_ROWS, STEP_WHOLE, Workspace, addr
 
 
@@ -221,29 +223,17 @@ class TestImpactMatrices:
             assert got.u_resid.tobytes() == want.u_resid.tobytes()
             assert not np.array_equal(got.up_op.data, plain.up_op.data)
 
-    def test_int64_build_scores_the_same_bits(self, monkeypatch):
-        """The int64 operators of a network past int32's reach score as the int32 ones."""
-        firms, edges = generate_synthetic(
-            SyntheticConfig(n_firms=300, n_sectors=12, mean_out_degree=6.0, coverage=0.8), seed=4)
-        net = build_network(firms, edge_blocks(edges))
-        narrow = {scenario: prepared(net, scenario) for scenario in Scenario}
-        monkeypatch.setattr(cascade, "get_index_dtype", lambda *args, **kwargs: np.int64)
-        psi = np.ones(net.n)
-        psi[[3, 40, 41, 250]] = (0.0, 0.5, 0.25, 0.9)
-        for scenario in Scenario:
-            params, m32 = narrow[scenario]
-            _, m64 = prepared(net, scenario)
-            for m, idx in ((m32, np.int32), (m64, np.int64)):
-                for op in (m.down_op, m.up_op, m.sector_op):
-                    assert op.indices.dtype == idx and op.indptr.dtype == idx
-                assert m.group_ptr.dtype == idx
-            a, b = esri_all(net, m32, params), esri_all(net, m64, params)
-            for name in ("values", "T", "converged"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (scenario, name)
-            a, b = (run_cascade(net, m, params, psi) for m in (m32, m64))
-            for name in ("h_final", "h_d_final", "h_u_final"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (scenario, name)
-            assert (a.T, a.converged) == (b.T, b.converged)
+    def test_network_past_int32_is_refused_before_any_array(self):
+        """Too many edges or firms for int32 indices is unusable input data, raised up front.
+
+        The stubs hold only the two counts, so reading any array of the
+        network would fail with an AttributeError instead.
+        """
+        limit = np.iinfo(np.int32).max
+        for n, n_edges in ((10, 2**31), (2**31, 10)):
+            stub = SimpleNamespace(n=n, n_edges=n_edges)
+            with pytest.raises(DataError, match=rf"{n} firms and {n_edges} edges.*int32.* {limit}"):
+                build_impact_matrices(stub, None)
 
 
 class TestExogenousShock:
@@ -730,18 +720,20 @@ def mid_cascade_states(m, width, seed, at=(2, 4, 7)):
     return states
 
 
+def int32_id(scenario):
+    """A kernel test's id: the scenario and the operators' index type, the kernel's only one."""
+    return f"{scenario}-int32"
+
+
 class TestKernelStep:
     """The compiled whole-operator step against the numpy step it replaced, bit for bit."""
 
     @pytest.mark.parametrize("substitution", [True, False])
-    @pytest.mark.parametrize("idx", [np.int32, np.int64])
-    @pytest.mark.parametrize("scenario", list(Scenario))
-    def test_matches_numpy_step(self, monkeypatch, scenario, idx, substitution):
+    @pytest.mark.parametrize("scenario", list(Scenario), ids=int32_id)
+    def test_matches_numpy_step(self, scenario, substitution):
         net = subset_net()
-        monkeypatch.setattr(cascade, "get_index_dtype", lambda *args, **kwargs: idx)
         m = kernel_matrices(build_impact_matrices(net, assign_scenario(net, scenario)),
                             substitution)
-        assert m.up_op.indices.dtype == idx and m.group_ptr.dtype == idx
         moved = 0
         for width in range(1, 17):
             for h_d, h_u in mid_cascade_states(m, width, seed=width):
@@ -762,6 +754,12 @@ class TestKernelStep:
             assert kernel.load().finish(ws.ref, m.n, 2) == -1
         with pytest.raises(ValueError, match="1 to 16"):
             Workspace(m, 17)
+
+    def test_int64_indices_are_refused(self):
+        m = prepared(subset_net(), Scenario.GL)[1]
+        wide = dataclasses.replace(m, group_ptr=m.group_ptr.astype(np.int64))
+        with pytest.raises(TypeError, match="int32"):
+            Workspace(wide, 1)
 
 
 def view(address, count, dtype=np.float64):
@@ -822,14 +820,11 @@ def load_block(ws, s, budget, caps):
 class TestKernelGlue:
     """The compiled row-subset step, caps, finishing and compaction against their numpy oracles."""
 
-    @pytest.mark.parametrize("idx", [np.int32, np.int64])
-    @pytest.mark.parametrize("scenario", list(Scenario))
-    def test_step_matches_the_numpy_step(self, monkeypatch, scenario, idx):
+    @pytest.mark.parametrize("scenario", list(Scenario), ids=int32_id)
+    def test_step_matches_the_numpy_step(self, scenario):
         """Levels, decrements, moved rows, q, sector sums and declined steps, byte for byte."""
         net = subset_net()
-        monkeypatch.setattr(cascade, "get_index_dtype", lambda *args, **kwargs: idx)
         m = build_impact_matrices(net, assign_scenario(net, scenario))
-        assert m.up_op.indices.dtype == idx and Workspace(m, 1).in_ptr.dtype == idx
         kinds = []
         for width in range(1, 17):
             ws = Workspace(m, width)
