@@ -283,7 +283,8 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     A list passed as trace receives the CascadeState of every iteration of a
     one-column run, t = 0 included. A traced run takes the same steps as an
     untraced one; state t's sigma and pi_tilde are those of a step from
-    state t - 1's h_d (_factors), state 0's those of all-ones levels.
+    state t - 1's h_d (_factors), state 0's those of all-ones levels, which
+    state 1 shares.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be finite and > 0")
@@ -298,14 +299,16 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     T, converged = ws.begin(caps, width, epsilon, max_iter, int(budget) if budget >= 0 else -1)
     if trace is not None:
         ones = np.ones(m.n)
-        trace.append(CascadeState(ones, ones, *_factors(m, ones)))
+        factors = _factors(m, ones)
+        trace.append(CascadeState(ones, ones, *factors))
 
     for t in range(1, max_iter + 1):
         live = ws.step(t)
         if trace is not None:
+            if t > 1:  # state 1's step starts from state 0's all-ones levels
+                factors = _factors(m, trace[-1].h_d)
             h_d, h_u = ws.state(1)  # a finished one-column run is never compacted
-            trace.append(CascadeState(h_d[:, 0].copy(), h_u[:, 0].copy(),
-                                      *_factors(m, trace[-1].h_d)))
+            trace.append(CascadeState(h_d[:, 0].copy(), h_u[:, 0].copy(), *factors))
         if not live:
             break
     return ws.out_d[:width], ws.out_u[:width], T, converged

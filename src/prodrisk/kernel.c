@@ -17,10 +17,15 @@
  *
  * prodrisk.cascade runs each iteration of a block of cascades as one call
  * of step: the iteration, the caps, and the finishing and compaction of
- * columns (finish). step and finish are the library's only exports; finish
- * is exported for the tests. The calls go through ctypes, which releases
- * the GIL for the whole call, so blocks on different threads run in
- * parallel.
+ * columns (finish). step, finish and has_avx2 are the library's only
+ * exports; finish is exported for the tests. The calls go through ctypes,
+ * which releases the GIL for the whole call, so blocks on different threads
+ * run in parallel.
+ *
+ * prodrisk.kernel builds this file twice: a portable build, and an AVX2
+ * build with -mavx2 added, which it loads where the portable build's
+ * has_avx2 finds AVX2. Each lane of a vector computes as a lone double
+ * would, so both builds write the same bits.
  */
 #include <math.h>
 #include <stddef.h>
@@ -89,10 +94,44 @@ enum { STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE };
 #define MAX(a, b) (((a) >= (b) || isnan(a)) ? (a) : (b))
 #define MIN(a, b) (((a) <= (b) || isnan(a)) ? (a) : (b))
 
-/* Two lanes of a row at a time, in GCC's vector extension; each lane's
- * arithmetic and comparisons are those of a double. */
+/* A row of W lanes is worked in vectors of LANES lanes, in GCC's vector
+ * extension: W / LANES of them, then, in the AVX2 build, two lanes (v2)
+ * where W & 2, then a lone lane where W & 1. Each lane's arithmetic and
+ * comparisons are those of a double. The AVX2 build takes four lanes, the
+ * portable build two, the width of its SSE2 registers. */
+#ifdef __AVX2__
+#define LANES 4
+#else
+#define LANES 2
+#endif
+typedef double vec __attribute__((vector_size(8 * LANES)));
 typedef double v2 __attribute__((vector_size(16)));
-typedef int64_t m2 __attribute__((vector_size(16)));
+
+/* The lane just past a row's whole vectors: the first of the two-lane piece */
+#define PAIR_AT(W) ((W) / LANES * LANES)
+/* Whether a row of W lanes has a two-lane piece */
+#define HAS_PAIR(W) (LANES == 4 && ((W) & 2))
+
+/* keep ? a : b, lane by lane, for keep a comparison of vectors */
+#define SELECT(keep, a, b) (((keep) & (__typeof__(keep))(a)) | (~(keep) & (__typeof__(keep))(b)))
+
+INLINE vec loadv(const double *p)
+{
+    vec v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+INLINE void storev(double *p, vec v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* MAX on each lane */
+INLINE vec maxv(vec a, vec b)
+{
+    return (vec)SELECT((a >= b) | (a != a), a, b);
+}
 
 INLINE v2 load2(const double *p)
 {
@@ -109,14 +148,12 @@ INLINE void store2(double *p, v2 v)
 /* MAX and MIN on each of two lanes */
 INLINE v2 max2(v2 a, v2 b)
 {
-    const m2 keep = (a >= b) | (a != a);
-    return (v2)((keep & (m2)a) | (~keep & (m2)b));
+    return (v2)SELECT((a >= b) | (a != a), a, b);
 }
 
 INLINE v2 min2(v2 a, v2 b)
 {
-    const m2 keep = (a <= b) | (a != a);
-    return (v2)((keep & (m2)a) | (~keep & (m2)b));
+    return (v2)SELECT((a <= b) | (a != a), a, b);
 }
 
 /* CALL(w) is defined around each use: the call for the constant width w */
@@ -147,19 +184,49 @@ INLINE double max1(double a, double b)
     return max2((v2){a, a}, (v2){b, b})[0];
 }
 
+INLINE v2 clip2(v2 v)
+{
+    return min2(max2(v, (v2){0.0, 0.0}), (v2){1.0, 1.0});
+}
+
 INLINE double clip1(double v)
 {
-    const v2 w = {v, v};
-    return min2(max2(w, (v2){0.0, 0.0}), (v2){1.0, 1.0})[0];
+    return clip2((v2){v, v})[0];
 }
 
 /* row = MAX(row, x), lane by lane */
 INLINE void max_row(double *row, const double *x, const int W)
 {
-    for (int v = 0; v < W / 2; v++)
-        store2(row + 2 * v, max2(load2(row + 2 * v), load2(x + 2 * v)));
+    for (int c = 0; c < PAIR_AT(W); c += LANES)
+        storev(row + c, maxv(loadv(row + c), loadv(x + c)));
+    if (HAS_PAIR(W))
+        store2(row + PAIR_AT(W), max2(load2(row + PAIR_AT(W)), load2(x + PAIR_AT(W))));
     if (W & 1)
         row[W - 1] = max1(row[W - 1], x[W - 1]);
+}
+
+/* out = clip(base - x, 0, 1) where sub, else clip(base + x, 0, 1), lane by
+ * lane; out may be x. Without AVX, GCC compiles a SELECT lane by lane to
+ * scalar code, so the portable build leaves the clip to a scalar loop,
+ * which GCC vectorizes itself. */
+INLINE void clip_row(double *out, double base, const double *x, const int sub, const int W)
+{
+#ifdef __AVX2__
+    const vec zero = {0.0}, one = zero + 1.0;
+    for (int c = 0; c < PAIR_AT(W); c += LANES) {
+        vec v = sub ? base - loadv(x + c) : base + loadv(x + c);
+        v = (vec)SELECT((v >= zero) | (v != v), v, zero);
+        storev(out + c, (vec)SELECT((v <= one) | (v != v), v, one));
+    }
+    if (HAS_PAIR(W))
+        store2(out + PAIR_AT(W), clip2(sub ? base - load2(x + PAIR_AT(W))
+                                          : base + load2(x + PAIR_AT(W))));
+#else
+    for (int c = 0; c < (W & ~1); c++)
+        out[c] = clip01(sub ? base - x[c] : base + x[c]);
+#endif
+    if (W & 1)
+        out[W - 1] = clip1(sub ? base - x[W - 1] : base + x[W - 1]);
 }
 
 /* q[i] = sigma_i * (1 - h_d[i]) of the listed firms, sigma_i = fmin(s_out_i /
@@ -327,21 +394,25 @@ int64_t finish(Block *b, int64_t n, int64_t t)
 INLINE void csr_row(const int32_t *ptr, const int32_t *idx, const double *val, int64_t r,
                     const double *x, double *out, const int W)
 {
-    v2 acc[MAX_WIDTH / 2];
+    vec acc[MAX_WIDTH / LANES];
+    v2 pair = {0.0, 0.0};
     double last = 0.0;
-    for (int v = 0; v < W / 2; v++)
-        acc[v] = (v2){0.0, 0.0};
+    for (int v = 0; v < W / LANES; v++)
+        acc[v] = (vec){0.0};
     for (int32_t jj = ptr[r]; jj < ptr[r + 1]; jj++) {
         const double a = val[jj];
-        const v2 a2 = {a, a};
         const double *xj = x + (int64_t)idx[jj] * W;
-        for (int v = 0; v < W / 2; v++)
-            acc[v] += a2 * load2(xj + 2 * v);
+        for (int v = 0; v < W / LANES; v++)
+            acc[v] += a * loadv(xj + LANES * v);
+        if (HAS_PAIR(W))
+            pair += a * load2(xj + PAIR_AT(W));
         if (W & 1)
             last += a * xj[W - 1];
     }
-    for (int v = 0; v < W / 2; v++)
-        store2(out + 2 * v, acc[v]);
+    for (int v = 0; v < W / LANES; v++)
+        storev(out + LANES * v, acc[v]);
+    if (HAS_PAIR(W))
+        store2(out + PAIR_AT(W), pair);
     if (W & 1)
         out[W - 1] = last;
 }
@@ -386,10 +457,7 @@ INLINE void down_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const dou
             csr_row(o->down_ptr, o->down_idx, o->down_val, g, q, y, W);
             max_row(top, y, W);
         }
-        for (int c = 0; c < (W & ~1); c++)
-            out[t * W + c] = clip01(1.0 - top[c]);
-        if (W & 1)
-            out[t * W + W - 1] = clip1(1.0 - top[W - 1]);
+        clip_row(out + t * W, 1.0, top, 1, W);
     }
 }
 
@@ -408,10 +476,7 @@ INLINE void up_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const doubl
     for (int64_t t = 0; t < k; t++) {
         const int64_t r = rows ? rows[t] : t;
         csr_row(o->up_ptr, o->up_idx, o->up_val, r, h_u, out + t * W, W);
-        for (int c = 0; c < (W & ~1); c++)
-            out[t * W + c] = clip01(out[t * W + c] + o->u_resid[r]);
-        if (W & 1)
-            out[t * W + W - 1] = clip1(out[t * W + W - 1] + o->u_resid[r]);
+        clip_row(out + t * W, o->u_resid[r], out + t * W, 0, W);
     }
 }
 
@@ -571,3 +636,14 @@ int64_t step(const Ops *o, Block *b, int64_t t)
     return finish(b, o->n, t);
 }
 
+/* Whether this CPU runs the AVX2 build: prodrisk.kernel asks the portable
+ * build before it loads the AVX2 one */
+int64_t has_avx2(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return 0;
+#endif
+}

@@ -1,15 +1,25 @@
 """The compiled cascade iteration: kernel.c, built at first use and cached.
 
-The source is compiled with the C compiler COMPILER and FLAGS into
-``kernel-<key>.so`` under the cache directory (see cache_dir), where the key
-hashes the source, the compiler name, the flags and the platform;
-``kernel-<key>.sha256`` records the library's digest. A build goes to a
-temporary file that is renamed into place, so processes that build at once
-each load a whole library. A cached library whose digest does not match
-(say, one cut short) is built again. Loading a cached library starts no
-process. Without the compiler, load() raises FileNotFoundError naming it.
-Workspace, the only Python mirror of kernel.c's Ops and Block, runs the
-library on one ImpactMatrices.
+The source is built twice with the C compiler COMPILER: the portable build
+with FLAGS, and the AVX2 build with AVX2_FLAGS (FLAGS and -mavx2), whose
+vectors hold four lanes in place of two. Both write the same bits. load()
+opens the portable build and asks its probe, kernel.c's has_avx2, whether
+this CPU has AVX2; if so, it opens the AVX2 build in its place. Nothing else
+chooses the build.
+
+Each build is cached as ``kernel-<key>.so`` under the cache directory (see
+cache_dir), where the key hashes the source, the compiler name, the flags
+and the platform, beside ``kernel-<key>.sha256``, the library's digest: two
+files per key, so four for the two builds. The cache is never pruned: each
+revision of the source leaves its own files, and deleting the directory
+clears them all (the next load builds again). A cold cache compiles both
+builds at once, before the probe can run. A build goes to a temporary file
+that is renamed into place, so processes that build at once each load a
+whole library. A cached library whose digest does not match (say, one cut
+short) is built again. Loading cached libraries starts no process. Without
+the compiler, load() raises FileNotFoundError naming it. Workspace, the only
+Python mirror of kernel.c's Ops and Block, runs the library on one
+ImpactMatrices.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ COMPILER = "cc"
 # no -ffast-math, and no contraction into fused multiply-adds: the kernel
 # must give the bits of numpy's and scipy's separate multiplies and adds
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# the AVX2 build: four-lane vectors; -mavx2 brings no fused multiply-add
+AVX2_FLAGS = FLAGS + ("-mavx2",)
 MAX_WIDTH = 16
 # what a step ran (Block.ran), as kernel.c's enum numbers it
 STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE = range(4)
@@ -46,10 +58,10 @@ def cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"prodrisk-{os.getuid()}"
 
 
-def library_path() -> Path:
+def library_path(flags: tuple[str, ...] = FLAGS) -> Path:
     """Where the library built from the current source, compiler, flags and platform is cached."""
     key = hashlib.sha256(b"\0".join(
-        [SOURCE.read_bytes(), COMPILER.encode(), " ".join(FLAGS).encode(),
+        [SOURCE.read_bytes(), COMPILER.encode(), " ".join(flags).encode(),
          sysconfig.get_platform().encode()])).hexdigest()[:16]
     return cache_dir() / f"kernel-{key}.so"
 
@@ -63,14 +75,18 @@ def _is_whole(path: Path) -> bool:
         return False
 
 
-def _build(path: Path) -> None:
-    """Compile the source to path and record its digest beside it, each file by a rename."""
-    # imported here, as a run with a cached library needs none of them
+def _build(builds: dict[Path, tuple[str, ...]], optional: Path | None = None) -> None:
+    """Compile the source to each path with its flags, every compiler at once.
+
+    Each library and the digest recorded beside it are placed by a rename.
+    Raises OSError for a build that failed, unless its path is optional.
+    """
+    # imported here, as a run with cached libraries needs none of them
     import shutil
     import subprocess
     import tempfile
 
-    def temp() -> str:
+    def temp(path: Path) -> str:
         fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
         os.close(fd)
         return tmp
@@ -79,34 +95,58 @@ def _build(path: Path) -> None:
     if compiler is None:
         raise FileNotFoundError(f"C compiler {COMPILER!r} not found on PATH; prodrisk "
                                 f"compiles its cascade kernel {SOURCE.name} at first use")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lib_tmp, digest_tmp = temp(), temp()
+    temps = {}
     try:
-        done = subprocess.run([compiler, *FLAGS, "-o", lib_tmp, str(SOURCE)],
-                              capture_output=True, text=True)
-        if done.returncode:
-            raise OSError(f"{COMPILER} could not compile {SOURCE}: {done.stderr.strip()}")
-        Path(digest_tmp).write_text(hashlib.sha256(Path(lib_tmp).read_bytes()).hexdigest())
-        os.replace(lib_tmp, path)
-        os.replace(digest_tmp, path.with_suffix(".sha256"))
+        for path in builds:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temps[path] = temp(path), temp(path)
+        runs = {path: subprocess.Popen([compiler, *flags, "-o", temps[path][0], str(SOURCE)],
+                                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                       text=True) for path, flags in builds.items()}
+        errors = {path: run.communicate()[1] for path, run in runs.items()}
+        for path, run in runs.items():
+            if run.returncode:
+                if path == optional:
+                    continue
+                raise OSError(f"{COMPILER} {' '.join(builds[path])} could not compile "
+                              f"{SOURCE}: {errors[path].strip()}")
+            lib_tmp, digest_tmp = temps[path]
+            Path(digest_tmp).write_text(hashlib.sha256(Path(lib_tmp).read_bytes()).hexdigest())
+            os.replace(lib_tmp, path)
+            os.replace(digest_tmp, path.with_suffix(".sha256"))
     finally:
-        for tmp in (lib_tmp, digest_tmp):
+        for tmp in (t for pair in temps.values() for t in pair):
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
 
 def load() -> ctypes.CDLL:
-    """The kernel library, built first if no whole copy is cached."""
+    """The kernel library for this CPU: the AVX2 build where the portable build's probe
+    finds AVX2, else the portable build; each built first if no whole copy is cached."""
     global _lib
     if _lib is None:
-        path = library_path()
-        if not _is_whole(path):  # not built yet, or damaged
-            _build(path)
-        lib = ctypes.CDLL(str(path))
-        _declare(lib, "step", c_int64, [c_void_p, c_void_p, c_int64])
-        _declare(lib, "finish", c_int64, [c_void_p, c_int64, c_int64])
+        portable, avx2 = library_path(FLAGS), library_path(AVX2_FLAGS)
+        if not _is_whole(portable):  # not built yet, or damaged
+            # both at once, as the probe is not built yet; an AVX2 build that
+            # fails matters only where the probe asks for it, and is tried again then
+            _build({p: f for p, f in ((portable, FLAGS), (avx2, AVX2_FLAGS)) if not _is_whole(p)},
+                   optional=avx2)
+        lib = _open(portable)
+        if lib.has_avx2():
+            if not _is_whole(avx2):
+                _build({avx2: AVX2_FLAGS})
+            lib = _open(avx2)
         _lib = lib
     return _lib
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    """The library at path, its exports declared."""
+    lib = ctypes.CDLL(str(path))
+    _declare(lib, "step", c_int64, [c_void_p, c_void_p, c_int64])
+    _declare(lib, "finish", c_int64, [c_void_p, c_int64, c_int64])
+    _declare(lib, "has_avx2", c_int64, [])
+    return lib
 
 
 def _declare(lib, name, restype, argtypes) -> None:

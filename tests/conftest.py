@@ -1,11 +1,38 @@
-"""Shared test plumbing: the acceptance checklist printer.
+"""Shared test plumbing: the acceptance checklist printer and the kernel builds.
 
 Acceptance tests wrap their assertions in criterion(); every criterion
 prints one PASS/FAIL line in the terminal summary regardless of how the
 run went, so the checklist is visible even when something breaks early.
+
+kernel_library opens either build of the compiled kernel, and the
+kernel_build fixture (parametrized indirectly with a build's name) makes it
+the one the test scores with.
 """
 
 import contextlib
+
+import pytest
+
+from prodrisk import kernel
+
+# the builds of kernel.c, each with the flags it is compiled with
+KERNEL_BUILDS = {"portable": kernel.FLAGS, "avx2": kernel.AVX2_FLAGS}
+
+
+def kernel_library(build: str):
+    """The named build of the kernel, opened; skips the test where this CPU cannot run it."""
+    chosen = kernel.load()  # builds whatever this CPU needs
+    if build == "avx2" and not chosen.has_avx2():
+        pytest.skip("this CPU has no AVX2 (kernel.c's probe has_avx2 says 0), "
+                    "so the AVX2 build cannot run here")
+    return kernel._open(kernel.library_path(KERNEL_BUILDS[build]))
+
+
+@pytest.fixture
+def kernel_build(request, monkeypatch):
+    """The build named by the parameter, loaded in place of the one the probe picks."""
+    monkeypatch.setattr(kernel, "_lib", kernel_library(request.param))
+    return request.param
 
 _RESULTS: dict[int, tuple[str, bool]] = {}
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import KERNEL_BUILDS
 from reference import (SubsetState, dense_net, edge_blocks, reference_build_impact_matrices,
                        reference_cascade, reference_finish, reference_rescale_for_coverage,
                        reference_subset_step, reference_whole_step, replaceability, subset_counts)
@@ -355,6 +356,17 @@ class TestEngine:
             buyers = np.flatnonzero(np.diff(m.group_ptr))
             hd = np.minimum.reduceat(nxt.pi_tilde, m.seg_starts)
             assert np.array_equal(nxt.h_d[buyers], np.minimum(hd, psi[buyers]))
+
+    def test_trace_state_one_shares_state_zero_factors(self):
+        """Iteration 1 steps from the all-ones levels of state 0, so its factors are state 0's."""
+        net = mill_net()
+        params, m = prepared(net, Scenario.GL)
+        psi = np.ones(net.n)
+        psi[net.index_of["wheat"]] = 0.0
+        res = run_cascade(net, m, params, psi, record_trace=True)
+        assert res.trace[1].sigma is res.trace[0].sigma
+        assert res.trace[1].pi_tilde is res.trace[0].pi_tilde
+        assert not res.trace[1].sigma.flags.writeable
 
     def test_reused_workspace_allocates_no_state_sized_array(self):
         """Blocks run in one workspace; no iteration makes a new (rows, width) array."""
@@ -720,17 +732,21 @@ def mid_cascade_states(m, width, seed, at=(2, 4, 7)):
     return states
 
 
-def int32_id(scenario):
-    """A kernel test's id: the scenario and the operators' index type, the kernel's only one."""
-    return f"{scenario}-int32"
+def kernel_cases():
+    """Each scenario on each build of the kernel, for a parametrization of scenario and
+    kernel_build (indirect). An id names the scenario and the operators' index type, the
+    kernel's only one, then the build unless it is the portable one."""
+    return [pytest.param(scenario, build, id=f"{scenario}-int32" + ("" if build == "portable"
+                                                                    else f"-{build}"))
+            for build in KERNEL_BUILDS for scenario in Scenario]
 
 
 class TestKernelStep:
     """The compiled whole-operator step against the numpy step it replaced, bit for bit."""
 
     @pytest.mark.parametrize("substitution", [True, False])
-    @pytest.mark.parametrize("scenario", list(Scenario), ids=int32_id)
-    def test_matches_numpy_step(self, scenario, substitution):
+    @pytest.mark.parametrize("scenario, kernel_build", kernel_cases(), indirect=["kernel_build"])
+    def test_matches_numpy_step(self, scenario, kernel_build, substitution):
         net = subset_net()
         m = kernel_matrices(build_impact_matrices(net, assign_scenario(net, scenario)),
                             substitution)
@@ -820,8 +836,8 @@ def load_block(ws, s, budget, caps):
 class TestKernelGlue:
     """The compiled row-subset step, caps, finishing and compaction against their numpy oracles."""
 
-    @pytest.mark.parametrize("scenario", list(Scenario), ids=int32_id)
-    def test_step_matches_the_numpy_step(self, scenario):
+    @pytest.mark.parametrize("scenario, kernel_build", kernel_cases(), indirect=["kernel_build"])
+    def test_step_matches_the_numpy_step(self, scenario, kernel_build):
         """Levels, decrements, moved rows, q, sector sums and declined steps, byte for byte."""
         net = subset_net()
         m = build_impact_matrices(net, assign_scenario(net, scenario))

@@ -8,15 +8,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import KERNEL_BUILDS, kernel_library
 from reference import edge_blocks
 
 from prodrisk import cli, kernel
 from prodrisk.esri import esri_all
 from prodrisk.netcore import SyntheticConfig, build_network, generate_synthetic
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
-from prodrisk.cascade import build_impact_matrices
+from prodrisk.cascade import _iterate, build_impact_matrices
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -55,17 +57,22 @@ def empty_cache(tmp_path, monkeypatch):
 
 
 def test_cache_is_keyed_by_source_flags_and_platform(empty_cache, monkeypatch, tmp_path):
-    seen = [kernel.library_path()]
-    assert seen[0].parent == empty_cache and seen[0].name.startswith("kernel-")
+    assert kernel.library_path() == kernel.library_path(kernel.FLAGS)
+    assert kernel.AVX2_FLAGS == kernel.FLAGS + ("-mavx2",)
+
+    def both():  # the portable build's path, then the AVX2 build's
+        return [kernel.library_path(flags) for flags in KERNEL_BUILDS.values()]
+
+    seen = both()
+    assert all(p.parent == empty_cache and p.name.startswith("kernel-") for p in seen)
     edited = tmp_path / "kernel.c"
     edited.write_bytes(kernel.SOURCE.read_bytes() + b"\n")
     monkeypatch.setattr(kernel, "SOURCE", edited)
-    seen.append(kernel.library_path())
-    monkeypatch.setattr(kernel, "FLAGS", kernel.FLAGS + ("-g",))
-    seen.append(kernel.library_path())
+    seen += both()
+    seen += [kernel.library_path(flags + ("-g",)) for flags in KERNEL_BUILDS.values()]
     monkeypatch.setattr(kernel.sysconfig, "get_platform", lambda: "elsewhere")
-    seen.append(kernel.library_path())
-    assert len(set(seen)) == 4
+    seen += both()
+    assert len(set(seen)) == 8
 
 
 def test_unwritable_cache_falls_back_to_the_temporary_directory(tmp_path, monkeypatch):
@@ -91,19 +98,27 @@ def test_missing_compiler_exits_1_naming_it(empty_cache, monkeypatch, tmp_path, 
     assert not empty_cache.exists() or not any(empty_cache.iterdir())
 
 
+def built_libraries() -> list[Path]:
+    """The cached builds after a load: the portable one, and the AVX2 one wherever it compiles."""
+    kernel.load()
+    return [p for p in map(kernel.library_path, KERNEL_BUILDS.values()) if kernel._is_whole(p)]
+
+
 def test_truncated_library_is_rebuilt(tmp_path, monkeypatch):
     want = scores_digest()
-    whole = Path(kernel.load()._name).read_bytes()
+    wholes = [p.read_bytes() for p in built_libraries()]
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(kernel, "_lib", None)
-    path = kernel.library_path()
-    path.parent.mkdir(parents=True)
-    path.write_bytes(whole[:len(whole) // 2])
-    # the digest recorded for the whole library, as its build wrote it
-    path.with_suffix(".sha256").write_text(hashlib.sha256(whole).hexdigest())
+    paths = [kernel.library_path(flags) for flags in KERNEL_BUILDS.values()][:len(wholes)]
+    paths[0].parent.mkdir(parents=True)
+    for path, whole in zip(paths, wholes):
+        path.write_bytes(whole[:len(whole) // 2])
+        # the digest recorded for the whole library, as its build wrote it
+        path.with_suffix(".sha256").write_text(hashlib.sha256(whole).hexdigest())
     assert scores_digest() == want
-    assert path.stat().st_size == len(whole)
-    assert sorted(path.parent.iterdir()) == sorted([path, path.with_suffix(".sha256")])
+    assert [p.stat().st_size for p in paths] == [len(w) for w in wholes]
+    assert sorted(paths[0].parent.iterdir()) == sorted(
+        [f for p in paths for f in (p, p.with_suffix(".sha256"))])
 
 
 def test_two_processes_build_into_an_empty_cache_at_once(tmp_path):
@@ -116,13 +131,20 @@ def test_two_processes_build_into_an_empty_cache_at_once(tmp_path):
     results = [out.split() for out, _ in outs]
     assert results[0][0] == results[1][0] == scores_digest()
     assert [cached for _, cached in results] == ["False", "False"]  # both built
-    files = sorted((tmp_path / "cache" / "prodrisk").iterdir())
-    assert [f.suffix for f in files] == [".sha256", ".so"]  # no temporary file left
+    names = sorted(f.name for f in (tmp_path / "cache" / "prodrisk").iterdir())
+    libs = [name for name in names if name.endswith(".so")]
+    # each library beside its digest, and no temporary file left
+    assert names == sorted(libs + [name[:-len(".so")] + ".sha256" for name in libs])
+    assert sorted(libs) == sorted(p.name for p in built_libraries())
 
 
 def test_warm_cache_load_starts_no_process(monkeypatch):
-    kernel.load()  # warm the cache, building it if need be
-    assert kernel.library_path().exists()
+    chosen = kernel.load()._name  # warm the cache, building it if need be
+    # the portable build, and the AVX2 build where the probe picks it
+    needed = [kernel.library_path()]
+    if kernel.load().has_avx2():
+        needed.append(kernel.library_path(kernel.AVX2_FLAGS))
+    assert all(kernel._is_whole(p) for p in needed)
     calls = []
 
     def spy(name):
@@ -136,6 +158,64 @@ def test_warm_cache_load_starts_no_process(monkeypatch):
         monkeypatch.setattr(subprocess, name, spy(name))
     monkeypatch.setattr(os, "system", spy("os.system"))
     monkeypatch.setattr(kernel, "_lib", None)
-    assert kernel.load() is not None
+    assert kernel.load()._name == chosen == str(needed[-1])
     assert scores_digest()
     assert calls == []
+
+
+def test_cold_load_compiles_both_builds_at_once(empty_cache, monkeypatch):
+    events = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, args, **kwargs):
+            events.append(("start", args[1:args.index("-o")]))
+            super().__init__(args, **kwargs)
+
+        def communicate(self, *args, **kwargs):
+            events.append(("wait", self.args[1:self.args.index("-o")]))
+            return super().communicate(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", Spy)
+    kernel.load()
+    flags = [list(f) for f in KERNEL_BUILDS.values()]
+    # both compilers run before either is waited for; a warm load starts none
+    assert events == [("start", flags[0]), ("start", flags[1]),
+                      ("wait", flags[0]), ("wait", flags[1])]
+    monkeypatch.setattr(kernel, "_lib", None)
+    kernel.load()
+    assert len(events) == 4
+
+
+def test_builds_iterate_the_same_bytes(monkeypatch):
+    """Blocks of every width from 1 to 16, run on each build, write the same bytes."""
+    libs = [kernel_library(build) for build in KERNEL_BUILDS]
+    firms, edges = generate_synthetic(SyntheticConfig(n_firms=600, mean_out_degree=8.0,
+                                                      coverage=0.8), seed=4)
+    net = build_network(firms, edge_blocks(edges))
+    for scenario in (Scenario.GL, Scenario.LEO):
+        m = build_impact_matrices(net, assign_scenario(net, scenario))
+        for width in range(1, 17):
+            # single-firm shocks to 0, spread over the network
+            caps = np.linspace(0, m.n - 1, width).astype(np.intp), np.arange(width), np.zeros(width)
+            runs = []
+            for lib in libs:
+                monkeypatch.setattr(kernel, "_lib", lib)
+                h_d, h_u, T, conv = _iterate(m, caps, width, 1e-3, 1000)
+                runs.append(b"".join(a.tobytes() for a in (h_d, h_u, T, conv)))
+            assert runs[0] == runs[1], (scenario, width)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_builds_score_the_same_bytes(scenario, monkeypatch):
+    """esri_all writes the same values, T and converged flags on either build."""
+    libs = [kernel_library(build) for build in KERNEL_BUILDS]
+    firms, edges = generate_synthetic(SyntheticConfig(n_firms=400, mean_out_degree=8.0,
+                                                      coverage=0.8), seed=5)
+    net = build_network(firms, edge_blocks(edges))
+    m = build_impact_matrices(net, assign_scenario(net, scenario))
+    runs = []
+    for lib in libs:
+        monkeypatch.setattr(kernel, "_lib", lib)
+        v = esri_all(net, m, None)
+        runs.append(v.values.tobytes() + v.T.tobytes() + v.converged.tobytes())
+    assert runs[0] == runs[1]
