@@ -62,31 +62,27 @@ def esri_single(net: ProductionNetwork, matrices: ImpactMatrices, params: Produc
 BLOCK = 16
 
 
-def _run_range(ws: Workspace, bounds: tuple[int, int], total_out: float, epsilon: float,
-               max_iter: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Run the cascades of one firm-index range in workspace ws, BLOCK at a time.
+def _run_range(ws: Workspace, lo: int, hi: int, total_out: float, epsilon: float,
+               max_iter: int, values: np.ndarray, T: np.ndarray, conv: np.ndarray) -> int:
+    """Run the cascades of firms lo..hi-1 in workspace ws, BLOCK at a time.
 
-    A block's values are one reduction over its rows; each row's sum is that
-    of _loss_weighted on the row alone.
+    Each block writes its firms' entries of the batch arrays values, T and
+    conv in place; returns the number of firms run. A block's values are one
+    reduction over its rows; each row's sum is that of _loss_weighted on the
+    row alone.
     """
-    lo, hi = bounds
     m = ws.m
-    values = np.empty(hi - lo)
-    T = np.empty(hi - lo, dtype=np.int64)
-    conv = np.empty(hi - lo, dtype=bool)
     for start in range(lo, hi, BLOCK):
         stop = min(start + BLOCK, hi)
         firms = np.arange(start, stop)
-        h_d, h_u, t, c = _iterate(m, (firms, firms - start, np.zeros(len(firms))), len(firms),
-                                  epsilon, max_iter, ws=ws)
-        block = slice(start - lo, stop - lo)
-        T[block], conv[block] = t, c
+        h_d, h_u, T[start:stop], conv[start:stop] = _iterate(
+            m, (firms, firms - start, np.zeros(len(firms))), len(firms), epsilon, max_iter, ws=ws)
         # s_out * (1 - min(h_d, h_u)), in place in the workspace's result rows
         h = np.minimum(h_d, h_u, out=h_d)
         np.subtract(1.0, h, out=h)
         h *= m.s_out
-        values[block] = np.sum(h, axis=1) / total_out
-    return lo, values, T, conv
+        values[start:stop] = np.sum(h, axis=1) / total_out
+    return hi - lo
 
 
 def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: ProductionParams,
@@ -101,6 +97,8 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     chunks of 64, and the pool has no more threads than there are chunks or
     CPUs (os.cpu_count()). The threads share the operators, each runs its
     chunks in a workspace of its own, and the kernel calls release the GIL.
+    A chunk writes the result entries of its own firms, so the threads write
+    disjoint slices of the same arrays.
     params is not read: it is passed through as in run_cascade.
     """
     if worker_count < 1:
@@ -110,27 +108,23 @@ def esri_all(net: ProductionNetwork, matrices: ImpactMatrices, params: Productio
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     total_out = _total_out(net.s_out)
     local = threading.local()
+    values = np.empty(n)
+    T = np.empty(n, dtype=np.int64)
+    conv = np.empty(n, dtype=bool)
 
     def run(lo_hi):
         ws = getattr(local, "ws", None)
         if ws is None:
             ws = local.ws = Workspace(matrices, BLOCK)
-        return _run_range(ws, lo_hi, total_out, epsilon, max_iter)
-
-    values = np.empty(n)
-    T = np.empty(n, dtype=np.int64)
-    conv = np.empty(n, dtype=bool)
+        return _run_range(ws, *lo_hi, total_out, epsilon, max_iter, values, T, conv)
 
     workers = min(worker_count, len(bounds), os.cpu_count() or 1)
     load()  # built once, before any thread needs it
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         done = 0
-        for lo, v, t, c in pool.map(run, bounds) if pool else map(run, bounds):
-            values[lo:lo + len(v)] = v
-            T[lo:lo + len(v)] = t
-            conv[lo:lo + len(v)] = c
-            done += len(v)
+        for count in pool.map(run, bounds) if pool else map(run, bounds):
+            done += count
             if progress is not None:
                 progress(done, n)
     finally:

@@ -85,7 +85,7 @@ class ProductionNetwork:
     (float64, NaN where not reported) and sector_of, an index into sectors.
     Edges are parallel arrays (supplier index, buyer index, weight) in
     canonical order, sorted by (supplier, buyer). All arrays are read-only;
-    the object is safe to share across threads and forked processes.
+    the object is safe to share across threads.
     """
 
     def __init__(self, firm_ids: Sequence[str], index_of: dict[str, int], nace4: Sequence[str],

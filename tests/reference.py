@@ -47,7 +47,7 @@ from prodrisk.cascade import ImpactMatrices, _residual_demand, run_cascade
 from prodrisk.cli import EDGES_HEADER, FIRMS_HEADER, _parse_amount, _parse_income
 from prodrisk.netcore import (DataError, FirmRecord, NetworkError, ProductionNetwork,
                               normalize_nace4)
-from prodrisk.prodfun import ESS_ALL, ESS_NONE, ScenarioSpec, inputs_are_essential
+from prodrisk.prodfun import ScenarioSpec, inputs_are_essential
 
 PHYS = {f"{p:02d}" for p in range(1, 46)}
 SENTINEL = "unclassified"
@@ -365,14 +365,9 @@ def reference_input_matrix(net) -> list[dict[str, float]]:
     return rows
 
 
-def input_is_essential(spec: ScenarioSpec, firm: int, sector_code: str) -> bool:
-    """Does firm treat inputs from the given sector as essential?"""
-    c = int(spec.essential_class[firm])
-    if c == ESS_ALL:
-        return True
-    if c == ESS_NONE:
-        return False
-    return is_physical(sector_code)
+def input_is_essential(spec: ScenarioSpec, buyer_code: str, supplier_code: str) -> bool:
+    """Does a buyer in buyer_code treat inputs from supplier_code as essential?"""
+    return essential_lookup(spec.scenario.value, buyer_code, supplier_code)
 
 
 @dataclass(frozen=True)
@@ -383,9 +378,12 @@ class GLParams:
     technical coefficient (input per unit of output). beta_tilde[i] is the
     fraction of output attainable with essential inputs alone, 1 for firms
     without inputs. Firms with zero baseline output keep empty alpha maps.
+    code[i] is firm i's industry code, which with spec decides its essential
+    inputs.
     """
 
     spec: ScenarioSpec
+    code: tuple[str, ...]
     x0: np.ndarray
     beta_tilde: np.ndarray
     alpha: tuple[dict[str, float], ...]
@@ -402,6 +400,7 @@ def reference_calibrate(net, spec: ScenarioSpec) -> GLParams:
     """
     rows = reference_input_matrix(net)
     n = net.n
+    codes = tuple(net.sectors[k] for k in net.sector_of)
     x0 = np.array(net.s_out, dtype=np.float64)
     beta = np.ones(n)
     alphas = []
@@ -412,14 +411,14 @@ def reference_calibrate(net, spec: ScenarioSpec) -> GLParams:
         total = 0.0
         for code, val in rows[i].items():
             total += val
-            if input_is_essential(spec, i, code):
+            if input_is_essential(spec, codes[i], code):
                 ess[code] = val
                 ess_sum += val
         in_total[i] = total
         if total > 0:
             beta[i] = ess_sum / total
         alphas.append({code: val / x0[i] for code, val in ess.items()} if x0[i] > 0 else {})
-    return GLParams(spec=spec, x0=x0, beta_tilde=beta, alpha=tuple(alphas),
+    return GLParams(spec=spec, code=codes, x0=x0, beta_tilde=beta, alpha=tuple(alphas),
                     input_total=in_total)
 
 
@@ -445,7 +444,7 @@ def evaluate_gl(params: GLParams, firm: int, available: Mapping[str, float]) -> 
     else:
         ne_avail = 0.0
         for code, val in available.items():
-            if not input_is_essential(params.spec, firm, code):
+            if not input_is_essential(params.spec, params.code[firm], code):
                 ne_avail += float(val)
         lin_branch = params.beta_tilde[firm] * x0 + ne_avail * x0 / total
 

@@ -195,10 +195,10 @@ class TestBatch:
         params, m = prepared(net, Scenario.GL)
         run_range = esri._run_range
 
-        def failing(ws, bounds, *args):
-            if bounds[0] == 128:
+        def failing(ws, lo, *args):
+            if lo == 128:
                 raise RuntimeError("range 128 failed")
-            return run_range(ws, bounds, *args)
+            return run_range(ws, lo, *args)
 
         monkeypatch.setattr(esri, "_run_range", failing)
         got = []
@@ -321,17 +321,23 @@ class TestLosses:
     @pytest.mark.parametrize("n_firms", [7, 100, 3001, 20001])
     def test_block_values_are_the_per_row_losses(self, n_firms):
         """A block's values, taken in one reduction over its rows, are each row's
-        _loss_weighted, which esri_single reports, bit for bit."""
+        _loss_weighted, which esri_single reports, bit for bit; a range writes
+        the entries of its own firms and no others."""
         firms, edges = generate_synthetic(SyntheticConfig(n_firms=n_firms), seed=6)
         net = build_network(firms, edge_blocks(edges))
         params, m = prepared(net, Scenario.GL)
         total_out = esri._total_out(net.s_out)
         lo = max(0, n_firms // 2 - 10)
         hi = min(n_firms, lo + 20)
-        _, values, _, _ = esri._run_range(Workspace(m, BLOCK), (lo, hi), total_out, 1e-2, 1000)
-        for k, firm in enumerate(range(lo, hi)):
+        values = np.full(n_firms, np.nan)
+        T, conv = np.zeros(n_firms, np.int64), np.zeros(n_firms, bool)
+        ran = esri._run_range(Workspace(m, BLOCK), lo, hi, total_out, 1e-2, 1000, values, T, conv)
+        assert ran == hi - lo
+        assert np.isnan(np.delete(values, np.s_[lo:hi])).all()
+        for firm in range(lo, hi):
             value, res = esri_single(net, m, params, firm)
-            assert values[k] == value == esri._loss_weighted(net.s_out, total_out, res.h_final)
+            assert values[firm] == value == esri._loss_weighted(net.s_out, total_out, res.h_final)
+            assert (T[firm], conv[firm]) == (res.T, res.converged)
 
 
 class TestSuite:

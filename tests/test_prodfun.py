@@ -5,17 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import edge_blocks, evaluate_gl, input_is_essential, reference_calibrate
+from reference import (edge_blocks, essential_lookup, evaluate_gl, input_is_essential,
+                       is_physical, reference_calibrate)
 
 from prodrisk.netcore import FirmRecord, SENTINEL_SECTOR, build_network
-from prodrisk.prodfun import (
-    ESS_ALL,
-    ESS_NONE,
-    ESS_PHYSICAL,
-    Scenario,
-    assign_scenario,
-    inputs_are_essential,
-)
+from prodrisk.prodfun import Scenario, assign_scenario, inputs_are_essential
 
 
 def mill_net():
@@ -36,17 +30,24 @@ def essential(net, spec, firm, code):
                                      np.array([net.sectors.index(code)]))[0])
 
 
+def essential_table(net, spec):
+    """inputs_are_essential for every (buyer, supplier sector index) pair of net,
+    as an (n, n_sectors) array."""
+    buyer, sector = np.divmod(np.arange(net.n * len(net.sectors)), len(net.sectors))
+    return inputs_are_essential(net, spec, buyer, sector).reshape(net.n, len(net.sectors))
+
+
 class TestAssignment:
     def test_lin_everything_linear(self):
         net = mill_net()
         spec = assign_scenario(net, Scenario.LIN)
-        assert np.all(spec.essential_class == ESS_NONE)
+        assert not essential_table(net, spec).any()
         assert not essential(net, spec, net.index_of["mill"], "0111")
 
     def test_leo_everything_essential(self):
         net = mill_net()
         spec = assign_scenario(net, Scenario.LEO)
-        assert np.all(spec.essential_class == ESS_ALL)
+        assert essential_table(net, spec).all()
         assert essential(net, spec, net.index_of["shop"], "7022")
 
     def test_mix_splits_by_buyer_industry(self):
@@ -54,8 +55,9 @@ class TestAssignment:
         spec = assign_scenario(net, Scenario.MIX)
         mill = net.index_of["mill"]
         shop = net.index_of["shop"]
-        assert spec.essential_class[mill] == ESS_ALL
-        assert spec.essential_class[shop] == ESS_NONE
+        table = essential_table(net, spec)
+        assert table[mill].all()
+        assert not table[shop].any()
         assert essential(net, spec, mill, "7022")
         assert not essential(net, spec, shop, "0111")
 
@@ -63,17 +65,38 @@ class TestAssignment:
         net = mill_net()
         spec = assign_scenario(net, Scenario.GL)
         mill = net.index_of["mill"]
-        assert spec.essential_class[mill] == ESS_PHYSICAL
+        assert essential_table(net, spec)[mill].tolist() == list(map(is_physical, net.sectors))
         assert essential(net, spec, mill, "0111")
         assert not essential(net, spec, mill, "7022")
-        assert not input_is_essential(spec, mill, SENTINEL_SECTOR)
+        assert not input_is_essential(spec, "1061", SENTINEL_SECTOR)
 
     def test_sentinel_firm_counts_as_service(self):
         firms = [FirmRecord("u", ""), FirmRecord("v", "0111")]
         net = build_network(firms, edge_blocks([("v", "u", 1.0)]))
-        for scenario, expected in [(Scenario.MIX, ESS_NONE), (Scenario.GL, ESS_NONE)]:
+        for scenario in (Scenario.MIX, Scenario.GL):
             spec = assign_scenario(net, scenario)
-            assert spec.essential_class[net.index_of["u"]] == expected
+            assert not essential_table(net, spec)[net.index_of["u"]].any()
+
+    def test_rejects_what_is_not_a_scenario(self):
+        net = mill_net()
+        for scenario in ("gl", None):
+            with pytest.raises(ValueError, match="unknown scenario"):
+                assign_scenario(net, scenario)
+
+    def test_rule_table_matches_the_oracle(self):
+        """Every (buyer, supplier sector) pair of a network with physical, service and
+        sentinel codes, on both sides of the 45/46 prefix boundary, under every
+        scenario, agrees with reference.essential_lookup on their codes."""
+        codes = ["0111", "4599", "4611", "7022", ""]
+        firms = [FirmRecord(f"f{k}", code) for k, code in enumerate(codes)]
+        edges = [(f"f{k}", f"f{(k + 1) % len(codes)}", 1.0) for k in range(len(codes))]
+        net = build_network(firms, edge_blocks(edges))
+        assert SENTINEL_SECTOR in net.sectors
+        for scenario in Scenario:
+            table = essential_table(net, assign_scenario(net, scenario))
+            expected = [[essential_lookup(scenario.value, net.sectors[net.sector_of[i]], code)
+                         for code in net.sectors] for i in range(net.n)]
+            assert table.tolist() == expected, scenario
 
 
 class TestCalibration:
