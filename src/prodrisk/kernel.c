@@ -17,15 +17,16 @@
  *
  * prodrisk.cascade runs each iteration of a block of cascades as one call
  * of step: the iteration, the caps, and the finishing and compaction of
- * columns (finish). step, finish and has_avx2 are the library's only
+ * columns (finish). step, finish and vector_lanes are the library's only
  * exports; finish is exported for the tests. The calls go through ctypes,
  * which releases the GIL for the whole call, so blocks on different threads
  * run in parallel.
  *
- * prodrisk.kernel builds this file twice: a portable build, and an AVX2
- * build with -mavx2 added, which it loads where the portable build's
- * has_avx2 finds AVX2. Each lane of a vector computes as a lone double
- * would, so both builds write the same bits.
+ * prodrisk.kernel builds this file three times: a portable build, an AVX2
+ * build with -mavx2 added and an AVX-512 build with -mavx512f added. It
+ * loads the widest one that the portable build's vector_lanes finds this
+ * CPU runs. Each lane of a vector computes as a lone double would, so every
+ * build writes the same bits.
  */
 #include <math.h>
 #include <stddef.h>
@@ -95,11 +96,16 @@ enum { STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE };
 #define MIN(a, b) (((a) <= (b) || isnan(a)) ? (a) : (b))
 
 /* A row of W lanes is worked in vectors of LANES lanes, in GCC's vector
- * extension: W / LANES of them, then, in the AVX2 build, two lanes (v2)
- * where W & 2, then a lone lane where W & 1. Each lane's arithmetic and
- * comparisons are those of a double. The AVX2 build takes four lanes, the
- * portable build two, the width of its SSE2 registers. */
-#ifdef __AVX2__
+ * extension: W / LANES of them, then, in the AVX-512 build, four lanes (v4)
+ * where W & 4, then, in the AVX2 and AVX-512 builds, two lanes (v2) where W
+ * & 2, then a lone lane where W & 1. Each lane's arithmetic and comparisons
+ * are those of a double. The AVX-512 build takes eight lanes, the AVX2 build
+ * four, the portable build two, the width of its SSE2 registers. Only the
+ * AVX-512 build declares v4 and its helpers: a vector wider than a build's
+ * registers is slow, and would change how it is passed between functions. */
+#if defined(__AVX512F__)
+#define LANES 8
+#elif defined(__AVX2__)
 #define LANES 4
 #else
 #define LANES 2
@@ -107,10 +113,13 @@ enum { STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE };
 typedef double vec __attribute__((vector_size(8 * LANES)));
 typedef double v2 __attribute__((vector_size(16)));
 
-/* The lane just past a row's whole vectors: the first of the two-lane piece */
-#define PAIR_AT(W) ((W) / LANES * LANES)
-/* Whether a row of W lanes has a two-lane piece */
-#define HAS_PAIR(W) (LANES == 4 && ((W) & 2))
+/* The lane just past a row's whole vectors: the first of the four-lane piece */
+#define VEC_END(W) ((W) / LANES * LANES)
+/* Whether a row of W lanes has a four-lane piece */
+#define HAS_QUAD(W) (LANES == 8 && ((W) & 4))
+/* Whether a row of W lanes has a two-lane piece, and its first lane */
+#define HAS_PAIR(W) (LANES >= 4 && ((W) & 2))
+#define PAIR_AT(W) ((W) / 4 * 4)
 
 /* keep ? a : b, lane by lane, for keep a comparison of vectors */
 #define SELECT(keep, a, b) (((keep) & (__typeof__(keep))(a)) | (~(keep) & (__typeof__(keep))(b)))
@@ -156,6 +165,35 @@ INLINE v2 min2(v2 a, v2 b)
     return (v2)SELECT((a <= b) | (a != a), a, b);
 }
 
+#if LANES == 8
+typedef double v4 __attribute__((vector_size(32)));
+
+INLINE v4 load4(const double *p)
+{
+    v4 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+INLINE void store4(double *p, v4 v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* MAX on each of four lanes, and clip(v, 0, 1) */
+INLINE v4 max4(v4 a, v4 b)
+{
+    return (v4)SELECT((a >= b) | (a != a), a, b);
+}
+
+INLINE v4 clip4(v4 v)
+{
+    const v4 zero = {0.0}, one = zero + 1.0;
+    v = (v4)SELECT((v >= zero) | (v != v), v, zero);
+    return (v4)SELECT((v <= one) | (v != v), v, one);
+}
+#endif
+
 /* CALL(w) is defined around each use: the call for the constant width w */
 #define DISPATCH(W)                                                                  \
     switch (W) {                                                                     \
@@ -197,8 +235,12 @@ INLINE double clip1(double v)
 /* row = MAX(row, x), lane by lane */
 INLINE void max_row(double *row, const double *x, const int W)
 {
-    for (int c = 0; c < PAIR_AT(W); c += LANES)
+    for (int c = 0; c < VEC_END(W); c += LANES)
         storev(row + c, maxv(loadv(row + c), loadv(x + c)));
+#if LANES == 8
+    if (HAS_QUAD(W))
+        store4(row + VEC_END(W), max4(load4(row + VEC_END(W)), load4(x + VEC_END(W))));
+#endif
     if (HAS_PAIR(W))
         store2(row + PAIR_AT(W), max2(load2(row + PAIR_AT(W)), load2(x + PAIR_AT(W))));
     if (W & 1)
@@ -213,11 +255,16 @@ INLINE void clip_row(double *out, double base, const double *x, const int sub, c
 {
 #ifdef __AVX2__
     const vec zero = {0.0}, one = zero + 1.0;
-    for (int c = 0; c < PAIR_AT(W); c += LANES) {
+    for (int c = 0; c < VEC_END(W); c += LANES) {
         vec v = sub ? base - loadv(x + c) : base + loadv(x + c);
         v = (vec)SELECT((v >= zero) | (v != v), v, zero);
         storev(out + c, (vec)SELECT((v <= one) | (v != v), v, one));
     }
+#if LANES == 8
+    if (HAS_QUAD(W))
+        store4(out + VEC_END(W), clip4(sub ? base - load4(x + VEC_END(W))
+                                            : base + load4(x + VEC_END(W))));
+#endif
     if (HAS_PAIR(W))
         store2(out + PAIR_AT(W), clip2(sub ? base - load2(x + PAIR_AT(W))
                                           : base + load2(x + PAIR_AT(W))));
@@ -395,6 +442,9 @@ INLINE void csr_row(const int32_t *ptr, const int32_t *idx, const double *val, i
                     const double *x, double *out, const int W)
 {
     vec acc[MAX_WIDTH / LANES];
+#if LANES == 8
+    v4 quad = {0.0};
+#endif
     v2 pair = {0.0, 0.0};
     double last = 0.0;
     for (int v = 0; v < W / LANES; v++)
@@ -404,6 +454,10 @@ INLINE void csr_row(const int32_t *ptr, const int32_t *idx, const double *val, i
         const double *xj = x + (int64_t)idx[jj] * W;
         for (int v = 0; v < W / LANES; v++)
             acc[v] += a * loadv(xj + LANES * v);
+#if LANES == 8
+        if (HAS_QUAD(W))
+            quad += a * load4(xj + VEC_END(W));
+#endif
         if (HAS_PAIR(W))
             pair += a * load2(xj + PAIR_AT(W));
         if (W & 1)
@@ -411,6 +465,10 @@ INLINE void csr_row(const int32_t *ptr, const int32_t *idx, const double *val, i
     }
     for (int v = 0; v < W / LANES; v++)
         storev(out + LANES * v, acc[v]);
+#if LANES == 8
+    if (HAS_QUAD(W))
+        store4(out + VEC_END(W), quad);
+#endif
     if (HAS_PAIR(W))
         store2(out + PAIR_AT(W), pair);
     if (W & 1)
@@ -636,14 +694,17 @@ int64_t step(const Ops *o, Block *b, int64_t t)
     return finish(b, o->n, t);
 }
 
-/* Whether this CPU runs the AVX2 build: prodrisk.kernel asks the portable
- * build before it loads the AVX2 one */
-int64_t has_avx2(void)
+/* The lanes of the widest build this CPU runs: 8 with AVX-512F, 4 with
+ * AVX2, else 2. prodrisk.kernel asks the portable build before it loads a
+ * vector build */
+int64_t vector_lanes(void)
 {
 #if defined(__x86_64__)
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return 0;
+    if (__builtin_cpu_supports("avx512f"))
+        return 8;
+    if (__builtin_cpu_supports("avx2"))
+        return 4;
 #endif
+    return 2;
 }

@@ -1,25 +1,26 @@
 """The compiled cascade iteration: kernel.c, built at first use and cached.
 
-The source is built twice with the C compiler COMPILER: the portable build
-with FLAGS, and the AVX2 build with AVX2_FLAGS (FLAGS and -mavx2), whose
-vectors hold four lanes in place of two. Both write the same bits. load()
-opens the portable build and asks its probe, kernel.c's has_avx2, whether
-this CPU has AVX2; if so, it opens the AVX2 build in its place. Nothing else
-chooses the build.
+The source is built three times with the C compiler COMPILER: the portable
+build with FLAGS, whose vectors hold two lanes; the AVX2 build with
+AVX2_FLAGS (FLAGS and -mavx2), four lanes; and the AVX-512 build with
+AVX512_FLAGS (FLAGS and -mavx512f), eight lanes. All write the same bits.
+load() opens the portable build and asks its probe, kernel.c's
+vector_lanes, for the lanes of the widest build this CPU runs (8, 4 or 2);
+it opens that build (BUILDS) in its place. Nothing else chooses the build.
 
 Each build is cached as ``kernel-<key>.so`` under the cache directory (see
 cache_dir), where the key hashes the source, the compiler name, the flags
 and the platform, beside ``kernel-<key>.sha256``, the library's digest: two
-files per key, so four for the two builds. The cache is never pruned: each
+files per key, so six for the three builds. The cache is never pruned: each
 revision of the source leaves its own files, and deleting the directory
-clears them all (the next load builds again). A cold cache compiles both
-builds at once, before the probe can run. A build goes to a temporary file
-that is renamed into place, so processes that build at once each load a
-whole library. A cached library whose digest does not match (say, one cut
+clears them all (the next load builds again). A cold cache compiles the
+three builds at once, before the probe can run. A build goes to a temporary
+file that is renamed into place, so processes that build at once each load
+a whole library. A cached library whose digest does not match (say, one cut
 short) is built again. Loading cached libraries starts no process. Without
 the compiler, load() raises FileNotFoundError naming it. Workspace, the only
 Python mirror of kernel.c's Ops and Block, runs the library on one
-ImpactMatrices.
+ImpactMatrices, with its level rows on cache-line boundaries.
 """
 
 from __future__ import annotations
@@ -38,8 +39,14 @@ COMPILER = "cc"
 # no -ffast-math, and no contraction into fused multiply-adds: the kernel
 # must give the bits of numpy's and scipy's separate multiplies and adds
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-# the AVX2 build: four-lane vectors; -mavx2 brings no fused multiply-add
+# the vector builds, of four-lane and eight-lane vectors; -mavx512f offers
+# fused multiply-adds, which -ffp-contract=off keeps out of the code
 AVX2_FLAGS = FLAGS + ("-mavx2",)
+AVX512_FLAGS = FLAGS + ("-mavx512f",)
+# each build's flags, by the lanes of its vectors, as vector_lanes names them
+BUILDS = {2: FLAGS, 4: AVX2_FLAGS, 8: AVX512_FLAGS}
+# the byte boundary that every level buffer of a Workspace starts on: a cache line
+ALIGN = 64
 MAX_WIDTH = 16
 # what a step ran (Block.ran), as kernel.c's enum numbers it
 STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE = range(4)
@@ -75,11 +82,11 @@ def _is_whole(path: Path) -> bool:
         return False
 
 
-def _build(builds: dict[Path, tuple[str, ...]], optional: Path | None = None) -> None:
+def _build(builds: dict[Path, tuple[str, ...]], optional: frozenset[Path] = frozenset()) -> None:
     """Compile the source to each path with its flags, every compiler at once.
 
     Each library and the digest recorded beside it are placed by a rename.
-    Raises OSError for a build that failed, unless its path is optional.
+    Raises OSError for a build that failed, unless its path is among optional.
     """
     # imported here, as a run with cached libraries needs none of them
     import shutil
@@ -106,7 +113,7 @@ def _build(builds: dict[Path, tuple[str, ...]], optional: Path | None = None) ->
         errors = {path: run.communicate()[1] for path, run in runs.items()}
         for path, run in runs.items():
             if run.returncode:
-                if path == optional:
+                if path in optional:
                     continue
                 raise OSError(f"{COMPILER} {' '.join(builds[path])} could not compile "
                               f"{SOURCE}: {errors[path].strip()}")
@@ -121,21 +128,24 @@ def _build(builds: dict[Path, tuple[str, ...]], optional: Path | None = None) ->
 
 
 def load() -> ctypes.CDLL:
-    """The kernel library for this CPU: the AVX2 build where the portable build's probe
-    finds AVX2, else the portable build; each built first if no whole copy is cached."""
+    """The kernel library for this CPU: the build that the portable build's probe
+    picks; each built first if no whole copy is cached."""
     global _lib
     if _lib is None:
-        portable, avx2 = library_path(FLAGS), library_path(AVX2_FLAGS)
+        paths = {lanes: library_path(flags) for lanes, flags in BUILDS.items()}
+        portable = paths[2]
         if not _is_whole(portable):  # not built yet, or damaged
-            # both at once, as the probe is not built yet; an AVX2 build that
+            # all at once, as the probe is not built yet; a vector build that
             # fails matters only where the probe asks for it, and is tried again then
-            _build({p: f for p, f in ((portable, FLAGS), (avx2, AVX2_FLAGS)) if not _is_whole(p)},
-                   optional=avx2)
+            _build({paths[lanes]: flags for lanes, flags in BUILDS.items()
+                    if not _is_whole(paths[lanes])},
+                   optional=frozenset(p for p in paths.values() if p != portable))
         lib = _open(portable)
-        if lib.has_avx2():
-            if not _is_whole(avx2):
-                _build({avx2: AVX2_FLAGS})
-            lib = _open(avx2)
+        lanes = lib.vector_lanes()
+        if paths[lanes] != portable:
+            if not _is_whole(paths[lanes]):
+                _build({paths[lanes]: BUILDS[lanes]})
+            lib = _open(paths[lanes])
         _lib = lib
     return _lib
 
@@ -145,7 +155,7 @@ def _open(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     _declare(lib, "step", c_int64, [c_void_p, c_void_p, c_int64])
     _declare(lib, "finish", c_int64, [c_void_p, c_int64, c_int64])
-    _declare(lib, "has_avx2", c_int64, [])
+    _declare(lib, "vector_lanes", c_int64, [])
     return lib
 
 
@@ -195,6 +205,20 @@ def addr(a: np.ndarray | None) -> int | None:
         return a.ctypes.data
 
 
+def aligned(sizes: list[int]) -> list[np.ndarray]:
+    """Empty float64 arrays of the given sizes, each starting on an ALIGN-byte
+    boundary, cut from one allocation."""
+    lane = ALIGN // 8
+    spans = [-(-k // lane) * lane for k in sizes]
+    whole = np.empty(sum(spans) + lane - 1)
+    at = -addr(whole) % ALIGN // 8
+    arrays = []
+    for k, span in zip(sizes, spans):
+        arrays.append(whole[at:at + k])
+        at += span
+    return arrays
+
+
 class Workspace:
     """The compiled step on one ImpactMatrices, and every buffer of a block of up to width columns.
 
@@ -204,9 +228,10 @@ class Workspace:
     throughout instead of faulting in fresh ones every iteration. The result
     rows out_d and out_u are overwritten by the next block. block is the
     state the kernel runs (kernel.c's Block): the addresses of the level
-    buffers (h_d, h_u, each with its successor, and q), the sector sums, the
-    decrement, the per-column flags, and the firm marks and row lists of the
-    row-subset steps. A workspace serves one thread at a time; the kernel
+    buffers (h_d, h_u, each with its successor, and q) and the sector sums,
+    each on an ALIGN-byte boundary (see aligned), the decrement, the
+    per-column flags, and the firm marks and row lists of the row-subset
+    steps. A workspace serves one thread at a time; the kernel
     calls release the GIL, so workspaces on different threads run their
     blocks in parallel.
     """
@@ -234,7 +259,9 @@ class Workspace:
                         m.down_op.indptr, m.down_op.indices, m.down_op.data,
                         m.up_op.indptr, m.up_op.indices, m.up_op.data, m.u_resid)))
         self._step = lib.step
-        levels = [np.empty(n * width) for _ in range(5)]  # h_d, hd_new, h_u, hu_new, q
+        # h_d, hd_new, h_u, hu_new, q and the sector sums, each row of a
+        # product's operand on whole cache lines where width is 8 or 16
+        *levels, sector = aligned([n * width] * 5 + [n_sectors * width])
         self.levels = {addr(a): a for a in levels}
         self.dec = np.empty(width)
         self.done = np.zeros(width, dtype=bool)
@@ -246,7 +273,7 @@ class Workspace:
             **dict(zip(("h_d", "hd_new", "h_u", "hu_new", "q"), levels)),
             **dict(zip(("damaged", "mark", "sector_mark"), flags)),
             **dict(zip(("changed_d", "changed_u", "rows_d", "rows_u", "rows_q", "rows_s"), rows)),
-            "sector": np.empty(n_sectors * width), "col_of": np.empty(width, dtype=np.intp),
+            "sector": sector, "col_of": np.empty(width, dtype=np.intp),
             "dec": self.dec, "done": self.done, "out_d": self.out_d, "out_u": self.out_u,
             "in_ptr": self.in_ptr}
         self.block = Block(budget=-1, **{name: addr(a) for name, a in self._held.items()})

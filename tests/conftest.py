@@ -4,7 +4,7 @@ Acceptance tests wrap their assertions in criterion(); every criterion
 prints one PASS/FAIL line in the terminal summary regardless of how the
 run went, so the checklist is visible even when something breaks early.
 
-kernel_library opens either build of the compiled kernel, and the
+kernel_library opens any build of the compiled kernel, and the
 kernel_build fixture (parametrized indirectly with a build's name) makes it
 the one the test scores with.
 """
@@ -16,15 +16,22 @@ import pytest
 from prodrisk import kernel
 
 # the builds of kernel.c, each with the flags it is compiled with
-KERNEL_BUILDS = {"portable": kernel.FLAGS, "avx2": kernel.AVX2_FLAGS}
+KERNEL_BUILDS = {"portable": kernel.FLAGS, "avx2": kernel.AVX2_FLAGS,
+                 "avx512": kernel.AVX512_FLAGS}
+
+
+def runs_here(build: str) -> bool:
+    """Whether this CPU runs the named build: whether kernel.c's probe
+    vector_lanes finds vectors at least as wide as the build's."""
+    lanes = {flags: k for k, flags in kernel.BUILDS.items()}[KERNEL_BUILDS[build]]
+    return lanes <= kernel.load().vector_lanes()  # load builds whatever this CPU needs
 
 
 def kernel_library(build: str):
     """The named build of the kernel, opened; skips the test where this CPU cannot run it."""
-    chosen = kernel.load()  # builds whatever this CPU needs
-    if build == "avx2" and not chosen.has_avx2():
-        pytest.skip("this CPU has no AVX2 (kernel.c's probe has_avx2 says 0), "
-                    "so the AVX2 build cannot run here")
+    if not runs_here(build):
+        pytest.skip(f"this CPU has no vectors as wide as the {build} build's "
+                    f"(kernel.c's probe vector_lanes), so that build cannot run here")
     return kernel._open(kernel.library_path(KERNEL_BUILDS[build]))
 
 

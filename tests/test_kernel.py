@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import KERNEL_BUILDS, kernel_library
+from conftest import KERNEL_BUILDS, kernel_library, runs_here
 from reference import edge_blocks
 
 from prodrisk import cli, kernel
@@ -59,20 +59,21 @@ def empty_cache(tmp_path, monkeypatch):
 def test_cache_is_keyed_by_source_flags_and_platform(empty_cache, monkeypatch, tmp_path):
     assert kernel.library_path() == kernel.library_path(kernel.FLAGS)
     assert kernel.AVX2_FLAGS == kernel.FLAGS + ("-mavx2",)
+    assert kernel.AVX512_FLAGS == kernel.FLAGS + ("-mavx512f",)
 
-    def both():  # the portable build's path, then the AVX2 build's
+    def every():  # the portable build's path, then the AVX2 build's, then the AVX-512 build's
         return [kernel.library_path(flags) for flags in KERNEL_BUILDS.values()]
 
-    seen = both()
+    seen = every()
     assert all(p.parent == empty_cache and p.name.startswith("kernel-") for p in seen)
     edited = tmp_path / "kernel.c"
     edited.write_bytes(kernel.SOURCE.read_bytes() + b"\n")
     monkeypatch.setattr(kernel, "SOURCE", edited)
-    seen += both()
+    seen += every()
     seen += [kernel.library_path(flags + ("-g",)) for flags in KERNEL_BUILDS.values()]
     monkeypatch.setattr(kernel.sysconfig, "get_platform", lambda: "elsewhere")
-    seen += both()
-    assert len(set(seen)) == 8
+    seen += every()
+    assert len(set(seen)) == 12
 
 
 def test_unwritable_cache_falls_back_to_the_temporary_directory(tmp_path, monkeypatch):
@@ -99,7 +100,7 @@ def test_missing_compiler_exits_1_naming_it(empty_cache, monkeypatch, tmp_path, 
 
 
 def built_libraries() -> list[Path]:
-    """The cached builds after a load: the portable one, and the AVX2 one wherever it compiles."""
+    """The cached builds after a load: the portable one, and each vector build wherever it compiles."""
     kernel.load()
     return [p for p in map(kernel.library_path, KERNEL_BUILDS.values()) if kernel._is_whole(p)]
 
@@ -140,10 +141,8 @@ def test_two_processes_build_into_an_empty_cache_at_once(tmp_path):
 
 def test_warm_cache_load_starts_no_process(monkeypatch):
     chosen = kernel.load()._name  # warm the cache, building it if need be
-    # the portable build, and the AVX2 build where the probe picks it
-    needed = [kernel.library_path()]
-    if kernel.load().has_avx2():
-        needed.append(kernel.library_path(kernel.AVX2_FLAGS))
+    # the portable build, and the build the probe picks
+    needed = [kernel.library_path(), kernel.library_path(kernel.BUILDS[kernel.load().vector_lanes()])]
     assert all(kernel._is_whole(p) for p in needed)
     calls = []
 
@@ -163,7 +162,7 @@ def test_warm_cache_load_starts_no_process(monkeypatch):
     assert calls == []
 
 
-def test_cold_load_compiles_both_builds_at_once(empty_cache, monkeypatch):
+def test_cold_load_compiles_every_build_at_once(empty_cache, monkeypatch):
     events = []
 
     class Spy(subprocess.Popen):
@@ -178,17 +177,17 @@ def test_cold_load_compiles_both_builds_at_once(empty_cache, monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", Spy)
     kernel.load()
     flags = [list(f) for f in KERNEL_BUILDS.values()]
-    # both compilers run before either is waited for; a warm load starts none
-    assert events == [("start", flags[0]), ("start", flags[1]),
-                      ("wait", flags[0]), ("wait", flags[1])]
+    # the three compilers run before any is waited for; a warm load starts none
+    assert events == [("start", f) for f in flags] + [("wait", f) for f in flags]
     monkeypatch.setattr(kernel, "_lib", None)
     kernel.load()
-    assert len(events) == 4
+    assert len(events) == 6
 
 
 def test_builds_iterate_the_same_bytes(monkeypatch):
-    """Blocks of every width from 1 to 16, run on each build, write the same bytes."""
-    libs = [kernel_library(build) for build in KERNEL_BUILDS]
+    """Blocks of every width from 1 to 16, run on each build this CPU runs, write the
+    portable build's bytes: widths 9 to 15 take every piece of a row (8, 4, 2 and 1 lanes)."""
+    libs = {build: kernel_library(build) for build in KERNEL_BUILDS if runs_here(build)}
     firms, edges = generate_synthetic(SyntheticConfig(n_firms=600, mean_out_degree=8.0,
                                                       coverage=0.8), seed=4)
     net = build_network(firms, edge_blocks(edges))
@@ -197,25 +196,50 @@ def test_builds_iterate_the_same_bytes(monkeypatch):
         for width in range(1, 17):
             # single-firm shocks to 0, spread over the network
             caps = np.linspace(0, m.n - 1, width).astype(np.intp), np.arange(width), np.zeros(width)
-            runs = []
-            for lib in libs:
+            runs = {}
+            for build, lib in libs.items():
                 monkeypatch.setattr(kernel, "_lib", lib)
                 h_d, h_u, T, conv = _iterate(m, caps, width, 1e-3, 1000)
-                runs.append(b"".join(a.tobytes() for a in (h_d, h_u, T, conv)))
-            assert runs[0] == runs[1], (scenario, width)
+                runs[build] = b"".join(a.tobytes() for a in (h_d, h_u, T, conv))
+            for build in libs:
+                assert runs[build] == runs["portable"], (scenario, width, build)
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_builds_score_the_same_bytes(scenario, monkeypatch):
-    """esri_all writes the same values, T and converged flags on either build."""
-    libs = [kernel_library(build) for build in KERNEL_BUILDS]
+    """esri_all writes the portable build's values, T and converged flags on each build this CPU runs."""
+    libs = {build: kernel_library(build) for build in KERNEL_BUILDS if runs_here(build)}
     firms, edges = generate_synthetic(SyntheticConfig(n_firms=400, mean_out_degree=8.0,
                                                       coverage=0.8), seed=5)
     net = build_network(firms, edge_blocks(edges))
     m = build_impact_matrices(net, assign_scenario(net, scenario))
-    runs = []
-    for lib in libs:
+    runs = {}
+    for build, lib in libs.items():
         monkeypatch.setattr(kernel, "_lib", lib)
         v = esri_all(net, m, None)
-        runs.append(v.values.tobytes() + v.T.tobytes() + v.converged.tobytes())
-    assert runs[0] == runs[1]
+        runs[build] = v.values.tobytes() + v.T.tobytes() + v.converged.tobytes()
+    for build in libs:
+        assert runs[build] == runs["portable"], build
+
+
+@pytest.mark.parametrize("width", [1, 16])
+def test_level_buffers_start_on_cache_lines(width):
+    """Every level buffer and the sector sums start on a cache line, also after the swaps
+    of whole steps and of a compaction, so a row of 8 or 16 levels spans whole lines."""
+    firms, edges = generate_synthetic(SyntheticConfig(n_firms=300, mean_out_degree=6.0), seed=2)
+    net = build_network(firms, edge_blocks(edges))
+    m = build_impact_matrices(net, assign_scenario(net, Scenario.GL))
+    ws = kernel.Workspace(m, width)
+    names = ("h_d", "hd_new", "h_u", "hu_new", "q", "sector")
+    firms_hit = np.linspace(0, m.n - 1, width).astype(np.intp)
+    ws.begin((firms_hit, np.arange(width), np.zeros(width)), width, 1e-3, 1000, -1)
+    starts, t, live = [], 0, width
+    while live:
+        starts.append([getattr(ws.block, name) for name in names])
+        t += 1
+        live = ws.step(t)
+    starts.append([getattr(ws.block, name) for name in names])
+    assert all(p % kernel.ALIGN == 0 for row in starts for p in row)
+    # the pairs of level buffers swapped, and the block of 16 was compacted
+    assert len({row[0] for row in starts}) == 2
+    assert width == 1 or ws.block.w < width
