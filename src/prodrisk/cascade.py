@@ -51,7 +51,7 @@ class ImpactMatrices:
     compiled from the canonical (supplier, buyer) edges as they are: these
     list each buyer's inputs by ascending supplier, and an essential group
     is one (buyer, supplier sector) pair, whose input total is its entries'
-    denominator. The operators' indices and group_ptr are int32, the kernel's.
+    denominator. The operators' indices, group_ptr and sector_of are int32, the kernel's.
     """
 
     n: int
@@ -136,14 +136,15 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     lam_u = net.w / net.s_out[net.sup]
     lam_u *= _coverage_factor(net.s_out, net.revenue)[net.sup]
     up_op = sparse.csr_array((lam_u, net.buy.astype(idx), sup_ptr), shape=(n, n))
-    sector_op = sparse.csr_array((net.s_out, (net.sector_of.astype(idx), np.arange(n, dtype=idx))),
+    sector_of = net.sector_of.astype(idx)
+    sector_op = sparse.csr_array((net.s_out, (sector_of, np.arange(n, dtype=idx))),
                                  shape=(n_sectors, n))
     for op in (down_op, up_op, sector_op):
         op.sort_indices()
-    for a in (seg_starts, group_ptr):
+    for a in (seg_starts, group_ptr, sector_of):
         a.flags.writeable = False
     return ImpactMatrices(
-        n=n, s_out=net.s_out, sector_of=net.sector_of, n_groups=len(guniq),
+        n=n, s_out=net.s_out, sector_of=sector_of, n_groups=len(guniq),
         seg_starts=seg_starts, group_ptr=group_ptr, u_resid=_residual_demand(up_op),
         down_op=down_op, up_op=up_op, sector_op=sector_op,
     )

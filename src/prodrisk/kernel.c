@@ -12,8 +12,8 @@
  * and csr_matvecs do on a zeroed output; maxima and minima follow numpy's
  * NaN rule; sigma is fmin(s_out / sector sum, 1).
  *
- * The operators' column indices and row pointers are int32, as
- * prodrisk.cascade builds them.
+ * The operators' column indices and row pointers, group_ptr and sector_of
+ * are int32, as prodrisk.cascade builds them.
  *
  * prodrisk.cascade runs each iteration of a block of cascades as one call
  * of step: the iteration, the caps, and the finishing and compaction of
@@ -39,7 +39,7 @@ typedef struct {
     int64_t n, n_sectors;
     const int32_t *sector_ptr, *sector_idx;
     const double *sector_val;
-    const int64_t *sector_of;
+    const int32_t *sector_of;
     const double *s_out;
     const int32_t *group_ptr, *down_ptr, *down_idx;
     const double *down_val;
@@ -96,13 +96,11 @@ enum { STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE };
 #define MIN(a, b) (((a) <= (b) || isnan(a)) ? (a) : (b))
 
 /* A row of W lanes is worked in vectors of LANES lanes, in GCC's vector
- * extension: W / LANES of them, then, in the AVX-512 build, four lanes (v4)
- * where W & 4, then, in the AVX2 and AVX-512 builds, two lanes (v2) where W
- * & 2, then a lone lane where W & 1. Each lane's arithmetic and comparisons
- * are those of a double. The AVX-512 build takes eight lanes, the AVX2 build
- * four, the portable build two, the width of its SSE2 registers. Only the
- * AVX-512 build declares v4 and its helpers: a vector wider than a build's
- * registers is slow, and would change how it is passed between functions. */
+ * extension: W / LANES whole vectors, then (W % LANES) / 2 two-lane pairs
+ * (v2), then a lone lane where W is odd. Each lane's arithmetic and
+ * comparisons are those of a double. The AVX-512 build takes eight lanes,
+ * the AVX2 build four, the portable build two, the width of its SSE2
+ * registers: its vectors are the pairs, so it has no pair left over. */
 #if defined(__AVX512F__)
 #define LANES 8
 #elif defined(__AVX2__)
@@ -113,13 +111,8 @@ enum { STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE };
 typedef double vec __attribute__((vector_size(8 * LANES)));
 typedef double v2 __attribute__((vector_size(16)));
 
-/* The lane just past a row's whole vectors: the first of the four-lane piece */
+/* The lane just past a row's whole vectors: the first of its pairs */
 #define VEC_END(W) ((W) / LANES * LANES)
-/* Whether a row of W lanes has a four-lane piece */
-#define HAS_QUAD(W) (LANES == 8 && ((W) & 4))
-/* Whether a row of W lanes has a two-lane piece, and its first lane */
-#define HAS_PAIR(W) (LANES >= 4 && ((W) & 2))
-#define PAIR_AT(W) ((W) / 4 * 4)
 
 /* keep ? a : b, lane by lane, for keep a comparison of vectors */
 #define SELECT(keep, a, b) (((keep) & (__typeof__(keep))(a)) | (~(keep) & (__typeof__(keep))(b)))
@@ -165,35 +158,6 @@ INLINE v2 min2(v2 a, v2 b)
     return (v2)SELECT((a <= b) | (a != a), a, b);
 }
 
-#if LANES == 8
-typedef double v4 __attribute__((vector_size(32)));
-
-INLINE v4 load4(const double *p)
-{
-    v4 v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-INLINE void store4(double *p, v4 v)
-{
-    memcpy(p, &v, sizeof v);
-}
-
-/* MAX on each of four lanes, and clip(v, 0, 1) */
-INLINE v4 max4(v4 a, v4 b)
-{
-    return (v4)SELECT((a >= b) | (a != a), a, b);
-}
-
-INLINE v4 clip4(v4 v)
-{
-    const v4 zero = {0.0}, one = zero + 1.0;
-    v = (v4)SELECT((v >= zero) | (v != v), v, zero);
-    return (v4)SELECT((v <= one) | (v != v), v, one);
-}
-#endif
-
 /* CALL(w) is defined around each use: the call for the constant width w */
 #define DISPATCH(W)                                                                  \
     switch (W) {                                                                     \
@@ -237,12 +201,8 @@ INLINE void max_row(double *row, const double *x, const int W)
 {
     for (int c = 0; c < VEC_END(W); c += LANES)
         storev(row + c, maxv(loadv(row + c), loadv(x + c)));
-#if LANES == 8
-    if (HAS_QUAD(W))
-        store4(row + VEC_END(W), max4(load4(row + VEC_END(W)), load4(x + VEC_END(W))));
-#endif
-    if (HAS_PAIR(W))
-        store2(row + PAIR_AT(W), max2(load2(row + PAIR_AT(W)), load2(x + PAIR_AT(W))));
+    for (int c = VEC_END(W); c < (W & ~1); c += 2)
+        store2(row + c, max2(load2(row + c), load2(x + c)));
     if (W & 1)
         row[W - 1] = max1(row[W - 1], x[W - 1]);
 }
@@ -260,14 +220,8 @@ INLINE void clip_row(double *out, double base, const double *x, const int sub, c
         v = (vec)SELECT((v >= zero) | (v != v), v, zero);
         storev(out + c, (vec)SELECT((v <= one) | (v != v), v, one));
     }
-#if LANES == 8
-    if (HAS_QUAD(W))
-        store4(out + VEC_END(W), clip4(sub ? base - load4(x + VEC_END(W))
-                                            : base + load4(x + VEC_END(W))));
-#endif
-    if (HAS_PAIR(W))
-        store2(out + PAIR_AT(W), clip2(sub ? base - load2(x + PAIR_AT(W))
-                                          : base + load2(x + PAIR_AT(W))));
+    for (int c = VEC_END(W); c < (W & ~1); c += 2)
+        store2(out + c, clip2(sub ? base - load2(x + c) : base + load2(x + c)));
 #else
     for (int c = 0; c < (W & ~1); c++)
         out[c] = clip01(sub ? base - x[c] : base + x[c]);
@@ -283,7 +237,7 @@ INLINE void q_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const double
 {
     for (int64_t t = 0; t < k; t++) {
         const int64_t i = rows ? rows[t] : t;
-        const double *sec = sector + o->sector_of[i] * W;
+        const double *sec = sector + (int64_t)o->sector_of[i] * W;
         for (int c = 0; c < W; c++) {
             const double x = o->s_out[i] / sec[c];
             const double s = x < 1.0 ? x : 1.0; /* fmin(x, 1.0): NaN gives 1 */
@@ -442,35 +396,26 @@ INLINE void csr_row(const int32_t *ptr, const int32_t *idx, const double *val, i
                     const double *x, double *out, const int W)
 {
     vec acc[MAX_WIDTH / LANES];
-#if LANES == 8
-    v4 quad = {0.0};
-#endif
-    v2 pair = {0.0, 0.0};
+    v2 pair[LANES / 2];
     double last = 0.0;
     for (int v = 0; v < W / LANES; v++)
         acc[v] = (vec){0.0};
+    for (int p = 0; p < W % LANES / 2; p++)
+        pair[p] = (v2){0.0, 0.0};
     for (int32_t jj = ptr[r]; jj < ptr[r + 1]; jj++) {
         const double a = val[jj];
         const double *xj = x + (int64_t)idx[jj] * W;
         for (int v = 0; v < W / LANES; v++)
             acc[v] += a * loadv(xj + LANES * v);
-#if LANES == 8
-        if (HAS_QUAD(W))
-            quad += a * load4(xj + VEC_END(W));
-#endif
-        if (HAS_PAIR(W))
-            pair += a * load2(xj + PAIR_AT(W));
+        for (int p = 0; p < W % LANES / 2; p++)
+            pair[p] += a * load2(xj + VEC_END(W) + 2 * p);
         if (W & 1)
             last += a * xj[W - 1];
     }
     for (int v = 0; v < W / LANES; v++)
         storev(out + LANES * v, acc[v]);
-#if LANES == 8
-    if (HAS_QUAD(W))
-        store4(out + VEC_END(W), quad);
-#endif
-    if (HAS_PAIR(W))
-        store2(out + PAIR_AT(W), pair);
+    for (int p = 0; p < W % LANES / 2; p++)
+        store2(out + VEC_END(W) + 2 * p, pair[p]);
     if (W & 1)
         out[W - 1] = last;
 }
@@ -630,7 +575,7 @@ static void start(const Ops *o, Block *b)
 static int rows_step(const Ops *o, Block *b)
 {
     const int64_t n = o->n, w = b->w, budget = b->budget;
-    const int64_t *sector_of = o->sector_of;
+    const int32_t *sector_of = o->sector_of;
     for (int64_t k = 0; k < b->n_changed_d; k++)
         b->sector_mark[sector_of[b->changed_d[k]]] = 1;
     int64_t n_q = 0;

@@ -1,12 +1,12 @@
 """The compiled cascade iteration: kernel.c, built at first use and cached.
 
-The source is built three times with the C compiler COMPILER: the portable
-build with FLAGS, whose vectors hold two lanes; the AVX2 build with
-AVX2_FLAGS (FLAGS and -mavx2), four lanes; and the AVX-512 build with
-AVX512_FLAGS (FLAGS and -mavx512f), eight lanes. All write the same bits.
-load() opens the portable build and asks its probe, kernel.c's
+The source is built three times with the C compiler COMPILER, each build's
+flags in BUILDS under the lanes of its vectors: the portable build with
+FLAGS, two lanes; the AVX2 build with FLAGS and -mavx2, four lanes; and the
+AVX-512 build with FLAGS and -mavx512f, eight lanes. All write the same
+bits. load() opens the portable build and asks its probe, kernel.c's
 vector_lanes, for the lanes of the widest build this CPU runs (8, 4 or 2);
-it opens that build (BUILDS) in its place. Nothing else chooses the build.
+it opens that build in its place. Nothing else chooses the build.
 
 Each build is cached as ``kernel-<key>.so`` under the cache directory (see
 cache_dir), where the key hashes the source, the compiler name, the flags
@@ -39,12 +39,9 @@ COMPILER = "cc"
 # no -ffast-math, and no contraction into fused multiply-adds: the kernel
 # must give the bits of numpy's and scipy's separate multiplies and adds
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-# the vector builds, of four-lane and eight-lane vectors; -mavx512f offers
-# fused multiply-adds, which -ffp-contract=off keeps out of the code
-AVX2_FLAGS = FLAGS + ("-mavx2",)
-AVX512_FLAGS = FLAGS + ("-mavx512f",)
-# each build's flags, by the lanes of its vectors, as vector_lanes names them
-BUILDS = {2: FLAGS, 4: AVX2_FLAGS, 8: AVX512_FLAGS}
+# each build's flags, by the lanes of its vectors, as vector_lanes names them;
+# -mavx512f offers fused multiply-adds, which -ffp-contract=off keeps out of the code
+BUILDS = {2: FLAGS, 4: FLAGS + ("-mavx2",), 8: FLAGS + ("-mavx512f",)}
 # the byte boundary that every level buffer of a Workspace starts on: a cache line
 ALIGN = 64
 MAX_WIDTH = 16
@@ -193,12 +190,14 @@ class Block(ctypes.Structure):
 def addr(a: np.ndarray | None) -> int | None:
     """Address of a's first element; None (NULL) for None or an empty array.
 
-    a must be C-contiguous. A ctypes view of a writable array's buffer finds
-    the address in a third of the time a.ctypes takes, and refuses a
-    non-contiguous array.
+    Raises ValueError for an array that is not C-contiguous: the kernel would
+    read the wrong elements. A ctypes view of a writable array's buffer finds
+    the address in a third of the time a.ctypes takes.
     """
     if a is None or not a.size:
         return None
+    if not a.flags.c_contiguous:
+        raise ValueError("the kernel reads C-contiguous arrays only")
     try:
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
     except TypeError:  # read-only
@@ -222,8 +221,8 @@ def aligned(sizes: list[int]) -> list[np.ndarray]:
 class Workspace:
     """The compiled step on one ImpactMatrices, and every buffer of a block of up to width columns.
 
-    Blocks run in it one after another, on int32 operator indices and
-    group_ptr. A run takes no memory of its own beyond small per-column
+    Blocks run in it one after another, on int32 operator indices, group_ptr
+    and sector_of. A run takes no memory of its own beyond small per-column
     vectors, so a thread that scores many blocks touches the same pages
     throughout instead of faulting in fresh ones every iteration. The result
     rows out_d and out_u are overwritten by the next block. block is the
@@ -231,9 +230,8 @@ class Workspace:
     buffers (h_d, h_u, each with its successor, and q) and the sector sums,
     each on an ALIGN-byte boundary (see aligned), the decrement, the
     per-column flags, and the firm marks and row lists of the row-subset
-    steps. A workspace serves one thread at a time; the kernel
-    calls release the GIL, so workspaces on different threads run their
-    blocks in parallel.
+    steps. A workspace serves one thread at a time; the kernel calls release
+    the GIL, so workspaces on different threads run their blocks in parallel.
     """
 
     def __init__(self, m, width: int):
@@ -241,21 +239,19 @@ class Workspace:
             raise ValueError(f"a block holds 1 to {MAX_WIDTH} columns, not {width}")
         lib = load()
         ops = (m.sector_op, m.down_op, m.up_op)
-        index_arrays = [m.group_ptr] + [a for op in ops for a in (op.indptr, op.indices)]
-        if any(a.dtype != np.int32 for a in index_arrays):
-            raise TypeError("the operators' indices and group_ptr must be int32")
+        indices = [m.group_ptr, m.sector_of] + [a for op in ops for a in (op.indptr, op.indices)]
+        if any(a.dtype != np.int32 for a in indices):
+            raise TypeError("the operators' indices, group_ptr and sector_of must be int32")
         floats = [m.s_out, m.u_resid] + [op.data for op in ops]
         if any(a.dtype != np.float64 for a in floats) or not all(
-                a.flags.c_contiguous for a in floats + index_arrays):
+                a.flags.c_contiguous for a in floats + indices):
             raise TypeError("the operators must hold contiguous float64 values and indices")
         n, n_sectors = m.n, m.sector_op.shape[0]
         self.m = m
-        # the structures point into these arrays, kept alive with them
-        self._sector_of = np.ascontiguousarray(m.sector_of, dtype=np.int64)
-        self._ops = Ops(
+        self._ops = Ops(  # points into m's arrays, kept alive with m
             n, n_sectors,
             *map(addr, (m.sector_op.indptr, m.sector_op.indices, m.sector_op.data,
-                        self._sector_of, m.s_out, m.group_ptr,
+                        m.sector_of, m.s_out, m.group_ptr,
                         m.down_op.indptr, m.down_op.indices, m.down_op.data,
                         m.up_op.indptr, m.up_op.indices, m.up_op.data, m.u_resid)))
         self._step = lib.step
@@ -282,7 +278,9 @@ class Workspace:
 
     def begin(self, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int, epsilon: float,
               max_iter: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-        """Point the block at a new run of `width` columns; its T and converged."""
+        """Point the block at a run of 1 to the workspace's width columns; its T and converged."""
+        if not 1 <= width <= len(self.dec):
+            raise ValueError(f"this workspace holds 1 to {len(self.dec)} columns, not {width}")
         rows, cols, vals = caps
         # the kernel compacts the caps in place, so they are copies, held here
         self._caps = (np.asarray(rows * width + cols, dtype=np.intp),

@@ -15,16 +15,14 @@ import pytest
 
 from prodrisk import kernel
 
-# the builds of kernel.c, each with the flags it is compiled with
-KERNEL_BUILDS = {"portable": kernel.FLAGS, "avx2": kernel.AVX2_FLAGS,
-                 "avx512": kernel.AVX512_FLAGS}
+# the builds of kernel.c, each with the lanes of its vectors, its key in kernel.BUILDS
+KERNEL_BUILDS = {"portable": 2, "avx2": 4, "avx512": 8}
 
 
 def runs_here(build: str) -> bool:
     """Whether this CPU runs the named build: whether kernel.c's probe
     vector_lanes finds vectors at least as wide as the build's."""
-    lanes = {flags: k for k, flags in kernel.BUILDS.items()}[KERNEL_BUILDS[build]]
-    return lanes <= kernel.load().vector_lanes()  # load builds whatever this CPU needs
+    return KERNEL_BUILDS[build] <= kernel.load().vector_lanes()  # load builds what this CPU needs
 
 
 def kernel_library(build: str):
@@ -32,7 +30,7 @@ def kernel_library(build: str):
     if not runs_here(build):
         pytest.skip(f"this CPU has no vectors as wide as the {build} build's "
                     f"(kernel.c's probe vector_lanes), so that build cannot run here")
-    return kernel._open(kernel.library_path(KERNEL_BUILDS[build]))
+    return kernel._open(kernel.library_path(kernel.BUILDS[KERNEL_BUILDS[build]]))
 
 
 @pytest.fixture

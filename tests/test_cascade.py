@@ -770,12 +770,21 @@ class TestKernelStep:
             assert kernel.load().finish(ws.ref, m.n, 2) == -1
         with pytest.raises(ValueError, match="1 to 16"):
             Workspace(m, 17)
+        # a block wider than the buffers would be written past their ends
+        ws = Workspace(m, 2)
+        caps = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        for width in (0, 3, 17):
+            with pytest.raises(ValueError, match="1 to 2 columns"):
+                ws.begin(caps, width, 1e-3, 1000, -1)
+        ws.begin(caps, 2, 1e-3, 1000, -1)
+        assert ws.step(1) == 0
 
     def test_int64_indices_are_refused(self):
         m = prepared(subset_net(), Scenario.GL)[1]
-        wide = dataclasses.replace(m, group_ptr=m.group_ptr.astype(np.int64))
-        with pytest.raises(TypeError, match="int32"):
-            Workspace(wide, 1)
+        for field in ("group_ptr", "sector_of"):
+            wide = dataclasses.replace(m, **{field: getattr(m, field).astype(np.int64)})
+            with pytest.raises(TypeError, match="int32"):
+                Workspace(wide, 1)
 
 
 def view(address, count, dtype=np.float64):

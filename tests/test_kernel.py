@@ -58,11 +58,12 @@ def empty_cache(tmp_path, monkeypatch):
 
 def test_cache_is_keyed_by_source_flags_and_platform(empty_cache, monkeypatch, tmp_path):
     assert kernel.library_path() == kernel.library_path(kernel.FLAGS)
-    assert kernel.AVX2_FLAGS == kernel.FLAGS + ("-mavx2",)
-    assert kernel.AVX512_FLAGS == kernel.FLAGS + ("-mavx512f",)
+    assert kernel.BUILDS == {2: kernel.FLAGS, 4: kernel.FLAGS + ("-mavx2",),
+                             8: kernel.FLAGS + ("-mavx512f",)}
+    assert sorted(KERNEL_BUILDS.values()) == sorted(kernel.BUILDS)
 
     def every():  # the portable build's path, then the AVX2 build's, then the AVX-512 build's
-        return [kernel.library_path(flags) for flags in KERNEL_BUILDS.values()]
+        return [kernel.library_path(flags) for flags in kernel.BUILDS.values()]
 
     seen = every()
     assert all(p.parent == empty_cache and p.name.startswith("kernel-") for p in seen)
@@ -70,7 +71,7 @@ def test_cache_is_keyed_by_source_flags_and_platform(empty_cache, monkeypatch, t
     edited.write_bytes(kernel.SOURCE.read_bytes() + b"\n")
     monkeypatch.setattr(kernel, "SOURCE", edited)
     seen += every()
-    seen += [kernel.library_path(flags + ("-g",)) for flags in KERNEL_BUILDS.values()]
+    seen += [kernel.library_path(flags + ("-g",)) for flags in kernel.BUILDS.values()]
     monkeypatch.setattr(kernel.sysconfig, "get_platform", lambda: "elsewhere")
     seen += every()
     assert len(set(seen)) == 12
@@ -102,7 +103,7 @@ def test_missing_compiler_exits_1_naming_it(empty_cache, monkeypatch, tmp_path, 
 def built_libraries() -> list[Path]:
     """The cached builds after a load: the portable one, and each vector build wherever it compiles."""
     kernel.load()
-    return [p for p in map(kernel.library_path, KERNEL_BUILDS.values()) if kernel._is_whole(p)]
+    return [p for p in map(kernel.library_path, kernel.BUILDS.values()) if kernel._is_whole(p)]
 
 
 def test_truncated_library_is_rebuilt(tmp_path, monkeypatch):
@@ -110,7 +111,7 @@ def test_truncated_library_is_rebuilt(tmp_path, monkeypatch):
     wholes = [p.read_bytes() for p in built_libraries()]
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(kernel, "_lib", None)
-    paths = [kernel.library_path(flags) for flags in KERNEL_BUILDS.values()][:len(wholes)]
+    paths = [kernel.library_path(flags) for flags in kernel.BUILDS.values()][:len(wholes)]
     paths[0].parent.mkdir(parents=True)
     for path, whole in zip(paths, wholes):
         path.write_bytes(whole[:len(whole) // 2])
@@ -176,7 +177,7 @@ def test_cold_load_compiles_every_build_at_once(empty_cache, monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", Spy)
     kernel.load()
-    flags = [list(f) for f in KERNEL_BUILDS.values()]
+    flags = [list(f) for f in kernel.BUILDS.values()]
     # the three compilers run before any is waited for; a warm load starts none
     assert events == [("start", f) for f in flags] + [("wait", f) for f in flags]
     monkeypatch.setattr(kernel, "_lib", None)
@@ -186,7 +187,8 @@ def test_cold_load_compiles_every_build_at_once(empty_cache, monkeypatch):
 
 def test_builds_iterate_the_same_bytes(monkeypatch):
     """Blocks of every width from 1 to 16, run on each build this CPU runs, write the
-    portable build's bytes: widths 9 to 15 take every piece of a row (8, 4, 2 and 1 lanes)."""
+    portable build's bytes: on the eight-lane build, widths 9 to 15 take a whole vector,
+    then up to three two-lane pairs and, where odd, a lone lane."""
     libs = {build: kernel_library(build) for build in KERNEL_BUILDS if runs_here(build)}
     firms, edges = generate_synthetic(SyntheticConfig(n_firms=600, mean_out_degree=8.0,
                                                       coverage=0.8), seed=4)
@@ -243,3 +245,15 @@ def test_level_buffers_start_on_cache_lines(width):
     # the pairs of level buffers swapped, and the block of 16 was compacted
     assert len({row[0] for row in starts}) == 2
     assert width == 1 or ws.block.w < width
+
+
+def test_addr_refuses_arrays_that_are_not_contiguous():
+    """A strided view would have the kernel read the wrong elements, so it is refused;
+    read-only and writable contiguous arrays give their first element's address."""
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel.addr(np.arange(10.0)[::2])
+    frozen = np.arange(10.0)
+    frozen.flags.writeable = False
+    for a in (frozen, np.arange(10.0), np.arange(10, dtype=np.int32)[2:]):
+        assert kernel.addr(a) == a.ctypes.data
+    assert kernel.addr(np.empty(0)) is None
