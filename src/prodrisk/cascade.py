@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .kernel import Workspace
+from .kernel import Workspace, matvec
 from .netcore import DataError, ProductionNetwork
 from .prodfun import ScenarioSpec, inputs_are_essential
 
@@ -30,11 +29,49 @@ from .prodfun import ScenarioSpec, inputs_are_essential
 LOAD_COST = 1
 GATHER_COST = 2
 STEP_COST = 50_000
+# the share of the budget past which a row-subset step ends the block's row
+# subsets: the next step runs whole without marking its rows (kernel.c's
+# Block.futile). On 5k- and 100k-firm networks, every row-subset step that
+# ran followed one that recomputed at most 0.405 of the budget.
+FUTILE_SHARE = 0.45
+
+
+@dataclass(frozen=True)
+class Csr:
+    """A sparse operator in compressed sparse row form, as the kernel reads it.
+
+    Row r holds data[indptr[r]:indptr[r + 1]] at the columns
+    indices[indptr[r]:indptr[r + 1]]; data is float64, indices and indptr
+    int32. op @ x is the product with a vector x, in the compiled kernel
+    (kernel.matvec), which sums each row from 0.0 in stored order.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return matvec(self, x)
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: tuple[int, int]) -> Csr:
+    """The operator of the entries (rows[k], cols[k]) = data[k], which must
+    name distinct positions, each row's columns ascending: scipy's layout."""
+    # below n_rows * n_cols <= n_edges * n < 2**62: no key overflows or ties
+    order = np.argsort(rows.astype(np.int64, copy=False) * shape[1] + cols)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return Csr(data[order], cols[order].astype(np.int32, copy=False), indptr.astype(np.int32),
+               shape)
 
 
 @dataclass(frozen=True)
 class ImpactMatrices:
-    """Per-edge impact coefficients, compiled into three CSR operators.
+    """Per-edge impact coefficients, compiled into three CSR operators (Csr).
 
     Essential inputs of one buyer form one constraint group per supplier
     sector; all non-essential inputs of a buyer share a single pooled group.
@@ -51,7 +88,9 @@ class ImpactMatrices:
     compiled from the canonical (supplier, buyer) edges as they are: these
     list each buyer's inputs by ascending supplier, and an essential group
     is one (buyer, supplier sector) pair, whose input total is its entries'
-    denominator. The operators' indices, group_ptr and sector_of are int32, the kernel's.
+    denominator. The operators hold the arrays, dtypes and entry order that
+    scipy's csr_array builds from the same entries. The operators' indices,
+    group_ptr and sector_of are int32, the kernel's.
     """
 
     n: int
@@ -61,9 +100,9 @@ class ImpactMatrices:
     seg_starts: np.ndarray       # first group index per present buyer
     group_ptr: np.ndarray        # firm i's groups: group_ptr[i] to group_ptr[i + 1]
     u_resid: np.ndarray
-    down_op: sparse.csr_array    # (group, supplier) -> downstream share
-    up_op: sparse.csr_array      # (supplier, buyer) -> upstream share
-    sector_op: sparse.csr_array  # (sector, firm) -> s_out
+    down_op: Csr    # (group, supplier) -> downstream share
+    up_op: Csr      # (supplier, buyer) -> upstream share
+    sector_op: Csr  # (sector, firm) -> s_out
 
 
 @dataclass(frozen=True)
@@ -131,16 +170,14 @@ def build_impact_matrices(net: ProductionNetwork, spec: ScenarioSpec) -> ImpactM
     _, seg_starts = np.unique(group_buyer, return_index=True)
     group_ptr = np.searchsorted(group_buyer, np.arange(n + 1)).astype(idx)
 
-    down_op = sparse.csr_array((lam_d, (d_group.astype(idx), d_sup)), shape=(len(guniq), n))
+    # a group's entries come in canonical order, by ascending supplier
+    down_op = _csr(d_group, d_sup, lam_d, (len(guniq), n))
     del d_sup, lam_d, d_group
     lam_u = net.w / net.s_out[net.sup]
     lam_u *= _coverage_factor(net.s_out, net.revenue)[net.sup]
-    up_op = sparse.csr_array((lam_u, net.buy.astype(idx), sup_ptr), shape=(n, n))
+    up_op = Csr(lam_u, net.buy.astype(idx), sup_ptr, (n, n))
     sector_of = net.sector_of.astype(idx)
-    sector_op = sparse.csr_array((net.s_out, (sector_of, np.arange(n, dtype=idx))),
-                                 shape=(n_sectors, n))
-    for op in (down_op, up_op, sector_op):
-        op.sort_indices()
+    sector_op = _csr(sector_of, np.arange(n, dtype=idx), net.s_out, (n_sectors, n))
     for a in (seg_starts, group_ptr, sector_of):
         a.flags.writeable = False
     return ImpactMatrices(
@@ -179,12 +216,12 @@ def _downstream_entries(net: ProductionNetwork, spec: ScenarioSpec
     return d_sup, lam_d, d_group, guniq
 
 
-def _residual_demand(up_op: sparse.csr_array) -> np.ndarray:
+def _residual_demand(up_op: Csr) -> np.ndarray:
     """Per-supplier demand share outside the network, in [0, 1].
 
-    Formed with a matvec that sums each row from 0.0 in stored order, as the
-    kernel's upstream update does, so it complements the observed share
-    summed in the same order as that update sums it.
+    Formed with the kernel's matvec, which sums each row from 0.0 in stored
+    order, as the kernel's upstream update does, so it complements the
+    observed share summed in the same order as that update sums it.
     """
     resid = 1.0 - (up_op @ np.ones(up_op.shape[1]))
     np.clip(resid, 0.0, 1.0, out=resid)
@@ -253,14 +290,16 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
     in ws (a new workspace if none is given), which must be at least `width`
     wide.
 
-    Each iteration is one call of the compiled kernel (kernel.c's step),
-    which also applies the caps and finishes and compacts columns. Iteration
-    1 only sets the caps (see below). Each later one recomputes only the rows
-    whose inputs changed in the one before, in place; every other row keeps
-    its bits and a decrement of exactly 0, so T, converged, finishing and
-    compaction are those of recomputing every row. Once the rows to recompute
-    pass the cost rule (_subset_budget), or the block is compacted, every row
-    is recomputed from then on, into the successor buffers. Either way the
+    Each iteration is one call of the compiled kernel (kernel.c's
+    step_block), which also applies the caps and finishes and compacts
+    columns. Iteration 1 only sets the caps (see below). Each later one
+    recomputes only the rows whose inputs changed in the one before, in
+    place; every other row keeps its bits and a decrement of exactly 0, so
+    T, converged, finishing and compaction are those of recomputing every
+    row. Once the rows to recompute pass the cost rule (_subset_budget), or
+    the last such step recomputed more than FUTILE_SHARE of it, or the block
+    is compacted, every row is recomputed from then on, into the successor
+    buffers. Either way the
     step writes uncapped levels and takes its decrement from them, and the
     caps follow. Every row accumulates in the same order as a matvec, so a
     column's result is bit-identical whatever block it runs in and whichever
@@ -297,7 +336,8 @@ def _iterate(m: ImpactMatrices, caps: tuple[np.ndarray, np.ndarray, np.ndarray],
         ws = Workspace(m, width)
     budget = _subset_budget(m, width)
     # below 0, no row subset pays at this size: every row, every step
-    T, converged = ws.begin(caps, width, epsilon, max_iter, int(budget) if budget >= 0 else -1)
+    T, converged = ws.begin(caps, width, epsilon, max_iter, int(budget) if budget >= 0 else -1,
+                            int(FUTILE_SHARE * budget))
     if trace is not None:
         ones = np.ones(m.n)
         factors = _factors(m, ones)
@@ -348,8 +388,9 @@ def run_cascade(net: ProductionNetwork, matrices: ImpactMatrices, params,
         raise ValueError(f"psi has length {len(psi)}, expected {matrices.n}")
     if not substitution:
         firms = np.arange(matrices.n, dtype=np.int32)
-        matrices = dataclasses.replace(matrices, sector_of=firms, sector_op=sparse.csr_array(
-            (matrices.s_out, (firms, firms)), shape=(matrices.n, matrices.n)))
+        matrices = dataclasses.replace(matrices, sector_of=firms, sector_op=Csr(
+            matrices.s_out, firms, np.arange(matrices.n + 1, dtype=np.int32),
+            (matrices.n, matrices.n)))
 
     capped = np.flatnonzero(psi < 1.0)
     trace: list[CascadeState] | None = [] if record_trace else None

@@ -16,11 +16,15 @@
  * are int32, as prodrisk.cascade builds them.
  *
  * prodrisk.cascade runs each iteration of a block of cascades as one call
- * of step: the iteration, the caps, and the finishing and compaction of
- * columns (finish). step, finish and vector_lanes are the library's only
- * exports; finish is exported for the tests. The calls go through ctypes,
- * which releases the GIL for the whole call, so blocks on different threads
- * run in parallel.
+ * of step_block: the iteration, the caps, and the finishing and compaction
+ * of columns (finish). It also takes every one-column product outside the
+ * blocks (matvec): the residual demand as the operators are built, and the
+ * factors of a traced state. step_block, finish, matvec and vector_lanes
+ * are the library's only exports; finish is exported for the tests. No
+ * export takes a name that the C library also exports (libc has a step),
+ * which a call inside this file could bind to instead. The calls go through
+ * ctypes, which releases the GIL for the whole call, so blocks on different
+ * threads run in parallel.
  *
  * prodrisk.kernel builds this file three times: a portable build, an AVX2
  * build with -mavx2 added and an AVX-512 build with -mavx512f added. It
@@ -65,7 +69,9 @@ typedef struct {
  * are the lists of a step; mark and sector_mark are all 0 between calls.
  * in_ptr[i] .. in_ptr[i + 1] are the down_op nonzeros of firm i's groups:
  * with down_op's column indices, the (buyer, supplier) structure. ran
- * records what the last step ran (STEP_*). */
+ * records what the last step ran (STEP_*). recomputed holds the down_op and
+ * up_op nonzeros of the block's last row-subset step, 0 before the first;
+ * where it passes futile, the next step runs whole, unmarked. */
 typedef struct {
     int64_t w, max_iter;
     double epsilon;
@@ -82,7 +88,7 @@ typedef struct {
     uint8_t *damaged, *mark, *sector_mark;
     const int32_t *in_ptr;
     intptr_t *changed_d, *changed_u, *rows_d, *rows_u, *rows_q, *rows_s;
-    int64_t n_changed_d, n_changed_u, ran;
+    int64_t n_changed_d, n_changed_u, ran, recomputed, futile;
 } Block;
 
 enum { STEP_CAPS, STEP_ROWS, STEP_DECLINED, STEP_WHOLE };
@@ -420,6 +426,15 @@ INLINE void csr_row(const int32_t *ptr, const int32_t *idx, const double *val, i
         out[W - 1] = last;
 }
 
+/* out = the CSR (ptr, idx, val) of k rows times the vector x: scipy's
+ * csr_matvec, bit for bit */
+void matvec(const int32_t *ptr, const int32_t *idx, const double *val, int64_t k,
+            const double *x, double *out)
+{
+    for (int64_t r = 0; r < k; r++)
+        csr_row(ptr, idx, val, r, x, out + r, 1);
+}
+
 /* sector[s] = sector_op row s times h_d, for the listed sectors */
 INLINE void sector_rows_w(const Ops *o, const intptr_t *rows, int64_t k, const double *h_d,
                           double *sector, const int W)
@@ -526,10 +541,10 @@ static int64_t mark_columns(const int32_t *ptr, const int32_t *idx, const intptr
 
 /* Iteration 1 of a block: all-ones levels, whose step would move no
  * uncapped level (see prodrisk.cascade._iterate), so each column's
- * decrement is its largest 1 - cap; the caps follow in step. Every column
- * is live and in its own place. A block that may run row-subset steps
- * starts them here: the sector sums of the all-ones levels, q = sigma (1 -
- * 1) = +0.0, and the capped firms as the damaged and changed ones. */
+ * decrement is its largest 1 - cap; the caps follow in step_block. Every
+ * column is live and in its own place. A block that may run row-subset
+ * steps starts them here: the sector sums of the all-ones levels, q = sigma
+ * (1 - 1) = +0.0, and the capped firms as the damaged and changed ones. */
 static void start(const Ops *o, Block *b)
 {
     const int64_t n = o->n, w = b->w;
@@ -551,7 +566,7 @@ static void start(const Ops *o, Block *b)
     memset(b->damaged, 0, n);
     for (int64_t k = 0; k < b->n_caps; k++)
         b->damaged[b->cap_at[k] / w] = 1;
-    b->n_changed_d = b->n_changed_u = 0;
+    b->n_changed_d = b->n_changed_u = b->recomputed = 0;
     for (int64_t i = 0; i < n; i++)
         if (b->damaged[i])
             b->changed_d[b->n_changed_d++] = b->changed_u[b->n_changed_u++] = i;
@@ -609,6 +624,7 @@ static int rows_step(const Ops *o, Block *b)
     SWAP(b->changed_d, b->rows_d);
     SWAP(b->changed_u, b->rows_u);
     b->n_changed_d = moved_d, b->n_changed_u = moved_u;
+    b->recomputed = nnz_down + nnz_up;
     for (int64_t k = 0; k < moved_d; k++)
         b->damaged[b->changed_d[k]] = 1;
     return 1;
@@ -616,17 +632,20 @@ static int rows_step(const Ops *o, Block *b)
 
 /* Iteration t of the block: at t = 1 its start; later a row-subset step
  * while the budget allows, else a whole step; then the caps, then finish.
- * dec receives each column's largest decrement, taken before the caps, and
- * ran what ran (STEP_*). Returns the number of live columns left, or -1 for
- * a width outside 1 .. MAX_WIDTH. */
-int64_t step(const Ops *o, Block *b, int64_t t)
+ * A step after a row-subset step that recomputed more than futile nonzeros
+ * runs whole without marking a row (STEP_DECLINED): the rows to recompute
+ * only grow as a cascade spreads, so such a step would nearly always mark
+ * them only to pass the budget. dec receives each column's largest decrement, taken
+ * before the caps, and ran what ran (STEP_*). Returns the number of live
+ * columns left, or -1 for a width outside 1 .. MAX_WIDTH. */
+int64_t step_block(const Ops *o, Block *b, int64_t t)
 {
     if (b->w < 1 || b->w > MAX_WIDTH)
         return -1;
     if (t == 1) {
         start(o, b);
         b->ran = STEP_CAPS;
-    } else if (b->budget >= 0 && rows_step(o, b)) {
+    } else if (b->budget >= 0 && b->recomputed <= b->futile && rows_step(o, b)) {
         b->ran = STEP_ROWS;
     } else {
         b->ran = b->budget >= 0 ? STEP_DECLINED : STEP_WHOLE;

@@ -18,9 +18,13 @@ three builds at once, before the probe can run. A build goes to a temporary
 file that is renamed into place, so processes that build at once each load
 a whole library. A cached library whose digest does not match (say, one cut
 short) is built again. Loading cached libraries starts no process. Without
-the compiler, load() raises FileNotFoundError naming it. Workspace, the only
-Python mirror of kernel.c's Ops and Block, runs the library on one
-ImpactMatrices, with its level rows on cache-line boundaries.
+the compiler, load() raises FileNotFoundError naming it. Building a
+scenario's operators (prodrisk.cascade.build_impact_matrices) loads the
+library for its residual demand, so on a cold cache the compile is part of
+set-up, not of the first scoring call. Workspace, the only Python mirror of
+kernel.c's Ops and Block, runs the library on one ImpactMatrices, with its
+level rows on cache-line boundaries; matvec takes one CSR operator's product
+with a vector.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 SOURCE = Path(__file__).with_name("kernel.c")
 COMPILER = "cc"
 # no -ffast-math, and no contraction into fused multiply-adds: the kernel
-# must give the bits of numpy's and scipy's separate multiplies and adds
+# must give the bits of separate multiplies and adds, as numpy and scipy do
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 # each build's flags, by the lanes of its vectors, as vector_lanes names them;
 # -mavx512f offers fused multiply-adds, which -ffp-contract=off keeps out of the code
@@ -150,8 +154,9 @@ def load() -> ctypes.CDLL:
 def _open(path: Path) -> ctypes.CDLL:
     """The library at path, its exports declared."""
     lib = ctypes.CDLL(str(path))
-    _declare(lib, "step", c_int64, [c_void_p, c_void_p, c_int64])
+    _declare(lib, "step_block", c_int64, [c_void_p, c_void_p, c_int64])
     _declare(lib, "finish", c_int64, [c_void_p, c_int64, c_int64])
+    _declare(lib, "matvec", None, [c_void_p] * 3 + [c_int64, c_void_p, c_void_p])
     _declare(lib, "vector_lanes", c_int64, [])
     return lib
 
@@ -184,7 +189,8 @@ class Block(ctypes.Structure):
         ("budget", c_int64)] + [
         (name, c_void_p) for name in ("damaged", "mark", "sector_mark", "in_ptr", "changed_d",
                                       "changed_u", "rows_d", "rows_u", "rows_q", "rows_s")] + [
-        ("n_changed_d", c_int64), ("n_changed_u", c_int64), ("ran", c_int64)]
+        ("n_changed_d", c_int64), ("n_changed_u", c_int64), ("ran", c_int64),
+        ("recomputed", c_int64), ("futile", c_int64)]
 
 
 def addr(a: np.ndarray | None) -> int | None:
@@ -254,7 +260,7 @@ class Workspace:
                         m.sector_of, m.s_out, m.group_ptr,
                         m.down_op.indptr, m.down_op.indices, m.down_op.data,
                         m.up_op.indptr, m.up_op.indices, m.up_op.data, m.u_resid)))
-        self._step = lib.step
+        self._step = lib.step_block
         # h_d, hd_new, h_u, hu_new, q and the sector sums, each row of a
         # product's operand on whole cache lines where width is 8 or 16
         *levels, sector = aligned([n * width] * 5 + [n_sectors * width])
@@ -277,8 +283,15 @@ class Workspace:
         self._ops_ref = ctypes.addressof(self._ops)
 
     def begin(self, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int, epsilon: float,
-              max_iter: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-        """Point the block at a run of 1 to the workspace's width columns; its T and converged."""
+              max_iter: int, budget: int, futile: int | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Point the block at a run of 1 to the workspace's width columns; its T and converged.
+
+        budget and futile go to kernel.c's Block: a row-subset step may
+        recompute at most budget nonzeros, and a step after one that
+        recomputed more than futile (by default the budget) runs whole
+        without marking a row.
+        """
         if not 1 <= width <= len(self.dec):
             raise ValueError(f"this workspace holds 1 to {len(self.dec)} columns, not {width}")
         rows, cols, vals = caps
@@ -288,14 +301,31 @@ class Workspace:
         self._out = np.empty(width, dtype=np.int64), np.empty(width, dtype=bool)
         b = self.block
         b.w, b.max_iter, b.epsilon, b.budget, b.n_caps = width, max_iter, epsilon, budget, len(rows)
+        b.futile = budget if futile is None else futile
         b.cap_at, b.cap_val, b.T, b.converged = map(addr, self._caps + self._out)
         return self._out
 
     def step(self, t: int) -> int:
-        """Iteration t of the block in one kernel call (kernel.c's step); the live columns left."""
+        """Iteration t of the block in one kernel call (kernel.c's step_block); the live columns left."""
         return self._step(self._ops_ref, self.ref, t)
 
     def state(self, w: int) -> list[np.ndarray]:
         """The current levels h_d and h_u, as (n, w) views."""
         n = self.m.n
         return [self.levels[p][:n * w].reshape(n, w) for p in (self.block.h_d, self.block.h_u)]
+
+
+def matvec(op, x: np.ndarray) -> np.ndarray:
+    """The product of a CSR operator op (int32 indptr and indices, float64 data,
+    a shape) and a vector x, by kernel.c's matvec: each row sums from 0.0 in
+    stored order, as scipy's csr_matvec does, so the bits are scipy's."""
+    rows, cols = op.shape
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape != (cols,):
+        raise ValueError(f"an operator of {cols} columns takes a vector of {cols}, "
+                         f"not an array of shape {x.shape}")
+    if (op.indptr.dtype, op.indices.dtype, op.data.dtype) != (np.int32, np.int32, np.float64):
+        raise TypeError("the operator must hold int32 indices and float64 values")
+    out = np.empty(rows)
+    load().matvec(addr(op.indptr), addr(op.indices), addr(op.data), rows, addr(x), addr(out))
+    return out

@@ -559,13 +559,19 @@ def reference_build_impact_matrices(net, spec: ScenarioSpec) -> ReferenceMatrice
     )
 
 
+def as_scipy(op) -> sparse.csr_array:
+    """A CSR operator (the package's Csr, or a csr_array) as a scipy csr_array on its
+    arrays: the oracles take scipy's products, row slices and sums."""
+    return sparse.csr_array((op.data, op.indices, op.indptr), shape=op.shape)
+
+
 def _clip01(a: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(a, 0.0), 1.0)
 
 
 def _downstream(m: ImpactMatrices, q: np.ndarray) -> np.ndarray:
     """Every firm's clip(1 - its largest downstream product), 1 without groups."""
-    y = m.down_op @ q
+    y = as_scipy(m.down_op) @ q
     hd_new = np.ones_like(q)
     buyers = np.flatnonzero(np.diff(m.group_ptr))
     if len(buyers):
@@ -589,10 +595,10 @@ def reference_whole_step(m: ImpactMatrices, h_d: np.ndarray, h_u: np.ndarray):
     maximum is np.maximum.reduceat over its contiguous groups. The compiled
     kernel must give these arrays bit for bit.
     """
-    sector = m.sector_op @ h_d
+    sector = as_scipy(m.sector_op) @ h_d
     q = _sigma(m, sector, slice(None)) * (1.0 - h_d)
     hd_new = _downstream(m, q)
-    hu_new = _clip01(m.up_op @ h_u + m.u_resid[:, None])
+    hu_new = _clip01(as_scipy(m.up_op) @ h_u + m.u_resid[:, None])
     dec = np.maximum(h_d - hd_new, h_u - hu_new).max(axis=0)
     return hd_new, hu_new, dec, q, sector
 
@@ -629,7 +635,7 @@ def _q_buyers(m: ImpactMatrices, s: SubsetState):
     """The sectors of changed_d, the damaged firms in them, and the buyers of those firms."""
     sectors = np.unique(m.sector_of[s.changed_d]).astype(np.intp)
     q_rows = np.flatnonzero(s.damaged & np.isin(m.sector_of, sectors))
-    buyers = np.unique(m.up_op[q_rows].indices).astype(np.intp)
+    buyers = np.unique(as_scipy(m.up_op)[q_rows].indices).astype(np.intp)
     return sectors, q_rows, buyers
 
 
@@ -657,10 +663,10 @@ def reference_subset_step(m: ImpactMatrices, s: SubsetState, budget: int, caps=N
     s = SubsetState(*(np.copy(a) for a in dataclasses.astuple(s)))
     sectors, q_rows, buyers = _q_buyers(m, s)
     up_rows = _suppliers(m, m.down_op.indptr[m.group_ptr], s.changed_u)
-    s.sector[sectors] = m.sector_op[sectors] @ s.h_d
+    s.sector[sectors] = as_scipy(m.sector_op)[sectors] @ s.h_d
     s.q[q_rows] = _sigma(m, s.sector, q_rows) * (1.0 - s.h_d[q_rows])
     hd_rows = _downstream(m, s.q)[buyers]
-    hu_rows = _clip01(m.up_op[up_rows] @ s.h_u + m.u_resid[up_rows, None])
+    hu_rows = _clip01(as_scipy(m.up_op)[up_rows] @ s.h_u + m.u_resid[up_rows, None])
     live = ~s.done
     dec = np.zeros(s.h_d.shape[1])
     moved = []

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import KERNEL_BUILDS
-from reference import (SubsetState, dense_net, edge_blocks, reference_build_impact_matrices,
-                       reference_cascade, reference_finish, reference_rescale_for_coverage,
+from reference import (SubsetState, as_scipy, dense_net, edge_blocks,
+                       reference_build_impact_matrices, reference_cascade, reference_finish, reference_rescale_for_coverage,
                        reference_subset_step, reference_whole_step, replaceability, subset_counts)
 from test_acceptance import _micro_fixture
 
@@ -80,7 +80,7 @@ def leo_matrices(scenario=Scenario.LEO):
 def entry(matrices, ref, sup, buy):
     """Downstream coefficient of one edge and whether it is essential; ref gives the groups."""
     for g in np.flatnonzero(ref.group_buyer == buy):
-        row = matrices.down_op[[g]]
+        row = as_scipy(matrices.down_op)[[g]]
         if sup in row.indices:
             return row[0, sup], bool(ref.group_sector[g] >= 0)
     raise AssertionError("edge not found")
@@ -156,7 +156,7 @@ class TestImpactMatrices:
         net = build_network(firms, edge_blocks(edges))
         for scenario in Scenario:
             m, ref = both_builds(net, scenario)
-            for g, total in enumerate(m.down_op.sum(axis=1)):
+            for g, total in enumerate(as_scipy(m.down_op).sum(axis=1)):
                 assert total <= 1.0 + 1e-9
                 if ref.group_sector[g] >= 0:
                     assert total == pytest.approx(1.0)
@@ -171,7 +171,8 @@ class TestImpactMatrices:
         wheat = net.index_of["wheat"]
 
         # mill reports twice the observed sales: upstream impact halves
-        assert plain.up_op[mill, shop] == 1.0 and scaled.up_op[mill, shop] == 0.5
+        assert as_scipy(plain.up_op)[mill, shop] == 1.0
+        assert as_scipy(scaled.up_op)[mill, shop] == 0.5
         assert scaled.u_resid[mill] == 0.5
         # mill reports twice the observed inputs: downstream impact halves
         assert entry(plain, ref, wheat, mill) == (1.0, True)
@@ -506,6 +507,7 @@ def every_step_subset(monkeypatch):
     """
     for name in ("LOAD_COST", "GATHER_COST", "STEP_COST"):
         monkeypatch.setattr(cascade, name, 0)
+    monkeypatch.setattr(cascade, "FUTILE_SHARE", 1.0)  # no step recomputes past the budget
     ran = []
     step = Workspace.step
 
@@ -814,7 +816,7 @@ def subset_states(m, width, seed):
     for (hd0, hu0), (h_d, h_u) in zip(states[::2], states[1::2]):
         done = rng.random(width) < 0.5
         done[rng.integers(width)] = False
-        sector = m.sector_op @ hd0
+        sector = as_scipy(m.sector_op) @ hd0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = np.fmin(m.s_out[:, None] / sector[m.sector_of], 1.0) * (1.0 - hd0)
         yield SubsetState(
@@ -823,14 +825,16 @@ def subset_states(m, width, seed):
             changed_u=np.flatnonzero(((h_u < hu0) & ~done).any(axis=1)), done=done)
 
 
-def load_block(ws, s, budget, caps):
+def load_block(ws, s, budget, caps, futile=None, recomputed=0):
     """Point the workspace's block at the state s, with the given budget and caps.
 
-    Its epsilon is -1, so no column finishes.
+    Its epsilon is -1, so no column finishes. futile goes to begin, and
+    recomputed is the nonzeros of the block's last row-subset step.
     """
     b = ws.block
     n, w = s.h_d.shape
-    ws.begin(caps, w, -1.0, 10 ** 9, budget)
+    ws.begin(caps, w, -1.0, 10 ** 9, budget, futile)
+    b.recomputed = recomputed
     for name in ("h_d", "h_u", "q", "sector"):
         view(getattr(b, name), n * w if name != "sector" else s.sector.size)[:] = \
             getattr(s, name).reshape(-1)
@@ -847,25 +851,33 @@ class TestKernelGlue:
 
     @pytest.mark.parametrize("scenario, kernel_build", kernel_cases(), indirect=["kernel_build"])
     def test_step_matches_the_numpy_step(self, scenario, kernel_build):
-        """Levels, decrements, moved rows, q, sector sums and declined steps, byte for byte."""
+        """Levels, decrements, moved rows, q, sector sums and declined steps, byte for byte.
+
+        A step is declined where its rows pass the budget, and also, before it
+        marks them, where the block's last row-subset step recomputed more
+        than futile nonzeros.
+        """
         net = subset_net()
         m = build_impact_matrices(net, assign_scenario(net, scenario))
-        kinds = []
+        kinds, futile = [], 1000
         for width in range(1, 17):
             ws = Workspace(m, width)
             rows, cols, vals = mid_cascade_caps(m, width, seed=width)
             at = rows * width + cols
             for s in subset_states(m, width, seed=width):
                 nnz_down, nnz_up = subset_counts(m, s)
-                for budget in {nnz_down + nnz_up, nnz_down + nnz_up - 1, nnz_down, nnz_down - 1,
-                               10 ** 9} - {-1}:
-                    load_block(ws, s, budget, (rows, cols, vals))
+                budgets = {nnz_down + nnz_up, nnz_down + nnz_up - 1, nnz_down, nnz_down - 1,
+                           10 ** 9} - {-1}
+                for budget, recomputed in [(b, 0) for b in budgets] + [(10 ** 9, futile),
+                                                                      (10 ** 9, futile + 1)]:
+                    load_block(ws, s, budget, (rows, cols, vals), futile, recomputed)
                     assert ws.step(2) == np.count_nonzero(~s.done)  # none finishes
                     kind = ws.block.ran
-                    kinds.append(kind)
+                    kinds.append((kind, recomputed > futile))
                     got_d, got_u = ws.state(width)
                     dec = ws.dec[:width]
-                    want = reference_subset_step(m, s, budget, caps=(at, vals))
+                    want = (reference_subset_step(m, s, budget, caps=(at, vals))
+                            if recomputed <= futile else None)
                     if want is None:
                         assert kind == STEP_DECLINED and ws.block.budget == -1
                         hd_new, hu_new, want_dec = reference_whole_step(m, s.h_d, s.h_u)[:3]
@@ -883,7 +895,8 @@ class TestKernelGlue:
                                  (view(b.sector, r.sector.size), r.sector.reshape(-1))]
                     for a, e in pairs:
                         assert a.dtype == e.dtype and a.tobytes() == e.tobytes(), (width, budget)
-        assert kinds.count(STEP_ROWS) > 50 and kinds.count(STEP_DECLINED) > 50
+        assert kinds.count((STEP_ROWS, False)) > 50 and kinds.count((STEP_DECLINED, False)) > 50
+        assert kinds.count((STEP_DECLINED, True)) > 20
 
     def test_finish_matches_the_numpy_finish(self):
         """Columns stop, go to their out rows and are compacted as in the numpy loop.
@@ -1002,11 +1015,18 @@ def test_canonical_order_build_matches_lexsort_reference(raw):
 
 
 def assert_same_operators(m, ref):
-    """Equal shapes, positions and entry bytes in all three operators, and equal u_resid bytes."""
+    """Equal shapes, positions, dtypes and entry bytes in all three operators, and equal
+    u_resid bytes.
+
+    The indices are int32, as scipy makes them from int32 coordinates; the
+    reference passes int64 ones, which scipy keeps only in an empty operator.
+    """
     for name in ("down_op", "up_op", "sector_op"):
         op, ref_op = getattr(m, name), getattr(ref, name)
         assert op.shape == ref_op.shape
+        assert op.data.dtype == ref_op.data.dtype
         assert op.data.tobytes() == ref_op.data.tobytes()
+        assert op.indices.dtype == op.indptr.dtype == np.int32
         assert np.array_equal(op.indices, ref_op.indices)
         assert np.array_equal(op.indptr, ref_op.indptr)
     assert m.u_resid.tobytes() == ref.u_resid.tobytes()

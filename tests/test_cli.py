@@ -4,6 +4,9 @@ import codecs
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -867,6 +870,30 @@ class TestCompareYears:
         write_csv(b, cli.ESRI_HEADER, [["f1", "0.2", "1", "true"]])
         assert run("compare-years", "--esri-a", str(a), "--esri-b", str(b),
                    "--out-dir", str(tmp_path)) == 2
+
+
+# runs the command line's esri and analyze on a generated network in one
+# process, then prints the scipy modules that process imported
+SCORE_AND_ANALYZE = """
+import sys
+from prodrisk import cli
+out = sys.argv[1]
+assert cli.main(["generate", "--n", "200", "--seed", "1", "--out-dir", out]) == 0
+assert cli.main(["esri", "--firms", out + "/firms.csv", "--edges", out + "/edges.csv",
+                 "--out-dir", out]) == 0
+assert cli.main(["analyze", "--esri", out + "/esri.csv", "--out-dir", out]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_scoring_imports_no_scipy(tmp_path):
+    """The command line scores and analyzes with numpy and the compiled kernel only."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", SCORE_AND_ANALYZE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestUsage:

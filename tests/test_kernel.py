@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import KERNEL_BUILDS, kernel_library, runs_here
 from reference import edge_blocks
@@ -18,7 +19,7 @@ from prodrisk import cli, kernel
 from prodrisk.esri import esri_all
 from prodrisk.netcore import SyntheticConfig, build_network, generate_synthetic
 from prodrisk.prodfun import Scenario, assign_scenario, calibrate
-from prodrisk.cascade import _iterate, build_impact_matrices
+from prodrisk.cascade import Csr, _iterate, build_impact_matrices
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -32,8 +33,8 @@ from prodrisk.prodfun import Scenario, assign_scenario
 from prodrisk.cascade import build_impact_matrices
 firms, edges = generate_synthetic(SyntheticConfig(n_firms=200, mean_out_degree=6.0), seed=3)
 net = build_network(firms, [zip(*edges)])
+cached = kernel.library_path().exists()  # before the build, which loads the kernel
 m = build_impact_matrices(net, assign_scenario(net, Scenario.LEO))
-cached = kernel.library_path().exists()
 v = esri.esri_all(net, m, None)
 print(hashlib.sha256(v.values.tobytes() + v.T.tobytes()).hexdigest(), cached)
 """
@@ -257,3 +258,28 @@ def test_addr_refuses_arrays_that_are_not_contiguous():
     for a in (frozen, np.arange(10.0), np.arange(10, dtype=np.int32)[2:]):
         assert kernel.addr(a) == a.ctypes.data
     assert kernel.addr(np.empty(0)) is None
+
+
+def test_matvec_is_scipys_product():
+    """kernel.matvec, and so a Csr's @, gives scipy's csr_array @ x bit for bit: on random
+    operators with empty rows, with no rows or no columns, and with NaN and inf in x."""
+    rng = np.random.default_rng(6)
+    empty_rows = 0
+    for rows, cols, nnz in ((0, 5, 0), (3, 0, 0), (40, 30, 60), (300, 200, 900), (9, 1, 4)):
+        r, c = rng.integers(rows or 1, size=nnz), rng.integers(cols or 1, size=nnz)
+        vals = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300, 1e300], size=nnz) * rng.random(nnz)
+        a = sparse.csr_array((vals, (r, c)), shape=(rows, cols))  # duplicates summed
+        op = Csr(a.data, a.indices.astype(np.int32), a.indptr.astype(np.int32), a.shape)
+        empty_rows += np.count_nonzero(np.diff(op.indptr) == 0)
+        for special in ([], [np.nan], [np.inf], [-np.inf], [np.nan, np.inf, -np.inf]):
+            x = rng.normal(size=cols) * 1e3
+            for value in special if cols else []:
+                x[rng.integers(cols, size=cols // 8 + 1)] = value
+            want = (a @ x).tobytes()
+            assert kernel.matvec(op, x).tobytes() == want, (rows, cols, special)
+            assert (op @ x).tobytes() == want
+    assert empty_rows > 20
+    with pytest.raises(ValueError, match="vector of 1"):
+        kernel.matvec(op, np.ones(2))
+    with pytest.raises(TypeError, match="int32"):
+        kernel.matvec(Csr(op.data, op.indices.astype(np.int64), op.indptr, op.shape), np.ones(1))
