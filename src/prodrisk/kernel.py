@@ -283,14 +283,12 @@ class Workspace:
         self._ops_ref = ctypes.addressof(self._ops)
 
     def begin(self, caps: tuple[np.ndarray, np.ndarray, np.ndarray], width: int, epsilon: float,
-              max_iter: int, budget: int, futile: int | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+              max_iter: int, budget: int, futile: int) -> tuple[np.ndarray, np.ndarray]:
         """Point the block at a run of 1 to the workspace's width columns; its T and converged.
 
         budget and futile go to kernel.c's Block: a row-subset step may
         recompute at most budget nonzeros, and a step after one that
-        recomputed more than futile (by default the budget) runs whole
-        without marking a row.
+        recomputed more than futile runs whole without marking a row.
         """
         if not 1 <= width <= len(self.dec):
             raise ValueError(f"this workspace holds 1 to {len(self.dec)} columns, not {width}")
@@ -300,13 +298,14 @@ class Workspace:
                       np.array(vals, dtype=np.float64))
         self._out = np.empty(width, dtype=np.int64), np.empty(width, dtype=bool)
         b = self.block
-        b.w, b.max_iter, b.epsilon, b.budget, b.n_caps = width, max_iter, epsilon, budget, len(rows)
-        b.futile = budget if futile is None else futile
+        b.w, b.max_iter, b.epsilon, b.n_caps = width, max_iter, epsilon, len(rows)
+        b.budget, b.futile = budget, futile
         b.cap_at, b.cap_val, b.T, b.converged = map(addr, self._caps + self._out)
         return self._out
 
     def step(self, t: int) -> int:
-        """Iteration t of the block in one kernel call (kernel.c's step_block); the live columns left."""
+        """Iteration t of the block in one kernel call (kernel.c's step_block); the live
+        columns left."""
         return self._step(self._ops_ref, self.ref, t)
 
     def state(self, w: int) -> list[np.ndarray]:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import KERNEL_BUILDS
 from reference import (SubsetState, as_scipy, dense_net, edge_blocks,
-                       reference_build_impact_matrices, reference_cascade, reference_finish, reference_rescale_for_coverage,
-                       reference_subset_step, reference_whole_step, replaceability, subset_counts)
+                       reference_build_impact_matrices, reference_cascade, reference_finish,
+                       reference_rescale_for_coverage, reference_subset_step,
+                       reference_whole_step, replaceability, subset_counts)
 from test_acceptance import _micro_fixture
 
 from prodrisk.netcore import (DataError, FirmRecord, SyntheticConfig, build_network,
@@ -777,8 +778,8 @@ class TestKernelStep:
         caps = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
         for width in (0, 3, 17):
             with pytest.raises(ValueError, match="1 to 2 columns"):
-                ws.begin(caps, width, 1e-3, 1000, -1)
-        ws.begin(caps, 2, 1e-3, 1000, -1)
+                ws.begin(caps, width, 1e-3, 1000, -1, -1)
+        ws.begin(caps, 2, 1e-3, 1000, -1, -1)
         assert ws.step(1) == 0
 
     def test_int64_indices_are_refused(self):
@@ -825,8 +826,8 @@ def subset_states(m, width, seed):
             changed_u=np.flatnonzero(((h_u < hu0) & ~done).any(axis=1)), done=done)
 
 
-def load_block(ws, s, budget, caps, futile=None, recomputed=0):
-    """Point the workspace's block at the state s, with the given budget and caps.
+def load_block(ws, s, budget, futile, caps, recomputed=0):
+    """Point the workspace's block at the state s, with the given budget, futile and caps.
 
     Its epsilon is -1, so no column finishes. futile goes to begin, and
     recomputed is the nonzeros of the block's last row-subset step.
@@ -870,7 +871,7 @@ class TestKernelGlue:
                            10 ** 9} - {-1}
                 for budget, recomputed in [(b, 0) for b in budgets] + [(10 ** 9, futile),
                                                                       (10 ** 9, futile + 1)]:
-                    load_block(ws, s, budget, (rows, cols, vals), futile, recomputed)
+                    load_block(ws, s, budget, futile, (rows, cols, vals), recomputed)
                     assert ws.step(2) == np.count_nonzero(~s.done)  # none finishes
                     kind = ws.block.ran
                     kinds.append((kind, recomputed > futile))
@@ -922,7 +923,7 @@ class TestKernelGlue:
             want_d, want_u, want_col_of, want_done, (rows, cols, vals) = reference_finish(
                 h_d, h_u, dec, done, col_of, want_T, want_conv, *want_out, caps, t, max_iter, 1e-2)
 
-            ws.begin(caps, w, 1e-2, max_iter, 7)
+            ws.begin(caps, w, 1e-2, max_iter, 7, 7)
             T, conv = T0.copy(), conv0.copy()  # col_of places columns among 16
             b.T, b.converged = addr(T), addr(conv)
             ws.out_d[:], ws.out_u[:] = out0
@@ -1081,7 +1082,7 @@ def kernel_step(m, h_d, h_u):
     sector = np.zeros((m.sector_op.shape[0], width))
     load_block(ws, SubsetState(h_d=h_d, h_u=h_u, q=np.zeros_like(h_d), sector=sector,
                                damaged=np.zeros(n, dtype=bool), changed_d=none, changed_u=none,
-                               done=np.zeros(width, dtype=bool)), -1, (none, none, np.empty(0)))
+                               done=np.zeros(width, dtype=bool)), -1, -1, (none, none, np.empty(0)))
     assert ws.step(2) == width and ws.block.ran == STEP_WHOLE  # no column finishes
     b = ws.block
     return (*(h.copy() for h in ws.state(width)), ws.dec[:width].copy(),

@@ -235,7 +235,7 @@ def test_level_buffers_start_on_cache_lines(width):
     ws = kernel.Workspace(m, width)
     names = ("h_d", "hd_new", "h_u", "hu_new", "q", "sector")
     firms_hit = np.linspace(0, m.n - 1, width).astype(np.intp)
-    ws.begin((firms_hit, np.arange(width), np.zeros(width)), width, 1e-3, 1000, -1)
+    ws.begin((firms_hit, np.arange(width), np.zeros(width)), width, 1e-3, 1000, -1, -1)
     starts, t, live = [], 0, width
     while live:
         starts.append([getattr(ws.block, name) for name in names])
